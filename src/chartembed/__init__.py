@@ -28,7 +28,6 @@ from .semantics import VectorStore, build_semantic_block, extract_tokens, load_v
 from .encoder import (
     EncoderConfig,
     EncoderParams,
-    encode_chart,
     forward,
     init_params,
     load_checkpoint,
@@ -36,7 +35,6 @@ from .encoder import (
 )
 from .learning import (
     HyperParams,
-    TrainingSample,
     adam_step,
     combined_loss,
     grad_check,
@@ -44,7 +42,7 @@ from .learning import (
     train,
     triplet_loss,
 )
-from .corpus import Corpus, MultiViewVis, build_samples, load_corpus, split_corpus
+from .corpus import Corpus, MultiViewVis, build_samples, encode_corpus, load_corpus, split_corpus
 from .evaluation import (
     EmbeddingIndex,
     MetricsReport,
@@ -73,7 +71,6 @@ __all__ = [
     "MultiViewVis",
     "RuleSequence",
     "StoryRef",
-    "TrainingSample",
     "VectorStore",
     "adam_step",
     "build_index",
@@ -83,7 +80,7 @@ __all__ = [
     "compute_metrics",
     "decode_skeleton",
     "derive_rules",
-    "encode_chart",
+    "encode_corpus",
     "encode_one_hot",
     "extract_tokens",
     "forward",

@@ -1,4 +1,4 @@
-"""Multi-view visualization corpora: loading, splitting, and sampling.
+"""Multi-view visualization corpora: loading, splitting, encoding, and sampling.
 
 A corpus is a list of multi-view visualizations (data stories or
 dashboards), each an ordered list of at least three charts. Training
@@ -16,9 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .encoder import EncodedChart, EncoderConfig, encode_chart
+from . import grammar, semantics
+from .encoder import EncoderConfig
 from .facts import ChartFact, FactParseError, fact_from_dict, fact_to_dict, validate_fact
-from .learning import TrainingSample
 from .semantics import VectorStore
 
 log = logging.getLogger(__name__)
@@ -234,28 +234,69 @@ def split_corpus(corpus: Corpus, test_fraction: float, seed: int) -> tuple[Corpu
 
 
 @dataclass(frozen=True)
-class SampleSet:
-    """Deduplicated training quadruples with their encoded inputs."""
+class EncodedCorpus:
+    """Every chart of a corpus encoded once, as columns in corpus order.
 
-    samples: tuple[TrainingSample, ...]
-    config: EncoderConfig
+    The charts of one visualization occupy consecutive rows.
+    """
+
+    chart_ids: tuple[str, ...]
+    vis_ids: tuple[str, ...]
+    dataset_ids: tuple[str, ...]
+    domains: tuple[str, ...]
+    positions: np.ndarray  # (N,) position of each chart in its visualization
+    rule_ids: np.ndarray  # (N, 16) derivation rule ids, -1 as padding
+    semantics: np.ndarray  # (N, rows, cols) semantic blocks
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.chart_ids)
 
-    def id_quadruples(self) -> tuple[tuple[str, str, str, str], ...]:
-        return tuple(
-            (s.prev_id, s.mid_id, s.next_id, s.negative_id) for s in self.samples
-        )
+    def rows(self, selected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Model inputs of the selected rows: one-hot schemas (B, 16, 60),
+        each equal to grammar.encode_one_hot of its rule sequence, and
+        semantic blocks (B, rows, cols)."""
+        one_hot = self.rule_ids[selected][..., None] == np.arange(grammar.RULE_COUNT)
+        return one_hot.astype(np.float64), self.semantics[selected]
+
+
+def encode_corpus(corpus: Corpus, store: VectorStore, config: EncoderConfig) -> EncodedCorpus:
+    """Encode every chart of the corpus exactly once, in corpus order."""
+    rule_ids = np.full((corpus.chart_count, grammar.MAX_SEQUENCE_LENGTH), -1, dtype=np.int8)
+    blocks = np.empty((corpus.chart_count, *config.semantic_shape))
+    columns = []
+    for vis in corpus.visualizations:
+        for position, (chart_id, fact) in enumerate(vis.charts):
+            ids = grammar.derive_rules(fact).ids
+            rule_ids[len(columns), : len(ids)] = ids
+            blocks[len(columns)] = semantics.encode_semantics(
+                semantics.extract_tokens(fact), store, config.semantic_mode, config.use_locations
+            )
+            columns.append((chart_id, vis.id, vis.dataset_id, vis.domain, position))
+    chart_ids, vis_ids, dataset_ids, domains, positions = list(zip(*columns)) or [()] * 5
+    return EncodedCorpus(
+        chart_ids, vis_ids, dataset_ids, domains, np.array(positions, dtype=np.int64),
+        rule_ids, blocks,
+    )
 
 
 @dataclass(frozen=True)
-class _ChartRef:
-    chart_id: str
-    vis_id: str
-    dataset_id: str
-    domain: str
-    fact: ChartFact
+class SampleSet:
+    """Training quadruples as rows (prev, mid, next, negative) of an encoded corpus."""
+
+    encoded: EncodedCorpus
+    quads: np.ndarray  # (S, 4) int
+
+    def __len__(self) -> int:
+        return len(self.quads)
+
+    def id_quadruples(self) -> tuple[tuple[str, str, str, str], ...]:
+        ids = self.encoded.chart_ids
+        return tuple(tuple(ids[row] for row in quad) for quad in self.quads.tolist())
+
+    def batch(self, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Model inputs of the given samples: every prev chart, then every
+        mid, next and negative chart."""
+        return self.encoded.rows(self.quads[samples].T.ravel())
 
 
 def build_samples(
@@ -271,7 +312,9 @@ def build_samples(
     For each visualization with charts c_1..c_n, windows are
     (c_{i-1}, c_i, c_{i+1}) for i = 2..n-1. Negatives come from other
     visualizations; under same-dataset-first they prefer the same dataset,
-    then the same domain, then anywhere. Duplicate id-quadruples are removed.
+    then the same domain, then anywhere. Each tier lists its charts in
+    chart-id order, and a window draws from it without replacement. Chart
+    ids are globally unique, so no quadruple repeats.
     """
     if not train.visualizations:
         raise CorpusError("empty training corpus")
@@ -284,66 +327,41 @@ def build_samples(
             "no eligible negatives: need at least two visualizations"
         )
 
-    refs: list[_ChartRef] = []
-    for vis in train.visualizations:
-        for chart_id, fact in vis.charts:
-            refs.append(_ChartRef(chart_id, vis.id, vis.dataset_id, vis.domain, fact))
-    refs.sort(key=lambda r: r.chart_id)
+    encoded = encode_corpus(train, store, config)
+    by_id = np.array(
+        sorted(range(len(encoded)), key=encoded.chart_ids.__getitem__), dtype=np.int64
+    )
+    dataset_ids = np.array(encoded.dataset_ids)[by_id]
+    domains = np.array(encoded.domains)[by_id]
 
-    encoded: dict[str, EncodedChart] = {
-        r.chart_id: encode_chart(r.fact, store, config) for r in refs
-    }
     rng = np.random.default_rng(seed)
-
-    def pick_negatives(vis: MultiViewVis) -> list[_ChartRef]:
-        others = [r for r in refs if r.vis_id != vis.id]
-        if policy == "same-dataset-first":
-            tiers = [
-                [r for r in others if r.dataset_id == vis.dataset_id],
-                [r for r in others if r.dataset_id != vis.dataset_id and r.domain == vis.domain],
-                [r for r in others if r.dataset_id != vis.dataset_id and r.domain != vis.domain],
-            ]
-        else:
-            tiers = [others]
-        chosen: list[_ChartRef] = []
-        for tier in tiers:
-            if len(chosen) >= negatives_per_window:
-                break
-            want = min(negatives_per_window - len(chosen), len(tier))
-            if want == 0:
-                continue
-            picks = rng.choice(len(tier), size=want, replace=False)
-            chosen.extend(tier[int(i)] for i in sorted(picks))
-        return chosen
-
-    samples: list[TrainingSample] = []
-    seen: set[tuple[str, str, str, str]] = set()
+    quads: list[tuple[int, int, int, int]] = []
+    lo = 0
     for vis in train.visualizations:
-        charts = vis.charts
-        for i in range(1, len(charts) - 1):
-            prev_id, _ = charts[i - 1]
-            mid_id, _ = charts[i]
-            next_id, _ = charts[i + 1]
-            for neg in pick_negatives(vis):
-                quad = (prev_id, mid_id, next_id, neg.chart_id)
-                if quad in seen:
+        hi = lo + len(vis.charts)
+        # Negative candidates of this visualization, best tier first.
+        other = (by_id < lo) | (by_id >= hi)
+        same_dataset = dataset_ids == vis.dataset_id
+        same_domain = domains == vis.domain
+        if policy == "any":
+            tiers = [by_id[other]]
+        else:
+            tiers = [
+                by_id[same_dataset & other],
+                by_id[~same_dataset & same_domain],
+                by_id[~same_dataset & ~same_domain],
+            ]
+        for mid in range(lo + 1, hi - 1):
+            needed = negatives_per_window
+            for tier in tiers:
+                want = min(needed, len(tier))
+                if want == 0:
                     continue
-                seen.add(quad)
-                samples.append(
-                    TrainingSample(
-                        prev=encoded[prev_id],
-                        mid=encoded[mid_id],
-                        next=encoded[next_id],
-                        negative=encoded[neg.chart_id],
-                        prev_id=prev_id,
-                        mid_id=mid_id,
-                        next_id=next_id,
-                        negative_id=neg.chart_id,
-                        vis_id=vis.id,
-                        negative_vis_id=neg.vis_id,
-                    )
-                )
-    return SampleSet(samples=tuple(samples), config=config)
+                picks = np.sort(rng.choice(len(tier), size=want, replace=False))
+                quads.extend((mid - 1, mid, mid + 1, neg) for neg in tier[picks].tolist())
+                needed -= want
+        lo = hi
+    return SampleSet(encoded=encoded, quads=np.array(quads, dtype=np.int64).reshape(-1, 4))
 
 
 _CALLIOPE_AGGREGATIONS = {

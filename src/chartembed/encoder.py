@@ -22,8 +22,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import grammar, semantics
-from .facts import ChartFact
-from .semantics import VectorStore
 
 CHECKPOINT_MAGIC = b"C2V1"
 CHECKPOINT_FORMAT_VERSION = 1
@@ -228,22 +226,6 @@ def params_equal(a: EncoderParams, b: EncoderParams) -> bool:
         na == nb and va.shape == vb.shape and np.array_equal(va, vb)
         for (na, va), (nb, vb) in zip(items_a, items_b)
     )
-
-
-@dataclass(frozen=True)
-class EncodedChart:
-    """Model-ready arrays of one chart: rule matrix plus semantic block."""
-
-    schema: np.ndarray  # (16, 60)
-    semantics: np.ndarray  # semantic_shape(config.semantic_mode)
-
-
-def encode_chart(fact: ChartFact, store: VectorStore, config: EncoderConfig) -> EncodedChart:
-    schema = grammar.encode_one_hot(grammar.derive_rules(fact))
-    block = semantics.encode_semantics(
-        semantics.extract_tokens(fact), store, config.semantic_mode, config.use_locations
-    )
-    return EncodedChart(schema=schema, semantics=block)
 
 
 def _conv1d_same(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -509,40 +491,58 @@ def save_checkpoint(
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+def _read_exact(fh, size: int, part: str) -> bytes:
+    data = fh.read(size)
+    if len(data) != size:
+        raise CheckpointError(f"truncated checkpoint: the file ends inside the {part}")
+    return data
+
+
+def _read_header(fh) -> dict:
+    """Check the magic and read the JSON header of an open checkpoint."""
+    magic = fh.read(len(CHECKPOINT_MAGIC))
+    if magic != CHECKPOINT_MAGIC:
+        if len(magic) < len(CHECKPOINT_MAGIC) and CHECKPOINT_MAGIC.startswith(magic):
+            raise CheckpointError("truncated checkpoint: the file ends inside the magic")
+        raise CheckpointError(
+            f"checkpoint version mismatch: expected magic {CHECKPOINT_MAGIC!r}, "
+            f"found {magic!r}"
+        )
+    (header_len,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
+    try:
+        header = json.loads(_read_exact(fh, header_len, "header").decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"corrupt checkpoint header: {exc}") from exc
+    version = header.get("format_version") if isinstance(header, dict) else None
+    if version != CHECKPOINT_FORMAT_VERSION:
+        raise CheckpointError(f"checkpoint version mismatch: format {version!r}")
+    return header
+
+
 def load_checkpoint(path: str) -> tuple[EncoderParams, EncoderConfig]:
     """Read a checkpoint back; inverse of save_checkpoint, bit-exactly."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointError(
-            f"checkpoint version mismatch: expected magic {CHECKPOINT_MAGIC!r}, "
-            f"found {blob[:4]!r}"
-        )
-    (header_len,) = struct.unpack_from("<I", blob, 4)
-    header_end = 8 + header_len
-    try:
-        header = json.loads(blob[8:header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"corrupt checkpoint header: {exc}") from exc
-    if header.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise CheckpointError(
-            f"checkpoint version mismatch: format {header.get('format_version')!r}"
-        )
-    config = _config_from_dict(header["config"])
-    (count,) = struct.unpack_from("<Q", blob, header_end)
-    payload = np.frombuffer(blob[header_end + 8 :], dtype="<f8")
+        header = _read_header(fh)
+        config = _config_from_dict(header.get("config"))
+        (count,) = struct.unpack("<Q", _read_exact(fh, 8, "value count"))
+        payload = fh.read()
 
     template = init_params(seed=0, config=config)
     items = checkpoint_items(template)
     expected = sum(arr.size for _, arr in items)
-    if count != expected or payload.size != expected:
+    if count != expected:
         raise CheckpointError(
             f"checkpoint shape mismatch: holds {count} values, config implies {expected}"
         )
+    if len(payload) < 8 * expected:
+        raise CheckpointError("truncated checkpoint: the file ends inside the payload")
+    if len(payload) > 8 * expected:
+        raise CheckpointError("checkpoint shape mismatch: bytes follow the payload")
+    values = np.frombuffer(payload, dtype="<f8")
     offset = 0
     loaded: dict[str, np.ndarray] = {}
     for name, arr in items:
-        loaded[name] = payload[offset : offset + arr.size].reshape(arr.shape).copy()
+        loaded[name] = values[offset : offset + arr.size].reshape(arr.shape).copy()
         offset += arr.size
     conv = [
         ConvBNParams(
@@ -563,9 +563,4 @@ def load_checkpoint(path: str) -> tuple[EncoderParams, EncoderConfig]:
 def load_checkpoint_extras(path: str) -> Optional[dict]:
     """The extras block (training hyperparameters) stored in a checkpoint."""
     with open(path, "rb") as fh:
-        blob = fh.read(4 + 4)
-        if blob[:4] != CHECKPOINT_MAGIC:
-            raise CheckpointError("checkpoint version mismatch: bad magic")
-        (header_len,) = struct.unpack("<I", blob[4:8])
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-    return header.get("extras")
+        return _read_header(fh).get("extras")

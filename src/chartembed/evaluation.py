@@ -18,9 +18,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, build_samples
-from .encoder import EncoderConfig, EncoderParams, encode_chart, forward_batch, init_params
-from .facts import StoryRef
+from .corpus import Corpus, build_samples, encode_corpus
+from .encoder import EncoderConfig, EncoderParams, forward_batch, init_params
 from .learning import HyperParams, train
 from .semantics import VectorStore
 
@@ -31,76 +30,65 @@ class EvaluationError(ValueError):
     """Raised for unknown anchors, empty indexes, and scope errors."""
 
 
-@dataclass(frozen=True)
-class IndexEntry:
-    chart_id: str
-    vector: np.ndarray
-    story: StoryRef
-    dataset_id: str
-
-
 class EmbeddingIndex:
-    """Immutable chart_id -> (vector, story position, dataset) mapping."""
+    """Charts as columns in chart-id order, with one (N, D) vector matrix.
 
-    def __init__(self, entries: Sequence[IndexEntry]):
-        self._entries: dict[str, IndexEntry] = {}
-        dim = None
-        for entry in entries:
-            if entry.chart_id in self._entries:
-                raise EvaluationError(f"duplicate chart id {entry.chart_id!r}")
-            if dim is None:
-                dim = entry.vector.shape[0]
-            elif entry.vector.shape[0] != dim:
-                raise EvaluationError(
-                    f"vector dimension mismatch: {entry.vector.shape[0]} vs {dim}"
-                )
-            self._entries[entry.chart_id] = entry
+    `row` maps a chart id to its row; `blocks` maps a dataset id to its rows,
+    ascending, so every block is in chart-id order too.
+    """
+
+    def __init__(
+        self,
+        chart_ids: Sequence[str],
+        story_ids: Sequence[str],
+        positions: Sequence[int],
+        dataset_ids: Sequence[str],
+        vectors: np.ndarray,
+    ):
+        order = sorted(range(len(chart_ids)), key=chart_ids.__getitem__)
+        self.ids = tuple(chart_ids[i] for i in order)
+        self.row = {chart_id: row for row, chart_id in enumerate(self.ids)}
+        if len(self.row) != len(self.ids):
+            duplicate = next(a for a, b in zip(self.ids, self.ids[1:]) if a == b)
+            raise EvaluationError(f"duplicate chart id {duplicate!r}")
+        self.story_ids = tuple(story_ids[i] for i in order)
+        self.positions = np.asarray(positions, dtype=np.int64)[order]
+        self.dataset_ids = tuple(dataset_ids[i] for i in order)
+        self.vectors = np.asarray(vectors, dtype=np.float64)[order]
+        blocks: dict[str, list[int]] = {}
+        for row, dataset_id in enumerate(self.dataset_ids):
+            blocks.setdefault(dataset_id, []).append(row)
+        self.blocks = {d: np.array(rows, dtype=np.int64) for d, rows in blocks.items()}
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, chart_id: str) -> bool:
-        return chart_id in self._entries
-
-    def __getitem__(self, chart_id: str) -> IndexEntry:
-        return self._entries[chart_id]
-
-    @property
-    def dimension(self) -> int:
-        if not self._entries:
-            raise EvaluationError("empty index has no dimension")
-        return next(iter(self._entries.values())).vector.shape[0]
-
-    def ids(self) -> list[str]:
-        return sorted(self._entries)
-
-    def entries(self) -> list[IndexEntry]:
-        return [self._entries[i] for i in self.ids()]
+        return len(self.ids)
 
 
 def build_index(corpus: Corpus, params: EncoderParams, store: VectorStore) -> EmbeddingIndex:
     """Embed every chart of the corpus in inference mode."""
-    refs = []
-    for vis in corpus.visualizations:
-        for position, (chart_id, fact) in enumerate(vis.charts):
-            refs.append((chart_id, vis.id, position, vis.dataset_id, fact))
-    if not refs:
-        return EmbeddingIndex([])
-    encoded = [encode_chart(fact, store, params.config) for *_, fact in refs]
-    schemas = np.stack([e.schema for e in encoded])
-    sems = np.stack([e.semantics for e in encoded])
-    vectors, _ = forward_batch(schemas, sems, params, train=False)
+    if not corpus.chart_count:
+        return EmbeddingIndex((), (), (), (), np.zeros((0, 0)))
+    encoded = encode_corpus(corpus, store, params.config)
+    vectors, _ = forward_batch(*encoded.rows(np.arange(len(encoded))), params, train=False)
     return EmbeddingIndex(
-        [
-            IndexEntry(
-                chart_id=chart_id,
-                vector=vectors[i],
-                story=StoryRef(story_id=vis_id, position=position),
-                dataset_id=dataset_id,
-            )
-            for i, (chart_id, vis_id, position, dataset_id, _) in enumerate(refs)
-        ]
+        encoded.chart_ids, encoded.vis_ids, encoded.positions, encoded.dataset_ids, vectors
     )
+
+
+_BLOCK_FLOATS = 1 << 20  # bounds the memory of one block of anchor-candidate differences
+
+
+def _distances(vectors: np.ndarray, anchors: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """(len(anchors), len(candidates)) Euclidean distances in the exact
+    difference form; the expansion |a|^2 + |b|^2 - 2ab can flip near-ties.
+    Candidates go in chunks that keep the differences within _BLOCK_FLOATS."""
+    points = vectors[anchors][:, None, :]
+    dist = np.empty((len(anchors), len(candidates)))
+    step = max(1, _BLOCK_FLOATS // max(1, points.size))
+    for lo in range(0, len(candidates), step):
+        diff = vectors[candidates[lo : lo + step]][None, :, :] - points
+        dist[:, lo : lo + step] = np.sqrt(np.einsum("abd,abd->ab", diff, diff))
+    return dist
 
 
 def nearest(
@@ -116,26 +104,22 @@ def nearest(
     """
     if scope not in ("same-dataset", "all"):
         raise EvaluationError(f"unknown scope {scope!r}")
-    if anchor not in index:
+    if anchor not in index.row:
         raise EvaluationError(f"unknown anchor {anchor!r}")
     if k < 1:
         raise EvaluationError("k must be >= 1")
-    anchor_entry = index[anchor]
-    candidates = [
-        e
-        for e in index.entries()
-        if e.chart_id != anchor
-        and (scope == "all" or e.dataset_id == anchor_entry.dataset_id)
-    ]
-    if not candidates:
+    row = index.row[anchor]
+    if scope == "all":
+        candidates = np.arange(len(index))
+    else:
+        candidates = index.blocks[index.dataset_ids[row]]
+    candidates = candidates[candidates != row]
+    if not len(candidates):
         raise EvaluationError(f"no candidates for anchor {anchor!r} in scope {scope}")
-    ranked = sorted(
-        (
-            (float(np.linalg.norm(anchor_entry.vector - e.vector)), e.chart_id)
-            for e in candidates
-        ),
-    )
-    return [(chart_id, dist) for dist, chart_id in ranked[:k]]
+    dist = _distances(index.vectors, np.array([row]), candidates)[0]
+    # Candidates are in chart-id order, so a stable sort breaks ties on id.
+    ranked = np.argsort(dist, kind="stable")[:k]
+    return [(index.ids[candidates[j]], float(dist[j])) for j in ranked]
 
 
 @dataclass(frozen=True)
@@ -171,36 +155,48 @@ def compute_metrics(index: EmbeddingIndex, gap2: int = 2, gap3: int = 3) -> Metr
     """
     if len(index) == 0:
         raise EvaluationError("empty index")
-    details: list[AnchorDetail] = []
-    hits2 = hits3 = hits_co = scored = 0
-    for anchor_id in index.ids():
-        try:
-            (retrieved_id, distance), = nearest(index, anchor_id, "same-dataset", 1)
-        except EvaluationError:
-            details.append(
-                AnchorDetail(
-                    anchor=anchor_id, retrieved=None, distance=None, same_story=False,
-                    gap=None, top2=False, top3=False, cooccurrence=False, excluded=True,
-                )
-            )
+    retrieved = np.full(len(index), -1)
+    distance = np.zeros(len(index))
+    for block in index.blocks.values():
+        if len(block) < 2:
             continue
-        anchor = index[anchor_id]
-        retrieved = index[retrieved_id]
-        same_story = anchor.story.story_id == retrieved.story.story_id
-        gap = abs(anchor.story.position - retrieved.story.position) if same_story else None
+        step = max(1, _BLOCK_FLOATS // max(1, len(block) * index.vectors.shape[1]))
+        for lo in range(0, len(block), step):
+            anchors = block[lo : lo + step]
+            own = np.arange(len(anchors))
+            dist = _distances(index.vectors, anchors, block)
+            dist[own, lo + own] = np.inf
+            # argmin takes the first minimum, which has the smallest chart id.
+            # It takes the anchor itself only when the anchor is the block's
+            # first row and every distance overflows to inf; then the
+            # second row is the nearest, as in nearest().
+            best = np.argmin(dist, axis=1)
+            best[best == lo + own] = 1
+            retrieved[anchors] = block[best]
+            distance[anchors] = dist[own, best]
+
+    details: list[AnchorDetail] = []
+    hits2 = hits3 = hits_co = 0
+    for row, anchor_id in enumerate(index.ids):
+        match = int(retrieved[row])
+        scored = match >= 0
+        same_story = scored and index.story_ids[row] == index.story_ids[match]
+        gap = abs(int(index.positions[row]) - int(index.positions[match])) if same_story else None
         top2 = same_story and gap <= gap2
         top3 = same_story and gap <= gap3
-        scored += 1
         hits2 += top2
         hits3 += top3
         hits_co += same_story
         details.append(
             AnchorDetail(
-                anchor=anchor_id, retrieved=retrieved_id, distance=distance,
+                anchor=anchor_id,
+                retrieved=index.ids[match] if scored else None,
+                distance=float(distance[row]) if scored else None,
                 same_story=same_story, gap=gap, top2=top2, top3=top3,
-                cooccurrence=same_story, excluded=False,
+                cooccurrence=same_story, excluded=not scored,
             )
         )
+    scored = int((retrieved >= 0).sum())
     if scored == 0:
         raise EvaluationError("no scorable anchors (every dataset has one chart)")
     return MetricsReport(
@@ -420,38 +416,46 @@ def metrics_json(report: MetricsReport) -> dict:
 def save_index(index: EmbeddingIndex, path: str) -> None:
     """Write the index as TSV with 17-significant-digit floats (lossless)."""
     with open(path, "w", encoding="utf-8") as fh:
-        dim = index.dimension if len(index) else 0
         header = ["chart_id", "story_id", "position", "dataset_id"]
-        header += [f"v{i + 1}" for i in range(dim)]
+        header += [f"v{i + 1}" for i in range(index.vectors.shape[1])]
         fh.write("\t".join(header) + "\n")
-        for entry in index.entries():
-            row = [
-                entry.chart_id,
-                entry.story.story_id,
-                str(entry.story.position),
-                entry.dataset_id,
-            ]
-            row += [format(x, ".17g") for x in entry.vector]
-            fh.write("\t".join(row) + "\n")
+        for row, chart_id in enumerate(index.ids):
+            cells = [chart_id, index.story_ids[row], str(index.positions[row]), index.dataset_ids[row]]
+            cells += [format(x, ".17g") for x in index.vectors[row].tolist()]
+            fh.write("\t".join(cells) + "\n")
 
 
 def load_index(path: str) -> EmbeddingIndex:
-    entries: list[IndexEntry] = []
+    """Read an index TSV. Raises EvaluationError, naming the line, for a
+    wrong field count, a non-integer position, or a vector cell that is not
+    a finite number; and for a duplicate chart id or a non-UTF-8 file."""
+    rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if header[:4] != ["chart_id", "story_id", "position", "dataset_id"]:
-            raise EvaluationError(f"{path}: not an embedding index file")
-        dim = len(header) - 4
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 4 + dim:
-                raise EvaluationError(f"{path}:{lineno}: expected {4 + dim} fields")
-            entries.append(
-                IndexEntry(
-                    chart_id=parts[0],
-                    vector=np.array([float(x) for x in parts[4:]], dtype=np.float64),
-                    story=StoryRef(story_id=parts[1], position=int(parts[2])),
-                    dataset_id=parts[3],
-                )
-            )
-    return EmbeddingIndex(entries)
+        try:
+            header = fh.readline().rstrip("\n").split("\t")
+            if header[:4] != ["chart_id", "story_id", "position", "dataset_id"]:
+                raise EvaluationError(f"{path}: not an embedding index file")
+            dim = len(header) - 4
+            for lineno, line in enumerate(fh, start=2):
+                parts = line.rstrip("\n").split("\t")
+                if len(parts) != 4 + dim:
+                    raise EvaluationError(f"{path}:{lineno}: expected {4 + dim} fields")
+                try:
+                    position = int(parts[2])
+                except ValueError:
+                    raise EvaluationError(
+                        f"{path}:{lineno}: position {parts[2]!r} is not an integer"
+                    ) from None
+                try:
+                    vector = np.array(parts[4:], dtype=np.float64)
+                except ValueError:
+                    raise EvaluationError(f"{path}:{lineno}: non-numeric vector cell") from None
+                if not np.isfinite(vector).all():
+                    raise EvaluationError(f"{path}:{lineno}: non-finite vector cell")
+                rows.append((parts[0], parts[1], position, parts[3], vector))
+        except UnicodeDecodeError as exc:
+            raise EvaluationError(f"{path}: not a UTF-8 text file: {exc}") from None
+    chart_ids, story_ids, positions, dataset_ids, vectors = list(zip(*rows)) or [()] * 5
+    return EmbeddingIndex(
+        chart_ids, story_ids, positions, dataset_ids, np.array(vectors).reshape(len(rows), dim)
+    )

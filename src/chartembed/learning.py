@@ -1,13 +1,13 @@
 """Losses, gradients, and the training loop.
 
-Each training sample holds four encoded charts: three consecutive charts of
-one multi-view visualization plus one chart drawn from a different one. All
-four pass through the encoder with shared parameters. Two objectives are
-combined: an interpolation loss that pulls the middle chart toward the
-midpoint of its neighbours (plus an alpha-weighted contraction of the three
-pairwise distances), and a margin hinge that keeps the outer pair closer to
-each other than the first chart is to the negative. Gradients are exact and
-hand-derived; parameters update with Adam.
+Each training sample is four rows of an encoded corpus: three consecutive
+charts of one multi-view visualization plus one chart drawn from a different
+one. All four pass through the encoder with shared parameters. Two
+objectives are combined: an interpolation loss that pulls the middle chart
+toward the midpoint of its neighbours (plus an alpha-weighted contraction of
+the three pairwise distances), and a margin hinge that keeps the outer pair
+closer to each other than the first chart is to the negative. Gradients are
+exact and hand-derived; parameters update with Adam.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .corpus import SampleSet
 from .encoder import (
-    EncodedChart,
     EncoderConfig,
     EncoderParams,
     backward_batch,
@@ -35,22 +35,6 @@ log = logging.getLogger(__name__)
 
 class TrainingDivergedError(RuntimeError):
     """Raised when the loss turns non-finite."""
-
-
-@dataclass(frozen=True)
-class TrainingSample:
-    """Three consecutive charts from one visualization plus a negative."""
-
-    prev: EncodedChart
-    mid: EncodedChart
-    next: EncodedChart
-    negative: EncodedChart
-    prev_id: str = ""
-    mid_id: str = ""
-    next_id: str = ""
-    negative_id: str = ""
-    vis_id: str = ""
-    negative_vis_id: str = ""
 
 
 @dataclass(frozen=True)
@@ -179,24 +163,9 @@ def loss_gradients_wrt_embeddings(
     return d_prev, d_mid, d_next, d_neg
 
 
-def _stack_batch(samples: Sequence[TrainingSample]) -> tuple[np.ndarray, np.ndarray]:
-    schemas = np.stack(
-        [s.prev.schema for s in samples]
-        + [s.mid.schema for s in samples]
-        + [s.next.schema for s in samples]
-        + [s.negative.schema for s in samples]
-    )
-    sems = np.stack(
-        [s.prev.semantics for s in samples]
-        + [s.mid.semantics for s in samples]
-        + [s.next.semantics for s in samples]
-        + [s.negative.semantics for s in samples]
-    )
-    return schemas, sems
-
-
 def combined_loss(
-    samples: Sequence[TrainingSample],
+    schemas: np.ndarray,
+    sem_blocks: np.ndarray,
     params: EncoderParams,
     hyper: HyperParams,
     train: bool = True,
@@ -206,22 +175,22 @@ def combined_loss(
 ):
     """One shared-parameter forward over all four charts of every sample.
 
-    Returns (total, LossBreakdown, trace, embeddings); trace is None outside
-    train mode. Raises TrainingDivergedError on a non-finite loss.
+    The batch rows hold four equal blocks: every sample's prev chart, then
+    its mid, next and negative charts (see SampleSet.batch). Returns (total,
+    LossBreakdown, trace, embeddings); trace is None outside train mode.
+    Raises TrainingDivergedError on a non-finite loss.
     """
-    if not samples:
+    if len(schemas) == 0:
         raise ValueError("empty batch")
-    schemas, sems = _stack_batch(samples)
     out, trace = forward_batch(
         schemas,
-        sems,
+        sem_blocks,
         params,
         train=train,
         dropout_rng=dropout_rng,
         update_running_stats=update_running_stats,
     )
-    b = len(samples)
-    prev, mid, nxt, neg = out[:b], out[b : 2 * b], out[2 * b : 3 * b], out[3 * b :]
+    prev, mid, nxt, neg = np.split(out, 4)
     breakdown = batch_loss_from_embeddings(prev, mid, nxt, neg, hyper, loss_mask)
     if not np.isfinite(breakdown.total):
         raise TrainingDivergedError(
@@ -297,7 +266,7 @@ def adam_step(
 
 
 def grad_check(
-    sample: TrainingSample,
+    batch: tuple[np.ndarray, np.ndarray],
     params: EncoderParams,
     hyper: HyperParams,
     epsilon: float = 1e-5,
@@ -307,19 +276,21 @@ def grad_check(
 ) -> float:
     """Max relative error of analytic vs central-difference gradients.
 
-    Runs with dropout disabled and batch-statistics normalization (running
-    statistics frozen), over n_coords randomly chosen parameter coordinates.
-    The corrupt flag deliberately perturbs one conv gradient to prove the
-    check can fail.
+    `batch` is (schemas, semantic blocks) in combined_loss's four-block
+    layout; with several samples it covers the cross-sample batch-norm
+    terms. Runs with dropout disabled and batch-statistics normalization
+    (running statistics frozen), over n_coords randomly chosen parameter
+    coordinates. The corrupt flag deliberately perturbs one conv gradient to
+    prove the check can fail.
     """
     hyper_nd = replace(hyper, dropout=0.0)
     work = copy_params(params)
     work.config = replace(work.config, dropout=0.0)
-    batch = [sample]
 
-    _, _, trace, emb = combined_loss(
-        batch, work, hyper_nd, train=True, update_running_stats=False
-    )
+    def run():
+        return combined_loss(*batch, work, hyper_nd, train=True, update_running_stats=False)
+
+    _, _, trace, emb = run()
     grads = backward(trace, emb, work, hyper_nd)
     if corrupt:
         grads["conv1.weight"] = grads["conv1.weight"] * 1.05 + 0.01
@@ -340,13 +311,9 @@ def grad_check(
 
         original = arr[idx]
         arr[idx] = original + epsilon
-        plus, _, _, _ = combined_loss(
-            batch, work, hyper_nd, train=True, update_running_stats=False
-        )
+        plus = run()[0]
         arr[idx] = original - epsilon
-        minus, _, _, _ = combined_loss(
-            batch, work, hyper_nd, train=True, update_running_stats=False
-        )
+        minus = run()[0]
         arr[idx] = original
 
         numeric = (plus - minus) / (2.0 * epsilon)
@@ -368,19 +335,18 @@ class EpochStats:
 
 
 def train(
-    samples,
+    samples: SampleSet,
     hyper: HyperParams,
     params: Optional[EncoderParams] = None,
     loss_mask: tuple[bool, bool] = (True, True),
 ) -> tuple[EncoderParams, list[EpochStats]]:
     """Run the full training loop; bitwise reproducible for a fixed seed.
 
-    `samples` is a SampleSet or any sequence of TrainingSample. Initial
-    parameters default to init_params(hyper.seed). Shuffling and dropout
-    randomness both derive from hyper.seed.
+    Initial parameters default to init_params(hyper.seed). Shuffling and
+    dropout randomness both derive from hyper.seed.
     """
-    sample_list: Sequence[TrainingSample] = getattr(samples, "samples", samples)
-    if not sample_list:
+    n = len(samples)
+    if n == 0:
         raise ValueError("empty sample set")
     if params is None:
         params = init_params(hyper.seed, EncoderConfig(dropout=hyper.dropout))
@@ -390,16 +356,15 @@ def train(
     adam = init_adam(params)
 
     history: list[EpochStats] = []
-    n = len(sample_list)
     for epoch in range(hyper.epochs):
         started = time.perf_counter()
         order = shuffle_rng.permutation(n)
         sums = np.zeros(4)  # interp, pair, l1, l2
         total = 0.0
         for lo in range(0, n, hyper.batch_size):
-            batch = [sample_list[i] for i in order[lo : lo + hyper.batch_size]]
+            schemas, sems = samples.batch(order[lo : lo + hyper.batch_size])
             _, breakdown, trace, emb = combined_loss(
-                batch, params, hyper, train=True, dropout_rng=dropout_rng,
+                schemas, sems, params, hyper, train=True, dropout_rng=dropout_rng,
                 loss_mask=loss_mask,
             )
             grads = backward(trace, emb, params, hyper, loss_mask)

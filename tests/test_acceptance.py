@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from chartembed.cli import _gradcheck_sample, main
+from chartembed.cli import _gradcheck_batch, main
 from chartembed.corpus import build_samples, load_corpus, split_corpus
 from chartembed.encoder import (
     EncoderConfig,
@@ -64,10 +64,10 @@ def report(number: int, name: str, ok: bool, detail: str) -> None:
 def test_criterion_1_gradient_fidelity():
     config = EncoderConfig()
     params = init_params(0, config)
-    sample = _gradcheck_sample(0, config)
+    batch = _gradcheck_batch(0, config)
     started = time.perf_counter()
     error = grad_check(
-        sample, params, HyperParams(), epsilon=1e-5, n_coords=200, seed=0
+        batch, params, HyperParams(), epsilon=1e-5, n_coords=200, seed=0
     )
     elapsed = time.perf_counter() - started
     report(
@@ -155,21 +155,20 @@ def _brute_force_metrics(index, gap2=2, gap3=3):
     import math
 
     t2 = t3 = co = scored = 0
-    for anchor_id in index.ids():
-        anchor = index[anchor_id]
+    for a, anchor_id in enumerate(index.ids):
         rows = []
-        for cid in index.ids():
-            if cid == anchor_id or index[cid].dataset_id != anchor.dataset_id:
+        for c, cid in enumerate(index.ids):
+            if cid == anchor_id or index.dataset_ids[c] != index.dataset_ids[a]:
                 continue
-            rows.append((math.dist(anchor.vector, index[cid].vector), cid))
+            rows.append((math.dist(index.vectors[a], index.vectors[c]), cid))
         if not rows:
             continue
         rows.sort()
-        retrieved = index[rows[0][1]]
+        r = index.row[rows[0][1]]
         scored += 1
-        if anchor.story.story_id == retrieved.story.story_id:
+        if index.story_ids[a] == index.story_ids[r]:
             co += 1
-            gap = abs(anchor.story.position - retrieved.story.position)
+            gap = abs(index.positions[a] - index.positions[r])
             t2 += gap <= gap2
             t3 += gap <= gap3
     return t2 / scored, t3 / scored, co / scored
@@ -195,20 +194,19 @@ def _analytic_top3_baseline(index, gap3=3):
     """Mean over anchors of P(random same-dataset candidate is same-story
     within the gap bound)."""
     rates = []
-    for anchor_id in index.ids():
-        anchor = index[anchor_id]
+    for a, anchor_id in enumerate(index.ids):
         candidates = [
-            index[cid]
-            for cid in index.ids()
-            if cid != anchor_id and index[cid].dataset_id == anchor.dataset_id
+            c
+            for c, cid in enumerate(index.ids)
+            if cid != anchor_id and index.dataset_ids[c] == index.dataset_ids[a]
         ]
         if not candidates:
             continue
         hits = sum(
             1
             for c in candidates
-            if c.story.story_id == anchor.story.story_id
-            and abs(c.story.position - anchor.story.position) <= gap3
+            if index.story_ids[c] == index.story_ids[a]
+            and abs(index.positions[c] - index.positions[a]) <= gap3
         )
         rates.append(hits / len(candidates))
     return float(np.mean(rates))

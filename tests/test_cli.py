@@ -1,12 +1,18 @@
 from __future__ import annotations
 
 import json
+import struct
 
 import pytest
 
 from chartembed.cli import main
 from chartembed.corpus import load_corpus
-from chartembed.encoder import load_checkpoint, load_checkpoint_extras, params_equal
+from chartembed.encoder import (
+    CheckpointError,
+    load_checkpoint,
+    load_checkpoint_extras,
+    params_equal,
+)
 from chartembed.evaluation import load_index
 
 
@@ -202,6 +208,36 @@ def test_embed_bad_vectors_dimension(tmp_path, trained, fixture_corpus_path):
     assert code == 1
 
 
+def test_embed_truncated_checkpoint(
+    tmp_path, trained, fixture_corpus_path, fixture_vectors_path, capsys
+):
+    blob = open(trained, "rb").read()
+    (header_len,) = struct.unpack_from("<I", blob, 4)
+    cuts = [
+        ("magic", 2),
+        ("header length", 6),
+        ("header", 8 + header_len // 2),
+        ("value count", 8 + header_len + 4),
+        ("payload", len(blob) - 8),
+        ("payload", len(blob) - 4),
+    ]
+    path = tmp_path / "cut.ckpt"
+    for part, cut in cuts:
+        path.write_bytes(blob[:cut])
+        with pytest.raises(CheckpointError, match=f"inside the {part}"):
+            load_checkpoint(str(path))
+        if cut < 8 + header_len:
+            with pytest.raises(CheckpointError, match=f"inside the {part}"):
+                load_checkpoint_extras(str(path))
+        code = main(
+            ["embed", str(path), fixture_corpus_path, str(tmp_path / "index.tsv"),
+             "--vectors", fixture_vectors_path]
+        )
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error:") and part in err[0]
+
+
 def test_nearest_rows(index_path, capsys):
     assert main(["nearest", index_path, "s00c0", "--k", "3"]) == 0
     rows = capsys.readouterr().out.strip().splitlines()
@@ -300,7 +336,7 @@ def test_embed_vectors_env_fallback(
     assert main(["embed", trained, fixture_corpus_path, str(out)]) == 2
     monkeypatch.setenv("CHARTEMBED_VECTORS", fixture_vectors_path)
     assert main(["embed", trained, fixture_corpus_path, str(out)]) == 0
-    assert load_index(str(out)).ids()
+    assert load_index(str(out)).ids
 
 
 def test_import_calliope(tmp_path, data_dir):

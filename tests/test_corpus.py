@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from chartembed.corpus import (
+    NEGATIVE_POLICIES,
+    Corpus,
     CorpusError,
+    MultiViewVis,
     build_samples,
     corpus_from_dict,
     corpus_to_dict,
@@ -14,6 +18,7 @@ from chartembed.corpus import (
     save_corpus,
     split_corpus,
 )
+from chartembed.factgen import random_fact
 
 
 def minimal_fact_obj(**overrides):
@@ -166,7 +171,8 @@ def test_five_chart_story_gives_three_windows(store, base_config):
     }
     corpus = corpus_from_dict(obj)
     samples = build_samples(corpus, store, 1, "any", 0, base_config)
-    from_v0 = [s for s in samples.samples if s.vis_id == "v0"]
+    vis_ids = samples.encoded.vis_ids
+    from_v0 = [mid for _, mid, _, _ in samples.quads if vis_ids[mid] == "v0"]
     assert len(from_v0) == 3
 
 
@@ -174,23 +180,99 @@ def test_no_duplicate_quadruples_and_no_self_negatives(fixture_corpus, store, ba
     samples = build_samples(fixture_corpus, store, 3, "same-dataset-first", 1, base_config)
     quads = samples.id_quadruples()
     assert len(quads) == len(set(quads))
-    for s in samples.samples:
-        assert s.negative_vis_id != s.vis_id
+    vis_ids = samples.encoded.vis_ids
+    for _, mid, _, neg in samples.quads:
+        assert vis_ids[neg] != vis_ids[mid]
 
 
 def test_same_dataset_first_policy(fixture_corpus, store, base_config):
     # Every fixture dataset holds two stories, so a same-dataset negative
     # always exists and the first preference tier always wins.
     samples = build_samples(fixture_corpus, store, 1, "same-dataset-first", 0, base_config)
-    by_vis = {v.id: v.dataset_id for v in fixture_corpus.visualizations}
-    for s in samples.samples:
-        assert by_vis[s.negative_vis_id] == by_vis[s.vis_id]
+    dataset_ids = samples.encoded.dataset_ids
+    for _, mid, _, neg in samples.quads:
+        assert dataset_ids[neg] == dataset_ids[mid]
 
 
 def test_sampling_deterministic_per_seed(fixture_corpus, store, base_config):
     a = build_samples(fixture_corpus, store, 1, "same-dataset-first", 5, base_config)
     b = build_samples(fixture_corpus, store, 1, "same-dataset-first", 5, base_config)
     assert a.id_quadruples() == b.id_quadruples()
+
+
+def reference_id_quadruples(corpus, negatives_per_window, policy, seed):
+    """Negative sampling as a plain per-window loop over every chart: the
+    reference that build_samples' per-visualization tier arrays must match."""
+    refs = sorted(
+        (chart_id, vis.id, vis.dataset_id, vis.domain)
+        for vis in corpus.visualizations
+        for chart_id, _ in vis.charts
+    )
+    rng = np.random.default_rng(seed)
+    quads, seen = [], set()
+    for vis in corpus.visualizations:
+        ids = [chart_id for chart_id, _ in vis.charts]
+        for i in range(1, len(ids) - 1):
+            others = [r for r in refs if r[1] != vis.id]
+            if policy == "same-dataset-first":
+                tiers = [
+                    [r for r in others if r[2] == vis.dataset_id],
+                    [r for r in others if r[2] != vis.dataset_id and r[3] == vis.domain],
+                    [r for r in others if r[2] != vis.dataset_id and r[3] != vis.domain],
+                ]
+            else:
+                tiers = [others]
+            chosen = []
+            for tier in tiers:
+                if len(chosen) >= negatives_per_window:
+                    break
+                want = min(negatives_per_window - len(chosen), len(tier))
+                if want == 0:
+                    continue
+                picks = rng.choice(len(tier), size=want, replace=False)
+                chosen.extend(tier[int(j)][0] for j in sorted(picks))
+            for negative in chosen:
+                quad = (ids[i - 1], ids[i], ids[i + 1], negative)
+                if quad not in seen:
+                    seen.add(quad)
+                    quads.append(quad)
+    return tuple(quads)
+
+
+def random_corpus(seed):
+    """Several datasets per domain, single-visualization datasets and a
+    single-dataset domain, so every negative tier can come up empty; chart ids
+    are shuffled, so chart-id order differs from corpus order."""
+    rng = np.random.default_rng(seed)
+    layout = [  # (dataset, domain, visualizations)
+        ("d0", "economy", 2), ("d1", "economy", 1), ("d2", "economy", 3),
+        ("d3", "sports", 1), ("d4", "sports", 2), ("d5", "health", 1),
+    ]
+    sizes = [int(rng.integers(3, 7)) for _, _, n in layout for _ in range(n)]
+    names = iter(rng.permutation(sum(sizes)).tolist())
+    sizes = iter(sizes)
+    visualizations = []
+    for dataset, domain, n in layout:
+        for v in range(n):
+            charts = tuple(
+                (f"c{next(names):03d}", random_fact(rng)) for _ in range(next(sizes))
+            )
+            visualizations.append(
+                MultiViewVis(f"{dataset}-v{v}", dataset, domain, "data-story", charts)
+            )
+    return Corpus(tuple(visualizations))
+
+
+def test_tier_arrays_match_per_window_reference(fixture_corpus, empty_store, base_config):
+    for corpus in (fixture_corpus, random_corpus(0)):
+        for negatives in (1, 3, 5):
+            for policy in NEGATIVE_POLICIES:
+                for seed in (0, 7):
+                    samples = build_samples(
+                        corpus, empty_store, negatives, policy, seed, base_config
+                    )
+                    expected = reference_id_quadruples(corpus, negatives, policy, seed)
+                    assert samples.id_quadruples() == expected, (negatives, policy, seed)
 
 
 def test_single_visualization_corpus_rejected(store, base_config):

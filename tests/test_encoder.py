@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from chartembed.corpus import Corpus, MultiViewVis, encode_corpus
 from chartembed.encoder import (
     CHECKPOINT_MAGIC,
     CheckpointError,
@@ -12,7 +13,6 @@ from chartembed.encoder import (
     EncoderError,
     checkpoint_items,
     copy_params,
-    encode_chart,
     forward,
     forward_batch,
     init_params,
@@ -113,8 +113,9 @@ def test_zero_inputs_hit_bias_only_path(base_config):
 
 def test_golden_snapshot(example_fact, store):
     params = init_params(1234, EncoderConfig())
-    encoded = encode_chart(example_fact, store, params.config)
-    vec, _ = forward(encoded.schema, encoded.semantics, params)
+    vis = MultiViewVis("v", "ds", "economy", "data-story", (("c", example_fact),))
+    schemas, sems = encode_corpus(Corpus((vis,)), store, params.config).rows(np.arange(1))
+    vec, _ = forward(schemas[0], sems[0], params)
     assert vec.shape == (540,)
     assert np.allclose(vec[:5], GOLDEN_FIRST5, atol=1e-12)
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from chartembed.cli import main
 from chartembed.corpus import Corpus, corpus_from_dict
 from chartembed.encoder import init_params
 from chartembed.evaluation import (
@@ -13,7 +14,6 @@ from chartembed.evaluation import (
     AblationResult,
     EmbeddingIndex,
     EvaluationError,
-    IndexEntry,
     ablation_csv,
     build_index,
     compute_metrics,
@@ -24,17 +24,16 @@ from chartembed.evaluation import (
     save_index,
     variant_switches,
 )
-from chartembed.facts import StoryRef
 from chartembed.learning import HyperParams
 
 
 def entry(chart_id, vec, story_id, position, dataset_id="ds"):
-    return IndexEntry(
-        chart_id=chart_id,
-        vector=np.asarray(vec, dtype=np.float64),
-        story=StoryRef(story_id=story_id, position=position),
-        dataset_id=dataset_id,
-    )
+    return chart_id, story_id, position, dataset_id, np.asarray(vec, dtype=np.float64)
+
+
+def index_of(entries):
+    chart_ids, story_ids, positions, dataset_ids, vectors = zip(*entries)
+    return EmbeddingIndex(chart_ids, story_ids, positions, dataset_ids, np.array(vectors))
 
 
 # ---------------------------------------------------------------------------
@@ -42,32 +41,31 @@ def entry(chart_id, vec, story_id, position, dataset_id="ds"):
 # math.dist, and explicit tie handling.
 
 def brute_force_ranking(index, anchor_id, scope):
-    anchor = index[anchor_id]
+    a = index.row[anchor_id]
     rows = []
-    for cid in index.ids():
+    for c, cid in enumerate(index.ids):
         if cid == anchor_id:
             continue
-        cand = index[cid]
-        if scope == "same-dataset" and cand.dataset_id != anchor.dataset_id:
+        if scope == "same-dataset" and index.dataset_ids[c] != index.dataset_ids[a]:
             continue
-        rows.append((math.dist(anchor.vector, cand.vector), cid))
+        rows.append((math.dist(index.vectors[a], index.vectors[c]), cid))
     rows.sort()
     return [(cid, d) for d, cid in rows]
 
 
 def brute_force_metrics(index, gap2=2, gap3=3):
     t2 = t3 = co = scored = 0
-    for anchor_id in index.ids():
+    for anchor_id in index.ids:
         ranking = brute_force_ranking(index, anchor_id, "same-dataset")
         if not ranking:
             continue
         scored += 1
         retrieved_id, _ = ranking[0]
-        a = index[anchor_id]
-        r = index[retrieved_id]
-        if a.story.story_id == r.story.story_id:
+        a = index.row[anchor_id]
+        r = index.row[retrieved_id]
+        if index.story_ids[a] == index.story_ids[r]:
             co += 1
-            gap = abs(a.story.position - r.story.position)
+            gap = abs(index.positions[a] - index.positions[r])
             if gap <= gap2:
                 t2 += 1
             if gap <= gap3:
@@ -80,7 +78,7 @@ def brute_force_metrics(index, gap2=2, gap3=3):
 
 def planted_index():
     # Two stories in one dataset plus a singleton dataset, hand-placed in 2-d.
-    return EmbeddingIndex(
+    return index_of(
         [
             entry("a0", [0.0, 0.0], "storyA", 0),
             entry("a1", [1.0, 0.0], "storyA", 1),
@@ -97,9 +95,9 @@ def test_build_index_counts_and_determinism(fixture_corpus, store, base_config):
     index_a = build_index(fixture_corpus, params, store)
     index_b = build_index(fixture_corpus, params, store)
     assert len(index_a) == fixture_corpus.chart_count == 50
-    for cid in index_a.ids():
-        assert np.array_equal(index_a[cid].vector, index_b[cid].vector)
-    assert index_a.dimension == 540
+    assert index_a.ids == index_b.ids
+    assert np.array_equal(index_a.vectors, index_b.vectors)
+    assert index_a.vectors.shape == (50, 540)
 
 
 def test_build_index_empty_corpus(store, base_config):
@@ -112,8 +110,8 @@ def test_nearest_matches_brute_force_oracle(rng):
         entry(f"c{i}", rng.normal(size=4), f"story{i % 3}", i, dataset_id=f"ds{i % 2}")
         for i in range(12)
     ]
-    index = EmbeddingIndex(entries)
-    for anchor_id in index.ids():
+    index = index_of(entries)
+    for anchor_id in index.ids:
         for scope in ("same-dataset", "all"):
             expected = brute_force_ranking(index, anchor_id, scope)
             got = nearest(index, anchor_id, scope, k=len(expected))
@@ -123,7 +121,7 @@ def test_nearest_matches_brute_force_oracle(rng):
 
 
 def test_nearest_tie_breaks_lexicographically():
-    index = EmbeddingIndex(
+    index = index_of(
         [
             entry("anchor", [0.0, 0.0], "s", 0),
             entry("zeta", [1.0, 0.0], "s", 1),
@@ -144,12 +142,12 @@ def test_nearest_scope_and_errors():
         nearest(index, "a0", "galaxy")
     ranked = nearest(index, "a0", "same-dataset", k=99)
     assert len(ranked) == 4  # k larger than the candidate pool returns all
-    assert all(index[cid].dataset_id == "ds" for cid, _ in ranked)
+    assert all(index.dataset_ids[index.row[cid]] == "ds" for cid, _ in ranked)
 
 
 def test_nearest_distances_non_decreasing(rng):
     entries = [entry(f"c{i}", rng.normal(size=3), "s", i) for i in range(9)]
-    index = EmbeddingIndex(entries)
+    index = index_of(entries)
     ranked = nearest(index, "c0", "all", k=8)
     distances = [d for _, d in ranked]
     assert distances == sorted(distances)
@@ -195,13 +193,13 @@ def test_single_story_per_dataset_has_full_cooccurrence(rng):
             entries.append(
                 entry(f"d{ds}p{pos}", rng.normal(size=5), f"story{ds}", pos, dataset_id=f"ds{ds}")
             )
-    report = compute_metrics(EmbeddingIndex(entries))
+    report = compute_metrics(index_of(entries))
     assert report.cooccurrence == 1.0
 
 
 def test_metrics_gap_thresholds():
     # Anchor a0 retrieves a3 (gap 3): counts for top-3 but not top-2.
-    index = EmbeddingIndex(
+    index = index_of(
         [
             entry("a0", [0.0, 0.0], "s", 0),
             entry("a3", [0.5, 0.0], "s", 3),
@@ -219,7 +217,7 @@ def test_metrics_gap_thresholds():
 
 def test_metrics_empty_index_rejected():
     with pytest.raises(EvaluationError, match="empty"):
-        compute_metrics(EmbeddingIndex([]))
+        compute_metrics(EmbeddingIndex((), (), (), (), np.zeros((0, 0))))
 
 
 def test_index_io_roundtrip(tmp_path, fixture_corpus, store, base_config):
@@ -228,17 +226,37 @@ def test_index_io_roundtrip(tmp_path, fixture_corpus, store, base_config):
     path = str(tmp_path / "index.tsv")
     save_index(index, path)
     loaded = load_index(path)
-    assert loaded.ids() == index.ids()
-    for cid in index.ids():
-        assert np.array_equal(loaded[cid].vector, index[cid].vector)
-        assert loaded[cid].story == index[cid].story
-        assert loaded[cid].dataset_id == index[cid].dataset_id
+    assert loaded.ids == index.ids
+    assert np.array_equal(loaded.vectors, index.vectors)
+    assert loaded.story_ids == index.story_ids
+    assert np.array_equal(loaded.positions, index.positions)
+    assert loaded.dataset_ids == index.dataset_ids
 
 
-def test_load_index_rejects_garbage(tmp_path):
+def test_load_index_rejects_garbage(tmp_path, capsys):
+    header = "chart_id\tstory_id\tposition\tdataset_id\tv1\tv2\n"
+    good = "a\ts\t0\tds\t1.0\t2.0\n"
+    cases = [
+        ("not\tan\tindex\n", "not an embedding index"),
+        (header + good + "b\ts\t1\tds\t1.0\n", ":3: expected 6 fields"),
+        (header + good + "b\ts\t1\tds\tabc\t2.0\n", ":3: non-numeric"),
+        (header + "b\ts\tx\tds\t1.0\t2.0\n" + good, ":2: position 'x' is not an integer"),
+        (header + "b\ts\t1.5\tds\t1.0\t2.0\n" + good, ":2: position '1.5' is not an integer"),
+        (header + good + "b\ts\t1\tds\tnan\t2.0\n", ":3: non-finite"),
+        (header + good + "b\ts\t1\tds\t1.0\t-inf\n", ":3: non-finite"),
+        (header + good + "a\ts\t1\tds\t1.0\t2.0\n", "duplicate chart id 'a'"),
+    ]
     path = tmp_path / "bad.tsv"
-    path.write_text("not\tan\tindex\n", encoding="utf-8")
-    with pytest.raises(EvaluationError, match="not an embedding index"):
+    for text, message in cases:
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(EvaluationError, match=message):
+            load_index(str(path))
+        for argv in (["eval", str(path)], ["nearest", str(path), "a"]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+    path.write_bytes(b"\xff\xfe\x00garbage")
+    with pytest.raises(EvaluationError, match="not a UTF-8 text file"):
         load_index(str(path))
 
 

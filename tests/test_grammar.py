@@ -3,6 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from chartembed.corpus import Corpus, MultiViewVis, encode_corpus
+from chartembed.encoder import EncoderConfig
 from chartembed.factgen import random_fact
 from chartembed.facts import (
     Aggregation,
@@ -33,6 +35,7 @@ from chartembed.grammar import (
     fact_skeleton,
     grammar_dump,
 )
+from chartembed.semantics import VectorStore
 
 
 def test_rule_table_has_sixty_rules():
@@ -139,6 +142,20 @@ def test_one_hot_shape_and_padding(example_fact):
         else:
             assert not matrix[row].any()
     assert set(np.unique(matrix)) <= {0.0, 1.0}
+
+
+def test_encoded_corpus_rows_match_one_hot_on_random_facts():
+    rng = np.random.default_rng(12)
+    facts = [random_fact(rng) for _ in range(300)]
+    charts = tuple((f"c{i}", fact) for i, fact in enumerate(facts))
+    corpus = Corpus((MultiViewVis("v", "d", "economy", "data-story", charts),))
+    schemas, _ = encode_corpus(corpus, VectorStore({}), EncoderConfig()).rows(
+        np.arange(len(facts))
+    )
+    for fact, schema in zip(facts, schemas):
+        expected = encode_one_hot(derive_rules(fact))
+        assert schema.dtype == expected.dtype
+        assert np.array_equal(schema, expected)
 
 
 def test_one_hot_rejects_empty_and_oversized():

@@ -3,8 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from chartembed.cli import _gradcheck_sample
-from chartembed.corpus import build_samples
+from chartembed.cli import _gradcheck_batch
+from chartembed.corpus import SampleSet, build_samples
 from chartembed.encoder import (
     EncoderConfig,
     backward_batch,
@@ -14,6 +14,7 @@ from chartembed.encoder import (
     params_equal,
     trainable_items,
 )
+from chartembed.evaluation import ABLATION_VARIANTS, variant_switches
 from chartembed.learning import (
     HyperParams,
     TrainingDivergedError,
@@ -174,25 +175,36 @@ def test_zero_upstream_loss_gives_zero_gradients(rng, base_config):
 
 def test_grad_check_passes(base_config):
     params = init_params(0, base_config)
-    sample = _gradcheck_sample(0, base_config)
-    error = grad_check(sample, params, HyperParams(), epsilon=1e-5, n_coords=200, seed=0)
+    batch = _gradcheck_batch(0, base_config)
+    assert batch[0].shape == (12, 16, 60)  # three samples, so batch norm couples them
+    assert np.abs(batch[1]).sum(axis=(1, 2)).all()  # every chart has words
+    error = grad_check(batch, params, HyperParams(), epsilon=1e-5, n_coords=200, seed=0)
     assert error < 1e-4
+
+
+def test_grad_check_every_ablation_variant(base_config):
+    for variant in ABLATION_VARIANTS:
+        config, _ = variant_switches(variant, base_config)
+        params = init_params(0, config)
+        error = grad_check(_gradcheck_batch(0, config), params, HyperParams(),
+                           epsilon=1e-5, n_coords=200, seed=0)
+        assert error < 1e-4, variant
 
 
 def test_grad_check_detects_injected_fault(base_config):
     params = init_params(0, base_config)
-    sample = _gradcheck_sample(0, base_config)
-    error = grad_check(sample, params, HyperParams(), epsilon=1e-5, n_coords=200,
+    batch = _gradcheck_batch(0, base_config)
+    error = grad_check(batch, params, HyperParams(), epsilon=1e-5, n_coords=200,
                        seed=0, corrupt=True)
     assert error > 1e-2
 
 
 def test_grad_check_epsilon_window(base_config):
     params = init_params(0, base_config)
-    sample = _gradcheck_sample(0, base_config)
-    good = grad_check(sample, params, HyperParams(), epsilon=1e-5, n_coords=40, seed=1)
-    coarse = grad_check(sample, params, HyperParams(), epsilon=1e-2, n_coords=40, seed=1)
-    tiny = grad_check(sample, params, HyperParams(), epsilon=1e-10, n_coords=40, seed=1)
+    batch = _gradcheck_batch(0, base_config)
+    good = grad_check(batch, params, HyperParams(), epsilon=1e-5, n_coords=40, seed=1)
+    coarse = grad_check(batch, params, HyperParams(), epsilon=1e-2, n_coords=40, seed=1)
+    tiny = grad_check(batch, params, HyperParams(), epsilon=1e-10, n_coords=40, seed=1)
     assert good < 1e-4
     assert coarse > good
     assert tiny > good
@@ -245,7 +257,8 @@ def test_adam_deterministic(base_config):
 
 def test_combined_loss_empty_batch_rejected(base_config):
     with pytest.raises(ValueError, match="empty"):
-        combined_loss([], init_params(0, base_config), HyperParams())
+        combined_loss(np.zeros((0, 16, 60)), np.zeros((0, 25, 17)),
+                      init_params(0, base_config), HyperParams())
 
 
 def test_train_bitwise_reproducible(fixture_corpus, store, base_config):
@@ -277,9 +290,11 @@ def test_train_divergence_raises(fixture_corpus, store, base_config):
         train(samples, HyperParams(epochs=1), params)
 
 
-def test_train_empty_sample_set_rejected():
+def test_train_empty_sample_set_rejected(fixture_corpus, store, base_config):
+    samples = build_samples(fixture_corpus, store, 1, "same-dataset-first", 0, base_config)
+    empty = SampleSet(samples.encoded, samples.quads[:0])
     with pytest.raises(ValueError, match="empty"):
-        train([], HyperParams(epochs=1))
+        train(empty, HyperParams(epochs=1))
 
 
 def test_history_csv_layout():
