@@ -14,6 +14,7 @@ import hashlib
 import json
 import logging
 import os
+import platform
 import sys
 import time
 from typing import Optional
@@ -84,6 +85,23 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
+def _environment() -> dict:
+    """The software that a run's bytes depend on. Checkpoints are
+    bit-reproducible only at a fixed BLAS thread count."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy without build information
+        blas = {}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {
+            name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+        },
+    }
+
+
 def _write_manifest(
     path: str,
     command: str,
@@ -101,6 +119,7 @@ def _write_manifest(
         },
         "outputs": outputs,
         "wall_ms": wall_ms,
+        "environment": _environment(),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, ensure_ascii=False, indent=1)
@@ -423,6 +442,9 @@ def _gradcheck_batch(seed: int, config: EncoderConfig) -> tuple[np.ndarray, np.n
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    if args.coords < 1:
+        print("error: --coords must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
     if not 1e-7 <= args.epsilon <= 1e-3:
         print(
             f"warning: epsilon {args.epsilon:g} is outside the reliable central-"
@@ -433,15 +455,19 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     params = init_params(args.seed, config)
     batch = _gradcheck_batch(args.seed, config)
     hyper = HyperParams(seed=args.seed)
-    error = grad_check(
-        batch,
-        params,
-        hyper,
-        epsilon=args.epsilon,
-        n_coords=args.coords,
-        seed=args.seed,
-        corrupt=args.inject_fault,
-    )
+    try:
+        error = grad_check(
+            batch,
+            params,
+            hyper,
+            epsilon=args.epsilon,
+            n_coords=args.coords,
+            seed=args.seed,
+            corrupt=args.inject_fault,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
     print(f"max relative error: {error:.3e} over {args.coords} coordinates")
     if error < GRADCHECK_THRESHOLD:
         print("gradients OK")

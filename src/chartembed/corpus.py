@@ -75,6 +75,8 @@ class Corpus:
 
 
 def _vis_from_dict(obj: dict, where: str, strict: bool) -> Optional[MultiViewVis]:
+    if not isinstance(obj, dict):
+        raise CorpusError(f"{where}: expected an object")
     required = ("id", "dataset_id", "domain", "kind", "charts")
     unknown = set(obj) - set(required)
     if unknown:
@@ -82,6 +84,11 @@ def _vis_from_dict(obj: dict, where: str, strict: bool) -> Optional[MultiViewVis
     missing = [k for k in required if k not in obj]
     if missing:
         raise CorpusError(f"{where}: missing keys {missing}")
+    for key in ("id", "dataset_id"):
+        if not isinstance(obj[key], str):
+            raise CorpusError(f"{where}.{key}: expected a string")
+    if not isinstance(obj["charts"], list):
+        raise CorpusError(f"{where}.charts: expected a list")
     if obj["domain"] not in DOMAINS:
         raise CorpusError(f"{where}: unknown domain {obj['domain']!r}")
     if obj["kind"] not in KINDS:
@@ -92,6 +99,8 @@ def _vis_from_dict(obj: dict, where: str, strict: bool) -> Optional[MultiViewVis
     problems: list[str] = []
     for pos, chart_obj in enumerate(obj["charts"]):
         cwhere = f"{where}.charts[{pos}]"
+        if not isinstance(chart_obj, dict):
+            raise CorpusError(f"{cwhere}: expected an object")
         if set(chart_obj) != {"chart_id", "fact"}:
             raise CorpusError(f"{cwhere}: expected exactly 'chart_id' and 'fact'")
         chart_id = chart_obj["chart_id"]
@@ -142,6 +151,8 @@ def _vis_from_dict(obj: dict, where: str, strict: bool) -> Optional[MultiViewVis
 def corpus_from_dict(obj: dict, strict: bool = True) -> Corpus:
     if not isinstance(obj, dict) or set(obj) != {"visualizations"}:
         raise CorpusError("corpus must be an object with a 'visualizations' list")
+    if not isinstance(obj["visualizations"], list):
+        raise CorpusError("visualizations: expected a list")
     visualizations: list[MultiViewVis] = []
     vis_ids: set[str] = set()
     chart_ids: dict[str, str] = {}
@@ -252,11 +263,9 @@ class EncodedCorpus:
         return len(self.chart_ids)
 
     def rows(self, selected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Model inputs of the selected rows: one-hot schemas (B, 16, 60),
-        each equal to grammar.encode_one_hot of its rule sequence, and
-        semantic blocks (B, rows, cols)."""
-        one_hot = self.rule_ids[selected][..., None] == np.arange(grammar.RULE_COUNT)
-        return one_hot.astype(np.float64), self.semantics[selected]
+        """Model inputs of the selected rows: rule ids (B, 16) with -1 as
+        padding, and semantic blocks (B, rows, cols)."""
+        return self.rule_ids[selected], self.semantics[selected]
 
 
 def encode_corpus(corpus: Corpus, store: VectorStore, config: EncoderConfig) -> EncodedCorpus:

@@ -1,10 +1,11 @@
 """Forward network from encoded chart inputs to the chart vector.
 
-The rule matrix passes through three 1-d convolution layers (kernel 3,
-same-length padding, batch normalization, ReLU) and is flattened to a
-128-dim structural feature; the semantic block is flattened and concatenated;
-two fully connected layers (ReLU and dropout between them) produce the final
-540-dim embedding. Everything is float64 numpy.
+The rule ids, standing for the one-hot rule matrix, pass through three 1-d
+convolution layers (kernel 3, same-length padding, batch normalization,
+ReLU) and are flattened to a 128-dim structural feature; the semantic block
+is flattened and concatenated; two fully connected layers (ReLU and dropout
+between them) produce the final 540-dim embedding. Everything is float64
+numpy.
 
 Inference is a pure function of (inputs, params); training-mode forwards use
 batch statistics, record a trace for the backward pass, and may update the
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import grammar, semantics
 
@@ -117,104 +117,93 @@ class EncoderParams:
 
 @dataclass
 class ForwardTrace:
-    """Per-layer activations and batch statistics cached for backprop."""
+    """Per-layer activations and batch statistics cached for backprop.
 
-    conv_inputs_padded: list[np.ndarray]  # (B, Cin, L + 2*pad) per layer
-    conv_xhat: list[np.ndarray]  # (B, Cout, L)
+    Conv activations are channels-last: one row per (chart, position).
+    """
+
+    conv1_taps: np.ndarray  # (kernel, B*L) rows of conv1's lookup table
+    conv_cols: list[np.ndarray]  # (B*L, kernel*Cin) im2col input of conv2, conv3, ...
+    conv_xhat: list[np.ndarray]  # (B*L, Cout)
     conv_invstd: list[np.ndarray]  # (Cout,)
-    conv_relu_mask: list[np.ndarray]  # (B, Cout, L)
+    conv_relu_mask: list[np.ndarray]  # (B*L, Cout)
     fused: np.ndarray  # (B, fc1_in)
-    fc1_relu_mask: Optional[np.ndarray]
-    dropout_mask: Optional[np.ndarray]
+    fc1_gate: Optional[np.ndarray]  # (B, out): ReLU mask times the dropout scale
     fc2_input: Optional[np.ndarray]
     batch_size: int
+
+
+_CONV_PARTS = ("weight", "bias", "gamma", "beta", "running_mean", "running_var")
+_RUNNING_STATS = (".running_mean", ".running_var")
+
+
+def _array_shapes(config: EncoderConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of every persisted array, in checkpoint order."""
+    shapes: list[tuple[str, tuple[int, ...]]] = []
+    for i, (cin, cout) in enumerate(zip(config.conv_channels, config.conv_channels[1:]), start=1):
+        shapes.append((f"conv{i}.weight", (cout, cin, config.kernel_size)))
+        shapes += [(f"conv{i}.{part}", (cout,)) for part in _CONV_PARTS[1:]]
+    if config.use_fc:
+        shapes += [
+            ("fc1.weight", (config.output_dim, config.fc1_in)),
+            ("fc1.bias", (config.output_dim,)),
+            ("fc2.weight", (config.output_dim, config.output_dim)),
+            ("fc2.bias", (config.output_dim,)),
+        ]
+    return shapes
+
+
+def _params_from_arrays(config: EncoderConfig, arrays: dict[str, np.ndarray]) -> EncoderParams:
+    conv = [
+        ConvBNParams(
+            weight=arrays[f"conv{i}.weight"],
+            bias=arrays[f"conv{i}.bias"],
+            gamma=arrays[f"conv{i}.gamma"],
+            beta=arrays[f"conv{i}.beta"],
+            running_mean=arrays[f"conv{i}.running_mean"],
+            running_var=arrays[f"conv{i}.running_var"],
+        )
+        for i in range(1, len(config.conv_channels))
+    ]
+    fc1 = DenseParams(arrays["fc1.weight"], arrays["fc1.bias"]) if config.use_fc else None
+    fc2 = DenseParams(arrays["fc2.weight"], arrays["fc2.bias"]) if config.use_fc else None
+    return EncoderParams(config=config, conv=conv, fc1=fc1, fc2=fc2)
 
 
 def init_params(seed: int, config: EncoderConfig = EncoderConfig()) -> EncoderParams:
     """Fan-in-scaled uniform weight init; batch-norm at identity."""
     rng = np.random.default_rng(seed)
-
-    def uniform(shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-        bound = np.sqrt(6.0 / fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
-    conv: list[ConvBNParams] = []
-    for cin, cout in zip(config.conv_channels, config.conv_channels[1:]):
-        conv.append(
-            ConvBNParams(
-                weight=uniform((cout, cin, config.kernel_size), cin * config.kernel_size),
-                bias=np.zeros(cout),
-                gamma=np.ones(cout),
-                beta=np.zeros(cout),
-                running_mean=np.zeros(cout),
-                running_var=np.ones(cout),
-            )
-        )
-    fc1 = fc2 = None
-    if config.use_fc:
-        fc1 = DenseParams(
-            weight=uniform((config.output_dim, config.fc1_in), config.fc1_in),
-            bias=np.zeros(config.output_dim),
-        )
-        fc2 = DenseParams(
-            weight=uniform((config.output_dim, config.output_dim), config.output_dim),
-            bias=np.zeros(config.output_dim),
-        )
-    return EncoderParams(config=config, conv=conv, fc1=fc1, fc2=fc2)
-
-
-def trainable_items(params: EncoderParams) -> list[tuple[str, np.ndarray]]:
-    """Trainable arrays in their fixed canonical order."""
-    items: list[tuple[str, np.ndarray]] = []
-    for i, layer in enumerate(params.conv, start=1):
-        items.append((f"conv{i}.weight", layer.weight))
-        items.append((f"conv{i}.bias", layer.bias))
-        items.append((f"conv{i}.gamma", layer.gamma))
-        items.append((f"conv{i}.beta", layer.beta))
-    if params.fc1 is not None:
-        items.append(("fc1.weight", params.fc1.weight))
-        items.append(("fc1.bias", params.fc1.bias))
-    if params.fc2 is not None:
-        items.append(("fc2.weight", params.fc2.weight))
-        items.append(("fc2.bias", params.fc2.bias))
-    return items
+    arrays: dict[str, np.ndarray] = {}
+    for name, shape in _array_shapes(config):
+        if name.endswith(".weight"):
+            bound = np.sqrt(6.0 / np.prod(shape[1:]))
+            arrays[name] = rng.uniform(-bound, bound, size=shape)
+        elif name.endswith((".gamma", ".running_var")):
+            arrays[name] = np.ones(shape)
+        else:
+            arrays[name] = np.zeros(shape)
+    return _params_from_arrays(config, arrays)
 
 
 def checkpoint_items(params: EncoderParams) -> list[tuple[str, np.ndarray]]:
     """All persisted arrays (trainable plus running statistics), in order."""
     items: list[tuple[str, np.ndarray]] = []
     for i, layer in enumerate(params.conv, start=1):
-        items.append((f"conv{i}.weight", layer.weight))
-        items.append((f"conv{i}.bias", layer.bias))
-        items.append((f"conv{i}.gamma", layer.gamma))
-        items.append((f"conv{i}.beta", layer.beta))
-        items.append((f"conv{i}.running_mean", layer.running_mean))
-        items.append((f"conv{i}.running_var", layer.running_var))
-    if params.fc1 is not None:
-        items.append(("fc1.weight", params.fc1.weight))
-        items.append(("fc1.bias", params.fc1.bias))
-    if params.fc2 is not None:
-        items.append(("fc2.weight", params.fc2.weight))
-        items.append(("fc2.bias", params.fc2.bias))
+        items += [(f"conv{i}.{part}", getattr(layer, part)) for part in _CONV_PARTS]
+    for name, dense in (("fc1", params.fc1), ("fc2", params.fc2)):
+        if dense is not None:
+            items += [(f"{name}.weight", dense.weight), (f"{name}.bias", dense.bias)]
     return items
 
 
+def trainable_items(params: EncoderParams) -> list[tuple[str, np.ndarray]]:
+    """Trainable arrays in their fixed canonical order."""
+    return [item for item in checkpoint_items(params) if not item[0].endswith(_RUNNING_STATS)]
+
+
 def copy_params(params: EncoderParams) -> EncoderParams:
-    return EncoderParams(
-        config=params.config,
-        conv=[
-            ConvBNParams(
-                weight=l.weight.copy(),
-                bias=l.bias.copy(),
-                gamma=l.gamma.copy(),
-                beta=l.beta.copy(),
-                running_mean=l.running_mean.copy(),
-                running_var=l.running_var.copy(),
-            )
-            for l in params.conv
-        ],
-        fc1=None if params.fc1 is None else DenseParams(params.fc1.weight.copy(), params.fc1.bias.copy()),
-        fc2=None if params.fc2 is None else DenseParams(params.fc2.weight.copy(), params.fc2.bias.copy()),
+    return _params_from_arrays(
+        params.config, {name: arr.copy() for name, arr in checkpoint_items(params)}
     )
 
 
@@ -228,36 +217,86 @@ def params_equal(a: EncoderParams, b: EncoderParams) -> bool:
     )
 
 
-def _conv1d_same(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Same-length 1-d convolution. Returns (output, padded input)."""
-    pad = weight.shape[2] // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
-    windows = sliding_window_view(xp, weight.shape[2], axis=2)  # (B, Cin, L, K)
-    out = np.einsum("bclk,ock->bol", windows, weight, optimize=True)
-    out += bias[None, :, None]
-    return out, xp
+def _conv_matrix(weight: np.ndarray) -> np.ndarray:
+    """A (out, in, kernel) conv weight as the (kernel*in, out) im2col matrix."""
+    cout, cin, k = weight.shape
+    return weight.transpose(2, 1, 0).reshape(k * cin, cout)
+
+
+def _conv1_taps(rule_ids: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
+    """conv1's lookup-table rows: (kernel, B*L), one row per kernel tap.
+
+    conv1 convolves the one-hot rule matrix, so tap j at position l selects
+    column rule[l + j - pad] of the weight's tap-j slice. The table stacks
+    the slices, each with one zero row appended; same-length padding,
+    padding id -1 and a zeroed schema all select that zero row.
+    """
+    batch, length = rule_ids.shape
+    k, n_rules = cfg.kernel_size, cfg.conv_channels[0]
+    pad = k // 2
+    ids = np.full((batch, length + 2 * pad), n_rules, dtype=np.intp)
+    if not cfg.zero_schema:
+        ids[:, pad : pad + length] = np.where(rule_ids < 0, n_rules, rule_ids)
+    return np.stack([ids[:, j : j + length].ravel() + j * (n_rules + 1) for j in range(k)])
+
+
+def _conv1_table(weight: np.ndarray) -> np.ndarray:
+    """conv1's (kernel*(in+1), out) lookup table: the tap slices of its
+    weight, each followed by a zero row."""
+    cout, cin, k = weight.shape
+    table = np.zeros((k, cin + 1, cout))
+    table[:, :cin] = weight.transpose(2, 1, 0)
+    return table.reshape(k * (cin + 1), cout)
+
+
+def _tap_rows(length: int, k: int) -> list[tuple[slice, slice]]:
+    """Per kernel tap of a same-length conv: (output positions, input positions)."""
+    pad = k // 2
+    return [
+        (slice(max(0, pad - j), length - max(0, j - pad)),
+         slice(max(0, j - pad), length - max(0, pad - j)))
+        for j in range(k)
+    ]
+
+
+def _im2col(x: np.ndarray, batch: int, k: int) -> np.ndarray:
+    """Channels-last (B*L, C) rows to same-padded (B*L, k*C) windows."""
+    seq = x.reshape(batch, -1, x.shape[1])
+    cols = np.zeros((batch, seq.shape[1], k, x.shape[1]))
+    for j, (out_rows, in_rows) in enumerate(_tap_rows(seq.shape[1], k)):
+        cols[:, out_rows, j] = seq[:, in_rows]
+    return cols.reshape(x.shape[0], -1)
 
 
 def forward_batch(
-    schemas: np.ndarray,
+    rule_ids: np.ndarray,
     sem_blocks: np.ndarray,
     params: EncoderParams,
     train: bool = False,
     dropout_rng: Optional[np.random.Generator] = None,
     update_running_stats: bool = True,
 ) -> tuple[np.ndarray, Optional[ForwardTrace]]:
-    """Embed a batch: schemas (B, 16, 60), sem_blocks (B, rows, cols).
+    """Embed a batch: rule_ids (B, 16) integer rule ids with -1 as padding,
+    sem_blocks (B, rows, cols).
 
+    The rule ids stand for the one-hot schema (B, 16, 60) that conv1
+    convolves; conv1 is computed as a gather of its weight columns.
     Train mode normalizes with batch statistics, applies dropout (when a
     generator is supplied), and returns a ForwardTrace; it mutates only the
     running statistics, and only when update_running_stats is set. Inference
     uses running statistics, no dropout, and returns no trace.
     """
     cfg = params.config
-    schemas = np.asarray(schemas, dtype=np.float64)
+    rule_ids = np.asarray(rule_ids)
     sem_blocks = np.asarray(sem_blocks, dtype=np.float64)
-    if schemas.ndim != 3 or schemas.shape[1:] != (cfg.sequence_length, cfg.conv_channels[0]):
-        raise EncoderError(f"schema batch has shape {schemas.shape}")
+    if rule_ids.ndim != 2 or rule_ids.shape[1] != cfg.sequence_length:
+        raise EncoderError(
+            f"schema batch has shape {rule_ids.shape}, expected (B, {cfg.sequence_length}) rule ids"
+        )
+    if not np.issubdtype(rule_ids.dtype, np.integer):
+        raise EncoderError(f"schema rule ids must be integers, not {rule_ids.dtype}")
+    if rule_ids.size and (rule_ids.min() < -1 or rule_ids.max() >= cfg.conv_channels[0]):
+        raise EncoderError(f"schema rule ids must lie in [-1, {cfg.conv_channels[0]})")
     if sem_blocks.ndim != 3 or sem_blocks.shape[1:] != cfg.semantic_shape:
         raise EncoderError(
             f"semantic batch has shape {sem_blocks.shape}, expected "
@@ -267,101 +306,98 @@ def forward_batch(
         if not np.all(np.isfinite(arr)):
             raise EncoderError(f"non-finite parameter detected in {name}")
 
-    batch = schemas.shape[0]
-    x = schemas.transpose(0, 2, 1)  # (B, 60, 16)
-    if cfg.zero_schema:
-        x = np.zeros_like(x)
+    batch = rule_ids.shape[0]
     sem = np.zeros_like(sem_blocks) if cfg.zero_semantics else sem_blocks
-
-    conv_inputs_padded: list[np.ndarray] = []
+    taps = _conv1_taps(rule_ids, cfg)
+    conv_cols: list[np.ndarray] = []
     conv_xhat: list[np.ndarray] = []
     conv_invstd: list[np.ndarray] = []
     conv_relu_mask: list[np.ndarray] = []
 
-    for layer in params.conv:
-        z, xp = _conv1d_same(x, layer.weight, layer.bias)
+    x = None
+    for i, layer in enumerate(params.conv):
+        if i == 0:
+            table = _conv1_table(layer.weight)
+            z = table.take(taps[0], axis=0)
+            for row in taps[1:]:
+                z += table.take(row, axis=0)
+        else:
+            cols = _im2col(x, batch, cfg.kernel_size)
+            z = cols @ _conv_matrix(layer.weight)
+            if train:
+                conv_cols.append(cols)
+        z += layer.bias
         if train:
-            mean = z.mean(axis=(0, 2))
-            var = z.var(axis=(0, 2))
+            mean = np.einsum("ij->j", z) / z.shape[0]
+            z -= mean
+            var = np.einsum("ij,ij->j", z, z) / z.shape[0]
             if update_running_stats:
-                n = z.shape[0] * z.shape[2]
+                n = z.shape[0]
                 var_unbiased = var * n / (n - 1) if n > 1 else var
                 layer.running_mean *= 1.0 - cfg.bn_momentum
                 layer.running_mean += cfg.bn_momentum * mean
                 layer.running_var *= 1.0 - cfg.bn_momentum
                 layer.running_var += cfg.bn_momentum * var_unbiased
         else:
-            mean = layer.running_mean
+            z -= layer.running_mean
             var = layer.running_var
         invstd = 1.0 / np.sqrt(var + cfg.bn_eps)
-        xhat = (z - mean[None, :, None]) * invstd[None, :, None]
-        y = layer.gamma[None, :, None] * xhat + layer.beta[None, :, None]
-        mask = y > 0
-        x = np.where(mask, y, 0.0)
+        xhat = z
+        xhat *= invstd
+        x = xhat * layer.gamma
+        x += layer.beta
+        mask = x > 0
+        np.maximum(x, 0.0, out=x)
         if train:
-            conv_inputs_padded.append(xp)
             conv_xhat.append(xhat)
             conv_invstd.append(invstd)
             conv_relu_mask.append(mask)
 
-    fused = np.concatenate([x.reshape(batch, -1), sem.reshape(batch, -1)], axis=1)
+    # fc1 reads the conv output channel-major, as (B, C, L) flattened.
+    conv_out = x.reshape(batch, cfg.sequence_length, -1).transpose(0, 2, 1)
+    fused = np.concatenate([conv_out.reshape(batch, -1), sem.reshape(batch, -1)], axis=1)
 
-    if not cfg.use_fc:
-        if train:
-            trace = ForwardTrace(
-                conv_inputs_padded=conv_inputs_padded,
-                conv_xhat=conv_xhat,
-                conv_invstd=conv_invstd,
-                conv_relu_mask=conv_relu_mask,
-                fused=fused,
-                fc1_relu_mask=None,
-                dropout_mask=None,
-                fc2_input=None,
-                batch_size=batch,
-            )
-            return fused, trace
-        return fused, None
+    out, gate, a1 = fused, None, None
+    if cfg.use_fc:
+        z1 = fused @ params.fc1.weight.T + params.fc1.bias
+        gate = z1 > 0
+        if train and cfg.dropout > 0.0:
+            if dropout_rng is None:
+                raise EncoderError("train-mode forward with dropout needs a generator")
+            keep = dropout_rng.random(z1.shape) >= cfg.dropout
+            gate = gate * (keep / (1.0 - cfg.dropout))
+        a1 = z1 * gate
+        out = a1 @ params.fc2.weight.T + params.fc2.bias
 
-    z1 = fused @ params.fc1.weight.T + params.fc1.bias
-    relu_mask = z1 > 0
-    a1 = np.where(relu_mask, z1, 0.0)
-    dropout_mask = None
-    if train and cfg.dropout > 0.0:
-        if dropout_rng is None:
-            raise EncoderError("train-mode forward with dropout needs a generator")
-        keep = dropout_rng.random(a1.shape) >= cfg.dropout
-        dropout_mask = keep / (1.0 - cfg.dropout)
-        a1 = a1 * dropout_mask
-    out = a1 @ params.fc2.weight.T + params.fc2.bias
-
-    if train:
-        trace = ForwardTrace(
-            conv_inputs_padded=conv_inputs_padded,
-            conv_xhat=conv_xhat,
-            conv_invstd=conv_invstd,
-            conv_relu_mask=conv_relu_mask,
-            fused=fused,
-            fc1_relu_mask=relu_mask,
-            dropout_mask=dropout_mask,
-            fc2_input=a1,
-            batch_size=batch,
-        )
-        return out, trace
-    return out, None
+    if not train:
+        return out, None
+    trace = ForwardTrace(
+        conv1_taps=taps,
+        conv_cols=conv_cols,
+        conv_xhat=conv_xhat,
+        conv_invstd=conv_invstd,
+        conv_relu_mask=conv_relu_mask,
+        fused=fused,
+        fc1_gate=gate,
+        fc2_input=a1,
+        batch_size=batch,
+    )
+    return out, trace
 
 
 def forward(
-    schema: np.ndarray,
+    rule_ids: np.ndarray,
     sem_block: np.ndarray,
     params: EncoderParams,
     mode: str = "infer",
     dropout_rng: Optional[np.random.Generator] = None,
 ) -> tuple[np.ndarray, Optional[ForwardTrace]]:
-    """Embed a single chart; mode is "infer" or "train"."""
+    """Embed a single chart from its (16,) rule ids; mode is "infer" or "train"."""
     if mode not in ("infer", "train"):
         raise EncoderError(f"unknown mode {mode!r}")
     out, trace = forward_batch(
-        schema[None], sem_block[None], params, train=mode == "train", dropout_rng=dropout_rng
+        np.asarray(rule_ids)[None], np.asarray(sem_block)[None], params,
+        train=mode == "train", dropout_rng=dropout_rng,
     )
     return out[0], trace
 
@@ -381,45 +417,49 @@ def backward_batch(trace: ForwardTrace, d_out: np.ndarray, params: EncoderParams
     if cfg.use_fc:
         grads["fc2.weight"] = d_out.T @ trace.fc2_input
         grads["fc2.bias"] = d_out.sum(axis=0)
-        d_a1 = d_out @ params.fc2.weight
-        if trace.dropout_mask is not None:
-            d_a1 = d_a1 * trace.dropout_mask
-        d_z1 = d_a1 * trace.fc1_relu_mask
+        d_z1 = (d_out @ params.fc2.weight) * trace.fc1_gate
         grads["fc1.weight"] = d_z1.T @ trace.fused
         grads["fc1.bias"] = d_z1.sum(axis=0)
-        d_fused = d_z1 @ params.fc1.weight
+        # Only the conv columns of fc1's input lead back to parameters.
+        d_conv = d_z1 @ params.fc1.weight[:, : cfg.conv_flat_dim]
     else:
-        d_fused = d_out
+        d_conv = d_out[:, : cfg.conv_flat_dim]
 
-    batch = trace.batch_size
-    d_conv_flat = d_fused[:, : cfg.conv_flat_dim]
-    d_x = d_conv_flat.reshape(batch, cfg.conv_channels[-1], cfg.sequence_length)
+    batch, length, k = trace.batch_size, cfg.sequence_length, cfg.kernel_size
+    d_x = d_conv.reshape(batch, -1, length).transpose(0, 2, 1).reshape(batch * length, -1)
 
     for i in range(len(params.conv) - 1, -1, -1):
         layer = params.conv[i]
-        d_y = d_x * trace.conv_relu_mask[i]
+        cout, cin, _ = layer.weight.shape
+        d_z = d_x * trace.conv_relu_mask[i]  # d(loss)/d(y), made d(loss)/d(z) below
         xhat = trace.conv_xhat[i]
-        invstd = trace.conv_invstd[i]
-        grads[f"conv{i + 1}.gamma"] = (d_y * xhat).sum(axis=(0, 2))
-        grads[f"conv{i + 1}.beta"] = d_y.sum(axis=(0, 2))
-        d_xhat = d_y * layer.gamma[None, :, None]
-        mean_d = d_xhat.mean(axis=(0, 2))
-        mean_dx = (d_xhat * xhat).mean(axis=(0, 2))
-        d_z = invstd[None, :, None] * (
-            d_xhat - mean_d[None, :, None] - xhat * mean_dx[None, :, None]
+        n = d_z.shape[0]
+        d_gamma = np.einsum("ij,ij->j", d_z, xhat)
+        d_beta = np.einsum("ij->j", d_z)
+        grads[f"conv{i + 1}.gamma"] = d_gamma
+        grads[f"conv{i + 1}.beta"] = d_beta
+        # Batch-norm backward through the batch mean and variance.
+        d_z -= d_beta / n
+        d_z -= xhat * (d_gamma / n)
+        d_z *= trace.conv_invstd[i] * layer.gamma
+        grads[f"conv{i + 1}.bias"] = np.einsum("ij->j", d_z)
+        if i == 0:
+            # Scatter-add of d_z onto the table rows that conv1 gathered.
+            taps = trace.conv1_taps.ravel()
+            table = np.stack(
+                [np.bincount(taps, np.tile(d_z[:, o], k), k * (cin + 1)) for o in range(cout)],
+                axis=1,
+            )
+            grads["conv1.weight"] = np.ascontiguousarray(
+                table.reshape(k, cin + 1, cout)[:, :cin].transpose(2, 1, 0)
+            )
+            break
+        grads[f"conv{i + 1}.weight"] = np.ascontiguousarray(
+            (d_z.T @ trace.conv_cols[i - 1]).reshape(cout, k, cin).transpose(0, 2, 1)
         )
-        xp = trace.conv_inputs_padded[i]
-        windows = sliding_window_view(xp, layer.weight.shape[2], axis=2)
-        grads[f"conv{i + 1}.weight"] = np.einsum("bol,bclk->ock", d_z, windows, optimize=True)
-        grads[f"conv{i + 1}.bias"] = d_z.sum(axis=(0, 2))
-        if i > 0:
-            d_xp = np.zeros_like(xp)
-            for k in range(layer.weight.shape[2]):
-                d_xp[:, :, k : k + cfg.sequence_length] += np.einsum(
-                    "bol,oc->bcl", d_z, layer.weight[:, :, k], optimize=True
-                )
-            pad = layer.weight.shape[2] // 2
-            d_x = d_xp[:, :, pad : pad + cfg.sequence_length]
+        # The input gradient is a convolution of d_z with the tap-flipped weight.
+        flipped = layer.weight[:, :, ::-1].transpose(1, 0, 2)
+        d_x = _im2col(d_z, batch, k) @ _conv_matrix(flipped)
     return grads
 
 
@@ -527,9 +567,8 @@ def load_checkpoint(path: str) -> tuple[EncoderParams, EncoderConfig]:
         (count,) = struct.unpack("<Q", _read_exact(fh, 8, "value count"))
         payload = fh.read()
 
-    template = init_params(seed=0, config=config)
-    items = checkpoint_items(template)
-    expected = sum(arr.size for _, arr in items)
+    shapes = _array_shapes(config)
+    expected = sum(int(np.prod(shape)) for _, shape in shapes)
     if count != expected:
         raise CheckpointError(
             f"checkpoint shape mismatch: holds {count} values, config implies {expected}"
@@ -541,23 +580,11 @@ def load_checkpoint(path: str) -> tuple[EncoderParams, EncoderConfig]:
     values = np.frombuffer(payload, dtype="<f8")
     offset = 0
     loaded: dict[str, np.ndarray] = {}
-    for name, arr in items:
-        loaded[name] = values[offset : offset + arr.size].reshape(arr.shape).copy()
-        offset += arr.size
-    conv = [
-        ConvBNParams(
-            weight=loaded[f"conv{i}.weight"],
-            bias=loaded[f"conv{i}.bias"],
-            gamma=loaded[f"conv{i}.gamma"],
-            beta=loaded[f"conv{i}.beta"],
-            running_mean=loaded[f"conv{i}.running_mean"],
-            running_var=loaded[f"conv{i}.running_var"],
-        )
-        for i in range(1, len(config.conv_channels))
-    ]
-    fc1 = DenseParams(loaded["fc1.weight"], loaded["fc1.bias"]) if config.use_fc else None
-    fc2 = DenseParams(loaded["fc2.weight"], loaded["fc2.bias"]) if config.use_fc else None
-    return EncoderParams(config=config, conv=conv, fc1=fc1, fc2=fc2), config
+    for name, shape in shapes:
+        size = int(np.prod(shape))
+        loaded[name] = values[offset : offset + size].reshape(shape).copy()
+        offset += size
+    return _params_from_arrays(config, loaded), config
 
 
 def load_checkpoint_extras(path: str) -> Optional[dict]:

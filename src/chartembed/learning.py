@@ -106,6 +106,18 @@ def triplet_loss(
     return max(0.0, euclidean(anchor, positive) - euclidean(anchor, negative) + margin)
 
 
+def _row_distances(diff: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+def _row_units(diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row norms of diff, and its rows scaled to unit length; a zero-length
+    row stays zero (the subgradient chosen at coincident points)."""
+    dist = _row_distances(diff)
+    inverse = np.divide(1.0, dist, out=np.zeros_like(dist), where=dist > 0.0)
+    return diff * inverse[:, None], dist
+
+
 def batch_loss_from_embeddings(
     prev: np.ndarray,
     mid: np.ndarray,
@@ -115,14 +127,13 @@ def batch_loss_from_embeddings(
     loss_mask: tuple[bool, bool] = (True, True),
 ) -> LossBreakdown:
     """Sum the combined objective over a batch of embedding quadruples."""
-    interp_term = 0.0
-    pair_term = 0.0
-    l2 = 0.0
-    for k in range(prev.shape[0]):
-        _, (interp, pairs) = interpolation_loss(prev[k], mid[k], nxt[k], hyper.alpha)
-        interp_term += interp
-        pair_term += pairs
-        l2 += triplet_loss(prev[k], nxt[k], neg[k], hyper.margin)
+    interp = _row_distances(mid - (prev + nxt) / 2.0)
+    d_prev_next = _row_distances(prev - nxt)
+    pairs = _row_distances(prev - mid) + _row_distances(mid - nxt) + d_prev_next
+    hinge = np.maximum(d_prev_next - _row_distances(prev - neg) + hyper.margin, 0.0)
+    interp_term = float(interp.sum())
+    pair_term = float(pairs.sum())
+    l2 = float(hinge.sum())
     l1 = interp_term + hyper.alpha * pair_term
     total = (l1 if loss_mask[0] else 0.0) + (hyper.beta * l2 if loss_mask[1] else 0.0)
     return LossBreakdown(interp_term=interp_term, pair_term=pair_term, l1=l1, l2=l2, total=total)
@@ -137,34 +148,32 @@ def loss_gradients_wrt_embeddings(
     loss_mask: tuple[bool, bool] = (True, True),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """d(total)/d(embedding) for each of the four blocks."""
+    # u_a_b is d|a - b|/da, the unit vector from b towards a.
     d_prev = np.zeros_like(prev)
     d_mid = np.zeros_like(mid)
     d_next = np.zeros_like(nxt)
     d_neg = np.zeros_like(neg)
-    for k in range(prev.shape[0]):
-        p, m, n, q = prev[k], mid[k], nxt[k], neg[k]
-        if loss_mask[0]:
-            center = (p + n) / 2.0
-            g_mid = euclidean_grad(m, center)
-            d_mid[k] += g_mid
-            d_prev[k] += -0.5 * g_mid
-            d_next[k] += -0.5 * g_mid
-            a = hyper.alpha
-            d_prev[k] += a * (euclidean_grad(p, m) + euclidean_grad(p, n))
-            d_mid[k] += a * (euclidean_grad(m, p) + euclidean_grad(m, n))
-            d_next[k] += a * (euclidean_grad(n, m) + euclidean_grad(n, p))
-        if loss_mask[1]:
-            hinge = euclidean(p, n) - euclidean(p, q) + hyper.margin
-            if hinge > 0.0:
-                b = hyper.beta
-                d_prev[k] += b * (euclidean_grad(p, n) - euclidean_grad(p, q))
-                d_next[k] += b * euclidean_grad(n, p)
-                d_neg[k] += -b * euclidean_grad(q, p)
+    u_prev_next, dist_prev_next = _row_units(prev - nxt)
+    if loss_mask[0]:
+        a = hyper.alpha
+        g_mid, _ = _row_units(mid - (prev + nxt) / 2.0)
+        u_prev_mid, _ = _row_units(prev - mid)
+        u_mid_next, _ = _row_units(mid - nxt)
+        d_prev += a * (u_prev_mid + u_prev_next) - 0.5 * g_mid
+        d_mid += g_mid + a * (u_mid_next - u_prev_mid)
+        d_next -= 0.5 * g_mid + a * (u_mid_next + u_prev_next)
+    if loss_mask[1]:
+        u_prev_neg, dist_prev_neg = _row_units(prev - neg)
+        active = dist_prev_next - dist_prev_neg + hyper.margin > 0.0
+        b = hyper.beta * active[:, None]
+        d_prev += b * (u_prev_next - u_prev_neg)
+        d_next -= b * u_prev_next
+        d_neg += b * u_prev_neg
     return d_prev, d_mid, d_next, d_neg
 
 
 def combined_loss(
-    schemas: np.ndarray,
+    rule_ids: np.ndarray,
     sem_blocks: np.ndarray,
     params: EncoderParams,
     hyper: HyperParams,
@@ -180,10 +189,10 @@ def combined_loss(
     LossBreakdown, trace, embeddings); trace is None outside train mode.
     Raises TrainingDivergedError on a non-finite loss.
     """
-    if len(schemas) == 0:
+    if len(rule_ids) == 0:
         raise ValueError("empty batch")
     out, trace = forward_batch(
-        schemas,
+        rule_ids,
         sem_blocks,
         params,
         train=train,
@@ -276,13 +285,20 @@ def grad_check(
 ) -> float:
     """Max relative error of analytic vs central-difference gradients.
 
-    `batch` is (schemas, semantic blocks) in combined_loss's four-block
+    `batch` is (rule ids, semantic blocks) in combined_loss's four-block
     layout; with several samples it covers the cross-sample batch-norm
     terms. Runs with dropout disabled and batch-statistics normalization
-    (running statistics frozen), over n_coords randomly chosen parameter
-    coordinates. The corrupt flag deliberately perturbs one conv gradient to
+    (running statistics frozen), over n_coords seeded parameter coordinates
+    spread evenly across the trainable arrays, so that the small conv
+    weight, gamma and beta arrays are checked as well as the large fc
+    weights. A conv coordinate moves every activation of the batch, so its
+    probes can straddle a ReLU or hinge kink; such a coordinate is probed
+    again with a smaller step, and skipped when the kink is at the point
+    itself. The corrupt flag deliberately perturbs one conv gradient to
     prove the check can fail.
     """
+    if n_coords < 1:
+        raise ValueError("gradient check needs at least one coordinate")
     hyper_nd = replace(hyper, dropout=0.0)
     work = copy_params(params)
     work.config = replace(work.config, dropout=0.0)
@@ -290,36 +306,64 @@ def grad_check(
     def run():
         return combined_loss(*batch, work, hyper_nd, train=True, update_running_stats=False)
 
+    def kink_sides(trace, emb) -> np.ndarray:
+        """The side of every ReLU and hinge kink that the batch sits on."""
+        prev, _, nxt, neg = np.split(emb, 4)
+        hinge = _row_distances(prev - nxt) - _row_distances(prev - neg) + hyper.margin > 0.0
+        sides = [*trace.conv_relu_mask, hinge]
+        if trace.fc1_gate is not None:
+            sides.append(trace.fc1_gate > 0)
+        return np.concatenate([side.ravel() for side in sides])
+
+    def probe(arr, idx, value):
+        arr[idx] = value
+        total, _, trace, emb = run()
+        return total, kink_sides(trace, emb)
+
     _, _, trace, emb = run()
     grads = backward(trace, emb, work, hyper_nd)
     if corrupt:
         grads["conv1.weight"] = grads["conv1.weight"] * 1.05 + 0.01
 
     items = trainable_items(work)
-    sizes = np.array([arr.size for _, arr in items])
-    total = int(sizes.sum())
+    sizes = [arr.size for _, arr in items]
+    # Equal shares, smallest array first; an array smaller than its share
+    # passes the rest on to the larger ones.
+    quota = [0] * len(items)
+    left = min(n_coords, sum(sizes))
+    order = sorted(range(len(items)), key=sizes.__getitem__)
+    for rank, layer in enumerate(order):
+        quota[layer] = min(sizes[layer], left // (len(order) - rank))
+        left -= quota[layer]
     rng = np.random.default_rng(seed)
-    picks = rng.choice(total, size=min(n_coords, total), replace=False)
-    bounds = np.cumsum(sizes)
 
     worst = 0.0
-    for flat_index in picks:
-        layer = int(np.searchsorted(bounds, flat_index, side="right"))
+    checked = 0
+    for layer, count in enumerate(quota):
         name, arr = items[layer]
-        local = int(flat_index - (bounds[layer] - arr.size))
-        idx = np.unravel_index(local, arr.shape)
+        for local in rng.choice(arr.size, size=count, replace=False):
+            idx = np.unravel_index(local, arr.shape)
+            original = arr[idx]
+            # Two probes on different sides of a kink measure no derivative:
+            # shrink the step, and skip a coordinate that still straddles a
+            # kink at epsilon / 1000 (a kink at the point itself).
+            for step in epsilon / 10.0 ** np.arange(4):
+                plus, plus_sides = probe(arr, idx, original + step)
+                minus, minus_sides = probe(arr, idx, original - step)
+                straddles = not np.array_equal(plus_sides, minus_sides)
+                if not straddles:
+                    break
+            arr[idx] = original
+            if straddles:
+                continue
 
-        original = arr[idx]
-        arr[idx] = original + epsilon
-        plus = run()[0]
-        arr[idx] = original - epsilon
-        minus = run()[0]
-        arr[idx] = original
-
-        numeric = (plus - minus) / (2.0 * epsilon)
-        analytic = grads[name][idx]
-        scale = max(1.0, abs(numeric), abs(analytic))
-        worst = max(worst, abs(numeric - analytic) / scale)
+            numeric = (plus - minus) / (2.0 * step)
+            analytic = grads[name][idx]
+            scale = max(1.0, abs(numeric), abs(analytic))
+            worst = max(worst, abs(numeric - analytic) / scale)
+            checked += 1
+    if checked == 0:
+        raise ValueError("gradient check: every chosen coordinate sits on a kink")
     return worst
 
 
@@ -362,9 +406,9 @@ def train(
         sums = np.zeros(4)  # interp, pair, l1, l2
         total = 0.0
         for lo in range(0, n, hyper.batch_size):
-            schemas, sems = samples.batch(order[lo : lo + hyper.batch_size])
+            rule_ids, sems = samples.batch(order[lo : lo + hyper.batch_size])
             _, breakdown, trace, emb = combined_loss(
-                schemas, sems, params, hyper, train=True, dropout_rng=dropout_rng,
+                rule_ids, sems, params, hyper, train=True, dropout_rng=dropout_rng,
                 loss_mask=loss_mask,
             )
             grads = backward(trace, emb, params, hyper, loss_mask)

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
+import platform
+import re
 import struct
 
+import numpy as np
 import pytest
 
 from chartembed.cli import main
-from chartembed.corpus import load_corpus
+from chartembed.corpus import CorpusError, load_corpus
 from chartembed.encoder import (
     CheckpointError,
     load_checkpoint,
@@ -73,6 +77,38 @@ def test_validate_two_chart_story(tmp_path, capsys):
     assert "minimum chart number" in capsys.readouterr().err
 
 
+def _vis(**overrides):
+    vis = {"id": "v0", "dataset_id": "d", "domain": "economy", "kind": "data-story",
+           "charts": []}
+    vis.update(overrides)
+    return vis
+
+
+@pytest.mark.parametrize(
+    "corpus,message",
+    [
+        ({"visualizations": 5}, "visualizations: expected a list"),
+        ({"visualizations": "abc"}, "visualizations: expected a list"),
+        ({"visualizations": ["x"]}, "visualizations[0]: expected an object"),
+        ({"visualizations": [5]}, "visualizations[0]: expected an object"),
+        ({"visualizations": [_vis(charts="abc")]}, "visualizations[0].charts: expected a list"),
+        ({"visualizations": [_vis(charts={"c": 1})]}, "visualizations[0].charts: expected a list"),
+        ({"visualizations": [_vis(charts=[5])]}, "visualizations[0].charts[0]: expected an object"),
+        ({"visualizations": [_vis(charts=["c0"])]}, "visualizations[0].charts[0]: expected an object"),
+        ({"visualizations": [_vis(id=["v0"])]}, "visualizations[0].id: expected a string"),
+        ({"visualizations": [_vis(dataset_id=3)]}, "visualizations[0].dataset_id: expected a string"),
+    ],
+)
+def test_validate_reports_json_type_errors(tmp_path, capsys, corpus, message):
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(corpus), encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"violation: {message}"]
+    with pytest.raises(CorpusError, match=re.escape(message)):
+        load_corpus(str(path))
+
+
 def test_validate_missing_file():
     assert main(["validate", "/nonexistent/corpus.json"]) == 2
 
@@ -92,6 +128,18 @@ def test_train_outputs(trained):
     assert set(manifest["inputs"]) == {"corpus", "vectors"}
     for block in manifest["inputs"].values():
         assert len(block["sha256"]) == 64
+
+
+def test_train_manifest_records_environment(trained):
+    with open(trained + ".manifest.json", encoding="utf-8") as fh:
+        env = json.load(fh)["environment"]
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert env["blas"] == {"name": blas["name"], "version": blas["version"]}
+    assert env["threads"] == {
+        name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    }
 
 
 def test_train_zero_epochs_writes_initial_params(
@@ -310,6 +358,12 @@ def test_gradcheck_ok(capsys):
 
 def test_gradcheck_injected_fault():
     assert main(["gradcheck", "--seed", "0", "--coords", "60", "--inject-fault"]) == 1
+
+
+def test_gradcheck_rejects_nonpositive_coords(capsys):
+    for coords in ("0", "-3"):
+        assert main(["gradcheck", "--coords", coords]) == 2
+        assert capsys.readouterr().err == "error: --coords must be at least 1\n"
 
 
 def test_gradcheck_epsilon_warning(capsys):

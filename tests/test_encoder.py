@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import json
 import struct
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from chartembed.corpus import Corpus, MultiViewVis, encode_corpus
 from chartembed.encoder import (
@@ -11,6 +13,7 @@ from chartembed.encoder import (
     CheckpointError,
     EncoderConfig,
     EncoderError,
+    backward_batch,
     checkpoint_items,
     copy_params,
     forward,
@@ -22,6 +25,7 @@ from chartembed.encoder import (
     save_checkpoint,
     trainable_items,
 )
+from chartembed.evaluation import ABLATION_VARIANTS, variant_switches
 
 # Frozen regression pin: first five output components for seed-1234 params
 # on the worked example fact encoded with the bundled vector store.
@@ -32,6 +36,95 @@ GOLDEN_FIRST5 = np.array([
     -0.10102634218319154,
     0.07161619642879663,
 ])
+
+
+def random_rule_ids(rng, count):
+    """`count` rows of 8..13 random rule ids, each padded with -1 to 16."""
+    ids = np.full((count, 16), -1, dtype=np.int8)
+    for row in ids:
+        length = rng.integers(8, 14)
+        row[:length] = rng.integers(0, 60, length)
+    return ids
+
+
+def one_hot(rule_ids):
+    """The (..., 16, 60) one-hot schema that rule ids stand for."""
+    return (np.asarray(rule_ids)[..., None] == np.arange(60)).astype(np.float64)
+
+
+def assert_close_to_reference(actual, reference, what):
+    # Tolerance fixed in advance: the two computations differ only in the
+    # order of float64 sums.
+    bound = 1e-9 * max(1.0, float(np.abs(reference).max(initial=0.0)))
+    assert np.abs(actual - reference).max(initial=0.0) <= bound, what
+
+
+def dense_forward_backward(schemas, sems, params, dropout_rng, d_out):
+    """Independent dense reference for a train-mode forward and backward.
+
+    Convolves the (B, 16, 60) one-hot schemas through einsums in (B, C, L)
+    layout and returns (output, gradients); updates the running statistics
+    of `params` as the train-mode forward does.
+    """
+    cfg = params.config
+    x = np.zeros_like(schemas) if cfg.zero_schema else schemas
+    x = x.transpose(0, 2, 1)
+    sem = np.zeros_like(sems) if cfg.zero_semantics else sems
+    cache = []
+    for layer in params.conv:
+        pad = layer.weight.shape[2] // 2
+        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
+        windows = sliding_window_view(xp, layer.weight.shape[2], axis=2)
+        z = np.einsum("bclk,ock->bol", windows, layer.weight) + layer.bias[None, :, None]
+        mean, var = z.mean(axis=(0, 2)), z.var(axis=(0, 2))
+        n = z.shape[0] * z.shape[2]
+        layer.running_mean[:] = (1 - cfg.bn_momentum) * layer.running_mean + cfg.bn_momentum * mean
+        layer.running_var[:] = (1 - cfg.bn_momentum) * layer.running_var + cfg.bn_momentum * var * n / (n - 1)
+        invstd = 1.0 / np.sqrt(var + cfg.bn_eps)
+        xhat = (z - mean[None, :, None]) * invstd[None, :, None]
+        y = layer.gamma[None, :, None] * xhat + layer.beta[None, :, None]
+        cache.append((xp, xhat, invstd, y > 0))
+        x = np.maximum(y, 0.0)
+    batch = x.shape[0]
+    fused = np.concatenate([x.reshape(batch, -1), sem.reshape(batch, -1)], axis=1)
+    grads = {}
+    if cfg.use_fc:
+        z1 = fused @ params.fc1.weight.T + params.fc1.bias
+        keep = dropout_rng.random(z1.shape) >= cfg.dropout
+        scale = keep / (1.0 - cfg.dropout)
+        a1 = np.maximum(z1, 0.0) * scale
+        out = a1 @ params.fc2.weight.T + params.fc2.bias
+        grads["fc2.weight"] = d_out.T @ a1
+        grads["fc2.bias"] = d_out.sum(axis=0)
+        d_z1 = (d_out @ params.fc2.weight) * scale * (z1 > 0)
+        grads["fc1.weight"] = d_z1.T @ fused
+        grads["fc1.bias"] = d_z1.sum(axis=0)
+        d_fused = d_z1 @ params.fc1.weight
+    else:
+        out, d_fused = fused, d_out
+    d_x = d_fused[:, : cfg.conv_flat_dim].reshape(batch, cfg.conv_channels[-1], -1)
+    for i in range(len(params.conv) - 1, -1, -1):
+        layer = params.conv[i]
+        xp, xhat, invstd, mask = cache[i]
+        d_y = d_x * mask
+        grads[f"conv{i + 1}.gamma"] = (d_y * xhat).sum(axis=(0, 2))
+        grads[f"conv{i + 1}.beta"] = d_y.sum(axis=(0, 2))
+        d_xhat = d_y * layer.gamma[None, :, None]
+        d_z = invstd[None, :, None] * (
+            d_xhat
+            - d_xhat.mean(axis=(0, 2))[None, :, None]
+            - xhat * (d_xhat * xhat).mean(axis=(0, 2))[None, :, None]
+        )
+        windows = sliding_window_view(xp, layer.weight.shape[2], axis=2)
+        grads[f"conv{i + 1}.weight"] = np.einsum("bol,bclk->ock", d_z, windows)
+        grads[f"conv{i + 1}.bias"] = d_z.sum(axis=(0, 2))
+        d_xp = np.zeros_like(xp)
+        length = d_z.shape[2]
+        for k in range(layer.weight.shape[2]):
+            d_xp[:, :, k : k + length] += np.einsum("bol,oc->bcl", d_z, layer.weight[:, :, k])
+        pad = layer.weight.shape[2] // 2
+        d_x = d_xp[:, :, pad : pad + length]
+    return out, grads
 
 
 def naive_forward_infer(schema, sem, params):
@@ -83,52 +176,51 @@ def test_init_weight_bounds(base_config):
 
 def test_forward_matches_naive_oracle(rng, base_config):
     params = init_params(11, base_config)
-    schema = (rng.random((16, 60)) < 0.1).astype(float)
+    rule_ids = random_rule_ids(rng, 1)[0]
     sem = rng.normal(size=(25, 17))
-    fast, trace = forward(schema, sem, params, mode="infer")
+    fast, trace = forward(rule_ids, sem, params, mode="infer")
     assert trace is None
-    slow = naive_forward_infer(schema, sem, params)
+    slow = naive_forward_infer(one_hot(rule_ids), sem, params)
     assert np.allclose(fast, slow, atol=1e-12)
 
 
 def test_forward_no_fc_matches_naive_oracle(rng):
     config = EncoderConfig(use_fc=False)
     params = init_params(11, config)
-    schema = (rng.random((16, 60)) < 0.1).astype(float)
+    rule_ids = random_rule_ids(rng, 1)[0]
     sem = rng.normal(size=(25, 17))
-    fast, _ = forward(schema, sem, params, mode="infer")
+    fast, _ = forward(rule_ids, sem, params, mode="infer")
     assert fast.shape == (553,)
-    assert np.allclose(fast, naive_forward_infer(schema, sem, params), atol=1e-12)
+    assert np.allclose(fast, naive_forward_infer(one_hot(rule_ids), sem, params), atol=1e-12)
 
 
 def test_zero_inputs_hit_bias_only_path(base_config):
     params = init_params(5, base_config)
-    schema = np.zeros((16, 60))
+    rule_ids = np.full(16, -1)
     sem = np.zeros((25, 17))
-    out1, _ = forward(schema, sem, params)
-    out2, _ = forward(schema, sem, params)
+    out1, _ = forward(rule_ids, sem, params)
+    out2, _ = forward(rule_ids, sem, params)
     assert np.array_equal(out1, out2)
-    assert np.allclose(out1, naive_forward_infer(schema, sem, params), atol=1e-12)
+    assert np.allclose(out1, naive_forward_infer(np.zeros((16, 60)), sem, params), atol=1e-12)
 
 
 def test_golden_snapshot(example_fact, store):
     params = init_params(1234, EncoderConfig())
     vis = MultiViewVis("v", "ds", "economy", "data-story", (("c", example_fact),))
-    schemas, sems = encode_corpus(Corpus((vis,)), store, params.config).rows(np.arange(1))
-    vec, _ = forward(schemas[0], sems[0], params)
+    rule_ids, sems = encode_corpus(Corpus((vis,)), store, params.config).rows(np.arange(1))
+    vec, _ = forward(rule_ids[0], sems[0], params)
     assert vec.shape == (540,)
     assert np.allclose(vec[:5], GOLDEN_FIRST5, atol=1e-12)
 
 
 def test_infer_independent_of_batch_composition(rng, base_config):
     params = init_params(2, base_config)
-    schema_a = (rng.random((16, 60)) < 0.1).astype(float)
+    ids_a, ids_b = random_rule_ids(rng, 2)
     sem_a = rng.normal(size=(25, 17))
-    schema_b = (rng.random((16, 60)) < 0.1).astype(float)
     sem_b = rng.normal(size=(25, 17))
-    alone, _ = forward(schema_a, sem_a, params)
+    alone, _ = forward(ids_a, sem_a, params)
     batched, _ = forward_batch(
-        np.stack([schema_a, schema_b]), np.stack([sem_a, sem_b]), params, train=False
+        np.stack([ids_a, ids_b]), np.stack([sem_a, sem_b]), params, train=False
     )
     # BLAS reduction order varies with batch shape; agreement is to the ulp,
     # not bitwise.
@@ -138,22 +230,21 @@ def test_infer_independent_of_batch_composition(rng, base_config):
 def test_infer_does_not_mutate_params(rng, base_config):
     params = init_params(2, base_config)
     before = copy_params(params)
-    schema = (rng.random((16, 60)) < 0.1).astype(float)
-    forward(schema, rng.normal(size=(25, 17)), params)
+    forward(random_rule_ids(rng, 1)[0], rng.normal(size=(25, 17)), params)
     assert params_equal(params, before)
 
 
 def test_train_mode_batch_norm_statistics(rng, base_config):
     params = init_params(6, base_config)
-    schemas = (rng.random((8, 16, 60)) < 0.1).astype(float)
+    rule_ids = random_rule_ids(rng, 8)
     sems = rng.normal(size=(8, 25, 17))
     _, trace = forward_batch(
-        schemas, sems, params, train=True,
+        rule_ids, sems, params, train=True,
         dropout_rng=np.random.default_rng(0), update_running_stats=False,
     )
-    from numpy.lib.stride_tricks import sliding_window_view
-
-    for layer, xp, xhat in zip(params.conv, trace.conv_inputs_padded, trace.conv_xhat):
+    x = one_hot(rule_ids).transpose(0, 2, 1)  # (B, 60, 16)
+    for layer, xhat_rows in zip(params.conv, trace.conv_xhat):
+        xp = np.pad(x, ((0, 0), (0, 0), (1, 1)))
         windows = sliding_window_view(xp, layer.weight.shape[2], axis=2)
         z = np.einsum("bclk,ock->bol", windows, layer.weight) + layer.bias[None, :, None]
         mean = z.mean(axis=(0, 2))
@@ -163,62 +254,105 @@ def test_train_mode_batch_norm_statistics(rng, base_config):
         normalized = (z - mean[None, :, None]) / np.sqrt(var)[None, :, None]
         assert np.abs(normalized.mean(axis=(0, 2))).max() < 1e-5
         assert np.abs(normalized.var(axis=(0, 2)) - 1.0).max() < 1e-5
-        # And the traced values use exactly the guarded batch statistics.
+        # And the traced values, one row per (chart, position), use exactly
+        # the guarded batch statistics.
         guarded = (z - mean[None, :, None]) / np.sqrt(var + base_config.bn_eps)[None, :, None]
+        xhat = xhat_rows.reshape(8, 16, -1).transpose(0, 2, 1)
         assert np.allclose(xhat, guarded, atol=1e-12)
+        x = np.maximum(layer.gamma[None, :, None] * guarded + layer.beta[None, :, None], 0.0)
 
 
 def test_running_stats_update_only_when_requested(rng, base_config):
     params = init_params(6, base_config)
     before = copy_params(params)
-    schemas = (rng.random((4, 16, 60)) < 0.1).astype(float)
+    rule_ids = random_rule_ids(rng, 4)
     sems = rng.normal(size=(4, 25, 17))
-    forward_batch(schemas, sems, params, train=True,
+    forward_batch(rule_ids, sems, params, train=True,
                   dropout_rng=np.random.default_rng(0), update_running_stats=False)
     assert params_equal(params, before)
-    forward_batch(schemas, sems, params, train=True,
+    forward_batch(rule_ids, sems, params, train=True,
                   dropout_rng=np.random.default_rng(0), update_running_stats=True)
     assert not params_equal(params, before)
     for layer, old in zip(params.conv, before.conv):
         assert np.array_equal(layer.weight, old.weight)  # only stats moved
 
 
+def test_train_step_matches_dense_reference_for_every_variant(rng, base_config):
+    # A 128-quadruple batch in train mode: the rule-id gather, channels-last
+    # conv stack and gated fc1 backward against the dense one-hot reference.
+    rule_ids = random_rule_ids(rng, 512)
+    for variant in ABLATION_VARIANTS:
+        config, _ = variant_switches(variant, base_config)
+        params, reference = init_params(4, config), init_params(4, config)
+        sems = rng.normal(size=(512, *config.semantic_shape))
+        d_out = rng.normal(size=(512, config.embedding_dim))
+        out, trace = forward_batch(rule_ids, sems, params, train=True,
+                                   dropout_rng=np.random.default_rng(9))
+        grads = backward_batch(trace, d_out, params)
+        ref_out, ref_grads = dense_forward_backward(
+            one_hot(rule_ids), sems, reference, np.random.default_rng(9), d_out
+        )
+        assert_close_to_reference(out, ref_out, f"{variant} output")
+        assert sorted(grads) == sorted(ref_grads)
+        for name in ref_grads:
+            assert_close_to_reference(grads[name], ref_grads[name], f"{variant} {name}")
+        for (name, arr), (_, ref) in zip(checkpoint_items(params), checkpoint_items(reference)):
+            assert_close_to_reference(arr, ref, f"{variant} {name}")
+
+
 def test_semantic_rows_are_position_sensitive(rng, base_config):
     params = init_params(9, base_config)
-    schema = np.zeros((16, 60))
+    rule_ids = np.full(16, -1)
     sem = rng.normal(size=(25, 17))
     swapped = sem.copy()
     swapped[[0, 1]] = swapped[[1, 0]]
-    out_a, _ = forward(schema, sem, params)
-    out_b, _ = forward(schema, swapped, params)
+    out_a, _ = forward(rule_ids, sem, params)
+    out_b, _ = forward(rule_ids, swapped, params)
     assert not np.allclose(out_a, out_b)
 
 
 def test_forward_shape_mismatch_rejected(rng, base_config):
     params = init_params(1, base_config)
     with pytest.raises(EncoderError, match="schema"):
-        forward(np.zeros((15, 60)), np.zeros((25, 17)), params)
+        forward(np.full(15, -1), np.zeros((25, 17)), params)
+    with pytest.raises(EncoderError, match="schema"):
+        forward(np.zeros((16, 60), dtype=int), np.zeros((25, 17)), params)
     with pytest.raises(EncoderError, match="semantic"):
-        forward(np.zeros((16, 60)), np.zeros((25, 16)), params)
+        forward(np.full(16, -1), np.zeros((25, 16)), params)
+
+
+def test_forward_rejects_invalid_rule_ids(base_config):
+    params = init_params(1, base_config)
+    sem = np.zeros((25, 17))
+    for bad in (np.zeros(16), np.full(16, -1.0), np.zeros(16, dtype=bool)):
+        with pytest.raises(EncoderError, match="integers"):
+            forward(bad, sem, params)
+    for value in (-2, 60, 127):
+        rule_ids = np.full(16, -1, dtype=np.int8)
+        rule_ids[3] = value
+        with pytest.raises(EncoderError, match=r"\[-1, 60\)"):
+            forward(rule_ids, sem, params)
+    edge = np.array([0, 59] + [-1] * 14)
+    assert forward(edge, sem, params)[0].shape == (540,)
 
 
 def test_forward_rejects_non_finite_params(base_config):
     params = init_params(1, base_config)
     params.fc1.weight[0, 0] = np.nan
     with pytest.raises(EncoderError, match="non-finite"):
-        forward(np.zeros((16, 60)), np.zeros((25, 17)), params)
+        forward(np.full(16, -1), np.zeros((25, 17)), params)
 
 
 def test_zero_branch_switches(rng):
-    schema = (rng.random((16, 60)) < 0.2).astype(float)
+    rule_ids = random_rule_ids(rng, 1)[0]
     sem = rng.normal(size=(25, 17))
     params = init_params(3, EncoderConfig(zero_schema=True))
-    a, _ = forward(schema, sem, params)
-    b, _ = forward(np.zeros((16, 60)), sem, params)
+    a, _ = forward(rule_ids, sem, params)
+    b, _ = forward(np.full(16, -1), sem, params)
     assert np.array_equal(a, b)
     params = init_params(3, EncoderConfig(zero_semantics=True))
-    a, _ = forward(schema, sem, params)
-    b, _ = forward(schema, np.zeros((25, 17)), params)
+    a, _ = forward(rule_ids, sem, params)
+    b, _ = forward(rule_ids, np.zeros((25, 17)), params)
     assert np.array_equal(a, b)
 
 
@@ -241,6 +375,38 @@ def test_checkpoint_roundtrip_no_fc(tmp_path):
     path = str(tmp_path / "model.ckpt")
     save_checkpoint(params, path=path)
     loaded, loaded_config = load_checkpoint(path)
+    assert loaded_config == config
+    assert params_equal(loaded, params)
+
+
+def test_checkpoint_loads_hand_written_c2v1_layout(tmp_path):
+    # The documented layout, written without save_checkpoint: per conv layer
+    # weight, bias, gamma, beta, running mean, running variance; then fc1
+    # and fc2 weight and bias, as little-endian float64.
+    config = EncoderConfig()
+    params = init_params(8, config)
+    arrays = []
+    for layer in params.conv:
+        arrays += [layer.weight, layer.bias, layer.gamma, layer.beta,
+                   layer.running_mean, layer.running_var]
+    arrays += [params.fc1.weight, params.fc1.bias, params.fc2.weight, params.fc2.bias]
+    header = json.dumps({
+        "format_version": 1,
+        "config": {
+            "conv_channels": [60, 30, 15, 8], "kernel_size": 3, "sequence_length": 16,
+            "semantic_slots": 25, "output_dim": 540, "dropout": 0.1, "bn_momentum": 0.1,
+            "bn_eps": 1e-5, "semantic_mode": "interval-average", "use_locations": True,
+            "zero_schema": False, "zero_semantics": False, "use_fc": True,
+        },
+        "extras": None,
+    }).encode("utf-8")
+    path = tmp_path / "hand.ckpt"
+    path.write_bytes(
+        b"C2V1" + struct.pack("<I", len(header)) + header
+        + struct.pack("<Q", sum(a.size for a in arrays))
+        + b"".join(a.astype("<f8").tobytes() for a in arrays)
+    )
+    loaded, loaded_config = load_checkpoint(str(path))
     assert loaded_config == config
     assert params_equal(loaded, params)
 

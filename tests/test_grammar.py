@@ -149,13 +149,16 @@ def test_encoded_corpus_rows_match_one_hot_on_random_facts():
     facts = [random_fact(rng) for _ in range(300)]
     charts = tuple((f"c{i}", fact) for i, fact in enumerate(facts))
     corpus = Corpus((MultiViewVis("v", "d", "economy", "data-story", charts),))
-    schemas, _ = encode_corpus(corpus, VectorStore({}), EncoderConfig()).rows(
+    rule_ids, _ = encode_corpus(corpus, VectorStore({}), EncoderConfig()).rows(
         np.arange(len(facts))
     )
-    for fact, schema in zip(facts, schemas):
-        expected = encode_one_hot(derive_rules(fact))
-        assert schema.dtype == expected.dtype
-        assert np.array_equal(schema, expected)
+    assert rule_ids.shape == (len(facts), 16)
+    for fact, row in zip(facts, rule_ids):
+        seq = derive_rules(fact)
+        assert row.tolist() == list(seq.ids) + [-1] * (16 - len(seq))
+        # The rule ids stand for exactly the one-hot schema.
+        schema = (row[:, None] == np.arange(60)).astype(np.float64)
+        assert np.array_equal(schema, encode_one_hot(seq))
 
 
 def test_one_hot_rejects_empty_and_oversized():

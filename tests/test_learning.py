@@ -141,6 +141,71 @@ def test_loss_terms_nonnegative(rng):
         assert breakdown.l2 >= 0.0
 
 
+def loop_loss_and_gradients(prev, mid, nxt, neg, hyper, loss_mask):
+    """Per-sample reference: the loss and its embedding gradients summed
+    sample by sample through the scalar definitions."""
+    interp_term = pair_term = l2 = 0.0
+    grads = [np.zeros_like(prev) for _ in range(4)]
+    for k in range(prev.shape[0]):
+        p, m, n, q = prev[k], mid[k], nxt[k], neg[k]
+        _, (interp, pairs) = interpolation_loss(p, m, n, hyper.alpha)
+        interp_term += interp
+        pair_term += pairs
+        l2 += triplet_loss(p, n, q, hyper.margin)
+        d_prev, d_mid, d_next, d_neg = (g[k] for g in grads)
+        if loss_mask[0]:
+            g_mid = euclidean_grad(m, (p + n) / 2.0)
+            d_mid += g_mid
+            d_prev += -0.5 * g_mid
+            d_next += -0.5 * g_mid
+            a = hyper.alpha
+            d_prev += a * (euclidean_grad(p, m) + euclidean_grad(p, n))
+            d_mid += a * (euclidean_grad(m, p) + euclidean_grad(m, n))
+            d_next += a * (euclidean_grad(n, m) + euclidean_grad(n, p))
+        if loss_mask[1] and euclidean(p, n) - euclidean(p, q) + hyper.margin > 0.0:
+            b = hyper.beta
+            d_prev += b * (euclidean_grad(p, n) - euclidean_grad(p, q))
+            d_next += b * euclidean_grad(n, p)
+            d_neg += -b * euclidean_grad(q, p)
+    l1 = interp_term + hyper.alpha * pair_term
+    total = (l1 if loss_mask[0] else 0.0) + (hyper.beta * l2 if loss_mask[1] else 0.0)
+    return (interp_term, pair_term, l1, l2, total), grads
+
+
+def test_vectorized_loss_matches_per_sample_loop(rng):
+    b = 64
+    prev, mid, nxt, neg = (rng.normal(size=(b, 540)) for _ in range(4))
+    # Coincident points, where the zero subgradient is taken.
+    mid[0] = prev[0]
+    nxt[1] = prev[1]
+    mid[2] = (prev[2] + nxt[2]) / 2.0
+    neg[3] = prev[3]
+    prev[4] = mid[4] = nxt[4] = neg[4]
+    # An inactive hinge: the negative far beyond the margin.
+    neg[5] = prev[5] + 100.0
+    hyper = HyperParams(alpha=0.5, beta=10.0, margin=1.0)
+    saw_inactive = False
+    for loss_mask in ((True, True), (True, False), (False, True)):
+        ref_terms, ref_grads = loop_loss_and_gradients(prev, mid, nxt, neg, hyper, loss_mask)
+        breakdown = batch_loss_from_embeddings(prev, mid, nxt, neg, hyper, loss_mask)
+        terms = (breakdown.interp_term, breakdown.pair_term, breakdown.l1, breakdown.l2,
+                 breakdown.total)
+        # Tolerance fixed in advance: only the order of float64 sums differs.
+        for value, ref in zip(terms, ref_terms):
+            assert abs(value - ref) <= 1e-9 * max(1.0, abs(ref))
+        grads = loss_gradients_wrt_embeddings(prev, mid, nxt, neg, hyper, loss_mask)
+        for g, ref in zip(grads, ref_grads):
+            assert np.abs(g - ref).max() <= 1e-9 * max(1.0, np.abs(ref).max())
+        if loss_mask[1]:
+            saw_inactive = not grads[3][5].any()
+    assert saw_inactive
+    # At coincident points the unit vector is the zero subgradient.
+    g_prev, g_mid, g_next, g_neg = loss_gradients_wrt_embeddings(
+        prev[4:5], mid[4:5], nxt[4:5], neg[4:5], hyper, (True, True)
+    )
+    assert not g_prev.any() and not g_mid.any() and not g_next.any() and not g_neg.any()
+
+
 def test_euclidean_grad_identity(rng):
     for _ in range(10):
         x = rng.normal(size=5)
@@ -163,9 +228,9 @@ def test_zero_upstream_loss_gives_zero_gradients(rng, base_config):
         assert not g.any()
 
     params = init_params(0, base_config)
-    schemas = (rng.random((4, 16, 60)) < 0.1).astype(float)
+    rule_ids = rng.integers(-1, 60, size=(4, 16))
     sems = rng.normal(size=(4, 25, 17))
-    _, trace = forward_batch(schemas, sems, params, train=True,
+    _, trace = forward_batch(rule_ids, sems, params, train=True,
                              dropout_rng=np.random.default_rng(0),
                              update_running_stats=False)
     grads = backward_batch(trace, np.zeros((4, 540)), params)
@@ -176,7 +241,7 @@ def test_zero_upstream_loss_gives_zero_gradients(rng, base_config):
 def test_grad_check_passes(base_config):
     params = init_params(0, base_config)
     batch = _gradcheck_batch(0, base_config)
-    assert batch[0].shape == (12, 16, 60)  # three samples, so batch norm couples them
+    assert batch[0].shape == (12, 16)  # three samples, so batch norm couples them
     assert np.abs(batch[1]).sum(axis=(1, 2)).all()  # every chart has words
     error = grad_check(batch, params, HyperParams(), epsilon=1e-5, n_coords=200, seed=0)
     assert error < 1e-4
@@ -257,7 +322,7 @@ def test_adam_deterministic(base_config):
 
 def test_combined_loss_empty_batch_rejected(base_config):
     with pytest.raises(ValueError, match="empty"):
-        combined_loss(np.zeros((0, 16, 60)), np.zeros((0, 25, 17)),
+        combined_loss(np.zeros((0, 16), dtype=int), np.zeros((0, 25, 17)),
                       init_params(0, base_config), HyperParams())
 
 
