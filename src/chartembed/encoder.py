@@ -7,6 +7,10 @@ is flattened and concatenated; two fully connected layers (ReLU and dropout
 between them) produce the final 540-dim embedding. Everything is float64
 numpy.
 
+Every persisted value (weights, biases, batch-norm scales, shifts and
+running statistics) lives in one float64 vector in checkpoint order, and
+each array is a named view of it; gradients use the same layout.
+
 Inference is a pure function of (inputs, params); training-mode forwards use
 batch statistics, record a trace for the backward pass, and may update the
 running batch-norm statistics.
@@ -15,8 +19,10 @@ running batch-norm statistics.
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import dataclass
+import sys
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -33,6 +39,23 @@ class EncoderError(ValueError):
 
 class CheckpointError(ValueError):
     """Raised for unreadable, mismatched, or corrupt checkpoint files."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# What a value of each field annotation (a string under `from __future__
+# import annotations`) must be, and the check.
+_FIELD_TYPES = {
+    "tuple[int, ...]": ("at least 2 positive ints", lambda v: isinstance(v, tuple)
+                        and len(v) >= 2 and all(_is_int(c) and c > 0 for c in v)),
+    "int": ("a positive int", lambda v: _is_int(v) and v > 0),
+    "float": ("a finite number", lambda v: (_is_int(v) or isinstance(v, float))
+              and abs(v) <= sys.float_info.max),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+}
 
 
 @dataclass(frozen=True)
@@ -52,6 +75,11 @@ class EncoderConfig:
     use_fc: bool = True
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind, check = _FIELD_TYPES[f.type]
+            if not check(value):
+                raise EncoderError(f"{f.name} must be {kind}, got {value!r}")
         if self.conv_channels[0] != grammar.RULE_COUNT:
             raise EncoderError(
                 f"first conv layer must take {grammar.RULE_COUNT} input channels"
@@ -68,14 +96,14 @@ class EncoderConfig:
             raise EncoderError(f"unknown semantic mode {self.semantic_mode!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise EncoderError("dropout must lie in [0, 1)")
+        if not 0.0 <= self.bn_momentum <= 1.0:
+            raise EncoderError("bn_momentum must lie in [0, 1]")
+        if self.bn_eps <= 0.0:
+            raise EncoderError("bn_eps must be > 0")
 
     @property
     def semantic_shape(self) -> tuple[int, int]:
         return semantics.semantic_shape(self.semantic_mode)
-
-    @property
-    def token_dim(self) -> int:
-        return self.semantic_shape[1]
 
     @property
     def conv_flat_dim(self) -> int:
@@ -91,28 +119,18 @@ class EncoderConfig:
         return self.output_dim if self.use_fc else self.fc1_in
 
 
-@dataclass
-class ConvBNParams:
-    weight: np.ndarray  # (out, in, kernel)
-    bias: np.ndarray  # (out,)
-    gamma: np.ndarray  # (out,)
-    beta: np.ndarray  # (out,)
-    running_mean: np.ndarray  # (out,)
-    running_var: np.ndarray  # (out,)
-
-
-@dataclass
-class DenseParams:
-    weight: np.ndarray  # (out, in)
-    bias: np.ndarray  # (out,)
-
-
-@dataclass
 class EncoderParams:
-    config: EncoderConfig
-    conv: list[ConvBNParams]
-    fc1: Optional[DenseParams]
-    fc2: Optional[DenseParams]
+    """The encoder's parameters: one float64 vector holding every persisted
+    value in checkpoint order, and a named view of each array in it.
+
+    Writing through a view writes `values`; running statistics are updated
+    in place there by train-mode forwards.
+    """
+
+    def __init__(self, config: EncoderConfig, values: np.ndarray):
+        self.config = config
+        self.values = values
+        self.views = param_views(config, values)
 
 
 @dataclass
@@ -153,68 +171,57 @@ def _array_shapes(config: EncoderConfig) -> list[tuple[str, tuple[int, ...]]]:
     return shapes
 
 
-def _params_from_arrays(config: EncoderConfig, arrays: dict[str, np.ndarray]) -> EncoderParams:
-    conv = [
-        ConvBNParams(
-            weight=arrays[f"conv{i}.weight"],
-            bias=arrays[f"conv{i}.bias"],
-            gamma=arrays[f"conv{i}.gamma"],
-            beta=arrays[f"conv{i}.beta"],
-            running_mean=arrays[f"conv{i}.running_mean"],
-            running_var=arrays[f"conv{i}.running_var"],
+def param_count(config: EncoderConfig) -> int:
+    """Length of the parameter vector the config implies."""
+    return sum(math.prod(shape) for _, shape in _array_shapes(config))
+
+
+def param_views(config: EncoderConfig, values: np.ndarray) -> dict[str, np.ndarray]:
+    """Named views of a parameter (or gradient) vector, in checkpoint order."""
+    if values.shape != (param_count(config),):
+        raise EncoderError(
+            f"parameter vector has shape {values.shape}, config implies ({param_count(config)},)"
         )
-        for i in range(1, len(config.conv_channels))
-    ]
-    fc1 = DenseParams(arrays["fc1.weight"], arrays["fc1.bias"]) if config.use_fc else None
-    fc2 = DenseParams(arrays["fc2.weight"], arrays["fc2.bias"]) if config.use_fc else None
-    return EncoderParams(config=config, conv=conv, fc1=fc1, fc2=fc2)
+    views: dict[str, np.ndarray] = {}
+    offset = 0
+    for name, shape in _array_shapes(config):
+        size = math.prod(shape)
+        views[name] = values[offset : offset + size].reshape(shape)
+        offset += size
+    return views
 
 
 def init_params(seed: int, config: EncoderConfig = EncoderConfig()) -> EncoderParams:
     """Fan-in-scaled uniform weight init; batch-norm at identity."""
     rng = np.random.default_rng(seed)
-    arrays: dict[str, np.ndarray] = {}
-    for name, shape in _array_shapes(config):
+    params = EncoderParams(config, np.zeros(param_count(config)))
+    for name, view in params.views.items():
         if name.endswith(".weight"):
-            bound = np.sqrt(6.0 / np.prod(shape[1:]))
-            arrays[name] = rng.uniform(-bound, bound, size=shape)
+            bound = np.sqrt(6.0 / np.prod(view.shape[1:]))
+            view[...] = rng.uniform(-bound, bound, size=view.shape)
         elif name.endswith((".gamma", ".running_var")):
-            arrays[name] = np.ones(shape)
-        else:
-            arrays[name] = np.zeros(shape)
-    return _params_from_arrays(config, arrays)
-
-
-def checkpoint_items(params: EncoderParams) -> list[tuple[str, np.ndarray]]:
-    """All persisted arrays (trainable plus running statistics), in order."""
-    items: list[tuple[str, np.ndarray]] = []
-    for i, layer in enumerate(params.conv, start=1):
-        items += [(f"conv{i}.{part}", getattr(layer, part)) for part in _CONV_PARTS]
-    for name, dense in (("fc1", params.fc1), ("fc2", params.fc2)):
-        if dense is not None:
-            items += [(f"{name}.weight", dense.weight), (f"{name}.bias", dense.bias)]
-    return items
+            view[...] = 1.0
+    return params
 
 
 def trainable_items(params: EncoderParams) -> list[tuple[str, np.ndarray]]:
-    """Trainable arrays in their fixed canonical order."""
-    return [item for item in checkpoint_items(params) if not item[0].endswith(_RUNNING_STATS)]
+    """Views of the trainable arrays (all but the running statistics), in order."""
+    return [item for item in params.views.items() if not item[0].endswith(_RUNNING_STATS)]
 
 
 def copy_params(params: EncoderParams) -> EncoderParams:
-    return _params_from_arrays(
-        params.config, {name: arr.copy() for name, arr in checkpoint_items(params)}
-    )
+    return EncoderParams(params.config, params.values.copy())
 
 
 def params_equal(a: EncoderParams, b: EncoderParams) -> bool:
-    items_a, items_b = checkpoint_items(a), checkpoint_items(b)
-    if a.config != b.config or len(items_a) != len(items_b):
-        return False
-    return all(
-        na == nb and va.shape == vb.shape and np.array_equal(va, vb)
-        for (na, va), (nb, vb) in zip(items_a, items_b)
-    )
+    return a.config == b.config and np.array_equal(a.values, b.values)
+
+
+def _non_finite_array(params: EncoderParams) -> Optional[str]:
+    """The name of the first array holding a NaN or an infinity, if any."""
+    if np.isfinite(params.values).all():
+        return None
+    return next(name for name, view in params.views.items() if not np.isfinite(view).all())
 
 
 def _conv_matrix(weight: np.ndarray) -> np.ndarray:
@@ -302,9 +309,9 @@ def forward_batch(
             f"semantic batch has shape {sem_blocks.shape}, expected "
             f"(B, {cfg.semantic_shape[0]}, {cfg.semantic_shape[1]})"
         )
-    for name, arr in trainable_items(params):
-        if not np.all(np.isfinite(arr)):
-            raise EncoderError(f"non-finite parameter detected in {name}")
+    bad = _non_finite_array(params)
+    if bad is not None:
+        raise EncoderError(f"non-finite parameter detected in {bad}")
 
     batch = rule_ids.shape[0]
     sem = np.zeros_like(sem_blocks) if cfg.zero_semantics else sem_blocks
@@ -315,18 +322,21 @@ def forward_batch(
     conv_relu_mask: list[np.ndarray] = []
 
     x = None
-    for i, layer in enumerate(params.conv):
-        if i == 0:
-            table = _conv1_table(layer.weight)
+    for i in range(1, len(cfg.conv_channels)):
+        weight, bias, gamma, beta, running_mean, running_var = (
+            params.views[f"conv{i}.{part}"] for part in _CONV_PARTS
+        )
+        if i == 1:
+            table = _conv1_table(weight)
             z = table.take(taps[0], axis=0)
             for row in taps[1:]:
                 z += table.take(row, axis=0)
         else:
             cols = _im2col(x, batch, cfg.kernel_size)
-            z = cols @ _conv_matrix(layer.weight)
+            z = cols @ _conv_matrix(weight)
             if train:
                 conv_cols.append(cols)
-        z += layer.bias
+        z += bias
         if train:
             mean = np.einsum("ij->j", z) / z.shape[0]
             z -= mean
@@ -334,18 +344,18 @@ def forward_batch(
             if update_running_stats:
                 n = z.shape[0]
                 var_unbiased = var * n / (n - 1) if n > 1 else var
-                layer.running_mean *= 1.0 - cfg.bn_momentum
-                layer.running_mean += cfg.bn_momentum * mean
-                layer.running_var *= 1.0 - cfg.bn_momentum
-                layer.running_var += cfg.bn_momentum * var_unbiased
+                running_mean *= 1.0 - cfg.bn_momentum
+                running_mean += cfg.bn_momentum * mean
+                running_var *= 1.0 - cfg.bn_momentum
+                running_var += cfg.bn_momentum * var_unbiased
         else:
-            z -= layer.running_mean
-            var = layer.running_var
+            z -= running_mean
+            var = running_var
         invstd = 1.0 / np.sqrt(var + cfg.bn_eps)
         xhat = z
         xhat *= invstd
-        x = xhat * layer.gamma
-        x += layer.beta
+        x = xhat * gamma
+        x += beta
         mask = x > 0
         np.maximum(x, 0.0, out=x)
         if train:
@@ -359,7 +369,7 @@ def forward_batch(
 
     out, gate, a1 = fused, None, None
     if cfg.use_fc:
-        z1 = fused @ params.fc1.weight.T + params.fc1.bias
+        z1 = fused @ params.views["fc1.weight"].T + params.views["fc1.bias"]
         gate = z1 > 0
         if train and cfg.dropout > 0.0:
             if dropout_rng is None:
@@ -367,7 +377,7 @@ def forward_batch(
             keep = dropout_rng.random(z1.shape) >= cfg.dropout
             gate = gate * (keep / (1.0 - cfg.dropout))
         a1 = z1 * gate
-        out = a1 @ params.fc2.weight.T + params.fc2.bias
+        out = a1 @ params.views["fc2.weight"].T + params.views["fc2.bias"]
 
     if not train:
         return out, None
@@ -402,47 +412,48 @@ def forward(
     return out[0], trace
 
 
-def backward_batch(trace: ForwardTrace, d_out: np.ndarray, params: EncoderParams) -> dict[str, np.ndarray]:
+def backward_batch(trace: ForwardTrace, d_out: np.ndarray, params: EncoderParams) -> np.ndarray:
     """Exact gradients of a train-mode forward, given d(loss)/d(output).
 
-    Returns a dict keyed like trainable_items. The batch-norm backward takes
-    the full batch-statistics path (mean and variance both depend on the
-    parameters upstream).
+    Returns a vector laid out like params.values; the running-statistic
+    slots are zero. The batch-norm backward takes the full batch-statistics
+    path (mean and variance both depend on the parameters upstream).
     """
     cfg = params.config
     if d_out.shape[0] != trace.batch_size:
         raise EncoderError("trace/gradient batch size mismatch")
-    grads: dict[str, np.ndarray] = {}
+    grad = np.zeros_like(params.values)
+    g = param_views(cfg, grad)
 
     if cfg.use_fc:
-        grads["fc2.weight"] = d_out.T @ trace.fc2_input
-        grads["fc2.bias"] = d_out.sum(axis=0)
-        d_z1 = (d_out @ params.fc2.weight) * trace.fc1_gate
-        grads["fc1.weight"] = d_z1.T @ trace.fused
-        grads["fc1.bias"] = d_z1.sum(axis=0)
+        np.matmul(d_out.T, trace.fc2_input, out=g["fc2.weight"])
+        g["fc2.bias"][...] = d_out.sum(axis=0)
+        d_z1 = (d_out @ params.views["fc2.weight"]) * trace.fc1_gate
+        np.matmul(d_z1.T, trace.fused, out=g["fc1.weight"])
+        g["fc1.bias"][...] = d_z1.sum(axis=0)
         # Only the conv columns of fc1's input lead back to parameters.
-        d_conv = d_z1 @ params.fc1.weight[:, : cfg.conv_flat_dim]
+        d_conv = d_z1 @ params.views["fc1.weight"][:, : cfg.conv_flat_dim]
     else:
         d_conv = d_out[:, : cfg.conv_flat_dim]
 
     batch, length, k = trace.batch_size, cfg.sequence_length, cfg.kernel_size
     d_x = d_conv.reshape(batch, -1, length).transpose(0, 2, 1).reshape(batch * length, -1)
 
-    for i in range(len(params.conv) - 1, -1, -1):
-        layer = params.conv[i]
-        cout, cin, _ = layer.weight.shape
+    for i in range(len(cfg.conv_channels) - 2, -1, -1):
+        layer = f"conv{i + 1}."
+        weight = params.views[layer + "weight"]
+        cout, cin, _ = weight.shape
         d_z = d_x * trace.conv_relu_mask[i]  # d(loss)/d(y), made d(loss)/d(z) below
         xhat = trace.conv_xhat[i]
         n = d_z.shape[0]
-        d_gamma = np.einsum("ij,ij->j", d_z, xhat)
-        d_beta = np.einsum("ij->j", d_z)
-        grads[f"conv{i + 1}.gamma"] = d_gamma
-        grads[f"conv{i + 1}.beta"] = d_beta
+        d_gamma, d_beta = g[layer + "gamma"], g[layer + "beta"]
+        d_gamma[...] = np.einsum("ij,ij->j", d_z, xhat)
+        d_beta[...] = np.einsum("ij->j", d_z)
         # Batch-norm backward through the batch mean and variance.
         d_z -= d_beta / n
         d_z -= xhat * (d_gamma / n)
-        d_z *= trace.conv_invstd[i] * layer.gamma
-        grads[f"conv{i + 1}.bias"] = np.einsum("ij->j", d_z)
+        d_z *= trace.conv_invstd[i] * params.views[layer + "gamma"]
+        g[layer + "bias"][...] = np.einsum("ij->j", d_z)
         if i == 0:
             # Scatter-add of d_z onto the table rows that conv1 gathered.
             taps = trace.conv1_taps.ravel()
@@ -450,55 +461,34 @@ def backward_batch(trace: ForwardTrace, d_out: np.ndarray, params: EncoderParams
                 [np.bincount(taps, np.tile(d_z[:, o], k), k * (cin + 1)) for o in range(cout)],
                 axis=1,
             )
-            grads["conv1.weight"] = np.ascontiguousarray(
-                table.reshape(k, cin + 1, cout)[:, :cin].transpose(2, 1, 0)
-            )
+            g["conv1.weight"][...] = table.reshape(k, cin + 1, cout)[:, :cin].transpose(2, 1, 0)
             break
-        grads[f"conv{i + 1}.weight"] = np.ascontiguousarray(
+        g[layer + "weight"][...] = (
             (d_z.T @ trace.conv_cols[i - 1]).reshape(cout, k, cin).transpose(0, 2, 1)
         )
         # The input gradient is a convolution of d_z with the tap-flipped weight.
-        flipped = layer.weight[:, :, ::-1].transpose(1, 0, 2)
+        flipped = weight[:, :, ::-1].transpose(1, 0, 2)
         d_x = _im2col(d_z, batch, k) @ _conv_matrix(flipped)
-    return grads
+    return grad
 
 
-def _config_to_dict(config: EncoderConfig) -> dict:
-    return {
-        "conv_channels": list(config.conv_channels),
-        "kernel_size": config.kernel_size,
-        "sequence_length": config.sequence_length,
-        "semantic_slots": config.semantic_slots,
-        "output_dim": config.output_dim,
-        "dropout": config.dropout,
-        "bn_momentum": config.bn_momentum,
-        "bn_eps": config.bn_eps,
-        "semantic_mode": config.semantic_mode,
-        "use_locations": config.use_locations,
-        "zero_schema": config.zero_schema,
-        "zero_semantics": config.zero_semantics,
-        "use_fc": config.use_fc,
-    }
-
-
-def _config_from_dict(obj: dict) -> EncoderConfig:
+def _config_from_dict(obj) -> EncoderConfig:
+    """The config of a checkpoint header; every field must be present."""
+    if not isinstance(obj, dict):
+        raise CheckpointError("invalid config block: expected an object")
+    names = [f.name for f in fields(EncoderConfig)]
+    for problem, keys in (
+        ("missing", [name for name in names if name not in obj]),
+        ("unknown", sorted(set(obj) - set(names))),
+    ):
+        if keys:
+            raise CheckpointError(f"invalid config block: {problem} keys {keys}")
+    channels = obj["conv_channels"]
     try:
         return EncoderConfig(
-            conv_channels=tuple(obj["conv_channels"]),
-            kernel_size=obj["kernel_size"],
-            sequence_length=obj["sequence_length"],
-            semantic_slots=obj["semantic_slots"],
-            output_dim=obj["output_dim"],
-            dropout=obj["dropout"],
-            bn_momentum=obj["bn_momentum"],
-            bn_eps=obj["bn_eps"],
-            semantic_mode=obj["semantic_mode"],
-            use_locations=obj["use_locations"],
-            zero_schema=obj["zero_schema"],
-            zero_semantics=obj["zero_semantics"],
-            use_fc=obj["use_fc"],
+            **{**obj, "conv_channels": tuple(channels) if isinstance(channels, list) else channels}
         )
-    except (KeyError, TypeError, EncoderError) as exc:
+    except EncoderError as exc:
         raise CheckpointError(f"invalid config block: {exc}") from exc
 
 
@@ -513,22 +503,15 @@ def save_checkpoint(
     if config != params.config:
         raise CheckpointError("config does not match the params being saved")
     header = json.dumps(
-        {
-            "format_version": CHECKPOINT_FORMAT_VERSION,
-            "config": _config_to_dict(config),
-            "extras": extras,
-        },
+        {"format_version": CHECKPOINT_FORMAT_VERSION, "config": asdict(config), "extras": extras},
         ensure_ascii=False,
     ).encode("utf-8")
-    items = checkpoint_items(params)
-    count = sum(arr.size for _, arr in items)
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        fh.write(struct.pack("<Q", count))
-        for _, arr in items:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(
+            CHECKPOINT_MAGIC + struct.pack("<I", len(header)) + header
+            + struct.pack("<Q", params.values.size)
+        )
+        fh.write(params.values.astype("<f8", copy=False))
 
 
 def _read_exact(fh, size: int, part: str) -> bytes:
@@ -567,8 +550,7 @@ def load_checkpoint(path: str) -> tuple[EncoderParams, EncoderConfig]:
         (count,) = struct.unpack("<Q", _read_exact(fh, 8, "value count"))
         payload = fh.read()
 
-    shapes = _array_shapes(config)
-    expected = sum(int(np.prod(shape)) for _, shape in shapes)
+    expected = param_count(config)
     if count != expected:
         raise CheckpointError(
             f"checkpoint shape mismatch: holds {count} values, config implies {expected}"
@@ -577,14 +559,11 @@ def load_checkpoint(path: str) -> tuple[EncoderParams, EncoderConfig]:
         raise CheckpointError("truncated checkpoint: the file ends inside the payload")
     if len(payload) > 8 * expected:
         raise CheckpointError("checkpoint shape mismatch: bytes follow the payload")
-    values = np.frombuffer(payload, dtype="<f8")
-    offset = 0
-    loaded: dict[str, np.ndarray] = {}
-    for name, shape in shapes:
-        size = int(np.prod(shape))
-        loaded[name] = values[offset : offset + size].reshape(shape).copy()
-        offset += size
-    return _params_from_arrays(config, loaded), config
+    params = EncoderParams(config, np.frombuffer(payload, dtype="<f8").astype(np.float64))
+    bad = _non_finite_array(params)
+    if bad is not None:
+        raise CheckpointError(f"corrupt checkpoint: non-finite value in {bad}")
+    return params, config
 
 
 def load_checkpoint_extras(path: str) -> Optional[dict]:

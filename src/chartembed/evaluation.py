@@ -65,11 +65,17 @@ class EmbeddingIndex:
 
 
 def build_index(corpus: Corpus, params: EncoderParams, store: VectorStore) -> EmbeddingIndex:
-    """Embed every chart of the corpus in inference mode."""
+    """Embed every chart of the corpus in inference mode; all must be finite."""
     if not corpus.chart_count:
         return EmbeddingIndex((), (), (), (), np.zeros((0, 0)))
     encoded = encode_corpus(corpus, store, params.config)
-    vectors, _ = forward_batch(*encoded.rows(np.arange(len(encoded))), params, train=False)
+    # An overflow shows up as the non-finite embedding reported below.
+    with np.errstate(all="ignore"):
+        vectors, _ = forward_batch(*encoded.rows(np.arange(len(encoded))), params, train=False)
+    finite = np.isfinite(vectors).all(axis=1)
+    if not finite.all():
+        first = encoded.chart_ids[int(finite.argmin())]
+        raise EvaluationError(f"non-finite embedding for chart {first!r} (values overflow)")
     return EmbeddingIndex(
         encoded.chart_ids, encoded.vis_ids, encoded.positions, encoded.dataset_ids, vectors
     )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,9 +24,9 @@ from .encoder import (
     EncoderConfig,
     EncoderParams,
     backward_batch,
-    copy_params,
     forward_batch,
     init_params,
+    param_views,
     trainable_items,
 )
 
@@ -191,16 +191,18 @@ def combined_loss(
     """
     if len(rule_ids) == 0:
         raise ValueError("empty batch")
-    out, trace = forward_batch(
-        rule_ids,
-        sem_blocks,
-        params,
-        train=train,
-        dropout_rng=dropout_rng,
-        update_running_stats=update_running_stats,
-    )
-    prev, mid, nxt, neg = np.split(out, 4)
-    breakdown = batch_loss_from_embeddings(prev, mid, nxt, neg, hyper, loss_mask)
+    # An overflow shows up as the non-finite loss reported below.
+    with np.errstate(all="ignore"):
+        out, trace = forward_batch(
+            rule_ids,
+            sem_blocks,
+            params,
+            train=train,
+            dropout_rng=dropout_rng,
+            update_running_stats=update_running_stats,
+        )
+        prev, mid, nxt, neg = np.split(out, 4)
+        breakdown = batch_loss_from_embeddings(prev, mid, nxt, neg, hyper, loss_mask)
     if not np.isfinite(breakdown.total):
         raise TrainingDivergedError(
             f"non-finite loss (l1={breakdown.l1}, l2={breakdown.l2})"
@@ -214,8 +216,8 @@ def backward(
     params: EncoderParams,
     hyper: HyperParams,
     loss_mask: tuple[bool, bool] = (True, True),
-) -> dict[str, np.ndarray]:
-    """Gradients of the combined loss for every trainable parameter."""
+) -> np.ndarray:
+    """Gradient of the combined loss, laid out like params.values."""
     n = embeddings.shape[0]
     if n % 4 != 0 or trace.batch_size != n:
         raise ValueError("trace/embedding mismatch: expected four blocks per sample")
@@ -230,47 +232,55 @@ def backward(
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators mirroring the trainable arrays."""
+    """First/second moment accumulators, laid out like the parameter vector."""
 
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def init_adam(params: EncoderParams) -> AdamState:
-    state = AdamState()
-    for name, arr in trainable_items(params):
-        state.m[name] = np.zeros_like(arr)
-        state.v[name] = np.zeros_like(arr)
-    return state
+    return AdamState(m=np.zeros_like(params.values), v=np.zeros_like(params.values))
 
 
 def adam_step(
     params: EncoderParams,
-    grads: dict[str, np.ndarray],
+    grad: np.ndarray,
     state: AdamState,
     lr: float,
 ) -> tuple[EncoderParams, AdamState]:
-    """Standard bias-corrected Adam update (in place; returned for chaining)."""
+    """Standard bias-corrected Adam update of the whole parameter vector
+    (in place; returned for chaining).
+
+    The running statistics need no mask: their gradient is always zero, so
+    their m and v stay zero and their update is exactly zero.
+    """
+    if grad.shape != params.values.shape:
+        raise ValueError(
+            f"gradient has shape {grad.shape}, the parameter vector {params.values.shape}"
+        )
     state.step += 1
     bc1 = 1.0 - state.beta1**state.step
     bc2 = 1.0 - state.beta2**state.step
-    for name, arr in trainable_items(params):
-        g = grads.get(name)
-        if g is None:
-            raise ValueError(f"missing gradient for {name}")
-        if g.shape != arr.shape:
-            raise ValueError(f"gradient shape mismatch for {name}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        arr -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    # Each value rounds as in m += (1 - beta1) * g; v += (1 - beta2) * g * g;
+    # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps).
+    update = (1.0 - state.beta1) * grad
+    state.m *= state.beta1
+    state.m += update
+    np.multiply(1.0 - state.beta2, grad, out=update)
+    update *= grad
+    state.v *= state.beta2
+    state.v += update
+    denom = state.v / bc2
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    np.divide(state.m, bc1, out=update)
+    update *= lr
+    update /= denom
+    params.values -= update
     return params, state
 
 
@@ -300,8 +310,7 @@ def grad_check(
     if n_coords < 1:
         raise ValueError("gradient check needs at least one coordinate")
     hyper_nd = replace(hyper, dropout=0.0)
-    work = copy_params(params)
-    work.config = replace(work.config, dropout=0.0)
+    work = EncoderParams(replace(params.config, dropout=0.0), params.values.copy())
 
     def run():
         return combined_loss(*batch, work, hyper_nd, train=True, update_running_stats=False)
@@ -321,9 +330,9 @@ def grad_check(
         return total, kink_sides(trace, emb)
 
     _, _, trace, emb = run()
-    grads = backward(trace, emb, work, hyper_nd)
+    grads = param_views(work.config, backward(trace, emb, work, hyper_nd))
     if corrupt:
-        grads["conv1.weight"] = grads["conv1.weight"] * 1.05 + 0.01
+        grads["conv1.weight"][...] = grads["conv1.weight"] * 1.05 + 0.01
 
     items = trainable_items(work)
     sizes = [arr.size for _, arr in items]
@@ -411,8 +420,8 @@ def train(
                 rule_ids, sems, params, hyper, train=True, dropout_rng=dropout_rng,
                 loss_mask=loss_mask,
             )
-            grads = backward(trace, emb, params, hyper, loss_mask)
-            adam_step(params, grads, adam, hyper.learning_rate)
+            grad = backward(trace, emb, params, hyper, loss_mask)
+            adam_step(params, grad, adam, hyper.learning_rate)
             sums += (breakdown.interp_term, breakdown.pair_term, breakdown.l1, breakdown.l2)
             total += breakdown.total
         wall_ms = (time.perf_counter() - started) * 1000.0

@@ -3,12 +3,16 @@ from __future__ import annotations
 import json
 import os
 import platform
+import pathlib
 import re
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import chartembed
 from chartembed.cli import main
 from chartembed.corpus import CorpusError, load_corpus
 from chartembed.encoder import (
@@ -16,6 +20,7 @@ from chartembed.encoder import (
     load_checkpoint,
     load_checkpoint_extras,
     params_equal,
+    save_checkpoint,
 )
 from chartembed.evaluation import load_index
 
@@ -284,6 +289,105 @@ def test_embed_truncated_checkpoint(
         err = capsys.readouterr().err.strip().splitlines()
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error:") and part in err[0]
+
+
+def _embed_error(checkpoint, corpus_path, vectors_path, out, capsys) -> str:
+    """The single stderr line of an `embed` that must fail with exit 1 and
+    write no index."""
+    code = main(["embed", str(checkpoint), corpus_path, str(out), "--vectors", vectors_path])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert not out.exists()
+    return err[0]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda c: c.update(kernel_size=3.0), "kernel_size must be a positive int, got 3.0"),
+        (lambda c: c.update(conv_channels=[60, 30, 15, 8.0]),
+         "conv_channels must be at least 2 positive ints"),
+        (lambda c: c.update(output_dim="540"), "output_dim must be a positive int, got '540'"),
+        (lambda c: c.update(bn_eps=-1.0), "bn_eps must be > 0"),
+        (lambda c: c.update(use_fc="yes"), "use_fc must be true or false, got 'yes'"),
+        (lambda c: c.pop("dropout"), "missing keys ['dropout']"),
+        (lambda c: c.update(extra=1), "unknown keys ['extra']"),
+    ],
+    ids=["kernel-float", "channel-float", "dim-string", "eps-negative", "flag-string",
+         "missing-key", "unknown-key"],
+)
+def test_embed_rejects_bad_config_block(
+    tmp_path, trained, fixture_corpus_path, fixture_vectors_path, capsys, edit, message
+):
+    blob = open(trained, "rb").read()
+    (header_len,) = struct.unpack_from("<I", blob, 4)
+    header = json.loads(blob[8 : 8 + header_len])
+    edit(header["config"])
+    text = json.dumps(header).encode("utf-8")
+    path = tmp_path / "edited.ckpt"
+    path.write_bytes(blob[:4] + struct.pack("<I", len(text)) + text + blob[8 + header_len :])
+    with pytest.raises(CheckpointError, match=re.escape(message)):
+        load_checkpoint(str(path))
+    err = _embed_error(path, fixture_corpus_path, fixture_vectors_path, tmp_path / "i.tsv", capsys)
+    assert f"invalid config block: {message}" in err
+
+
+@pytest.mark.parametrize("name", ["fc2.weight", "conv1.running_var"])
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+def test_embed_rejects_non_finite_payload(
+    tmp_path, trained, fixture_corpus_path, fixture_vectors_path, capsys, name, value
+):
+    params, _ = load_checkpoint(trained)
+    params.views[name][1] = value
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(params, path=str(path))
+    with pytest.raises(CheckpointError, match=f"non-finite value in {name}"):
+        load_checkpoint(str(path))
+    err = _embed_error(path, fixture_corpus_path, fixture_vectors_path, tmp_path / "i.tsv", capsys)
+    assert name in err
+
+
+def _run_cli(*args) -> subprocess.CompletedProcess:
+    """The CLI in its own process, so that numpy's warnings reach stderr as
+    a user would see them."""
+    path = [str(pathlib.Path(chartembed.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run(
+        [sys.executable, "-m", "chartembed.cli", *args],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+
+
+def test_overflow_keeps_one_line_error(
+    tmp_path, trained, fixture_corpus_path, fixture_vectors_path
+):
+    # Training on huge word vectors overflows the embeddings.
+    vectors = tmp_path / "huge.txt"
+    with open(fixture_vectors_path, encoding="utf-8") as fh:
+        vectors.write_text(
+            "".join(line.split()[0] + " 1e300" * (len(line.split()) - 1) + "\n" for line in fh),
+            encoding="utf-8",
+        )
+    run = _run_cli("train", fixture_corpus_path, str(vectors), str(tmp_path / "m.ckpt"),
+                   "--epochs", "1", "--test-fraction", "0")
+    assert run.returncode == 1
+    assert run.stderr.splitlines() == [run.stderr.strip()]
+    assert run.stderr.startswith("error: training diverged")
+
+    # A finite checkpoint whose fc layers overflow in inference.
+    params, _ = load_checkpoint(trained)
+    params.views["fc1.weight"][...] *= 1e200
+    params.views["fc2.weight"][...] *= 1e200
+    checkpoint = tmp_path / "overflow.ckpt"
+    save_checkpoint(params, path=str(checkpoint))
+    out = tmp_path / "index.tsv"
+    run = _run_cli("embed", str(checkpoint), fixture_corpus_path, str(out),
+                   "--vectors", fixture_vectors_path)
+    assert run.returncode == 1
+    assert run.stderr.splitlines() == [run.stderr.strip()]
+    assert run.stderr.startswith("error: non-finite embedding")
+    assert not out.exists()
 
 
 def test_nearest_rows(index_path, capsys):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,13 +15,13 @@ from chartembed.encoder import (
     EncoderConfig,
     EncoderError,
     backward_batch,
-    checkpoint_items,
     copy_params,
     forward,
     forward_batch,
     init_params,
     load_checkpoint,
     load_checkpoint_extras,
+    param_views,
     params_equal,
     save_checkpoint,
     trainable_items,
@@ -52,6 +53,16 @@ def one_hot(rule_ids):
     return (np.asarray(rule_ids)[..., None] == np.arange(60)).astype(np.float64)
 
 
+def conv_layers(params):
+    """Each conv layer's named views (weight, bias, gamma, beta, running
+    statistics) as attributes."""
+    parts = ("weight", "bias", "gamma", "beta", "running_mean", "running_var")
+    return [
+        SimpleNamespace(**{part: params.views[f"conv{i}.{part}"] for part in parts})
+        for i in range(1, len(params.config.conv_channels))
+    ]
+
+
 def assert_close_to_reference(actual, reference, what):
     # Tolerance fixed in advance: the two computations differ only in the
     # order of float64 sums.
@@ -71,7 +82,7 @@ def dense_forward_backward(schemas, sems, params, dropout_rng, d_out):
     x = x.transpose(0, 2, 1)
     sem = np.zeros_like(sems) if cfg.zero_semantics else sems
     cache = []
-    for layer in params.conv:
+    for layer in conv_layers(params):
         pad = layer.weight.shape[2] // 2
         xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
         windows = sliding_window_view(xp, layer.weight.shape[2], axis=2)
@@ -89,22 +100,23 @@ def dense_forward_backward(schemas, sems, params, dropout_rng, d_out):
     fused = np.concatenate([x.reshape(batch, -1), sem.reshape(batch, -1)], axis=1)
     grads = {}
     if cfg.use_fc:
-        z1 = fused @ params.fc1.weight.T + params.fc1.bias
+        fc1_w, fc1_b = params.views["fc1.weight"], params.views["fc1.bias"]
+        fc2_w, fc2_b = params.views["fc2.weight"], params.views["fc2.bias"]
+        z1 = fused @ fc1_w.T + fc1_b
         keep = dropout_rng.random(z1.shape) >= cfg.dropout
         scale = keep / (1.0 - cfg.dropout)
         a1 = np.maximum(z1, 0.0) * scale
-        out = a1 @ params.fc2.weight.T + params.fc2.bias
+        out = a1 @ fc2_w.T + fc2_b
         grads["fc2.weight"] = d_out.T @ a1
         grads["fc2.bias"] = d_out.sum(axis=0)
-        d_z1 = (d_out @ params.fc2.weight) * scale * (z1 > 0)
+        d_z1 = (d_out @ fc2_w) * scale * (z1 > 0)
         grads["fc1.weight"] = d_z1.T @ fused
         grads["fc1.bias"] = d_z1.sum(axis=0)
-        d_fused = d_z1 @ params.fc1.weight
+        d_fused = d_z1 @ fc1_w
     else:
         out, d_fused = fused, d_out
     d_x = d_fused[:, : cfg.conv_flat_dim].reshape(batch, cfg.conv_channels[-1], -1)
-    for i in range(len(params.conv) - 1, -1, -1):
-        layer = params.conv[i]
+    for i, layer in reversed(list(enumerate(conv_layers(params)))):
         xp, xhat, invstd, mask = cache[i]
         d_y = d_x * mask
         grads[f"conv{i + 1}.gamma"] = (d_y * xhat).sum(axis=(0, 2))
@@ -131,7 +143,7 @@ def naive_forward_infer(schema, sem, params):
     """Independent loop-based re-implementation of the inference pipeline."""
     cfg = params.config
     x = schema.T.copy()  # (60, 16)
-    for layer in params.conv:
+    for layer in conv_layers(params):
         cout, cin, k = layer.weight.shape
         pad = k // 2
         xp = np.zeros((cin, cfg.sequence_length + 2 * pad))
@@ -152,9 +164,9 @@ def naive_forward_infer(schema, sem, params):
     h = np.concatenate([x.reshape(-1), sem.reshape(-1)])
     if not cfg.use_fc:
         return h
-    z1 = params.fc1.weight @ h + params.fc1.bias
+    z1 = params.views["fc1.weight"] @ h + params.views["fc1.bias"]
     a1 = np.maximum(z1, 0.0)
-    return params.fc2.weight @ a1 + params.fc2.bias
+    return params.views["fc2.weight"] @ a1 + params.views["fc2.bias"]
 
 
 def test_init_deterministic_per_seed(base_config):
@@ -164,14 +176,14 @@ def test_init_deterministic_per_seed(base_config):
 
 def test_init_weight_bounds(base_config):
     params = init_params(3, base_config)
-    for layer in params.conv:
+    for layer in conv_layers(params):
         fan_in = layer.weight.shape[1] * layer.weight.shape[2]
         assert np.abs(layer.weight).max() <= np.sqrt(6.0 / fan_in)
         assert not layer.bias.any()
         assert (layer.gamma == 1.0).all() and not layer.beta.any()
         assert not layer.running_mean.any() and (layer.running_var == 1.0).all()
-    assert np.abs(params.fc1.weight).max() <= np.sqrt(6.0 / base_config.fc1_in)
-    assert np.abs(params.fc2.weight).max() <= np.sqrt(6.0 / base_config.output_dim)
+    assert np.abs(params.views["fc1.weight"]).max() <= np.sqrt(6.0 / base_config.fc1_in)
+    assert np.abs(params.views["fc2.weight"]).max() <= np.sqrt(6.0 / base_config.output_dim)
 
 
 def test_forward_matches_naive_oracle(rng, base_config):
@@ -234,6 +246,42 @@ def test_infer_does_not_mutate_params(rng, base_config):
     assert params_equal(params, before)
 
 
+def test_copy_params_shares_no_memory(base_config):
+    params = init_params(2, base_config)
+    copy = copy_params(params)
+    assert params_equal(copy, params)
+    assert not np.shares_memory(copy.values, params.values)
+    copy.views["conv1.weight"][0, 0, 0] += 1.0
+    assert not params_equal(copy, params)
+
+
+def test_named_views_alias_the_parameter_vector(rng, base_config):
+    params = init_params(6, base_config)
+    # The views tile the vector in checkpoint order.
+    offsets = {}
+    offset = 0
+    for name, view in params.views.items():
+        assert np.shares_memory(view, params.values[offset : offset + view.size]), name
+        offsets[name] = offset
+        offset += view.size
+    assert offset == params.values.size
+    # A write through a view shows in the vector.
+    fc1 = params.views["fc1.weight"]
+    fc1[2, 3] = 7.5
+    assert params.values[offsets["fc1.weight"] + 2 * fc1.shape[1] + 3] == 7.5
+    # A train-mode forward updates the running statistics inside the vector,
+    # and nothing else.
+    before = params.values.copy()
+    forward_batch(random_rule_ids(rng, 4), rng.normal(size=(4, 25, 17)), params, train=True,
+                  dropout_rng=np.random.default_rng(0))
+    stats = np.concatenate([
+        offsets[name] + np.arange(view.size)
+        for name, view in params.views.items() if ".running_" in name
+    ])
+    moved = np.flatnonzero(params.values != before)
+    assert moved.size and np.isin(moved, stats).all()
+
+
 def test_train_mode_batch_norm_statistics(rng, base_config):
     params = init_params(6, base_config)
     rule_ids = random_rule_ids(rng, 8)
@@ -243,7 +291,7 @@ def test_train_mode_batch_norm_statistics(rng, base_config):
         dropout_rng=np.random.default_rng(0), update_running_stats=False,
     )
     x = one_hot(rule_ids).transpose(0, 2, 1)  # (B, 60, 16)
-    for layer, xhat_rows in zip(params.conv, trace.conv_xhat):
+    for layer, xhat_rows in zip(conv_layers(params), trace.conv_xhat):
         xp = np.pad(x, ((0, 0), (0, 0), (1, 1)))
         windows = sliding_window_view(xp, layer.weight.shape[2], axis=2)
         z = np.einsum("bclk,ock->bol", windows, layer.weight) + layer.bias[None, :, None]
@@ -273,7 +321,7 @@ def test_running_stats_update_only_when_requested(rng, base_config):
     forward_batch(rule_ids, sems, params, train=True,
                   dropout_rng=np.random.default_rng(0), update_running_stats=True)
     assert not params_equal(params, before)
-    for layer, old in zip(params.conv, before.conv):
+    for layer, old in zip(conv_layers(params), conv_layers(before)):
         assert np.array_equal(layer.weight, old.weight)  # only stats moved
 
 
@@ -288,16 +336,17 @@ def test_train_step_matches_dense_reference_for_every_variant(rng, base_config):
         d_out = rng.normal(size=(512, config.embedding_dim))
         out, trace = forward_batch(rule_ids, sems, params, train=True,
                                    dropout_rng=np.random.default_rng(9))
-        grads = backward_batch(trace, d_out, params)
+        grads = param_views(config, backward_batch(trace, d_out, params))
         ref_out, ref_grads = dense_forward_backward(
             one_hot(rule_ids), sems, reference, np.random.default_rng(9), d_out
         )
         assert_close_to_reference(out, ref_out, f"{variant} output")
-        assert sorted(grads) == sorted(ref_grads)
-        for name in ref_grads:
-            assert_close_to_reference(grads[name], ref_grads[name], f"{variant} {name}")
-        for (name, arr), (_, ref) in zip(checkpoint_items(params), checkpoint_items(reference)):
-            assert_close_to_reference(arr, ref, f"{variant} {name}")
+        assert sorted(name for name, _ in trainable_items(params)) == sorted(ref_grads)
+        for name, grad in grads.items():
+            ref = ref_grads.get(name, np.zeros_like(grad))  # running statistics: zero
+            assert_close_to_reference(grad, ref, f"{variant} {name}")
+        for name, arr in params.views.items():
+            assert_close_to_reference(arr, reference.views[name], f"{variant} {name}")
 
 
 def test_semantic_rows_are_position_sensitive(rng, base_config):
@@ -338,8 +387,8 @@ def test_forward_rejects_invalid_rule_ids(base_config):
 
 def test_forward_rejects_non_finite_params(base_config):
     params = init_params(1, base_config)
-    params.fc1.weight[0, 0] = np.nan
-    with pytest.raises(EncoderError, match="non-finite"):
+    params.views["fc1.weight"][0, 0] = np.nan
+    with pytest.raises(EncoderError, match="non-finite parameter detected in fc1.weight"):
         forward(np.full(16, -1), np.zeros((25, 17)), params)
 
 
@@ -364,9 +413,8 @@ def test_checkpoint_roundtrip(tmp_path, base_config):
     assert config == base_config
     assert params_equal(loaded, params)
     assert load_checkpoint_extras(path) == {"note": 1}
-    # Bit-exactness of every payload array.
-    for (_, a), (_, b) in zip(checkpoint_items(params), checkpoint_items(loaded)):
-        assert a.tobytes() == b.tobytes()
+    # Bit-exactness of the whole payload.
+    assert loaded.values.tobytes() == params.values.tobytes()
 
 
 def test_checkpoint_roundtrip_no_fc(tmp_path):
@@ -386,10 +434,10 @@ def test_checkpoint_loads_hand_written_c2v1_layout(tmp_path):
     config = EncoderConfig()
     params = init_params(8, config)
     arrays = []
-    for layer in params.conv:
+    for layer in conv_layers(params):
         arrays += [layer.weight, layer.bias, layer.gamma, layer.beta,
                    layer.running_mean, layer.running_var]
-    arrays += [params.fc1.weight, params.fc1.bias, params.fc2.weight, params.fc2.bias]
+    arrays += [params.views[name] for name in ("fc1.weight", "fc1.bias", "fc2.weight", "fc2.bias")]
     header = json.dumps({
         "format_version": 1,
         "config": {
@@ -464,3 +512,17 @@ def test_config_validation():
         EncoderConfig(kernel_size=4)
     with pytest.raises(EncoderError):
         EncoderConfig(semantic_mode="bogus")
+    # Types are checked field by field: bools are not numbers, and numbers
+    # are not flags.
+    bad_fields = [
+        {"kernel_size": 3.0}, {"output_dim": "540"}, {"output_dim": True}, {"output_dim": 0},
+        {"conv_channels": (60, 30, 15, 8.0)}, {"conv_channels": (60,)},
+        {"conv_channels": [60, 30, 15, 8]}, {"conv_channels": (60, True, 15, 8)},
+        {"dropout": True}, {"dropout": "0.1"}, {"bn_eps": -1.0}, {"bn_eps": 0.0},
+        {"bn_eps": float("inf")}, {"bn_momentum": 1.5}, {"bn_momentum": float("nan")},
+        {"use_fc": "yes"}, {"use_locations": 1}, {"semantic_mode": None},
+    ]
+    for fields in bad_fields:
+        with pytest.raises(EncoderError, match=next(iter(fields))):
+            EncoderConfig(**fields)
+    assert EncoderConfig(dropout=0, bn_momentum=1).bn_momentum == 1

@@ -11,6 +11,7 @@ from chartembed.encoder import (
     copy_params,
     forward_batch,
     init_params,
+    param_views,
     params_equal,
     trainable_items,
 )
@@ -233,9 +234,7 @@ def test_zero_upstream_loss_gives_zero_gradients(rng, base_config):
     _, trace = forward_batch(rule_ids, sems, params, train=True,
                              dropout_rng=np.random.default_rng(0),
                              update_running_stats=False)
-    grads = backward_batch(trace, np.zeros((4, 540)), params)
-    for name, _ in trainable_items(params):
-        assert not grads[name].any(), name
+    assert not backward_batch(trace, np.zeros((4, 540)), params).any()
 
 
 def test_grad_check_passes(base_config):
@@ -278,9 +277,9 @@ def test_grad_check_epsilon_window(base_config):
 def test_adam_constant_gradient_step_size(base_config):
     params = init_params(0, base_config)
     state = init_adam(params)
-    grads = {name: np.full_like(arr, 0.37) for name, arr in trainable_items(params)}
+    grads = np.full_like(params.values, 0.37)
     lr = 0.01
-    probe = params.fc2.bias
+    probe = params.views["fc2.bias"]
     previous = probe.copy()
     deltas = []
     for _ in range(1000):
@@ -296,15 +295,55 @@ def test_adam_zero_gradient_keeps_params(base_config):
     params = init_params(0, base_config)
     before = copy_params(params)
     state = init_adam(params)
-    zeros = {name: np.zeros_like(arr) for name, arr in trainable_items(params)}
+    zeros = np.zeros_like(params.values)
     adam_step(params, zeros, state, 0.01)
     assert params_equal(params, before)
     assert state.step == 1
     # Pre-loaded moments decay toward zero under zero gradients.
-    state.m = {k: np.full_like(v, 0.5) for k, v in state.m.items()}
+    state.m[:] = 0.5
     adam_step(params, zeros, state, 0.0)  # lr 0: observe the decay alone
-    for k in state.m:
-        assert np.allclose(state.m[k], 0.45)
+    assert np.allclose(state.m, 0.45)
+
+
+def per_array_adam(arrays, grads, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam over a dict of arrays, one update per array: the reference for
+    the update of the whole parameter vector."""
+    bc1 = 1.0 - beta1**step
+    bc2 = 1.0 - beta2**step
+    for name, arr in arrays.items():
+        g = grads[name]
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * g * g
+        arr -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+
+
+def test_adam_step_matches_per_array_reference(rng, base_config):
+    params = init_params(0, base_config)
+    for name, view in params.views.items():
+        if ".running_" in name:  # off their init values, so any change shows
+            view[...] = rng.normal(size=view.shape)
+    stats = {name: view.copy() for name, view in params.views.items() if ".running_" in name}
+    arrays = {name: arr.copy() for name, arr in trainable_items(params)}
+    m = {name: np.zeros_like(arr) for name, arr in arrays.items()}
+    v = {name: np.zeros_like(arr) for name, arr in arrays.items()}
+    state = init_adam(params)
+    for step in range(1, 6):
+        grad = np.zeros_like(params.values)
+        grads = param_views(params.config, grad)
+        for name in arrays:  # gradients over many magnitudes, zero for the statistics
+            grads[name][...] = rng.normal(size=grads[name].shape) * 10.0 ** rng.integers(-8, 3)
+        adam_step(params, grad, state, 0.01)
+        per_array_adam(arrays, grads, m, v, step, 0.01)
+    state_m, state_v = param_views(params.config, state.m), param_views(params.config, state.v)
+    for name, arr in arrays.items():
+        assert params.views[name].tobytes() == arr.tobytes(), name
+        assert state_m[name].tobytes() == m[name].tobytes(), name
+        assert state_v[name].tobytes() == v[name].tobytes(), name
+    for name, before in stats.items():
+        assert params.views[name].tobytes() == before.tobytes(), name
+        assert not state_m[name].any() and not state_v[name].any(), name
 
 
 def test_adam_deterministic(base_config):
@@ -314,8 +353,7 @@ def test_adam_deterministic(base_config):
         state = init_adam(params)
         rng = np.random.default_rng(5)
         for _ in range(3):
-            grads = {name: rng.normal(size=arr.shape) for name, arr in trainable_items(params)}
-            adam_step(params, grads, state, 0.01)
+            adam_step(params, rng.normal(size=params.values.shape), state, 0.01)
         runs.append(params)
     assert params_equal(runs[0], runs[1])
 
@@ -350,7 +388,7 @@ def test_train_overfits_fixture_corpus(fixture_corpus, store, base_config):
 def test_train_divergence_raises(fixture_corpus, store, base_config):
     samples = build_samples(fixture_corpus, store, 1, "same-dataset-first", 0, base_config)
     params = init_params(0, base_config)
-    params.fc2.weight *= 1e200  # finite but explosive
+    params.views["fc2.weight"][...] *= 1e200  # finite but explosive
     with pytest.raises(TrainingDivergedError):
         train(samples, HyperParams(epochs=1), params)
 
