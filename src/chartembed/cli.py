@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import platform
 import sys
@@ -141,6 +142,39 @@ def _check_embedding_dim(dim: int) -> Optional[str]:
     return None
 
 
+# Every key that a --config file may hold, with the JSON type of its value:
+# an int key takes a JSON integer, a float key any JSON number; a bool is
+# neither, though Python counts it as an int.
+_CONFIG_TYPES = {
+    "alpha": float,
+    "beta": float,
+    "margin": float,
+    "lr": float,
+    "dropout": float,
+    "test_fraction": float,
+    "batch": int,
+    "epochs": int,
+    "seed": int,
+    "negatives": int,
+    "policy": str,
+}
+_TYPE_NAMES = {float: "a number", int: "an integer", str: "a string"}
+
+
+def _checked(name: str, value):
+    """The value of key `name`, as a float for a float key. Raises ValueError,
+    naming the key, for a value of the wrong type and a non-finite number."""
+    kind = _CONFIG_TYPES[name]
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValueError(f"{name}: expected {_TYPE_NAMES[kind]}, got {json.dumps(value)}")
+    if kind is not float:
+        return value
+    if not math.isfinite(value):
+        raise ValueError(f"{name}: expected a finite number, got {value}")
+    return float(value)
+
+
 def _load_config_file(path: Optional[str]) -> dict:
     if path is None:
         return {}
@@ -148,17 +182,18 @@ def _load_config_file(path: Optional[str]) -> dict:
         obj = json.load(fh)
     if not isinstance(obj, dict):
         raise ValueError("config file must hold a JSON object")
-    return obj
+    unknown = sorted(set(obj) - set(_CONFIG_TYPES))
+    if unknown:
+        raise ValueError(f"unknown config key {unknown[0]!r}; known: {sorted(_CONFIG_TYPES)}")
+    return {name: _checked(name, value) for name, value in obj.items()}
 
 
 def _resolve(args: argparse.Namespace, file_config: dict, name: str, default):
     """Flag wins over config file, config file over default."""
     value = getattr(args, name, None)
     if value is not None:
-        return value
-    if name in file_config:
-        return file_config[name]
-    return default
+        return _checked(name, value)
+    return file_config.get(name, default)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -180,14 +215,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def _hyper_from(args: argparse.Namespace, file_config: dict) -> HyperParams:
     return HyperParams(
-        alpha=float(_resolve(args, file_config, "alpha", 0.5)),
-        beta=float(_resolve(args, file_config, "beta", 10.0)),
-        margin=float(_resolve(args, file_config, "margin", 1.0)),
-        learning_rate=float(_resolve(args, file_config, "lr", 0.01)),
-        batch_size=int(_resolve(args, file_config, "batch", 128)),
-        epochs=int(_resolve(args, file_config, "epochs", 10)),
-        dropout=float(_resolve(args, file_config, "dropout", 0.1)),
-        seed=int(_resolve(args, file_config, "seed", 0)),
+        alpha=_resolve(args, file_config, "alpha", 0.5),
+        beta=_resolve(args, file_config, "beta", 10.0),
+        margin=_resolve(args, file_config, "margin", 1.0),
+        learning_rate=_resolve(args, file_config, "lr", 0.01),
+        batch_size=_resolve(args, file_config, "batch", 128),
+        epochs=_resolve(args, file_config, "epochs", 10),
+        dropout=_resolve(args, file_config, "dropout", 0.1),
+        seed=_resolve(args, file_config, "seed", 0),
     )
 
 
@@ -200,8 +235,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     try:
         file_config = _load_config_file(args.config)
         hyper = _hyper_from(args, file_config)
-        test_fraction = float(_resolve(args, file_config, "test_fraction", 0.1))
-        negatives = int(_resolve(args, file_config, "negatives", 1))
+        test_fraction = _resolve(args, file_config, "test_fraction", 0.1)
+        negatives = _resolve(args, file_config, "negatives", 1)
         policy = _resolve(args, file_config, "policy", "same-dataset-first")
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -374,7 +409,11 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     try:
         file_config = _load_config_file(args.config)
         hyper = _hyper_from(args, file_config)
-        test_fraction = float(_resolve(args, file_config, "test_fraction", 0.0))
+        test_fraction = _resolve(args, file_config, "test_fraction", 0.0)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
         store = load_vector_store(args.vectors)
         corpus = load_corpus(args.corpus, strict=True)
     except OSError as exc:
@@ -391,8 +430,9 @@ def cmd_ablate(args: argparse.Namespace) -> int:
             train_corpus = eval_corpus = corpus
         results = run_ablation(
             train_corpus, eval_corpus, store, hyper, variants, hyper.seed,
+            trace_memory=args.trace_memory,
         )
-    except (CorpusError, EvaluationError) as exc:
+    except (CorpusError, EvaluationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 
@@ -408,6 +448,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
                 "seed": hyper.seed,
                 "epochs": hyper.epochs,
                 "test_fraction": test_fraction,
+                "trace_memory": args.trace_memory,
             },
             {"corpus": args.corpus, "vectors": args.vectors},
             [args.out],
@@ -579,6 +620,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="eval on a held-out split; 0 evaluates on the training corpus (default 0)")
     p.add_argument("--config", help="JSON config file; flags win on conflict")
     p.add_argument("--out", help="write the results CSV here")
+    p.add_argument("--trace-memory", dest="trace_memory", action="store_true",
+                   help="trace allocations to fill the peak_bytes column; slows the run, "
+                        "so wall_ms overstates the time")
     p.add_argument("--embedding-dim", dest="embedding_dim", type=int, default=100,
                    help="word-vector width; fixed at 100")
     p.set_defaults(func=cmd_ablate)

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, build_samples, encode_corpus
+from .corpus import Corpus, EncodedCorpus, build_samples, encode_corpus
 from .encoder import EncoderConfig, EncoderParams, forward_batch, init_params
 from .learning import HyperParams, train
 from .semantics import VectorStore
@@ -66,9 +66,13 @@ class EmbeddingIndex:
 
 def build_index(corpus: Corpus, params: EncoderParams, store: VectorStore) -> EmbeddingIndex:
     """Embed every chart of the corpus in inference mode; all must be finite."""
-    if not corpus.chart_count:
+    return index_encoded(encode_corpus(corpus, store, params.config), params)
+
+
+def index_encoded(encoded: EncodedCorpus, params: EncoderParams) -> EmbeddingIndex:
+    """build_index for a corpus already encoded under params.config."""
+    if not len(encoded):
         return EmbeddingIndex((), (), (), (), np.zeros((0, 0)))
-    encoded = encode_corpus(corpus, store, params.config)
     # An overflow shows up as the non-finite embedding reported below.
     with np.errstate(all="ignore"):
         vectors, _ = forward_batch(*encoded.rows(np.arange(len(encoded))), params, train=False)
@@ -270,7 +274,7 @@ class AblationResult:
     variant: str
     metrics: Optional[MetricsReport]
     wall_ms: float
-    peak_bytes: int
+    peak_bytes: Optional[int]  # None unless the run traced memory
     final_l1: Optional[float]
     final_l2: Optional[float]
     error: Optional[str] = None
@@ -286,10 +290,13 @@ def run_ablation(
     negatives_per_window: int = 1,
     policy: str = "same-dataset-first",
     base_config: Optional[EncoderConfig] = None,
+    trace_memory: bool = False,
 ) -> list[AblationResult]:
     """Train and evaluate each variant from the same seed and corpus.
 
-    A failing variant is flagged and the rest continue.
+    A failing variant is flagged and the rest continue. With trace_memory,
+    each variant runs inside tracemalloc and reports its peak traced bytes;
+    tracing slows every allocation, so wall_ms then overstates the time.
     """
     if not variants:
         raise EvaluationError("no variants requested")
@@ -300,7 +307,9 @@ def run_ablation(
     results: list[AblationResult] = []
     for variant in variants:
         started = time.perf_counter()
-        tracemalloc.start()
+        if trace_memory:
+            tracemalloc.start()
+        metrics = final = error = None
         try:
             config, loss_mask = variant_switches(variant, base)
             sample_set = build_samples(
@@ -308,50 +317,50 @@ def run_ablation(
             )
             params = init_params(seed, config)
             params, history = train(sample_set, hyper, params, loss_mask)
-            index = build_index(eval_corpus, params, store)
+            if eval_corpus is train_corpus:
+                index = index_encoded(sample_set.encoded, params)
+            else:
+                index = build_index(eval_corpus, params, store)
             metrics = compute_metrics(index)
             final = history[-1] if history else None
-            results.append(
-                AblationResult(
-                    variant=variant,
-                    metrics=metrics,
-                    wall_ms=(time.perf_counter() - started) * 1000.0,
-                    peak_bytes=tracemalloc.get_traced_memory()[1],
-                    final_l1=final.l1 if final and loss_mask[0] else None,
-                    final_l2=final.l2 if final and loss_mask[1] else None,
-                )
-            )
             log.info(
                 "variant %s: top2=%.3f top3=%.3f cooc=%.3f",
                 variant, metrics.top2, metrics.top3, metrics.cooccurrence,
             )
         except Exception as exc:  # noqa: BLE001 - variant failures are data
-            results.append(
-                AblationResult(
-                    variant=variant,
-                    metrics=None,
-                    wall_ms=(time.perf_counter() - started) * 1000.0,
-                    peak_bytes=tracemalloc.get_traced_memory()[1],
-                    final_l1=None,
-                    final_l2=None,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+            error = f"{type(exc).__name__}: {exc}"
             log.warning("variant %s failed: %s", variant, exc)
         finally:
-            tracemalloc.stop()
+            wall_ms = (time.perf_counter() - started) * 1000.0
+            peak_bytes = None
+            if trace_memory:
+                peak_bytes = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+        results.append(
+            AblationResult(
+                variant=variant,
+                metrics=metrics,
+                wall_ms=wall_ms,
+                peak_bytes=peak_bytes,
+                final_l1=final.l1 if final and loss_mask[0] else None,
+                final_l2=final.l2 if final and loss_mask[1] else None,
+                error=error,
+            )
+        )
     return results
 
 
 def ablation_csv(results: Sequence[AblationResult]) -> str:
-    """CSV with one row per successful variant."""
+    """CSV with one row per successful variant; the peak_bytes cell is empty
+    when the run did not trace memory."""
     lines = ["variant,top2,top3,cooccurrence,wall_ms,peak_bytes"]
     for row in results:
         if row.metrics is None:
             continue
         lines.append(
             f"{row.variant},{row.metrics.top2:.6f},{row.metrics.top3:.6f},"
-            f"{row.metrics.cooccurrence:.6f},{row.wall_ms:.1f},{row.peak_bytes}"
+            f"{row.metrics.cooccurrence:.6f},{row.wall_ms:.1f},"
+            f"{'' if row.peak_bytes is None else row.peak_bytes}"
         )
     return "\n".join(lines) + "\n"
 

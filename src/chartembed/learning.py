@@ -13,6 +13,7 @@ exact and hand-derived; parameters update with Adam.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -52,6 +53,9 @@ class HyperParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "margin", "learning_rate"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be >= 0")
         if self.margin <= 0:
@@ -246,6 +250,12 @@ def init_adam(params: EncoderParams) -> AdamState:
     return AdamState(m=np.zeros_like(params.values), v=np.zeros_like(params.values))
 
 
+# Adam walks the parameter vector in blocks of this many values, so that the
+# block's parameters, moments, gradient and two temporaries stay in L2 cache
+# across the dozen passes of the update.
+_ADAM_BLOCK = 16384
+
+
 def adam_step(
     params: EncoderParams,
     grad: np.ndarray,
@@ -265,22 +275,29 @@ def adam_step(
     state.step += 1
     bc1 = 1.0 - state.beta1**state.step
     bc2 = 1.0 - state.beta2**state.step
-    # Each value rounds as in m += (1 - beta1) * g; v += (1 - beta2) * g * g;
-    # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps).
-    update = (1.0 - state.beta1) * grad
-    state.m *= state.beta1
-    state.m += update
-    np.multiply(1.0 - state.beta2, grad, out=update)
-    update *= grad
-    state.v *= state.beta2
-    state.v += update
-    denom = state.v / bc2
-    np.sqrt(denom, out=denom)
-    denom += state.eps
-    np.divide(state.m, bc1, out=update)
-    update *= lr
-    update /= denom
-    params.values -= update
+    size = min(_ADAM_BLOCK, len(grad))
+    update_block, denom_block = np.empty(size), np.empty(size)
+    for lo in range(0, len(grad), _ADAM_BLOCK):
+        g = grad[lo : lo + _ADAM_BLOCK]
+        m = state.m[lo : lo + _ADAM_BLOCK]
+        v = state.v[lo : lo + _ADAM_BLOCK]
+        update, denom = update_block[: len(g)], denom_block[: len(g)]
+        # Each value rounds as in m += (1 - beta1) * g; v += (1 - beta2) * g * g;
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps).
+        np.multiply(1.0 - state.beta1, g, out=update)
+        m *= state.beta1
+        m += update
+        np.multiply(1.0 - state.beta2, g, out=update)
+        update *= g
+        v *= state.beta2
+        v += update
+        np.divide(v, bc2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        np.divide(m, bc1, out=update)
+        update *= lr
+        update /= denom
+        params.values[lo : lo + _ADAM_BLOCK] -= update
     return params, state
 
 
@@ -292,6 +309,7 @@ def grad_check(
     n_coords: int = 200,
     seed: int = 0,
     corrupt: bool = False,
+    loss_mask: tuple[bool, bool] = (True, True),
 ) -> float:
     """Max relative error of analytic vs central-difference gradients.
 
@@ -304,8 +322,9 @@ def grad_check(
     weights. A conv coordinate moves every activation of the batch, so its
     probes can straddle a ReLU or hinge kink; such a coordinate is probed
     again with a smaller step, and skipped when the kink is at the point
-    itself. The corrupt flag deliberately perturbs one conv gradient to
-    prove the check can fail.
+    itself. loss_mask selects the loss terms as in training. The corrupt
+    flag deliberately perturbs one conv gradient to prove the check can
+    fail.
     """
     if n_coords < 1:
         raise ValueError("gradient check needs at least one coordinate")
@@ -313,13 +332,19 @@ def grad_check(
     work = EncoderParams(replace(params.config, dropout=0.0), params.values.copy())
 
     def run():
-        return combined_loss(*batch, work, hyper_nd, train=True, update_running_stats=False)
+        return combined_loss(
+            *batch, work, hyper_nd, train=True, update_running_stats=False, loss_mask=loss_mask
+        )
 
     def kink_sides(trace, emb) -> np.ndarray:
-        """The side of every ReLU and hinge kink that the batch sits on."""
-        prev, _, nxt, neg = np.split(emb, 4)
-        hinge = _row_distances(prev - nxt) - _row_distances(prev - neg) + hyper.margin > 0.0
-        sides = [*trace.conv_relu_mask, hinge]
+        """The side of every ReLU kink, and of the hinge kink unless the
+        hinge is masked, that the batch sits on."""
+        sides = list(trace.conv_relu_mask)
+        if loss_mask[1]:
+            prev, _, nxt, neg = np.split(emb, 4)
+            sides.append(
+                _row_distances(prev - nxt) - _row_distances(prev - neg) + hyper.margin > 0.0
+            )
         if trace.fc1_gate is not None:
             sides.append(trace.fc1_gate > 0)
         return np.concatenate([side.ravel() for side in sides])
@@ -330,7 +355,7 @@ def grad_check(
         return total, kink_sides(trace, emb)
 
     _, _, trace, emb = run()
-    grads = param_views(work.config, backward(trace, emb, work, hyper_nd))
+    grads = param_views(work.config, backward(trace, emb, work, hyper_nd, loss_mask))
     if corrupt:
         grads["conv1.weight"][...] = grads["conv1.weight"] * 1.05 + 0.01
 

@@ -212,6 +212,44 @@ def test_config_file_flags_win(tmp_path, fixture_corpus_path, fixture_vectors_pa
     assert extras["seed"] == 22  # flag beats config file
 
 
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize(
+    "config, flags, key, code",
+    [
+        ('{"epochs": true}', [], "epochs", 2),
+        ('{"batch": 2.7}', [], "batch", 2),
+        ('{"lr": "0.02"}', [], "lr", 2),
+        ('{"learning_rate": 0.5}', [], "learning_rate", 2),
+        ('{"seed": 1.9}', [], "seed", 2),
+        ('{"test_fraction": "0"}', [], "test_fraction", 2),
+        ('{"negatives": false}', [], "negatives", 2),
+        ('{"policy": 3}', [], "policy", 2),
+        ('{"dropout": null}', [], "dropout", 2),
+        ('{"margin": Infinity}', [], "margin", 2),
+        ('{"alpha": NaN}', [], "alpha", 2),
+        (None, ["--lr", "inf"], "lr", 2),
+        (None, ["--alpha", "nan"], "alpha", 2),
+        (None, ["--beta=-inf"], "beta", 2),
+        (None, ["--test-fraction", "1.5"], "test_fraction", 1),
+    ],
+)
+def test_bad_hyperparameters_name_the_key(
+    tmp_path, fixture_corpus_path, fixture_vectors_path, capsys, command, config, flags, key, code
+):
+    args = [command, fixture_corpus_path, fixture_vectors_path]
+    if command == "train":
+        args.append(str(tmp_path / "model.ckpt"))
+    else:
+        args += ["--variants", "full"]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(config, encoding="utf-8")
+        args += ["--config", str(path)]
+    assert main(args + flags) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and key in err[0], err
+
+
 def test_embed_row_count(index_path, fixture_corpus):
     index = load_index(index_path)
     assert len(index) == fixture_corpus.chart_count
@@ -434,18 +472,22 @@ def test_eval_empty_index(tmp_path):
 
 def test_ablate_single_variant(tmp_path, fixture_corpus_path, fixture_vectors_path, capsys):
     out = tmp_path / "ablation.csv"
-    code = main(
-        [
-            "ablate", fixture_corpus_path, fixture_vectors_path,
-            "--variants", "full", "--epochs", "1", "--seed", "0",
-            "--out", str(out),
-        ]
-    )
-    assert code == 0
-    assert "full" in capsys.readouterr().out
-    lines = out.read_text(encoding="utf-8").strip().splitlines()
-    assert lines[0] == "variant,top2,top3,cooccurrence,wall_ms,peak_bytes"
-    assert len(lines) == 2
+    args = [
+        "ablate", fixture_corpus_path, fixture_vectors_path,
+        "--variants", "full", "--epochs", "1", "--seed", "0",
+        "--out", str(out),
+    ]
+    # peak_bytes is filled only when memory is traced.
+    for flags, traced in (([], False), (["--trace-memory"], True)):
+        assert main(args + flags) == 0
+        assert "full" in capsys.readouterr().out
+        lines = out.read_text(encoding="utf-8").strip().splitlines()
+        assert lines[0] == "variant,top2,top3,cooccurrence,wall_ms,peak_bytes"
+        assert len(lines) == 2
+        peak = lines[1].split(",")[5]
+        assert (peak.isdigit() and int(peak) > 0) if traced else peak == "", peak
+        manifest = json.loads(open(str(out) + ".manifest.json", encoding="utf-8").read())
+        assert manifest["config"]["trace_memory"] is traced
 
 
 def test_ablate_unknown_variant(fixture_corpus_path, fixture_vectors_path):

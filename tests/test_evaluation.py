@@ -287,29 +287,38 @@ def test_variant_switches_mapping(base_config):
 
 
 def test_run_ablation_full_equals_plain_run(fixture_corpus, store, base_config):
-    from chartembed.corpus import build_samples
+    from chartembed.corpus import build_samples, split_corpus
     from chartembed.learning import train
 
     hyper = HyperParams(epochs=2, seed=3, dropout=0.1)
-    results = run_ablation(fixture_corpus, fixture_corpus, store, hyper, ["full"], seed=3)
-    assert results[0].error is None
-
     config, _ = variant_switches("full", base_config)
-    samples = build_samples(fixture_corpus, store, 1, "same-dataset-first", 3, config)
-    params, _ = train(samples, hyper, init_params(3, config))
-    report = compute_metrics(build_index(fixture_corpus, params, store))
-    assert results[0].metrics.top2 == report.top2
-    assert results[0].metrics.top3 == report.top3
-    assert results[0].metrics.cooccurrence == report.cooccurrence
+    # Evaluated on the training corpus, whose encoding run_ablation reuses,
+    # and on a held-out split, which it encodes.
+    for train_corpus, eval_corpus in [
+        (fixture_corpus, fixture_corpus),
+        split_corpus(fixture_corpus, 0.3, 3),
+    ]:
+        results = run_ablation(train_corpus, eval_corpus, store, hyper, ["full"], seed=3)
+        assert results[0].error is None
+        assert results[0].peak_bytes is None  # memory is traced only on request
+
+        samples = build_samples(train_corpus, store, 1, "same-dataset-first", 3, config)
+        params, history = train(samples, hyper, init_params(3, config))
+        report = compute_metrics(build_index(eval_corpus, params, store))
+        assert results[0].metrics == report  # every retrieved id and distance too
+        assert results[0].final_l1 == history[-1].l1
+        assert results[0].final_l2 == history[-1].l2
 
 
 def test_run_ablation_masked_loss_column(fixture_corpus, store):
     hyper = HyperParams(epochs=1, seed=0)
     results = run_ablation(
-        fixture_corpus, fixture_corpus, store, hyper, ["no-classification"], seed=0
+        fixture_corpus, fixture_corpus, store, hyper, ["no-classification"], seed=0,
+        trace_memory=True,
     )
     row = results[0]
     assert row.error is None
+    assert isinstance(row.peak_bytes, int) and row.peak_bytes > 0
     assert row.final_l2 is None
     assert row.final_l1 is not None
     table = render_ablation_table(results)
@@ -355,14 +364,16 @@ def test_run_ablation_rejects_unknown_variant(fixture_corpus, store):
 def test_ablation_csv_layout():
     results = [
         AblationResult(
-            variant="full",
+            variant=variant,
             metrics=compute_metrics(planted_index()),
             wall_ms=12.0,
-            peak_bytes=1000,
+            peak_bytes=peak_bytes,
             final_l1=1.0,
             final_l2=2.0,
         )
+        for variant, peak_bytes in (("full", None), ("no-pos", 1000))
     ]
     lines = ablation_csv(results).strip().splitlines()
     assert lines[0] == "variant,top2,top3,cooccurrence,wall_ms,peak_bytes"
-    assert lines[1].startswith("full,")
+    assert lines[1].startswith("full,") and lines[1].endswith(",12.0,")  # not traced
+    assert lines[2].startswith("no-pos,") and lines[2].endswith(",12.0,1000")

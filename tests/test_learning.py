@@ -11,12 +11,14 @@ from chartembed.encoder import (
     copy_params,
     forward_batch,
     init_params,
+    param_count,
     param_views,
     params_equal,
     trainable_items,
 )
 from chartembed.evaluation import ABLATION_VARIANTS, variant_switches
 from chartembed.learning import (
+    _ADAM_BLOCK,
     HyperParams,
     TrainingDivergedError,
     adam_step,
@@ -248,10 +250,10 @@ def test_grad_check_passes(base_config):
 
 def test_grad_check_every_ablation_variant(base_config):
     for variant in ABLATION_VARIANTS:
-        config, _ = variant_switches(variant, base_config)
+        config, loss_mask = variant_switches(variant, base_config)
         params = init_params(0, config)
         error = grad_check(_gradcheck_batch(0, config), params, HyperParams(),
-                           epsilon=1e-5, n_coords=200, seed=0)
+                           epsilon=1e-5, n_coords=200, seed=0, loss_mask=loss_mask)
         assert error < 1e-4, variant
 
 
@@ -272,6 +274,13 @@ def test_grad_check_epsilon_window(base_config):
     assert good < 1e-4
     assert coarse > good
     assert tiny > good
+
+
+@pytest.mark.parametrize("name", ["alpha", "beta", "margin", "learning_rate"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_hyper_params_reject_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        HyperParams(**{name: value})
 
 
 def test_adam_constant_gradient_step_size(base_config):
@@ -320,30 +329,38 @@ def per_array_adam(arrays, grads, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e
 
 
 def test_adam_step_matches_per_array_reference(rng, base_config):
-    params = init_params(0, base_config)
-    for name, view in params.views.items():
-        if ".running_" in name:  # off their init values, so any change shows
-            view[...] = rng.normal(size=view.shape)
-    stats = {name: view.copy() for name, view in params.views.items() if ".running_" in name}
-    arrays = {name: arr.copy() for name, arr in trainable_items(params)}
-    m = {name: np.zeros_like(arr) for name, arr in arrays.items()}
-    v = {name: np.zeros_like(arr) for name, arr in arrays.items()}
-    state = init_adam(params)
-    for step in range(1, 6):
-        grad = np.zeros_like(params.values)
-        grads = param_views(params.config, grad)
-        for name in arrays:  # gradients over many magnitudes, zero for the statistics
-            grads[name][...] = rng.normal(size=grads[name].shape) * 10.0 ** rng.integers(-8, 3)
-        adam_step(params, grad, state, 0.01)
-        per_array_adam(arrays, grads, m, v, step, 0.01)
-    state_m, state_v = param_views(params.config, state.m), param_views(params.config, state.v)
-    for name, arr in arrays.items():
-        assert params.views[name].tobytes() == arr.tobytes(), name
-        assert state_m[name].tobytes() == m[name].tobytes(), name
-        assert state_v[name].tobytes() == v[name].tobytes(), name
-    for name, before in stats.items():
-        assert params.views[name].tobytes() == before.tobytes(), name
-        assert not state_m[name].any() and not state_v[name].any(), name
+    # The default vector spans many blocks and ends in a partial one; the
+    # no-fc vector is shorter than one block.
+    full, _ = variant_switches("full", base_config)
+    no_fc, _ = variant_switches("no-fc", base_config)
+    assert param_count(full) > 2 * _ADAM_BLOCK and param_count(full) % _ADAM_BLOCK
+    assert param_count(no_fc) < _ADAM_BLOCK
+    for config in (full, no_fc):
+        params = init_params(0, config)
+        for name, view in params.views.items():
+            if ".running_" in name:  # off their init values, so any change shows
+                view[...] = rng.normal(size=view.shape)
+        stats = {n: view.copy() for n, view in params.views.items() if ".running_" in n}
+        arrays = {name: arr.copy() for name, arr in trainable_items(params)}
+        m = {name: np.zeros_like(arr) for name, arr in arrays.items()}
+        v = {name: np.zeros_like(arr) for name, arr in arrays.items()}
+        state = init_adam(params)
+        for step in range(1, 6):
+            grad = np.zeros_like(params.values)
+            grads = param_views(params.config, grad)
+            for name in arrays:  # gradients over many magnitudes, zero for the statistics
+                grads[name][...] = rng.normal(size=grads[name].shape) * 10.0 ** rng.integers(-8, 3)
+            adam_step(params, grad, state, 0.01)
+            per_array_adam(arrays, grads, m, v, step, 0.01)
+        state_m = param_views(params.config, state.m)
+        state_v = param_views(params.config, state.v)
+        for name, arr in arrays.items():
+            assert params.views[name].tobytes() == arr.tobytes(), name
+            assert state_m[name].tobytes() == m[name].tobytes(), name
+            assert state_v[name].tobytes() == v[name].tobytes(), name
+        for name, before in stats.items():
+            assert params.views[name].tobytes() == before.tobytes(), name
+            assert not state_m[name].any() and not state_v[name].any(), name
 
 
 def test_adam_deterministic(base_config):
