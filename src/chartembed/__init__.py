@@ -24,7 +24,7 @@ from .facts import (
     validate_fact,
 )
 from .grammar import RuleSequence, decode_skeleton, derive_rules, encode_one_hot, grammar_dump
-from .semantics import VectorStore, build_semantic_block, extract_tokens, load_vector_store, pool_word
+from .semantics import VectorStore, extract_tokens, load_vector_store, pool_word
 from .encoder import (
     EncoderConfig,
     EncoderParams,
@@ -75,7 +75,6 @@ __all__ = [
     "adam_step",
     "build_index",
     "build_samples",
-    "build_semantic_block",
     "combined_loss",
     "compute_metrics",
     "decode_skeleton",

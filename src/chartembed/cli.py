@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .corpus import (
+    NEGATIVE_POLICIES,
     Corpus,
     CorpusError,
     MultiViewVis,
@@ -142,37 +143,37 @@ def _check_embedding_dim(dim: int) -> Optional[str]:
     return None
 
 
-# Every key that a --config file may hold, with the JSON type of its value:
-# an int key takes a JSON integer, a float key any JSON number; a bool is
+# Every key that a --config file or a flag may set: its JSON type and range.
+# An int key takes a JSON integer, a float key any JSON number; a bool is
 # neither, though Python counts it as an int.
 _CONFIG_TYPES = {
-    "alpha": float,
-    "beta": float,
-    "margin": float,
-    "lr": float,
-    "dropout": float,
-    "test_fraction": float,
-    "batch": int,
-    "epochs": int,
-    "seed": int,
-    "negatives": int,
-    "policy": str,
+    "alpha": (float, ">= 0", lambda v: v >= 0),
+    "beta": (float, ">= 0", lambda v: v >= 0),
+    "margin": (float, "> 0", lambda v: v > 0),
+    "lr": (float, "> 0", lambda v: v > 0),
+    "dropout": (float, "in [0, 1)", lambda v: 0 <= v < 1),
+    "test_fraction": (float, "in [0, 1)", lambda v: 0 <= v < 1),
+    "batch": (int, ">= 1", lambda v: v >= 1),
+    "epochs": (int, ">= 0", lambda v: v >= 0),
+    "seed": (int, ">= 0", lambda v: v >= 0),
+    "negatives": (int, ">= 1", lambda v: v >= 1),
+    "policy": (str, f"one of {list(NEGATIVE_POLICIES)}", lambda v: v in NEGATIVE_POLICIES),
 }
 _TYPE_NAMES = {float: "a number", int: "an integer", str: "a string"}
 
 
 def _checked(name: str, value):
     """The value of key `name`, as a float for a float key. Raises ValueError,
-    naming the key, for a value of the wrong type and a non-finite number."""
-    kind = _CONFIG_TYPES[name]
+    naming the key, for a wrong type, a non-finite number or a value out of range."""
+    kind, allowed, in_range = _CONFIG_TYPES[name]
     accepted = (int, float) if kind is float else kind
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ValueError(f"{name}: expected {_TYPE_NAMES[kind]}, got {json.dumps(value)}")
-    if kind is not float:
-        return value
-    if not math.isfinite(value):
+    if kind is float and not math.isfinite(value):
         raise ValueError(f"{name}: expected a finite number, got {value}")
-    return float(value)
+    if not in_range(value):
+        raise ValueError(f"{name}: must be {allowed}, got {json.dumps(value)}")
+    return float(value) if kind is float else value
 
 
 def _load_config_file(path: Optional[str]) -> dict:

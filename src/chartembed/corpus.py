@@ -271,16 +271,15 @@ class EncodedCorpus:
 def encode_corpus(corpus: Corpus, store: VectorStore, config: EncoderConfig) -> EncodedCorpus:
     """Encode every chart of the corpus exactly once, in corpus order."""
     rule_ids = np.full((corpus.chart_count, grammar.MAX_SEQUENCE_LENGTH), -1, dtype=np.int8)
-    blocks = np.empty((corpus.chart_count, *config.semantic_shape))
+    tokens = []
     columns = []
     for vis in corpus.visualizations:
         for position, (chart_id, fact) in enumerate(vis.charts):
             ids = grammar.derive_rules(fact).ids
             rule_ids[len(columns), : len(ids)] = ids
-            blocks[len(columns)] = semantics.encode_semantics(
-                semantics.extract_tokens(fact), store, config.semantic_mode, config.use_locations
-            )
+            tokens.append(semantics.extract_tokens(fact))
             columns.append((chart_id, vis.id, vis.dataset_id, vis.domain, position))
+    blocks = semantics.encode_semantics(tokens, store, config.semantic_mode, config.use_locations)
     chart_ids, vis_ids, dataset_ids, domains, positions = list(zip(*columns)) or [()] * 5
     return EncodedCorpus(
         chart_ids, vis_ids, dataset_ids, domains, np.array(positions, dtype=np.int64),

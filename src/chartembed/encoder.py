@@ -412,18 +412,23 @@ def forward(
     return out[0], trace
 
 
-def backward_batch(trace: ForwardTrace, d_out: np.ndarray, params: EncoderParams) -> np.ndarray:
+def backward_batch(
+    trace: ForwardTrace, d_out: np.ndarray, params: EncoderParams, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Exact gradients of a train-mode forward, given d(loss)/d(output).
 
-    Returns a vector laid out like params.values; the running-statistic
-    slots are zero. The batch-norm backward takes the full batch-statistics
-    path (mean and variance both depend on the parameters upstream).
+    Writes `out` if given, else a new vector, laid out like params.values;
+    the running-statistic slots are zero. The batch-norm backward takes the
+    full batch-statistics path (mean and variance depend on the parameters).
     """
     cfg = params.config
     if d_out.shape[0] != trace.batch_size:
         raise EncoderError("trace/gradient batch size mismatch")
-    grad = np.zeros_like(params.values)
+    grad = np.zeros_like(params.values) if out is None else out
     g = param_views(cfg, grad)
+    if out is not None:  # every other slot is overwritten below
+        for view in (g[name] for name in g if name.endswith(_RUNNING_STATS)):
+            view[...] = 0.0
 
     if cfg.use_fc:
         np.matmul(d_out.T, trace.fc2_input, out=g["fc2.weight"])

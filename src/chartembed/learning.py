@@ -220,8 +220,9 @@ def backward(
     params: EncoderParams,
     hyper: HyperParams,
     loss_mask: tuple[bool, bool] = (True, True),
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Gradient of the combined loss, laid out like params.values."""
+    """Gradient of the combined loss, laid out like params.values (in `out` if given)."""
     n = embeddings.shape[0]
     if n % 4 != 0 or trace.batch_size != n:
         raise ValueError("trace/embedding mismatch: expected four blocks per sample")
@@ -231,7 +232,7 @@ def backward(
         hyper, loss_mask,
     )
     d_out = np.concatenate([d_prev, d_mid, d_next, d_neg], axis=0)
-    return backward_batch(trace, d_out, params)
+    return backward_batch(trace, d_out, params, out)
 
 
 @dataclass
@@ -432,6 +433,7 @@ def train(
     shuffle_rng = np.random.default_rng(shuffle_seq)
     dropout_rng = np.random.default_rng(dropout_seq)
     adam = init_adam(params)
+    grad = np.zeros_like(params.values)  # one gradient vector, rewritten every step
 
     history: list[EpochStats] = []
     for epoch in range(hyper.epochs):
@@ -445,7 +447,7 @@ def train(
                 rule_ids, sems, params, hyper, train=True, dropout_rng=dropout_rng,
                 loss_mask=loss_mask,
             )
-            grad = backward(trace, emb, params, hyper, loss_mask)
+            backward(trace, emb, params, hyper, loss_mask, out=grad)
             adam_step(params, grad, adam, hyper.learning_rate)
             sums += (breakdown.interp_term, breakdown.pair_term, breakdown.l1, breakdown.l2)
             total += breakdown.total

@@ -167,7 +167,7 @@ def load_vector_store(path: str, dim: int = WORD_DIM) -> VectorStore:
     """Load a plain-text store: one `word v1 .. v100` entry per line.
 
     The first occurrence of a word wins; the embedding width is fixed at
-    100 and anything else is rejected.
+    100 and anything else is rejected, as is a non-finite component.
     """
     if dim != WORD_DIM:
         raise VectorStoreError(f"embedding dimension is fixed at {WORD_DIM}, got {dim}")
@@ -187,28 +187,21 @@ def load_vector_store(path: str, dim: int = WORD_DIM) -> VectorStore:
             if word in vectors:
                 continue
             try:
-                vectors[word] = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+                vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
             except ValueError as exc:
                 raise VectorStoreError(f"{path}:{lineno}: {exc}") from None
+            if not np.isfinite(vec).all():
+                raise VectorStoreError(f"{path}:{lineno}: non-finite component")
+            vectors[word] = vec
     return VectorStore(vectors, dim)
 
 
 def pool_word(vec: np.ndarray) -> np.ndarray:
-    """Average a 100-dim vector over 10 fixed windows of width 10."""
+    """Average over 10 fixed windows of width 10: (100,) to (10,), (U, 100) to (U, 10)."""
     vec = np.asarray(vec, dtype=np.float64)
-    if vec.shape != (WORD_DIM,):
-        raise ValueError(f"expected a ({WORD_DIM},) vector, got {vec.shape}")
-    return vec.reshape(POOLED_DIM, WORD_DIM // POOLED_DIM).mean(axis=1)
-
-
-def _max_pool_word(vec: np.ndarray) -> np.ndarray:
-    return vec.reshape(POOLED_DIM, WORD_DIM // POOLED_DIM).max(axis=1)
-
-
-def _location_onehot(location: int) -> np.ndarray:
-    onehot = np.zeros(LOCATION_COUNT, dtype=np.float64)
-    onehot[location - 1] = 1.0
-    return onehot
+    if vec.shape[-1:] != (WORD_DIM,):
+        raise ValueError(f"expected (..., {WORD_DIM}) vectors, got {vec.shape}")
+    return vec.reshape(*vec.shape[:-1], POOLED_DIM, WORD_DIM // POOLED_DIM).mean(axis=-1)
 
 
 SEMANTIC_MODES = (
@@ -232,43 +225,44 @@ def semantic_shape(mode: str) -> tuple[int, int]:
 
 
 def encode_semantics(
-    tokens: list[Token],
-    store: VectorStore,
-    mode: str = "interval-average",
+    token_lists: list[list[Token]], store: VectorStore, mode: str = "interval-average",
     use_locations: bool = True,
 ) -> np.ndarray:
-    """Assemble the semantic block under a given pooling mode.
+    """The semantic blocks (N, rows, cols) of N charts' token lists.
 
-    At most the first 25 tokens are used. Per-word modes fill one row per
-    token (pooled or raw vector plus location one-hot); across-word modes
-    reduce all kept rows to a single 107-dim row.
+    Each chart keeps its first 25 tokens. Each distinct lower-cased word is
+    looked up once into a word table, which is pooled once; one gather then
+    fills the rows of all kept tokens (pooled or raw vector plus location
+    one-hot). Per-word modes place one row per slot; across-word modes
+    reduce each chart's rows to a single 107-dim row.
     """
     rows, cols = semantic_shape(mode)
-    kept = tokens[:SEMANTIC_SLOTS]
-    block = np.zeros((rows, cols), dtype=np.float64)
-    if not kept:
-        return block
+    kept = [tokens[:SEMANTIC_SLOTS] for tokens in token_lists]
+    flat = [t for tokens in kept for t in tokens]
+    row_of: dict[str, int] = {}
+    word = np.array([row_of.setdefault(t.word.lower(), len(row_of)) for t in flat], dtype=np.intp)
+    location = np.array([t.location for t in flat], dtype=np.intp)
+    counts = np.array([len(tokens) for tokens in kept], dtype=np.intp)
+    starts = np.cumsum(counts) - counts
+    chart = np.repeat(np.arange(len(kept)), counts)
+    slot = np.arange(len(word)) - np.repeat(starts, counts)
 
-    vecs = np.stack([store.lookup(t.word) for t in kept])
-    locs = np.stack([_location_onehot(t.location) for t in kept])
-    if not use_locations:
-        locs = np.zeros_like(locs)
-
+    table = np.array([store.lookup(w) for w in row_of], dtype=np.float64).reshape(-1, WORD_DIM)
     if mode == "interval-average":
-        for i, vec in enumerate(vecs):
-            block[i] = np.concatenate([pool_word(vec), locs[i]])
+        table = pool_word(table)
     elif mode == "word-max":
-        for i, vec in enumerate(vecs):
-            block[i] = np.concatenate([_max_pool_word(vec), locs[i]])
-    elif mode == "none":
-        block[: len(kept)] = np.concatenate([vecs, locs], axis=1)
-    elif mode == "words-average":
-        block[0] = np.concatenate([vecs.mean(axis=0), locs.mean(axis=0)])
-    elif mode == "words-max":
-        block[0] = np.concatenate([vecs.max(axis=0), locs.max(axis=0)])
-    return block
+        table = table.reshape(-1, POOLED_DIM, WORD_DIM // POOLED_DIM).max(axis=2)
+    width = cols - LOCATION_COUNT
+    token_rows = np.zeros((len(word), cols))
+    token_rows[:, :width] = table[word]
+    if use_locations:
+        token_rows[np.arange(len(word)), width + location - 1] = 1.0
 
-
-def build_semantic_block(tokens: list[Token], store: VectorStore) -> np.ndarray:
-    """The standard 25x17 block: interval-averaged words + location one-hots."""
-    return encode_semantics(tokens, store, "interval-average", True)
+    blocks = np.zeros((len(kept), rows, cols))
+    if rows == SEMANTIC_SLOTS:
+        blocks[chart, slot] = token_rows
+    else:
+        reduce = np.mean if mode == "words-average" else np.max
+        for i in np.flatnonzero(counts):
+            blocks[i, 0] = reduce(token_rows[starts[i] : starts[i] + counts[i]], axis=0)
+    return blocks

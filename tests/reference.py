@@ -1,0 +1,70 @@
+"""Reference implementations the tests compare the package against.
+
+`encode_semantics` is the per-chart semantic encoder: one store lookup, one
+pooling and one concatenation per token. The package encodes a whole corpus
+through a table of its distinct words; its blocks must equal these bit for
+bit in every mode.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from chartembed.semantics import (
+    LOCATION_COUNT,
+    POOLED_DIM,
+    SEMANTIC_SLOTS,
+    WORD_DIM,
+    Token,
+    VectorStore,
+    semantic_shape,
+)
+
+
+def pool_word(vec: np.ndarray) -> np.ndarray:
+    vec = np.asarray(vec, dtype=np.float64)
+    return vec.reshape(POOLED_DIM, WORD_DIM // POOLED_DIM).mean(axis=1)
+
+
+def max_pool_word(vec: np.ndarray) -> np.ndarray:
+    return vec.reshape(POOLED_DIM, WORD_DIM // POOLED_DIM).max(axis=1)
+
+
+def location_onehot(location: int) -> np.ndarray:
+    onehot = np.zeros(LOCATION_COUNT, dtype=np.float64)
+    onehot[location - 1] = 1.0
+    return onehot
+
+
+def encode_semantics(
+    tokens: list[Token],
+    store: VectorStore,
+    mode: str = "interval-average",
+    use_locations: bool = True,
+) -> np.ndarray:
+    """The semantic block of one chart: at most the first 25 tokens, one row
+    per token in per-word modes, one reduced 107-dim row in across-word modes."""
+    rows, cols = semantic_shape(mode)
+    kept = tokens[:SEMANTIC_SLOTS]
+    block = np.zeros((rows, cols), dtype=np.float64)
+    if not kept:
+        return block
+
+    vecs = np.stack([store.lookup(t.word) for t in kept])
+    locs = np.stack([location_onehot(t.location) for t in kept])
+    if not use_locations:
+        locs = np.zeros_like(locs)
+
+    if mode == "interval-average":
+        for i, vec in enumerate(vecs):
+            block[i] = np.concatenate([pool_word(vec), locs[i]])
+    elif mode == "word-max":
+        for i, vec in enumerate(vecs):
+            block[i] = np.concatenate([max_pool_word(vec), locs[i]])
+    elif mode == "none":
+        block[: len(kept)] = np.concatenate([vecs, locs], axis=1)
+    elif mode == "words-average":
+        block[0] = np.concatenate([vecs.mean(axis=0), locs.mean(axis=0)])
+    elif mode == "words-max":
+        block[0] = np.concatenate([vecs.max(axis=0), locs.max(axis=0)])
+    return block

@@ -230,7 +230,7 @@ def test_config_file_flags_win(tmp_path, fixture_corpus_path, fixture_vectors_pa
         (None, ["--lr", "inf"], "lr", 2),
         (None, ["--alpha", "nan"], "alpha", 2),
         (None, ["--beta=-inf"], "beta", 2),
-        (None, ["--test-fraction", "1.5"], "test_fraction", 1),
+        (None, ["--test-fraction", "1.5"], "test_fraction", 2),
     ],
 )
 def test_bad_hyperparameters_name_the_key(
@@ -248,6 +248,49 @@ def test_bad_hyperparameters_name_the_key(
     assert main(args + flags) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and key in err[0], err
+
+
+_RANGE_CASES = [
+    (None, ["--batch", "0"], "batch"),
+    ('{"batch": 0}', [], "batch"),
+    (None, ["--negatives", "0"], "negatives"),
+    ('{"negatives": 0}', [], "negatives"),
+    (None, ["--test-fraction", "1.5"], "test_fraction"),
+    ('{"test_fraction": 1.5}', [], "test_fraction"),
+    ('{"test_fraction": -0.1}', [], "test_fraction"),
+    ('{"epochs": -1}', [], "epochs"),
+    (None, ["--seed", "-1"], "seed"),
+    (None, ["--lr", "0"], "lr"),
+    (None, ["--margin", "0"], "margin"),
+    (None, ["--alpha", "-1"], "alpha"),
+    ('{"beta": -0.5}', [], "beta"),
+    (None, ["--dropout", "1"], "dropout"),
+    ('{"policy": "nearest"}', [], "policy"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, config, flags, key",
+    [
+        (command, *case)
+        for command in ("train", "ablate")
+        for case in _RANGE_CASES
+        if not (command == "ablate" and case[1][:1] == ["--negatives"])  # not an ablate flag
+    ],
+)
+def test_out_of_range_options_exit_usage(
+    tmp_path, fixture_corpus_path, fixture_vectors_path, capsys, command, config, flags, key
+):
+    args = [command, fixture_corpus_path, fixture_vectors_path]
+    args += [str(tmp_path / "model.ckpt")] if command == "train" else ["--variants", "full"]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(config, encoding="utf-8")
+        args += ["--config", str(path)]
+    assert main(args + flags) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {key}: must be "), err
+    assert not (tmp_path / "model.ckpt").exists()
 
 
 def test_embed_row_count(index_path, fixture_corpus):
@@ -297,6 +340,23 @@ def test_embed_bad_vectors_dimension(tmp_path, trained, fixture_corpus_path):
         ["embed", trained, fixture_corpus_path, str(out), "--vectors", str(vectors)]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("component", ["nan", "inf", "-inf", "1e400"])
+def test_train_rejects_non_finite_word_vector(
+    tmp_path, fixture_corpus_path, fixture_vectors_path, capsys, component
+):
+    # The first component of the first fixture word, which the corpus uses.
+    lines = open(fixture_vectors_path, encoding="utf-8").read().splitlines()
+    word, _, rest = lines[0].split(" ", 2)
+    lines[0] = f"{word} {component} {rest}"
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "model.ckpt"
+    assert main(["train", fixture_corpus_path, str(vectors), str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {vectors}:1: non-finite component"]
+    assert not out.exists()
 
 
 def test_embed_truncated_checkpoint(

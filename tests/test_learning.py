@@ -239,6 +239,25 @@ def test_zero_upstream_loss_gives_zero_gradients(rng, base_config):
     assert not backward_batch(trace, np.zeros((4, 540)), params).any()
 
 
+def test_backward_into_a_used_vector_equals_a_fresh_one(base_config):
+    # train reuses one gradient vector; every slot must be rewritten each step.
+    for variant in ABLATION_VARIANTS:
+        config, _ = variant_switches(variant, base_config)
+        params = init_params(0, config)
+        rule_ids, sems = _gradcheck_batch(0, config)
+        _, trace = forward_batch(rule_ids, sems, params, train=True,
+                                 dropout_rng=np.random.default_rng(0),
+                                 update_running_stats=False)
+        d_out = np.random.default_rng(1).normal(size=(len(rule_ids), config.embedding_dim))
+        out = np.full(param_count(config), np.nan)
+        fresh = backward_batch(trace, d_out, params)
+        assert backward_batch(trace, d_out, params, out=out) is out
+        assert out.tobytes() == fresh.tobytes(), variant
+        for name, view in param_views(config, out).items():
+            if name.endswith((".running_mean", ".running_var")):
+                assert not view.any(), (variant, name)
+
+
 def test_grad_check_passes(base_config):
     params = init_params(0, base_config)
     batch = _gradcheck_batch(0, base_config)
