@@ -7,9 +7,11 @@ is flattened and concatenated; two fully connected layers (ReLU and dropout
 between them) produce the final 540-dim embedding. Everything is float64
 numpy.
 
-Every persisted value (weights, biases, batch-norm scales, shifts and
-running statistics) lives in one float64 vector in checkpoint order, and
-each array is a named view of it; gradients use the same layout.
+Every persisted value lives in one float64 vector in checkpoint order, the
+trainable arrays first and the batch-norm running statistics last; each
+array is a named view of it, and gradients cover the trainable prefix. The
+conv layers have no bias: each feeds batch norm, which cancels it, so it
+would get no gradient.
 
 Inference is a pure function of (inputs, params); training-mode forwards use
 batch statistics, record a trace for the backward pass, and may update the
@@ -29,8 +31,8 @@ import numpy as np
 
 from . import grammar, semantics
 
-CHECKPOINT_MAGIC = b"C2V1"
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_MAGIC = b"C2V2"
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 class EncoderError(ValueError):
@@ -121,7 +123,8 @@ class EncoderConfig:
 
 class EncoderParams:
     """The encoder's parameters: one float64 vector holding every persisted
-    value in checkpoint order, and a named view of each array in it.
+    value in checkpoint order, `trainable` (its trainable prefix), and a
+    named view of each array in it.
 
     Writing through a view writes `values`; running statistics are updated
     in place there by train-mode forwards.
@@ -131,6 +134,7 @@ class EncoderParams:
         self.config = config
         self.values = values
         self.views = param_views(config, values)
+        self.trainable = values[: trainable_count(config)]
 
 
 @dataclass
@@ -151,16 +155,14 @@ class ForwardTrace:
     batch_size: int
 
 
-_CONV_PARTS = ("weight", "bias", "gamma", "beta", "running_mean", "running_var")
-_RUNNING_STATS = (".running_mean", ".running_var")
-
-
 def _array_shapes(config: EncoderConfig) -> list[tuple[str, tuple[int, ...]]]:
-    """Name and shape of every persisted array, in checkpoint order."""
+    """Name and shape of every persisted array, in checkpoint order: the
+    trainable arrays, then the running statistics."""
+    layers = list(enumerate(zip(config.conv_channels, config.conv_channels[1:]), start=1))
     shapes: list[tuple[str, tuple[int, ...]]] = []
-    for i, (cin, cout) in enumerate(zip(config.conv_channels, config.conv_channels[1:]), start=1):
+    for i, (cin, cout) in layers:
         shapes.append((f"conv{i}.weight", (cout, cin, config.kernel_size)))
-        shapes += [(f"conv{i}.{part}", (cout,)) for part in _CONV_PARTS[1:]]
+        shapes += [(f"conv{i}.gamma", (cout,)), (f"conv{i}.beta", (cout,))]
     if config.use_fc:
         shapes += [
             ("fc1.weight", (config.output_dim, config.fc1_in)),
@@ -168,6 +170,8 @@ def _array_shapes(config: EncoderConfig) -> list[tuple[str, tuple[int, ...]]]:
             ("fc2.weight", (config.output_dim, config.output_dim)),
             ("fc2.bias", (config.output_dim,)),
         ]
+    for i, (_, cout) in layers:
+        shapes += [(f"conv{i}.running_mean", (cout,)), (f"conv{i}.running_var", (cout,))]
     return shapes
 
 
@@ -176,15 +180,24 @@ def param_count(config: EncoderConfig) -> int:
     return sum(math.prod(shape) for _, shape in _array_shapes(config))
 
 
+def trainable_count(config: EncoderConfig) -> int:
+    """Length of the trainable prefix (all but the running statistics)."""
+    return param_count(config) - 2 * sum(config.conv_channels[1:])
+
+
 def param_views(config: EncoderConfig, values: np.ndarray) -> dict[str, np.ndarray]:
-    """Named views of a parameter (or gradient) vector, in checkpoint order."""
-    if values.shape != (param_count(config),):
+    """Named views of a parameter vector, in checkpoint order; a gradient,
+    as long as the trainable prefix, gets views of the trainable arrays."""
+    if values.shape not in ((param_count(config),), (trainable_count(config),)):
         raise EncoderError(
-            f"parameter vector has shape {values.shape}, config implies ({param_count(config)},)"
+            f"vector has shape {values.shape}, config implies ({param_count(config)},) "
+            f"parameters or ({trainable_count(config)},) gradients"
         )
     views: dict[str, np.ndarray] = {}
     offset = 0
     for name, shape in _array_shapes(config):
+        if offset == values.size:
+            break
         size = math.prod(shape)
         views[name] = values[offset : offset + size].reshape(shape)
         offset += size
@@ -206,7 +219,7 @@ def init_params(seed: int, config: EncoderConfig = EncoderConfig()) -> EncoderPa
 
 def trainable_items(params: EncoderParams) -> list[tuple[str, np.ndarray]]:
     """Views of the trainable arrays (all but the running statistics), in order."""
-    return [item for item in params.views.items() if not item[0].endswith(_RUNNING_STATS)]
+    return list(param_views(params.config, params.trainable).items())
 
 
 def copy_params(params: EncoderParams) -> EncoderParams:
@@ -323,8 +336,9 @@ def forward_batch(
 
     x = None
     for i in range(1, len(cfg.conv_channels)):
-        weight, bias, gamma, beta, running_mean, running_var = (
-            params.views[f"conv{i}.{part}"] for part in _CONV_PARTS
+        weight, gamma, beta, running_mean, running_var = (
+            params.views[f"conv{i}.{part}"]
+            for part in ("weight", "gamma", "beta", "running_mean", "running_var")
         )
         if i == 1:
             table = _conv1_table(weight)
@@ -336,7 +350,6 @@ def forward_batch(
             z = cols @ _conv_matrix(weight)
             if train:
                 conv_cols.append(cols)
-        z += bias
         if train:
             mean = np.einsum("ij->j", z) / z.shape[0]
             z -= mean
@@ -417,18 +430,16 @@ def backward_batch(
 ) -> np.ndarray:
     """Exact gradients of a train-mode forward, given d(loss)/d(output).
 
-    Writes `out` if given, else a new vector, laid out like params.values;
-    the running-statistic slots are zero. The batch-norm backward takes the
-    full batch-statistics path (mean and variance depend on the parameters).
+    Writes `out` if given, else a new vector, laid out like
+    params.trainable; every slot is overwritten. The batch-norm backward
+    takes the full batch-statistics path (mean and variance depend on the
+    parameters).
     """
     cfg = params.config
     if d_out.shape[0] != trace.batch_size:
         raise EncoderError("trace/gradient batch size mismatch")
-    grad = np.zeros_like(params.values) if out is None else out
+    grad = np.zeros_like(params.trainable) if out is None else out
     g = param_views(cfg, grad)
-    if out is not None:  # every other slot is overwritten below
-        for view in (g[name] for name in g if name.endswith(_RUNNING_STATS)):
-            view[...] = 0.0
 
     if cfg.use_fc:
         np.matmul(d_out.T, trace.fc2_input, out=g["fc2.weight"])
@@ -458,7 +469,6 @@ def backward_batch(
         d_z -= d_beta / n
         d_z -= xhat * (d_gamma / n)
         d_z *= trace.conv_invstd[i] * params.views[layer + "gamma"]
-        g[layer + "bias"][...] = np.einsum("ij->j", d_z)
         if i == 0:
             # Scatter-add of d_z onto the table rows that conv1 gathered.
             taps = trace.conv1_taps.ravel()
@@ -498,17 +508,12 @@ def _config_from_dict(obj) -> EncoderConfig:
 
 
 def save_checkpoint(
-    params: EncoderParams,
-    config: Optional[EncoderConfig] = None,
-    path: str = "encoder.ckpt",
-    extras: Optional[dict] = None,
+    params: EncoderParams, path: str = "encoder.ckpt", extras: Optional[dict] = None
 ) -> None:
     """Write params to a little-endian binary checkpoint (bit-exact)."""
-    config = config or params.config
-    if config != params.config:
-        raise CheckpointError("config does not match the params being saved")
     header = json.dumps(
-        {"format_version": CHECKPOINT_FORMAT_VERSION, "config": asdict(config), "extras": extras},
+        {"format_version": CHECKPOINT_FORMAT_VERSION, "config": asdict(params.config),
+         "extras": extras},
         ensure_ascii=False,
     ).encode("utf-8")
     with open(path, "wb") as fh:

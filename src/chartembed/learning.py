@@ -60,8 +60,12 @@ class HyperParams:
             raise ValueError("alpha and beta must be >= 0")
         if self.margin <= 0:
             raise ValueError("margin must be > 0")
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("bad optimizer settings")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be > 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
 
@@ -222,7 +226,7 @@ def backward(
     loss_mask: tuple[bool, bool] = (True, True),
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Gradient of the combined loss, laid out like params.values (in `out` if given)."""
+    """Gradient of the combined loss, laid out like params.trainable (in `out` if given)."""
     n = embeddings.shape[0]
     if n % 4 != 0 or trace.batch_size != n:
         raise ValueError("trace/embedding mismatch: expected four blocks per sample")
@@ -237,7 +241,7 @@ def backward(
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, laid out like the parameter vector."""
+    """First/second moment accumulators, laid out like the trainable prefix."""
 
     m: np.ndarray
     v: np.ndarray
@@ -248,10 +252,10 @@ class AdamState:
 
 
 def init_adam(params: EncoderParams) -> AdamState:
-    return AdamState(m=np.zeros_like(params.values), v=np.zeros_like(params.values))
+    return AdamState(m=np.zeros_like(params.trainable), v=np.zeros_like(params.trainable))
 
 
-# Adam walks the parameter vector in blocks of this many values, so that the
+# Adam walks the trainable prefix in blocks of this many values, so that the
 # block's parameters, moments, gradient and two temporaries stay in L2 cache
 # across the dozen passes of the update.
 _ADAM_BLOCK = 16384
@@ -263,15 +267,11 @@ def adam_step(
     state: AdamState,
     lr: float,
 ) -> tuple[EncoderParams, AdamState]:
-    """Standard bias-corrected Adam update of the whole parameter vector
-    (in place; returned for chaining).
-
-    The running statistics need no mask: their gradient is always zero, so
-    their m and v stay zero and their update is exactly zero.
-    """
-    if grad.shape != params.values.shape:
+    """Standard bias-corrected Adam update of the trainable prefix (in
+    place; returned for chaining)."""
+    if grad.shape != params.trainable.shape:
         raise ValueError(
-            f"gradient has shape {grad.shape}, the parameter vector {params.values.shape}"
+            f"gradient has shape {grad.shape}, the trainable prefix {params.trainable.shape}"
         )
     state.step += 1
     bc1 = 1.0 - state.beta1**state.step
@@ -298,7 +298,7 @@ def adam_step(
         np.divide(m, bc1, out=update)
         update *= lr
         update /= denom
-        params.values[lo : lo + _ADAM_BLOCK] -= update
+        params.trainable[lo : lo + _ADAM_BLOCK] -= update
     return params, state
 
 
@@ -433,7 +433,7 @@ def train(
     shuffle_rng = np.random.default_rng(shuffle_seq)
     dropout_rng = np.random.default_rng(dropout_seq)
     adam = init_adam(params)
-    grad = np.zeros_like(params.values)  # one gradient vector, rewritten every step
+    grad = np.zeros_like(params.trainable)  # one gradient vector, rewritten every step
 
     history: list[EpochStats] = []
     for epoch in range(hyper.epochs):

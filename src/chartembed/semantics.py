@@ -140,14 +140,13 @@ class VectorStore:
     query words are folded at lookup.
     """
 
-    def __init__(self, vectors: dict[str, np.ndarray], dim: int = WORD_DIM):
+    def __init__(self, vectors: dict[str, np.ndarray]):
         for word, vec in vectors.items():
-            if vec.shape != (dim,):
+            if vec.shape != (WORD_DIM,):
                 raise VectorStoreError(
-                    f"vector for {word!r} has shape {vec.shape}, expected ({dim},)"
+                    f"vector for {word!r} has shape {vec.shape}, expected ({WORD_DIM},)"
                 )
         self._vectors = {w.lower(): np.asarray(v, dtype=np.float64) for w, v in vectors.items()}
-        self.dim = dim
 
     def __len__(self) -> int:
         return len(self._vectors)
@@ -160,17 +159,16 @@ class VectorStore:
         hit = self._vectors.get(key)
         if hit is not None:
             return hit
-        return _oov_vector(key, self.dim)
+        return _oov_vector(key, WORD_DIM)
 
 
-def load_vector_store(path: str, dim: int = WORD_DIM) -> VectorStore:
+def load_vector_store(path: str) -> VectorStore:
     """Load a plain-text store: one `word v1 .. v100` entry per line.
 
-    The first occurrence of a word wins; the embedding width is fixed at
-    100 and anything else is rejected, as is a non-finite component.
+    Every line is checked: the embedding width is fixed at 100, and a
+    component that is not a finite number is rejected. The first occurrence
+    of a word wins.
     """
-    if dim != WORD_DIM:
-        raise VectorStoreError(f"embedding dimension is fixed at {WORD_DIM}, got {dim}")
     vectors: dict[str, np.ndarray] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -178,22 +176,19 @@ def load_vector_store(path: str, dim: int = WORD_DIM) -> VectorStore:
             if not line:
                 continue
             parts = line.split(" ")
-            if len(parts) != dim + 1:
+            if len(parts) != WORD_DIM + 1:
                 raise VectorStoreError(
-                    f"{path}:{lineno}: expected a word and {dim} components, "
+                    f"{path}:{lineno}: expected a word and {WORD_DIM} components, "
                     f"got {len(parts)} fields"
                 )
-            word = parts[0].lower()
-            if word in vectors:
-                continue
             try:
                 vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
             except ValueError as exc:
                 raise VectorStoreError(f"{path}:{lineno}: {exc}") from None
             if not np.isfinite(vec).all():
                 raise VectorStoreError(f"{path}:{lineno}: non-finite component")
-            vectors[word] = vec
-    return VectorStore(vectors, dim)
+            vectors.setdefault(parts[0].lower(), vec)
+    return VectorStore(vectors)
 
 
 def pool_word(vec: np.ndarray) -> np.ndarray:

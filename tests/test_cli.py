@@ -342,10 +342,12 @@ def test_embed_bad_vectors_dimension(tmp_path, trained, fixture_corpus_path):
     assert code == 1
 
 
-@pytest.mark.parametrize("component", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("component", ["nan", "inf", "-inf", "1e400", "abc"])
 def test_train_rejects_non_finite_word_vector(
     tmp_path, fixture_corpus_path, fixture_vectors_path, capsys, component
 ):
+    problem = ("could not convert string to float: 'abc'" if component == "abc"
+               else "non-finite component")
     # The first component of the first fixture word, which the corpus uses.
     lines = open(fixture_vectors_path, encoding="utf-8").read().splitlines()
     word, _, rest = lines[0].split(" ", 2)
@@ -355,7 +357,15 @@ def test_train_rejects_non_finite_word_vector(
     out = tmp_path / "model.ckpt"
     assert main(["train", fixture_corpus_path, str(vectors), str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: {vectors}:1: non-finite component"]
+    assert err == [f"error: {vectors}:1: {problem}"]
+    assert not out.exists()
+    # The same damage on a later line that repeats the first word.
+    lines[0] = f"{word} 0.5 {rest}"
+    lines.append(f"{word.upper()} {component} {rest}")
+    vectors.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["train", fixture_corpus_path, str(vectors), str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {vectors}:{len(lines)}: {problem}"]
     assert not out.exists()
 
 
@@ -444,6 +454,29 @@ def test_embed_rejects_non_finite_payload(
         load_checkpoint(str(path))
     err = _embed_error(path, fixture_corpus_path, fixture_vectors_path, tmp_path / "i.tsv", capsys)
     assert name in err
+
+
+def test_c2v1_checkpoint_rejected(
+    tmp_path, trained, fixture_corpus_path, fixture_vectors_path, capsys
+):
+    # The previous format: magic C2V1, format version 1 and 598,675 values,
+    # the conv biases among them. It is not converted; retrain.
+    blob = open(trained, "rb").read()
+    (header_len,) = struct.unpack_from("<I", blob, 4)
+    header = json.loads(blob[8 : 8 + header_len])
+    header["format_version"] = 1
+    old = json.dumps(header).encode("utf-8")
+    path = tmp_path / "old.ckpt"
+    path.write_bytes(
+        b"C2V1" + struct.pack("<I", len(old)) + old
+        + struct.pack("<Q", 598_675) + np.zeros(598_675).astype("<f8").tobytes()
+    )
+    message = "checkpoint version mismatch: expected magic b'C2V2', found b'C2V1'"
+    for read in (load_checkpoint, load_checkpoint_extras):
+        with pytest.raises(CheckpointError, match=f"^{re.escape(message)}$"):
+            read(str(path))
+    err = _embed_error(path, fixture_corpus_path, fixture_vectors_path, tmp_path / "i.tsv", capsys)
+    assert err.endswith(message), err
 
 
 def _run_cli(*args) -> subprocess.CompletedProcess:

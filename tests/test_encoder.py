@@ -54,9 +54,9 @@ def one_hot(rule_ids):
 
 
 def conv_layers(params):
-    """Each conv layer's named views (weight, bias, gamma, beta, running
+    """Each conv layer's named views (weight, gamma, beta, running
     statistics) as attributes."""
-    parts = ("weight", "bias", "gamma", "beta", "running_mean", "running_var")
+    parts = ("weight", "gamma", "beta", "running_mean", "running_var")
     return [
         SimpleNamespace(**{part: params.views[f"conv{i}.{part}"] for part in parts})
         for i in range(1, len(params.config.conv_channels))
@@ -86,7 +86,7 @@ def dense_forward_backward(schemas, sems, params, dropout_rng, d_out):
         pad = layer.weight.shape[2] // 2
         xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
         windows = sliding_window_view(xp, layer.weight.shape[2], axis=2)
-        z = np.einsum("bclk,ock->bol", windows, layer.weight) + layer.bias[None, :, None]
+        z = np.einsum("bclk,ock->bol", windows, layer.weight)
         mean, var = z.mean(axis=(0, 2)), z.var(axis=(0, 2))
         n = z.shape[0] * z.shape[2]
         layer.running_mean[:] = (1 - cfg.bn_momentum) * layer.running_mean + cfg.bn_momentum * mean
@@ -129,7 +129,6 @@ def dense_forward_backward(schemas, sems, params, dropout_rng, d_out):
         )
         windows = sliding_window_view(xp, layer.weight.shape[2], axis=2)
         grads[f"conv{i + 1}.weight"] = np.einsum("bol,bclk->ock", d_z, windows)
-        grads[f"conv{i + 1}.bias"] = d_z.sum(axis=(0, 2))
         d_xp = np.zeros_like(xp)
         length = d_z.shape[2]
         for k in range(layer.weight.shape[2]):
@@ -155,7 +154,7 @@ def naive_forward_infer(schema, sem, params):
                 for c in range(cin):
                     for kk in range(k):
                         acc += layer.weight[o, c, kk] * xp[c, pos + kk]
-                z[o, pos] = acc + layer.bias[o]
+                z[o, pos] = acc
         y = np.zeros_like(z)
         for o in range(cout):
             inv = 1.0 / np.sqrt(layer.running_var[o] + cfg.bn_eps)
@@ -179,7 +178,6 @@ def test_init_weight_bounds(base_config):
     for layer in conv_layers(params):
         fan_in = layer.weight.shape[1] * layer.weight.shape[2]
         assert np.abs(layer.weight).max() <= np.sqrt(6.0 / fan_in)
-        assert not layer.bias.any()
         assert (layer.gamma == 1.0).all() and not layer.beta.any()
         assert not layer.running_mean.any() and (layer.running_var == 1.0).all()
     assert np.abs(params.views["fc1.weight"]).max() <= np.sqrt(6.0 / base_config.fc1_in)
@@ -294,7 +292,7 @@ def test_train_mode_batch_norm_statistics(rng, base_config):
     for layer, xhat_rows in zip(conv_layers(params), trace.conv_xhat):
         xp = np.pad(x, ((0, 0), (0, 0), (1, 1)))
         windows = sliding_window_view(xp, layer.weight.shape[2], axis=2)
-        z = np.einsum("bclk,ock->bol", windows, layer.weight) + layer.bias[None, :, None]
+        z = np.einsum("bclk,ock->bol", windows, layer.weight)
         mean = z.mean(axis=(0, 2))
         var = z.var(axis=(0, 2))
         # Per-channel statistics of the normalized pre-activation (before
@@ -341,10 +339,10 @@ def test_train_step_matches_dense_reference_for_every_variant(rng, base_config):
             one_hot(rule_ids), sems, reference, np.random.default_rng(9), d_out
         )
         assert_close_to_reference(out, ref_out, f"{variant} output")
-        assert sorted(name for name, _ in trainable_items(params)) == sorted(ref_grads)
+        assert list(grads) == [name for name, _ in trainable_items(params)]
+        assert sorted(grads) == sorted(ref_grads)
         for name, grad in grads.items():
-            ref = ref_grads.get(name, np.zeros_like(grad))  # running statistics: zero
-            assert_close_to_reference(grad, ref, f"{variant} {name}")
+            assert_close_to_reference(grad, ref_grads[name], f"{variant} {name}")
         for name, arr in params.views.items():
             assert_close_to_reference(arr, reference.views[name], f"{variant} {name}")
 
@@ -427,19 +425,23 @@ def test_checkpoint_roundtrip_no_fc(tmp_path):
     assert params_equal(loaded, params)
 
 
-def test_checkpoint_loads_hand_written_c2v1_layout(tmp_path):
+def test_checkpoint_loads_hand_written_c2v2_layout(tmp_path):
     # The documented layout, written without save_checkpoint: per conv layer
-    # weight, bias, gamma, beta, running mean, running variance; then fc1
-    # and fc2 weight and bias, as little-endian float64.
+    # weight, gamma, beta; then fc1 and fc2 weight and bias; then per
+    # conv layer running mean and running variance, as little-endian float64.
     config = EncoderConfig()
     params = init_params(8, config)
+    for layer in conv_layers(params):  # off their init values, so their order shows
+        layer.running_mean[...] = np.arange(layer.running_mean.size) + 0.25
+        layer.running_var[...] = np.arange(layer.running_var.size) + 2.5
     arrays = []
     for layer in conv_layers(params):
-        arrays += [layer.weight, layer.bias, layer.gamma, layer.beta,
-                   layer.running_mean, layer.running_var]
+        arrays += [layer.weight, layer.gamma, layer.beta]
     arrays += [params.views[name] for name in ("fc1.weight", "fc1.bias", "fc2.weight", "fc2.bias")]
+    for layer in conv_layers(params):
+        arrays += [layer.running_mean, layer.running_var]
     header = json.dumps({
-        "format_version": 1,
+        "format_version": 2,
         "config": {
             "conv_channels": [60, 30, 15, 8], "kernel_size": 3, "sequence_length": 16,
             "semantic_slots": 25, "output_dim": 540, "dropout": 0.1, "bn_momentum": 0.1,
@@ -450,13 +452,14 @@ def test_checkpoint_loads_hand_written_c2v1_layout(tmp_path):
     }).encode("utf-8")
     path = tmp_path / "hand.ckpt"
     path.write_bytes(
-        b"C2V1" + struct.pack("<I", len(header)) + header
+        b"C2V2" + struct.pack("<I", len(header)) + header
         + struct.pack("<Q", sum(a.size for a in arrays))
         + b"".join(a.astype("<f8").tobytes() for a in arrays)
     )
     loaded, loaded_config = load_checkpoint(str(path))
     assert loaded_config == config
     assert params_equal(loaded, params)
+    assert loaded.values.size == 598_622
 
 
 def test_checkpoint_corrupt_magic(tmp_path, base_config):
@@ -488,10 +491,14 @@ def test_checkpoint_config_shape_mismatch(tmp_path):
 def test_trainable_items_order(base_config):
     names = [name for name, _ in trainable_items(init_params(0, base_config))]
     assert names == [
-        "conv1.weight", "conv1.bias", "conv1.gamma", "conv1.beta",
-        "conv2.weight", "conv2.bias", "conv2.gamma", "conv2.beta",
-        "conv3.weight", "conv3.bias", "conv3.gamma", "conv3.beta",
+        "conv1.weight", "conv1.gamma", "conv1.beta",
+        "conv2.weight", "conv2.gamma", "conv2.beta",
+        "conv3.weight", "conv3.gamma", "conv3.beta",
         "fc1.weight", "fc1.bias", "fc2.weight", "fc2.bias",
+    ]
+    # The running statistics follow the trainable arrays.
+    assert list(init_params(0, base_config).views)[len(names):] == [
+        f"conv{i}.{stat}" for i in (1, 2, 3) for stat in ("running_mean", "running_var")
     ]
 
 

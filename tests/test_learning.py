@@ -14,6 +14,7 @@ from chartembed.encoder import (
     param_count,
     param_views,
     params_equal,
+    trainable_count,
     trainable_items,
 )
 from chartembed.evaluation import ABLATION_VARIANTS, variant_switches
@@ -249,13 +250,40 @@ def test_backward_into_a_used_vector_equals_a_fresh_one(base_config):
                                  dropout_rng=np.random.default_rng(0),
                                  update_running_stats=False)
         d_out = np.random.default_rng(1).normal(size=(len(rule_ids), config.embedding_dim))
-        out = np.full(param_count(config), np.nan)
+        out = np.full(trainable_count(config), np.nan)
         fresh = backward_batch(trace, d_out, params)
         assert backward_batch(trace, d_out, params, out=out) is out
         assert out.tobytes() == fresh.tobytes(), variant
-        for name, view in param_views(config, out).items():
-            if name.endswith((".running_mean", ".running_var")):
-                assert not view.any(), (variant, name)
+
+
+def test_gradients_and_adam_cover_the_trainable_prefix(base_config):
+    # Gradients and Adam's moments hold the trainable arrays alone; the
+    # running statistics (2 x (30 + 15 + 8) values) follow them in the
+    # parameter vector, and an Adam step leaves them bit-unchanged.
+    assert (param_count(base_config), trainable_count(base_config)) == (598_622, 598_516)
+    for variant in ABLATION_VARIANTS:
+        config, _ = variant_switches(variant, base_config)
+        params = init_params(0, config)
+        n = trainable_count(config)
+        assert n == param_count(config) - 2 * sum(config.conv_channels[1:])
+        assert params.trainable.size == n and np.shares_memory(params.trainable, params.values)
+        rule_ids, sems = _gradcheck_batch(0, config)
+        _, trace = forward_batch(rule_ids, sems, params, train=True,
+                                 dropout_rng=np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        grad = backward_batch(trace, rng.normal(size=(len(rule_ids), config.embedding_dim)), params)
+        assert grad.shape == (n,), variant
+        assert list(param_views(config, grad)) == [name for name, _ in trainable_items(params)]
+        state = init_adam(params)
+        assert state.m.shape == state.v.shape == (n,)
+        tail = params.values[n:].copy()
+        assert tail.tobytes() != init_params(0, config).values[n:].tobytes()  # the forward moved it
+        before = params.trainable.copy()
+        adam_step(params, grad, state, 0.01)
+        assert params.values[n:].tobytes() == tail.tobytes(), variant
+        assert (params.trainable != before).any(), variant
+        with pytest.raises(ValueError, match="trainable prefix"):
+            adam_step(params, np.zeros(param_count(config)), state, 0.01)
 
 
 def test_grad_check_passes(base_config):
@@ -302,10 +330,23 @@ def test_hyper_params_reject_non_finite(name, value):
         HyperParams(**{name: value})
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("learning_rate", 0.0, "learning_rate must be > 0"),
+        ("batch_size", 0, "batch_size must be >= 1"),
+        ("epochs", -1, "epochs must be >= 0"),
+    ],
+)
+def test_hyper_params_name_the_bad_optimizer_field(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        HyperParams(**{field: value})
+
+
 def test_adam_constant_gradient_step_size(base_config):
     params = init_params(0, base_config)
     state = init_adam(params)
-    grads = np.full_like(params.values, 0.37)
+    grads = np.full_like(params.trainable, 0.37)
     lr = 0.01
     probe = params.views["fc2.bias"]
     previous = probe.copy()
@@ -323,7 +364,7 @@ def test_adam_zero_gradient_keeps_params(base_config):
     params = init_params(0, base_config)
     before = copy_params(params)
     state = init_adam(params)
-    zeros = np.zeros_like(params.values)
+    zeros = np.zeros_like(params.trainable)
     adam_step(params, zeros, state, 0.01)
     assert params_equal(params, before)
     assert state.step == 1
@@ -348,12 +389,12 @@ def per_array_adam(arrays, grads, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e
 
 
 def test_adam_step_matches_per_array_reference(rng, base_config):
-    # The default vector spans many blocks and ends in a partial one; the
-    # no-fc vector is shorter than one block.
+    # The default trainable prefix spans many blocks and ends in a partial
+    # one; the no-fc prefix is shorter than one block.
     full, _ = variant_switches("full", base_config)
     no_fc, _ = variant_switches("no-fc", base_config)
-    assert param_count(full) > 2 * _ADAM_BLOCK and param_count(full) % _ADAM_BLOCK
-    assert param_count(no_fc) < _ADAM_BLOCK
+    assert trainable_count(full) > 2 * _ADAM_BLOCK and trainable_count(full) % _ADAM_BLOCK
+    assert trainable_count(no_fc) < _ADAM_BLOCK
     for config in (full, no_fc):
         params = init_params(0, config)
         for name, view in params.views.items():
@@ -365,9 +406,9 @@ def test_adam_step_matches_per_array_reference(rng, base_config):
         v = {name: np.zeros_like(arr) for name, arr in arrays.items()}
         state = init_adam(params)
         for step in range(1, 6):
-            grad = np.zeros_like(params.values)
+            grad = np.zeros_like(params.trainable)
             grads = param_views(params.config, grad)
-            for name in arrays:  # gradients over many magnitudes, zero for the statistics
+            for name in arrays:  # gradients over many magnitudes
                 grads[name][...] = rng.normal(size=grads[name].shape) * 10.0 ** rng.integers(-8, 3)
             adam_step(params, grad, state, 0.01)
             per_array_adam(arrays, grads, m, v, step, 0.01)
@@ -377,9 +418,9 @@ def test_adam_step_matches_per_array_reference(rng, base_config):
             assert params.views[name].tobytes() == arr.tobytes(), name
             assert state_m[name].tobytes() == m[name].tobytes(), name
             assert state_v[name].tobytes() == v[name].tobytes(), name
+        assert list(state_m) == list(arrays)
         for name, before in stats.items():
             assert params.views[name].tobytes() == before.tobytes(), name
-            assert not state_m[name].any() and not state_v[name].any(), name
 
 
 def test_adam_deterministic(base_config):
@@ -389,7 +430,7 @@ def test_adam_deterministic(base_config):
         state = init_adam(params)
         rng = np.random.default_rng(5)
         for _ in range(3):
-            adam_step(params, rng.normal(size=params.values.shape), state, 0.01)
+            adam_step(params, rng.normal(size=params.trainable.shape), state, 0.01)
         runs.append(params)
     assert params_equal(runs[0], runs[1])
 

@@ -123,8 +123,6 @@ def test_store_rejects_bad_dimensions(tmp_path):
     path.write_text("word 1.0 2.0\n", encoding="utf-8")
     with pytest.raises(VectorStoreError, match="expected a word and 100"):
         load_vector_store(str(path))
-    with pytest.raises(VectorStoreError, match="fixed at 100"):
-        load_vector_store(str(path), dim=10)
 
 
 def test_store_first_occurrence_wins(tmp_path):
@@ -135,6 +133,14 @@ def test_store_first_occurrence_wins(tmp_path):
     store = load_vector_store(str(path))
     assert len(store) == 1
     assert store.lookup("dup")[0] == 1.0
+    # A later occurrence is still parsed and checked before it is dropped.
+    for component, error in (("nan", "non-finite component"),
+                             ("abc", "could not convert string to float: 'abc'")):
+        damaged = "Dup " + " ".join(["3.0"] * 50 + [component] + ["3.0"] * 49)
+        path.write_text(first + "\n" + second + "\n" + damaged + "\n", encoding="utf-8")
+        with pytest.raises(VectorStoreError) as info:
+            load_vector_store(str(path))
+        assert str(info.value) == f"{path}:3: {error}"
 
 
 def test_pool_word_constant():
@@ -355,6 +361,11 @@ def test_store_rejects_non_finite_components(tmp_path, component):
     good = "good " + " ".join(["0.5"] * 100)
     bad = "bad " + " ".join(["0.5"] * 40 + [component] + ["0.5"] * 59)
     path.write_text(good + "\n" + bad + "\n", encoding="utf-8")
+    with pytest.raises(VectorStoreError) as info:
+        load_vector_store(str(path))
+    assert str(info.value) == f"{path}:2: non-finite component"
+    # The same damage on a repeated word's line.
+    path.write_text(good + "\n" + bad.replace("bad", "GOOD", 1) + "\n", encoding="utf-8")
     with pytest.raises(VectorStoreError) as info:
         load_vector_store(str(path))
     assert str(info.value) == f"{path}:2: non-finite component"
