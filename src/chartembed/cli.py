@@ -161,11 +161,19 @@ _CONFIG_TYPES = {
 }
 _TYPE_NAMES = {float: "a number", int: "an integer", str: "a string"}
 
+# The retrieval options of nearest (k) and eval (gap2, gap3).
+_QUERY_TYPES = {
+    "k": (int, ">= 1", lambda v: v >= 1),
+    "gap2": (int, ">= 0", lambda v: v >= 0),
+    "gap3": (int, ">= 0", lambda v: v >= 0),
+}
 
-def _checked(name: str, value):
-    """The value of key `name`, as a float for a float key. Raises ValueError,
-    naming the key, for a wrong type, a non-finite number or a value out of range."""
-    kind, allowed, in_range = _CONFIG_TYPES[name]
+
+def _checked(name: str, value, types: dict = _CONFIG_TYPES):
+    """The value of key `name` of `types`, as a float for a float key. Raises
+    ValueError, naming the key, for a wrong type, a non-finite number or a
+    value out of range."""
+    kind, allowed, in_range = types[name]
     accepted = (int, float) if kind is float else kind
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ValueError(f"{name}: expected {_TYPE_NAMES[kind]}, got {json.dumps(value)}")
@@ -355,6 +363,11 @@ def cmd_embed(args: argparse.Namespace) -> int:
 
 def cmd_nearest(args: argparse.Namespace) -> int:
     try:
+        k = _checked("k", args.k, _QUERY_TYPES)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
         index = load_index(args.index)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -363,7 +376,7 @@ def cmd_nearest(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     try:
-        ranked = nearest(index, args.anchor, scope=args.scope, k=args.k)
+        ranked = nearest(index, args.anchor, scope=args.scope, k=k)
     except EvaluationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -374,8 +387,16 @@ def cmd_nearest(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     try:
+        gap2 = _checked("gap2", args.gap2, _QUERY_TYPES)
+        gap3 = _checked("gap3", args.gap3, _QUERY_TYPES)
+        if gap2 > gap3:
+            raise ValueError(f"gap2: must be <= gap3 ({gap3}), got {gap2}")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
         index = load_index(args.index)
-        report = compute_metrics(index, gap2=args.gap2, gap3=args.gap3)
+        report = compute_metrics(index, gap2=gap2, gap3=gap3)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -85,12 +85,14 @@ def index_encoded(encoded: EncodedCorpus, params: EncoderParams) -> EmbeddingInd
     )
 
 
-_BLOCK_FLOATS = 1 << 20  # bounds the memory of one block of anchor-candidate differences
+_BLOCK_FLOATS = 1 << 20  # bounds one Gram slab and one block of anchor-candidate differences
 
 
 def _distances(vectors: np.ndarray, anchors: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """(len(anchors), len(candidates)) Euclidean distances in the exact
-    difference form; the expansion |a|^2 + |b|^2 - 2ab can flip near-ties.
+    difference form. The expansion |a|^2 + |b|^2 - 2ab can flip near-ties:
+    compute_metrics ranks by it only to find each anchor's near-ties
+    (_near_ties), and re-ranks those in this arithmetic (_nearest_kept).
     Candidates go in chunks that keep the differences within _BLOCK_FLOATS."""
     points = vectors[anchors][:, None, :]
     dist = np.empty((len(anchors), len(candidates)))
@@ -99,6 +101,86 @@ def _distances(vectors: np.ndarray, anchors: np.ndarray, candidates: np.ndarray)
         diff = vectors[candidates[lo : lo + step]][None, :, :] - points
         dist[:, lo : lo + step] = np.sqrt(np.einsum("abd,abd->ab", diff, diff))
     return dist
+
+
+def _nearest_kept(
+    vectors: np.ndarray, anchors: np.ndarray, block: np.ndarray, keep: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(row, distance) of each anchor's nearest chart among the block columns
+    that its row of `keep` marks, in the arithmetic of _distances and so to
+    its bits; ties go to the first column. Rows are padded to the longest
+    row, and tiles keep the differences within _BLOCK_FLOATS."""
+    rows, cols = np.nonzero(keep)
+    counts = np.bincount(rows, minlength=len(keep))
+    starts = np.cumsum(counts) - counts
+    # Each row's kept columns, ascending, then copies of its first.
+    columns = np.repeat(block[cols[starts]][:, None], counts.max(), axis=1)
+    columns[rows, np.arange(len(rows)) - starts[rows]] = block[cols]
+    width, dim = columns.shape[1], vectors.shape[1]
+    dist = np.empty(columns.shape)
+    rows_step = max(1, _BLOCK_FLOATS // max(1, width * dim))
+    cols_step = max(1, _BLOCK_FLOATS // max(1, rows_step * dim))
+    for r in range(0, len(anchors), rows_step):
+        points = vectors[anchors[r : r + rows_step]][:, None, :]
+        for c in range(0, width, cols_step):
+            diff = vectors[columns[r : r + rows_step, c : c + cols_step]]
+            diff -= points
+            dist[r : r + rows_step, c : c + cols_step] = np.sqrt(np.einsum("abd,abd->ab", diff, diff))
+    dist[np.arange(width) >= counts[:, None]] = np.inf
+    # argmin takes the first minimum, which has the smallest chart id.
+    best = np.argmin(dist, axis=1)
+    own = np.arange(len(anchors))
+    return columns[own, best], dist[own, best]
+
+
+def _near_ties(
+    gram: np.ndarray, lo: int, sq: np.ndarray, twice_norm: np.ndarray, dim: int
+) -> np.ndarray:
+    """Keep mask over the Gram slab of a block's anchors lo, lo + 1, ... (rows)
+    and all of its charts (columns), given the block's squared norms, doubled
+    norms and the vector length: every candidate whose _distances value may
+    tie with or beat the anchor's nearest chart. The anchor is never kept.
+
+    Write u = 2^-53, gamma_k = k u / (1 - k u), R = (|a| + |b|)^2 for anchor
+    a and candidate b, s = |a - b|^2 exactly, g the Gram value below and e
+    the einsum sum that _distances takes the root of. Higham's dot-product
+    bound |fl(x.y) - x.y| <= gamma_D |x|.|y| holds for any summation order,
+    FMA or not, and so for any BLAS:
+    - g: |a|^2, |b|^2 and 2a.b are off by gamma_D R in all (|a|.|b| <=
+      |a||b|), and the add and the subtract round twice: |g - s| <= gamma_{D+2} R;
+    - e: each b_i - a_i rounds once, which moves the exact sum of squares
+      by gamma_2 s, and the einsum adds gamma_D: |e - s| <= gamma_{D+2} R.
+    The first minimum retrieves b only if fl(sqrt(e_b)) <= fl(sqrt(e_c)) for
+    every c. Round-to-nearest sqrt then gives e_b <= (1 + gamma_4) e_c, that
+    is, with both bounds, g_b - 2 gamma_{D+2} R_b <= g_c + (2 gamma_{D+2} +
+    gamma_4 + O(D u^2)) R_c. tau = 4 gamma_{D+4} R exceeds the term on either
+    side by at least (2D + 8) u R, which covers the rounding of tau, of
+    g - tau and of g + tau (a few u R) while D u << 1. So every chart that
+    may be retrieved has g_b - tau_b <= min_c (g_c + tau_c), and a re-rank
+    of the kept charts in the difference form returns the chart and the
+    distance bits of a scan of the whole block.
+
+    Underflow adds at most D 2^-1075 per dot product; D * finfo.tiny covers it.
+    tau is computed as gamma (2|a| + 2|b|)^2, and 4R overflows to inf before
+    s or any term of g or e can. An inf tau, or inf - inf = NaN in g, makes
+    g - tau -inf or NaN, or the row's bound NaN; the comparison below is then
+    false, so the candidate stays, and a row that keeps all is a full scan.
+    """
+    u = np.finfo(np.float64).eps / 2
+    gamma = (dim + 4) * u / (1 - (dim + 4) * u)
+    own = (np.arange(len(gram)), lo + np.arange(len(gram)))
+    g = sq[lo : lo + len(gram), None] + sq[None, :]
+    g -= 2.0 * gram
+    tau = twice_norm[lo : lo + len(gram), None] + twice_norm[None, :]
+    np.square(tau, out=tau)
+    tau *= gamma
+    tau += dim * np.finfo(np.float64).tiny
+    upper = g + tau
+    upper[own] = np.inf
+    g -= tau
+    keep = ~(g > np.min(upper, axis=1)[:, None])
+    keep[own] = False
+    return keep
 
 
 def nearest(
@@ -160,30 +242,40 @@ class MetricsReport:
 def compute_metrics(index: EmbeddingIndex, gap2: int = 2, gap3: int = 3) -> MetricsReport:
     """Score every anchor by its nearest same-dataset chart.
 
-    Anchors without a same-dataset candidate cannot be scored; they are
-    excluded from the denominators and reported in the detail rows.
+    The nearest chart and its distance are those of a scan in the exact
+    difference form (_distances), ties broken by chart id: one Gram product
+    per chunk of anchors finds each anchor's near-ties, and only those are
+    re-ranked in that form. Anchors without a same-dataset candidate cannot
+    be scored; they are excluded from the denominators and reported in the
+    detail rows. Raises EvaluationError for a negative gap or gap2 > gap3.
     """
+    if gap2 < 0 or gap3 < 0:
+        raise EvaluationError(f"position gaps must be >= 0, got gap2={gap2} gap3={gap3}")
+    if gap2 > gap3:
+        raise EvaluationError(f"gap2 must be <= gap3, got gap2={gap2} gap3={gap3}")
     if len(index) == 0:
         raise EvaluationError("empty index")
+    vectors = index.vectors
     retrieved = np.full(len(index), -1)
     distance = np.zeros(len(index))
-    for block in index.blocks.values():
-        if len(block) < 2:
-            continue
-        step = max(1, _BLOCK_FLOATS // max(1, len(block) * index.vectors.shape[1]))
-        for lo in range(0, len(block), step):
-            anchors = block[lo : lo + step]
-            own = np.arange(len(anchors))
-            dist = _distances(index.vectors, anchors, block)
-            dist[own, lo + own] = np.inf
-            # argmin takes the first minimum, which has the smallest chart id.
-            # It takes the anchor itself only when the anchor is the block's
-            # first row and every distance overflows to inf; then the
-            # second row is the nearest, as in nearest().
-            best = np.argmin(dist, axis=1)
-            best[best == lo + own] = 1
-            retrieved[anchors] = block[best]
-            distance[anchors] = dist[own, best]
+    # Large vectors overflow the Gram terms to inf or NaN, which makes
+    # _near_ties keep every candidate, and their differences to inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.einsum("nd,nd->n", vectors, vectors)
+        twice_norm = 2.0 * np.sqrt(sq)
+        for block in index.blocks.values():
+            if len(block) < 2:
+                continue
+            charts = vectors[block]
+            step = max(1, _BLOCK_FLOATS // len(block))
+            for lo in range(0, len(block), step):
+                gram = charts[lo : lo + step] @ charts.T
+                keep = _near_ties(gram, lo, sq[block], twice_norm[block], vectors.shape[1])
+                # The anchor is never kept. So when every distance overflows
+                # to inf, the nearest is the block's first row, or its second
+                # for the first row itself, as in nearest().
+                anchors = block[lo : lo + step]
+                retrieved[anchors], distance[anchors] = _nearest_kept(vectors, anchors, block, keep)
 
     details: list[AnchorDetail] = []
     hits2 = hits3 = hits_co = 0

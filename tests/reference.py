@@ -4,12 +4,18 @@
 pooling and one concatenation per token. The package encodes a whole corpus
 through a table of its distinct words; its blocks must equal these bit for
 bit in every mode.
+
+`nearest_by_difference` is the same-dataset retrieval of `compute_metrics`
+as a full scan: every anchor-candidate distance in the difference form. The
+package ranks each block by its Gram form and re-ranks only the near-ties;
+its retrieved charts and distances must equal these bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from chartembed.evaluation import EmbeddingIndex
 from chartembed.semantics import (
     LOCATION_COUNT,
     POOLED_DIM,
@@ -68,3 +74,43 @@ def encode_semantics(
     elif mode == "words-max":
         block[0] = np.concatenate([vecs.max(axis=0), locs.max(axis=0)])
     return block
+
+
+_BLOCK_FLOATS = 1 << 20
+
+
+def difference_distances(vectors: np.ndarray, anchors: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """(len(anchors), len(candidates)) Euclidean distances, sqrt(sum((b - a)^2)),
+    in candidate chunks that keep the differences within _BLOCK_FLOATS."""
+    points = vectors[anchors][:, None, :]
+    dist = np.empty((len(anchors), len(candidates)))
+    step = max(1, _BLOCK_FLOATS // max(1, points.size))
+    for lo in range(0, len(candidates), step):
+        diff = vectors[candidates[lo : lo + step]][None, :, :] - points
+        dist[:, lo : lo + step] = np.sqrt(np.einsum("abd,abd->ab", diff, diff))
+    return dist
+
+
+def nearest_by_difference(index: EmbeddingIndex) -> tuple[np.ndarray, np.ndarray]:
+    """(retrieved row or -1, distance) per row of the index: the first
+    minimum over every same-dataset distance."""
+    retrieved = np.full(len(index), -1)
+    distance = np.zeros(len(index))
+    for block in index.blocks.values():
+        if len(block) < 2:
+            continue
+        step = max(1, _BLOCK_FLOATS // max(1, len(block) * index.vectors.shape[1]))
+        for lo in range(0, len(block), step):
+            anchors = block[lo : lo + step]
+            own = np.arange(len(anchors))
+            dist = difference_distances(index.vectors, anchors, block)
+            dist[own, lo + own] = np.inf
+            # argmin takes the first minimum, which has the smallest chart id.
+            # It takes the anchor itself only when the anchor is the block's
+            # first row and every distance overflows to inf; then the
+            # second row is the nearest.
+            best = np.argmin(dist, axis=1)
+            best[best == lo + own] = 1
+            retrieved[anchors] = block[best]
+            distance[anchors] = dist[own, best]
+    return retrieved, distance

@@ -557,6 +557,25 @@ def test_eval_gap_flags(index_path, capsys):
     assert payload["gap2"] == 1 and payload["gap3"] == 4
 
 
+@pytest.mark.parametrize(
+    "flags, key",
+    [
+        (["eval", "--gap2", "5", "--gap3", "2"], "gap2"),
+        (["eval", "--gap2", "-1"], "gap2"),
+        (["eval", "--gap3", "-4"], "gap3"),
+        (["nearest", "s00c0", "--k", "0"], "k"),
+        (["nearest", "s00c0", "--k", "-3"], "k"),
+    ],
+)
+def test_query_options_out_of_range_exit_usage(index_path, capsys, flags, key):
+    command, *rest = flags
+    assert main([command, index_path, *rest]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {key}: must be "), err
+    assert captured.out == ""
+
+
 def test_eval_empty_index(tmp_path):
     path = tmp_path / "empty.tsv"
     path.write_text("chart_id\tstory_id\tposition\tdataset_id\n", encoding="utf-8")

@@ -1,0 +1,195 @@
+"""compute_metrics ranks each dataset block by its Gram form and re-ranks
+the near-ties in the difference form. Its retrieved charts and distances
+must equal a full difference-form scan (`reference.nearest_by_difference`)
+bit for bit, on trained and collapsed models and on planted near-ties."""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chartembed import evaluation
+from chartembed.corpus import build_samples
+from chartembed.encoder import init_params
+from chartembed.evaluation import (
+    EmbeddingIndex,
+    EvaluationError,
+    build_index,
+    compute_metrics,
+    nearest,
+)
+from chartembed.learning import HyperParams, train
+from reference import nearest_by_difference
+
+
+def index_of(vectors, datasets=None):
+    """One chart per row, ids in row order, one story per dataset."""
+    vectors = np.asarray(vectors, dtype=np.float64)
+    n = len(vectors)
+    datasets = datasets or ["ds"] * n
+    return EmbeddingIndex(
+        [f"c{i:03d}" for i in range(n)], [f"s-{d}" for d in datasets], list(range(n)),
+        datasets, vectors,
+    )
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def assert_matches_difference_scan(index):
+    report = compute_metrics(index)
+    rows, distances = nearest_by_difference(index)
+    expected_ids = [index.ids[r] if r >= 0 else None for r in rows]
+    assert [d.retrieved for d in report.details] == expected_ids
+    scored = rows >= 0
+    got = [d.distance for d, s in zip(report.details, scored) if s]
+    assert np.array_equal(bits(got), bits(distances[scored]))
+
+
+def assert_matches_nearest(index):
+    for detail in compute_metrics(index).details:
+        [(chart_id, distance)] = nearest(index, detail.anchor, "same-dataset", k=1)
+        assert (chart_id, bits(distance)) == (detail.retrieved, bits(detail.distance))
+
+
+@pytest.fixture(scope="module")
+def fixture_models(fixture_corpus, store, base_config):
+    """Untrained, trained, and collapsed (weak hinge: 25 distinct of 50 vectors)."""
+    samples = build_samples(fixture_corpus, store, 1, "same-dataset-first", 0, base_config)
+    trained, _ = train(samples, HyperParams(epochs=4, seed=0), init_params(0, base_config))
+    collapsed, _ = train(
+        samples, HyperParams(epochs=20, seed=0, beta=0.1), init_params(0, base_config)
+    )
+    return {"untrained": init_params(0, base_config), "trained": trained, "collapsed": collapsed}
+
+
+@pytest.mark.parametrize("model", ["untrained", "trained", "collapsed"])
+def test_fixture_details_equal_difference_scan(fixture_corpus, store, fixture_models, model):
+    index = build_index(fixture_corpus, fixture_models[model], store)
+    if model == "collapsed":
+        assert len(np.unique(index.vectors, axis=0)) < len(index)  # exact ties to break
+    assert_matches_difference_scan(index)
+
+
+@pytest.mark.parametrize("model", ["untrained", "collapsed"])
+def test_metrics_distance_equals_nearest_k1(fixture_corpus, store, fixture_models, model):
+    assert_matches_nearest(build_index(fixture_corpus, fixture_models[model], store))
+
+
+def _offset_cloud(rng, n=40, dim=16, offset=1e4, scale=1e-4):
+    # |a|^2 + |b|^2 - 2ab cancels about 16 digits here: its rounding is far
+    # larger than the gaps between distances, so only the re-rank orders them.
+    return offset + scale * rng.normal(size=(n, dim))
+
+
+def _planted(rng):
+    base = rng.normal(size=(8, 5))
+    ulp = np.nextafter(base[0], np.inf)
+    return {
+        "duplicates": np.vstack([base[[3, 1, 3, 0, 1, 3]], base[2:6]]),
+        "one-ulp-apart": np.vstack([ulp, base[0], np.nextafter(ulp, np.inf), base[1], base[0]]),
+        "zero-rows": np.vstack([np.zeros((3, 5)), base[:2], np.zeros((2, 5))]),
+        # Squared norms overflow to inf; the differences do not.
+        "norm-overflow": 1e160 + 1e150 * rng.integers(-4, 5, size=(7, 5)),
+        # Squared norms and distances are subnormal, and many distances tie at 0.
+        "norm-underflow": 1e-160 * rng.integers(-3, 4, size=(9, 5)),
+        "offset-cloud": _offset_cloud(rng),
+        "mixed-scales": np.vstack([base, 1e-8 * base, 1e8 * base[:3]]),
+    }
+
+
+PLANTED = _planted(np.random.default_rng(7))
+
+
+@pytest.mark.parametrize("case", list(PLANTED))
+def test_planted_near_ties_equal_difference_scan(case):
+    index = index_of(PLANTED[case])
+    assert_matches_difference_scan(index)
+    assert_matches_nearest(index)
+
+
+def test_duplicates_retrieve_the_first_by_chart_id():
+    v = np.array([[1.0, 2.0], [5.0, 5.0], [1.0, 2.0], [1.0, 2.0]])
+    detail = {d.anchor: d for d in compute_metrics(index_of(v)).details}
+    assert detail["c000"].retrieved == "c002"
+    assert detail["c002"].retrieved == "c000"
+    assert detail["c003"].retrieved == "c000"
+    assert detail["c003"].distance == 0.0
+
+
+def test_all_distances_overflow_keeps_documented_answer():
+    # Every pairwise difference squared overflows: the first row retrieves
+    # the second, every other row the first, all at distance inf.
+    v = np.array([[0.0], [1e200], [2e200], [-1e200]])
+    details = compute_metrics(index_of(v)).details
+    assert [d.retrieved for d in details] == ["c001", "c000", "c000", "c000"]
+    assert all(d.distance == np.inf for d in details)
+    assert_matches_difference_scan(index_of(v))
+
+
+def test_small_blocks_chunk_and_tile_the_same(monkeypatch, rng):
+    # A 64-value budget splits the anchors into chunks of one or two rows and
+    # the re-rank into one-row, few-column tiles.
+    vectors = np.vstack([_offset_cloud(rng, n=30, dim=8), np.zeros((4, 8)) + 1e4])
+    datasets = ["a"] * 20 + ["b"] * 13 + ["c"]
+    index = index_of(vectors, datasets)
+    expected = compute_metrics(index)
+    monkeypatch.setattr(evaluation, "_BLOCK_FLOATS", 64)
+    assert compute_metrics(index) == expected
+    assert_matches_difference_scan(index)
+
+
+@pytest.mark.parametrize("collapsed", [False, True])
+def test_memory_stays_within_the_block_budget(monkeypatch, rng, collapsed):
+    # One 3,000-chart dataset: an (n x n) distance matrix would take 72 MB.
+    # Each Gram slab, keep mask and re-rank tile holds at most _BLOCK_FLOATS
+    # values; a collapsed block, where every candidate is a near-tie, is the
+    # re-rank's widest case.
+    monkeypatch.setattr(evaluation, "_BLOCK_FLOATS", 1 << 14)
+    vectors = np.ones((3000, 8)) if collapsed else rng.normal(size=(3000, 8))
+    index = index_of(vectors)
+    tracemalloc.start()
+    try:
+        report = compute_metrics(index)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 8 * (1 << 14) + 4 * vectors.nbytes
+    if collapsed:
+        assert {d.retrieved for d in report.details} == {"c000", "c001"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    dim=st.integers(1, 6),
+    scale=st.sampled_from([1e-160, 1e-5, 1.0, 1e160]),
+    offset=st.sampled_from([0.0, 1e6]),
+)
+def test_random_indexes_with_planted_duplicates(data, dim, scale, offset):
+    # Rows drawn from a small pool of points tie exactly; an offset makes the
+    # Gram form cancel, and the extreme scales overflow or underflow it.
+    coords = st.lists(st.integers(-30, 30), min_size=dim, max_size=dim)
+    pool = np.array(data.draw(st.lists(coords, min_size=2, max_size=8))) * scale + offset
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=3, max_size=24))
+    datasets = data.draw(st.lists(st.sampled_from("abc"), min_size=len(picks), max_size=len(picks)))
+    datasets[1] = datasets[0]  # some anchor can be scored
+    assert_matches_difference_scan(index_of(pool[picks], datasets))
+
+
+_BAD_GAPS = [
+    ({"gap2": 5, "gap3": 2}, "gap2"),
+    ({"gap2": -1}, "gap"),
+    ({"gap3": -4}, "gap"),
+]
+
+
+@pytest.mark.parametrize("gaps, word", _BAD_GAPS)
+def test_compute_metrics_rejects_bad_gaps(gaps, word):
+    with pytest.raises(EvaluationError, match=word):
+        compute_metrics(index_of([[0.0], [1.0]]), **gaps)
