@@ -18,30 +18,12 @@ from .facts import (
     Filter,
     Focus,
     MeasureSpec,
-    StoryRef,
-    parse_fact_json,
-    serialize_fact,
     validate_fact,
 )
-from .grammar import RuleSequence, decode_skeleton, derive_rules, encode_one_hot, grammar_dump
+from .grammar import derive_rules, grammar_dump
 from .semantics import VectorStore, extract_tokens, load_vector_store, pool_word
-from .encoder import (
-    EncoderConfig,
-    EncoderParams,
-    forward,
-    init_params,
-    load_checkpoint,
-    save_checkpoint,
-)
-from .learning import (
-    HyperParams,
-    adam_step,
-    combined_loss,
-    grad_check,
-    interpolation_loss,
-    train,
-    triplet_loss,
-)
+from .encoder import EncoderConfig, EncoderParams, init_params, load_checkpoint, save_checkpoint
+from .learning import HyperParams, adam_step, combined_loss, grad_check, train
 from .corpus import Corpus, MultiViewVis, build_samples, encode_corpus, load_corpus, split_corpus
 from .evaluation import (
     EmbeddingIndex,
@@ -69,35 +51,26 @@ __all__ = [
     "MeasureSpec",
     "MetricsReport",
     "MultiViewVis",
-    "RuleSequence",
-    "StoryRef",
     "VectorStore",
     "adam_step",
     "build_index",
     "build_samples",
     "combined_loss",
     "compute_metrics",
-    "decode_skeleton",
     "derive_rules",
     "encode_corpus",
-    "encode_one_hot",
     "extract_tokens",
-    "forward",
     "grad_check",
     "grammar_dump",
     "init_params",
-    "interpolation_loss",
     "load_checkpoint",
     "load_corpus",
     "load_vector_store",
     "nearest",
-    "parse_fact_json",
     "pool_word",
     "run_ablation",
     "save_checkpoint",
-    "serialize_fact",
     "split_corpus",
     "train",
-    "triplet_loss",
     "validate_fact",
 ]

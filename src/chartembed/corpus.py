@@ -275,7 +275,7 @@ def encode_corpus(corpus: Corpus, store: VectorStore, config: EncoderConfig) -> 
     columns = []
     for vis in corpus.visualizations:
         for position, (chart_id, fact) in enumerate(vis.charts):
-            ids = grammar.derive_rules(fact).ids
+            ids = grammar.derive_rules(fact)
             rule_ids[len(columns), : len(ids)] = ids
             tokens.append(semantics.extract_tokens(fact))
             columns.append((chart_id, vis.id, vis.dataset_id, vis.domain, position))
@@ -296,10 +296,6 @@ class SampleSet:
 
     def __len__(self) -> int:
         return len(self.quads)
-
-    def id_quadruples(self) -> tuple[tuple[str, str, str, str], ...]:
-        ids = self.encoded.chart_ids
-        return tuple(tuple(ids[row] for row in quad) for quad in self.quads.tolist())
 
     def batch(self, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Model inputs of the given samples: every prev chart, then every

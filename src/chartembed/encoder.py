@@ -222,14 +222,6 @@ def trainable_items(params: EncoderParams) -> list[tuple[str, np.ndarray]]:
     return list(param_views(params.config, params.trainable).items())
 
 
-def copy_params(params: EncoderParams) -> EncoderParams:
-    return EncoderParams(params.config, params.values.copy())
-
-
-def params_equal(a: EncoderParams, b: EncoderParams) -> bool:
-    return a.config == b.config and np.array_equal(a.values, b.values)
-
-
 def _non_finite_array(params: EncoderParams) -> Optional[str]:
     """The name of the first array holding a NaN or an infinity, if any."""
     if np.isfinite(params.values).all():
@@ -408,23 +400,6 @@ def forward_batch(
     return out, trace
 
 
-def forward(
-    rule_ids: np.ndarray,
-    sem_block: np.ndarray,
-    params: EncoderParams,
-    mode: str = "infer",
-    dropout_rng: Optional[np.random.Generator] = None,
-) -> tuple[np.ndarray, Optional[ForwardTrace]]:
-    """Embed a single chart from its (16,) rule ids; mode is "infer" or "train"."""
-    if mode not in ("infer", "train"):
-        raise EncoderError(f"unknown mode {mode!r}")
-    out, trace = forward_batch(
-        np.asarray(rule_ids)[None], np.asarray(sem_block)[None], params,
-        train=mode == "train", dropout_rng=dropout_rng,
-    )
-    return out[0], trace
-
-
 def backward_batch(
     trace: ForwardTrace, d_out: np.ndarray, params: EncoderParams, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
@@ -574,9 +549,3 @@ def load_checkpoint(path: str) -> tuple[EncoderParams, EncoderConfig]:
     if bad is not None:
         raise CheckpointError(f"corrupt checkpoint: non-finite value in {bad}")
     return params, config
-
-
-def load_checkpoint_extras(path: str) -> Optional[dict]:
-    """The extras block (training hyperparameters) stored in a checkpoint."""
-    with open(path, "rb") as fh:
-        return _read_header(fh).get("extras")

@@ -208,7 +208,9 @@ def nearest(
     candidates = candidates[candidates != row]
     if not len(candidates):
         raise EvaluationError(f"no candidates for anchor {anchor!r} in scope {scope}")
-    dist = _distances(index.vectors, np.array([row]), candidates)[0]
+    # A difference beyond the float64 range is an infinite distance.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist = _distances(index.vectors, np.array([row]), candidates)[0]
     # Candidates are in chart-id order, so a stable sort breaks ties on id.
     ranked = np.argsort(dist, kind="stable")[:k]
     return [(index.ids[candidates[j]], float(dist[j])) for j in ranked]

@@ -4,12 +4,11 @@ A chart fact is the declarative, seven-part description of a single chart:
 chart type, fact type, a subspace of data filters, an optional breakdown
 field, an optional aggregated measure, an optional focus item, and
 fact-type-specific meta descriptors. All values are immutable; validation
-and JSON (de)serialization are pure functions.
+and the round trip through JSON-ready dicts are pure functions.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Optional, Union
@@ -196,14 +195,6 @@ class ChartFact:
     measure: Optional[MeasureSpec] = None
     focus: Optional[Focus] = None
     meta: MetaInfo = META_NONE
-
-
-@dataclass(frozen=True)
-class StoryRef:
-    """Position of a chart inside its multi-view visualization."""
-
-    story_id: str
-    position: int
 
 
 @dataclass(frozen=True)
@@ -444,17 +435,6 @@ def fact_from_dict(obj: Any, where: str = "fact") -> ChartFact:
     )
 
 
-def parse_fact_json(text: str) -> ChartFact:
-    """Parse one chart fact from JSON text (strict: unknown keys rejected)."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FactParseError(
-            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    return fact_from_dict(obj)
-
-
 def _meta_to_obj(meta: MetaInfo) -> Optional[dict]:
     if isinstance(meta, MetaNone):
         return None
@@ -509,8 +489,3 @@ def fact_to_dict(fact: ChartFact) -> dict:
         ),
         "meta": _meta_to_obj(fact.meta),
     }
-
-
-def serialize_fact(fact: ChartFact) -> str:
-    """Canonical JSON text; parse_fact_json(serialize_fact(f)) == f."""
-    return json.dumps(fact_to_dict(fact), ensure_ascii=False, separators=(", ", ": "))

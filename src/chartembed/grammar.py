@@ -2,15 +2,13 @@
 
 Every valid chart fact admits exactly one leftmost derivation over this
 grammar, walked in the canonical seven-part order. The derivation is a
-sequence of 8 to 13 rule ids, encoded as a 16-row one-hot matrix (one row
-per derivation step, zero rows as padding).
+sequence of 8 to 13 rule ids; the encoder reads it padded to 16 ids with -1
+(see corpus.EncodedCorpus).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .facts import (
     Aggregation,
@@ -131,46 +129,7 @@ def meta_label(meta: MetaInfo) -> str:
     raise TypeError(f"unknown meta variant {type(meta).__name__}")
 
 
-@dataclass(frozen=True)
-class RuleSequence:
-    """An ordered leftmost derivation, as rule ids."""
-
-    ids: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __iter__(self):
-        return iter(self.ids)
-
-
-@dataclass(frozen=True)
-class FactSkeleton:
-    """The structural part of a fact: everything the grammar can express."""
-
-    chart_type: ChartType
-    fact_type: FactType
-    filter_field_types: tuple[FieldType, ...]
-    breakdown: FieldType | None
-    aggregation: Aggregation
-    focus: FieldType | None
-    meta: str
-
-
-def fact_skeleton(fact: ChartFact) -> FactSkeleton:
-    """Project a fact onto its structural skeleton (semantics dropped)."""
-    return FactSkeleton(
-        chart_type=fact.type_c,
-        fact_type=fact.type_f,
-        filter_field_types=tuple(f.field_type for f in fact.subspace),
-        breakdown=fact.breakdown.field_type if fact.breakdown else None,
-        aggregation=fact.measure.aggregation if fact.measure else Aggregation.COUNT,
-        focus=fact.focus.field.field_type if fact.focus else None,
-        meta=meta_label(fact.meta),
-    )
-
-
-def derive_rules(fact: ChartFact) -> RuleSequence:
+def derive_rules(fact: ChartFact) -> tuple[int, ...]:
     """Leftmost derivation of the fact's structure, in canonical order."""
     report = validate_fact(fact)
     if not report.ok:
@@ -210,109 +169,7 @@ def derive_rules(fact: ChartFact) -> RuleSequence:
         ids.append(_FOCUS_FIELD_BASE + _FIELD_TYPE_OFFSET[fact.focus.field.field_type])
 
     ids.append(_META_LABEL_ID[meta_label(fact.meta)])
-    return RuleSequence(tuple(ids))
-
-
-def encode_one_hot(seq: RuleSequence) -> np.ndarray:
-    """16x60 matrix: row i one-hot for seq[i], remaining rows zero."""
-    if len(seq) == 0:
-        raise GrammarError("empty rule sequence")
-    if len(seq) > MAX_SEQUENCE_LENGTH:
-        raise GrammarError(
-            f"sequence of {len(seq)} rules exceeds the {MAX_SEQUENCE_LENGTH}-row limit"
-        )
-    matrix = np.zeros((MAX_SEQUENCE_LENGTH, RULE_COUNT), dtype=np.float64)
-    for row, rule_id in enumerate(seq):
-        if not 0 <= rule_id < RULE_COUNT:
-            raise GrammarError(f"rule id {rule_id} out of range")
-        matrix[row, rule_id] = 1.0
-    return matrix
-
-
-class _SequenceReader:
-    def __init__(self, ids: tuple[int, ...]):
-        self.ids = ids
-        self.pos = 0
-
-    def take(self, what: str) -> int:
-        if self.pos >= len(self.ids):
-            raise GrammarError(f"ill-formed sequence: ended while expecting {what}")
-        rule_id = self.ids[self.pos]
-        self.pos += 1
-        return rule_id
-
-    def done(self) -> None:
-        if self.pos != len(self.ids):
-            raise GrammarError(
-                f"ill-formed sequence: {len(self.ids) - self.pos} trailing rule(s)"
-            )
-
-
-def decode_skeleton(seq: RuleSequence) -> FactSkeleton:
-    """Invert derive_rules back to the structural skeleton."""
-    reader = _SequenceReader(tuple(seq))
-
-    def expect(rule_id: int, lo: int, hi: int, what: str) -> int:
-        if not lo <= rule_id <= hi:
-            raise GrammarError(
-                f"ill-formed sequence: rule {rule_id} where {what} was expected"
-            )
-        return rule_id
-
-    expect(reader.take("Root"), ROOT_RULE, ROOT_RULE, "the Root rule")
-    ct_id = expect(reader.take("ChartType"), _CHART_TYPE_BASE, 15, "a ChartType rule")
-    chart_type = list(ChartType)[ct_id - _CHART_TYPE_BASE]
-    ft_id = expect(reader.take("FactType"), _FACT_TYPE_BASE, 25, "a FactType rule")
-    fact_type = list(FactType)[ft_id - _FACT_TYPE_BASE]
-
-    sub_id = expect(reader.take("Subspace"), SUBSPACE_EMPTY, SUBSPACE_MULTI, "a Subspace rule")
-    filter_types: list[FieldType] = []
-    if sub_id == SUBSPACE_SINGLE:
-        fid = expect(reader.take("Filter"), _FILTER_BASE, _FILTER_BASE + 3, "a Filter rule")
-        filter_types.append(list(FieldType)[fid - _FILTER_BASE])
-    elif sub_id == SUBSPACE_MULTI:
-        while reader.pos < len(reader.ids) and _FILTER_BASE <= reader.ids[reader.pos] <= _FILTER_BASE + 3:
-            filter_types.append(list(FieldType)[reader.take("Filter") - _FILTER_BASE])
-        if len(filter_types) < 2:
-            raise GrammarError("ill-formed sequence: multi subspace with < 2 filters")
-
-    bd_id = expect(reader.take("Breakdown"), BREAKDOWN_ABSENT, BREAKDOWN_PRESENT, "a Breakdown rule")
-    breakdown = None
-    if bd_id == BREAKDOWN_PRESENT:
-        bft = expect(
-            reader.take("BreakdownField"),
-            BREAKDOWN_TEMPORAL,
-            BREAKDOWN_CATEGORICAL,
-            "a BreakdownField rule",
-        )
-        breakdown = FieldType.TEMPORAL if bft == BREAKDOWN_TEMPORAL else FieldType.CATEGORICAL
-
-    agg_id = expect(reader.take("Measure"), _MEASURE_BASE, _MEASURE_BASE + 4, "a Measure rule")
-    aggregation = list(Aggregation)[agg_id - _MEASURE_BASE]
-
-    fc_id = expect(reader.take("Focus"), FOCUS_ABSENT, FOCUS_PRESENT, "a Focus rule")
-    focus = None
-    if fc_id == FOCUS_PRESENT:
-        fft = expect(
-            reader.take("FocusField"),
-            _FOCUS_FIELD_BASE,
-            _FOCUS_FIELD_BASE + 3,
-            "a FocusField rule",
-        )
-        focus = list(FieldType)[fft - _FOCUS_FIELD_BASE]
-
-    meta_id = expect(reader.take("Meta"), META_BASE, META_BASE + 11, "a Meta rule")
-    reader.done()
-
-    return FactSkeleton(
-        chart_type=chart_type,
-        fact_type=fact_type,
-        filter_field_types=tuple(filter_types),
-        breakdown=breakdown,
-        aggregation=aggregation,
-        focus=focus,
-        meta=_META_LABELS[meta_id - META_BASE],
-    )
+    return tuple(ids)
 
 
 def grammar_dump() -> str:

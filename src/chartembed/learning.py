@@ -79,41 +79,6 @@ class LossBreakdown:
     total: float
 
 
-def euclidean(x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(x, dtype=np.float64) - y))
-
-
-def euclidean_grad(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """d distance / d x; zero at coincident points (subgradient choice)."""
-    diff = np.asarray(x, dtype=np.float64) - y
-    dist = np.linalg.norm(diff)
-    if dist == 0.0:
-        return np.zeros_like(diff)
-    return diff / dist
-
-
-def interpolation_loss(
-    x_prev: np.ndarray, x_mid: np.ndarray, x_next: np.ndarray, alpha: float
-) -> tuple[float, tuple[float, float]]:
-    """Midpoint distance plus alpha times the three pairwise distances.
-
-    Returns (value, (midpoint_term, pair_sum)).
-    """
-    midpoint = (np.asarray(x_prev, dtype=np.float64) + x_next) / 2.0
-    interp = euclidean(x_mid, midpoint)
-    pairs = (
-        euclidean(x_prev, x_mid) + euclidean(x_mid, x_next) + euclidean(x_prev, x_next)
-    )
-    return interp + alpha * pairs, (interp, pairs)
-
-
-def triplet_loss(
-    anchor: np.ndarray, positive: np.ndarray, negative: np.ndarray, margin: float
-) -> float:
-    """Hinge on d(anchor, positive) - d(anchor, negative) + margin."""
-    return max(0.0, euclidean(anchor, positive) - euclidean(anchor, negative) + margin)
-
-
 def _row_distances(diff: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 

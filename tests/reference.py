@@ -9,13 +9,24 @@ bit in every mode.
 as a full scan: every anchor-candidate distance in the difference form. The
 package ranks each block by its Gram form and re-ranks only the near-ties;
 its retrieved charts and distances must equal these bit for bit.
+
+`decode_skeleton` parses rule ids as a leftmost derivation over `RULES`; it
+inverts `derive_rules` onto `fact_skeleton`, which proves the grammar
+invertible. `one_hot` is the schema matrix that the model's rule ids stand
+for. `interpolation_loss` and `triplet_loss` are the scalar loss formulas,
+and `euclidean_grad` the distance gradient, that the batched loss and its
+gradients must match sample by sample.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from chartembed.evaluation import EmbeddingIndex
+from chartembed.facts import Aggregation, ChartFact, ChartType, FactType, FieldType, fact_to_dict
+from chartembed.grammar import RULES, GrammarError
 from chartembed.semantics import (
     LOCATION_COUNT,
     POOLED_DIM,
@@ -114,3 +125,140 @@ def nearest_by_difference(index: EmbeddingIndex) -> tuple[np.ndarray, np.ndarray
             retrieved[anchors] = block[best]
             distance[anchors] = dist[own, best]
     return retrieved, distance
+
+
+@dataclass(frozen=True)
+class FactSkeleton:
+    """The structural part of a fact: everything the grammar can express."""
+
+    chart_type: ChartType
+    fact_type: FactType
+    filter_field_types: tuple[FieldType, ...]
+    breakdown: FieldType | None
+    aggregation: Aggregation
+    focus: FieldType | None
+    meta: str
+
+
+def _meta_label(fact: ChartFact) -> str:
+    """The right-hand side of the fact's Meta rule, read off its dict form.
+    Categorization and rank collapse their unbounded descriptors."""
+    meta = fact_to_dict(fact)["meta"]
+    if meta is None:
+        return "<none>"
+    kind = meta.pop("kind")
+    if kind == "categorization":
+        return "categorization count"
+    if kind == "rank":
+        return "rank top3"
+    (value,) = meta.values()
+    return f"{kind} {value}"
+
+
+def fact_skeleton(fact: ChartFact) -> FactSkeleton:
+    """Project a fact onto its structural skeleton (semantics dropped)."""
+    return FactSkeleton(
+        chart_type=fact.type_c,
+        fact_type=fact.type_f,
+        filter_field_types=tuple(f.field_type for f in fact.subspace),
+        breakdown=fact.breakdown.field_type if fact.breakdown else None,
+        aggregation=fact.measure.aggregation if fact.measure else Aggregation.COUNT,
+        focus=fact.focus.field.field_type if fact.focus else None,
+        meta=_meta_label(fact),
+    )
+
+
+class _SequenceReader:
+    """Rule ids read one derivation step at a time."""
+
+    def __init__(self, ids):
+        self.ids = tuple(ids)
+        self.pos = 0
+
+    def at(self, lhs: str) -> bool:
+        """Whether the next rule expands `lhs`."""
+        if self.pos >= len(self.ids):
+            return False
+        rule_id = self.ids[self.pos]
+        return 0 <= rule_id < len(RULES) and RULES[rule_id].lhs == lhs
+
+    def take(self, lhs: str) -> str:
+        """The right-hand side of the next rule, which must expand `lhs`."""
+        if self.pos >= len(self.ids):
+            raise GrammarError(f"ill-formed sequence: ended while expecting {lhs}")
+        if not self.at(lhs):
+            raise GrammarError(
+                f"ill-formed sequence: rule {self.ids[self.pos]} where {lhs} was expected"
+            )
+        self.pos += 1
+        return RULES[self.ids[self.pos - 1]].rhs
+
+    def done(self) -> None:
+        if self.pos != len(self.ids):
+            raise GrammarError(f"ill-formed sequence: {len(self.ids) - self.pos} trailing rule(s)")
+
+
+def decode_skeleton(rule_ids) -> FactSkeleton:
+    """Invert derive_rules: parse the ids as the leftmost derivation from
+    Root, in the seven-part order of its right-hand side."""
+    reader = _SequenceReader(rule_ids)
+    reader.take("Root")
+    chart_type = ChartType(reader.take("ChartType"))
+    fact_type = FactType(reader.take("FactType"))
+    subspace = reader.take("Subspace")
+    filters: list[FieldType] = []
+    if subspace != "<empty>":
+        filters.append(FieldType(reader.take("Filter")))
+    if subspace == "Filter Filter+":
+        filters.append(FieldType(reader.take("Filter")))
+        while reader.at("Filter"):
+            filters.append(FieldType(reader.take("Filter")))
+    breakdown = None
+    if reader.take("Breakdown") == "BreakdownField":
+        breakdown = FieldType(reader.take("BreakdownField"))
+    aggregation = Aggregation(reader.take("Measure"))
+    focus = None
+    if reader.take("Focus") == "FocusField":
+        focus = FieldType(reader.take("FocusField"))
+    meta = reader.take("Meta")
+    reader.done()
+    return FactSkeleton(chart_type, fact_type, tuple(filters), breakdown, aggregation, focus, meta)
+
+
+def one_hot(rule_ids) -> np.ndarray:
+    """The (..., L, 60) one-hot schema that L rule ids stand for; a -1
+    padding id is a zero row."""
+    return (np.asarray(rule_ids)[..., None] == np.arange(len(RULES))).astype(np.float64)
+
+
+def euclidean(x: np.ndarray, y: np.ndarray) -> float:
+    return float(np.linalg.norm(np.asarray(x, dtype=np.float64) - y))
+
+
+def euclidean_grad(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """d distance / d x; zero at coincident points (subgradient choice)."""
+    diff = np.asarray(x, dtype=np.float64) - y
+    dist = np.linalg.norm(diff)
+    if dist == 0.0:
+        return np.zeros_like(diff)
+    return diff / dist
+
+
+def interpolation_loss(
+    x_prev: np.ndarray, x_mid: np.ndarray, x_next: np.ndarray, alpha: float
+) -> tuple[float, tuple[float, float]]:
+    """Midpoint distance plus alpha times the three pairwise distances.
+
+    Returns (value, (midpoint_term, pair_sum)).
+    """
+    midpoint = (np.asarray(x_prev, dtype=np.float64) + x_next) / 2.0
+    interp = euclidean(x_mid, midpoint)
+    pairs = euclidean(x_prev, x_mid) + euclidean(x_mid, x_next) + euclidean(x_prev, x_next)
+    return interp + alpha * pairs, (interp, pairs)
+
+
+def triplet_loss(
+    anchor: np.ndarray, positive: np.ndarray, negative: np.ndarray, margin: float
+) -> float:
+    """Hinge on d(anchor, positive) - d(anchor, negative) + margin."""
+    return max(0.0, euclidean(anchor, positive) - euclidean(anchor, negative) + margin)

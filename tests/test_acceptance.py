@@ -18,14 +18,15 @@ import numpy as np
 import pytest
 
 from chartembed.cli import _gradcheck_batch, main
-from chartembed.corpus import build_samples, load_corpus, split_corpus
-from chartembed.encoder import (
-    EncoderConfig,
-    init_params,
-    load_checkpoint,
-    params_equal,
-    save_checkpoint,
+from chartembed.corpus import (
+    Corpus,
+    MultiViewVis,
+    build_samples,
+    encode_corpus,
+    load_corpus,
+    split_corpus,
 )
+from chartembed.encoder import EncoderConfig, init_params, load_checkpoint, save_checkpoint
 from chartembed.evaluation import (
     SINGLE_SWITCH_VARIANTS,
     build_index,
@@ -38,20 +39,11 @@ from chartembed.grammar import (
     MIN_DERIVATION_LENGTH,
     RULE_COUNT,
     RULES,
-    decode_skeleton,
     derive_rules,
-    encode_one_hot,
-    fact_skeleton,
 )
-from chartembed.learning import (
-    HyperParams,
-    batch_loss_from_embeddings,
-    grad_check,
-    interpolation_loss,
-    train,
-    triplet_loss,
-)
-from chartembed.semantics import load_vector_store, pool_word, split_words
+from chartembed.learning import HyperParams, batch_loss_from_embeddings, grad_check, train
+from chartembed.semantics import VectorStore, load_vector_store, pool_word, split_words
+from reference import decode_skeleton, fact_skeleton, interpolation_loss, one_hot, triplet_loss
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -109,16 +101,21 @@ def test_criterion_3_grammar():
     started = time.perf_counter()
     rng = np.random.default_rng(3)
     ok = len(RULES) == RULE_COUNT == 60
-    for _ in range(1000):
-        fact = random_fact(rng)
+    facts = [random_fact(rng) for _ in range(1000)]
+    charts = tuple((f"c{i}", fact) for i, fact in enumerate(facts))
+    corpus = Corpus((MultiViewVis("v", "d", "economy", "data-story", charts),))
+    # The model's input: each derivation as 16 rule ids, standing for a
+    # 16x60 one-hot matrix.
+    matrices = one_hot(encode_corpus(corpus, VectorStore({}), EncoderConfig()).rule_ids)
+    for fact, matrix in zip(facts, matrices):
         seq = derive_rules(fact)
         ok = ok and MIN_DERIVATION_LENGTH <= len(seq) <= MAX_DERIVATION_LENGTH
         ok = ok and decode_skeleton(seq) == fact_skeleton(fact)
-        matrix = encode_one_hot(seq)
         row_sums = matrix.sum(axis=1)
-        ok = ok and set(np.unique(matrix)) <= {0.0, 1.0}
+        ok = ok and matrix.shape == (16, 60) and set(np.unique(matrix)) <= {0.0, 1.0}
         ok = ok and all(s in (0.0, 1.0) for s in row_sums)
         ok = ok and matrix.sum() == len(seq)
+        ok = ok and all(matrix[row, rule_id] == 1.0 for row, rule_id in enumerate(seq))
     elapsed = time.perf_counter() - started
     report(
         3,
@@ -269,7 +266,7 @@ def test_criterion_8_reproducibility(
     save_checkpoint(params, path=str(path))
     loaded, _ = load_checkpoint(str(path))
     roundtrip = (
-        params_equal(loaded, params) and loaded.values.tobytes() == params.values.tobytes()
+        loaded.config == params.config and loaded.values.tobytes() == params.values.tobytes()
     )
     report(
         8,

@@ -17,12 +17,19 @@ from chartembed.cli import main
 from chartembed.corpus import CorpusError, load_corpus
 from chartembed.encoder import (
     CheckpointError,
+    EncoderConfig,
+    _read_header,
+    init_params,
     load_checkpoint,
-    load_checkpoint_extras,
-    params_equal,
     save_checkpoint,
 )
 from chartembed.evaluation import load_index
+
+
+def checkpoint_extras(path):
+    """The extras block (training hyperparameters) of a checkpoint's header."""
+    with open(path, "rb") as fh:
+        return _read_header(fh).get("extras")
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +128,7 @@ def test_validate_missing_file():
 def test_train_outputs(trained):
     params, config = load_checkpoint(trained)
     assert config.output_dim == 540
-    extras = load_checkpoint_extras(trained)
+    extras = checkpoint_extras(trained)
     assert extras["epochs"] == 2 and extras["seed"] == 3
     with open(trained + ".history.csv", encoding="utf-8") as fh:
         lines = fh.read().strip().splitlines()
@@ -159,9 +166,8 @@ def test_train_zero_epochs_writes_initial_params(
     )
     assert code == 0
     params, config = load_checkpoint(str(out))
-    from chartembed.encoder import EncoderConfig, init_params
-
-    assert params_equal(params, init_params(11, EncoderConfig(dropout=0.1)))
+    assert config == EncoderConfig(dropout=0.1)
+    assert np.array_equal(params.values, init_params(11, config).values)
 
 
 def test_train_bad_vectors_path(tmp_path, fixture_corpus_path):
@@ -207,7 +213,7 @@ def test_config_file_flags_win(tmp_path, fixture_corpus_path, fixture_vectors_pa
         ]
     )
     assert code == 0
-    extras = load_checkpoint_extras(str(out))
+    extras = checkpoint_extras(str(out))
     assert extras["epochs"] == 1  # from the config file
     assert extras["seed"] == 22  # flag beats config file
 
@@ -389,7 +395,7 @@ def test_embed_truncated_checkpoint(
             load_checkpoint(str(path))
         if cut < 8 + header_len:
             with pytest.raises(CheckpointError, match=f"inside the {part}"):
-                load_checkpoint_extras(str(path))
+                checkpoint_extras(str(path))
         code = main(
             ["embed", str(path), fixture_corpus_path, str(tmp_path / "index.tsv"),
              "--vectors", fixture_vectors_path]
@@ -472,7 +478,7 @@ def test_c2v1_checkpoint_rejected(
         + struct.pack("<Q", 598_675) + np.zeros(598_675).astype("<f8").tobytes()
     )
     message = "checkpoint version mismatch: expected magic b'C2V2', found b'C2V1'"
-    for read in (load_checkpoint, load_checkpoint_extras):
+    for read in (load_checkpoint, checkpoint_extras):
         with pytest.raises(CheckpointError, match=f"^{re.escape(message)}$"):
             read(str(path))
     err = _embed_error(path, fixture_corpus_path, fixture_vectors_path, tmp_path / "i.tsv", capsys)
@@ -539,6 +545,21 @@ def test_nearest_k_exceeds_candidates(index_path, capsys):
     assert main(["nearest", index_path, "s00c0", "--k", "999"]) == 0
     rows = capsys.readouterr().out.strip().splitlines()
     assert len(rows) == 9  # the dataset holds two five-chart stories
+
+
+def test_nearest_overflow_prints_only_the_ranking(tmp_path):
+    # The differences overflow float64; the distances are infinite, and
+    # numpy must not warn on stderr.
+    path = tmp_path / "big.tsv"
+    path.write_text(
+        "chart_id\tstory_id\tposition\tdataset_id\tv1\n"
+        "a\ts\t0\tds\t1e308\nb\ts\t1\tds\t-1e308\nc\ts\t2\tds\t0\n",
+        encoding="utf-8",
+    )
+    run = _run_cli("nearest", str(path), "a", "--k", "2")
+    assert run.returncode == 0
+    assert run.stderr == ""
+    assert run.stdout.splitlines() == ["1\tb\tinf", "2\tc\tinf"]
 
 
 def test_eval_text_and_json(index_path, capsys):

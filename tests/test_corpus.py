@@ -178,8 +178,7 @@ def test_five_chart_story_gives_three_windows(store, base_config):
 
 def test_no_duplicate_quadruples_and_no_self_negatives(fixture_corpus, store, base_config):
     samples = build_samples(fixture_corpus, store, 3, "same-dataset-first", 1, base_config)
-    quads = samples.id_quadruples()
-    assert len(quads) == len(set(quads))
+    assert len(np.unique(samples.quads, axis=0)) == len(samples.quads)
     vis_ids = samples.encoded.vis_ids
     for _, mid, _, neg in samples.quads:
         assert vis_ids[neg] != vis_ids[mid]
@@ -197,7 +196,7 @@ def test_same_dataset_first_policy(fixture_corpus, store, base_config):
 def test_sampling_deterministic_per_seed(fixture_corpus, store, base_config):
     a = build_samples(fixture_corpus, store, 1, "same-dataset-first", 5, base_config)
     b = build_samples(fixture_corpus, store, 1, "same-dataset-first", 5, base_config)
-    assert a.id_quadruples() == b.id_quadruples()
+    assert np.array_equal(a.quads, b.quads)
 
 
 def reference_id_quadruples(corpus, negatives_per_window, policy, seed):
@@ -272,7 +271,9 @@ def test_tier_arrays_match_per_window_reference(fixture_corpus, empty_store, bas
                         corpus, empty_store, negatives, policy, seed, base_config
                     )
                     expected = reference_id_quadruples(corpus, negatives, policy, seed)
-                    assert samples.id_quadruples() == expected, (negatives, policy, seed)
+                    ids = samples.encoded.chart_ids
+                    got = tuple(tuple(ids[row] for row in quad) for quad in samples.quads.tolist())
+                    assert got == expected, (negatives, policy, seed)
 
 
 def test_single_visualization_corpus_rejected(store, base_config):

@@ -14,19 +14,18 @@ from chartembed.encoder import (
     CheckpointError,
     EncoderConfig,
     EncoderError,
+    EncoderParams,
+    _read_header,
     backward_batch,
-    copy_params,
-    forward,
     forward_batch,
     init_params,
     load_checkpoint,
-    load_checkpoint_extras,
     param_views,
-    params_equal,
     save_checkpoint,
     trainable_items,
 )
 from chartembed.evaluation import ABLATION_VARIANTS, variant_switches
+from reference import one_hot
 
 # Frozen regression pin: first five output components for seed-1234 params
 # on the worked example fact encoded with the bundled vector store.
@@ -48,9 +47,10 @@ def random_rule_ids(rng, count):
     return ids
 
 
-def one_hot(rule_ids):
-    """The (..., 16, 60) one-hot schema that rule ids stand for."""
-    return (np.asarray(rule_ids)[..., None] == np.arange(60)).astype(np.float64)
+def embed_one(rule_ids, sem, params):
+    """One chart's inference embedding: a one-row forward_batch."""
+    out, _ = forward_batch(np.asarray(rule_ids)[None], np.asarray(sem)[None], params, train=False)
+    return out[0]
 
 
 def conv_layers(params):
@@ -169,8 +169,9 @@ def naive_forward_infer(schema, sem, params):
 
 
 def test_init_deterministic_per_seed(base_config):
-    assert params_equal(init_params(7, base_config), init_params(7, base_config))
-    assert not params_equal(init_params(7, base_config), init_params(8, base_config))
+    seven = init_params(7, base_config).values
+    assert np.array_equal(seven, init_params(7, base_config).values)
+    assert not np.array_equal(seven, init_params(8, base_config).values)
 
 
 def test_init_weight_bounds(base_config):
@@ -188,10 +189,10 @@ def test_forward_matches_naive_oracle(rng, base_config):
     params = init_params(11, base_config)
     rule_ids = random_rule_ids(rng, 1)[0]
     sem = rng.normal(size=(25, 17))
-    fast, trace = forward(rule_ids, sem, params, mode="infer")
+    fast, trace = forward_batch(rule_ids[None], sem[None], params, train=False)
     assert trace is None
     slow = naive_forward_infer(one_hot(rule_ids), sem, params)
-    assert np.allclose(fast, slow, atol=1e-12)
+    assert np.allclose(fast[0], slow, atol=1e-12)
 
 
 def test_forward_no_fc_matches_naive_oracle(rng):
@@ -199,7 +200,7 @@ def test_forward_no_fc_matches_naive_oracle(rng):
     params = init_params(11, config)
     rule_ids = random_rule_ids(rng, 1)[0]
     sem = rng.normal(size=(25, 17))
-    fast, _ = forward(rule_ids, sem, params, mode="infer")
+    fast = embed_one(rule_ids, sem, params)
     assert fast.shape == (553,)
     assert np.allclose(fast, naive_forward_infer(one_hot(rule_ids), sem, params), atol=1e-12)
 
@@ -208,8 +209,8 @@ def test_zero_inputs_hit_bias_only_path(base_config):
     params = init_params(5, base_config)
     rule_ids = np.full(16, -1)
     sem = np.zeros((25, 17))
-    out1, _ = forward(rule_ids, sem, params)
-    out2, _ = forward(rule_ids, sem, params)
+    out1 = embed_one(rule_ids, sem, params)
+    out2 = embed_one(rule_ids, sem, params)
     assert np.array_equal(out1, out2)
     assert np.allclose(out1, naive_forward_infer(np.zeros((16, 60)), sem, params), atol=1e-12)
 
@@ -218,7 +219,7 @@ def test_golden_snapshot(example_fact, store):
     params = init_params(1234, EncoderConfig())
     vis = MultiViewVis("v", "ds", "economy", "data-story", (("c", example_fact),))
     rule_ids, sems = encode_corpus(Corpus((vis,)), store, params.config).rows(np.arange(1))
-    vec, _ = forward(rule_ids[0], sems[0], params)
+    vec = embed_one(rule_ids[0], sems[0], params)
     assert vec.shape == (540,)
     assert np.allclose(vec[:5], GOLDEN_FIRST5, atol=1e-12)
 
@@ -228,7 +229,7 @@ def test_infer_independent_of_batch_composition(rng, base_config):
     ids_a, ids_b = random_rule_ids(rng, 2)
     sem_a = rng.normal(size=(25, 17))
     sem_b = rng.normal(size=(25, 17))
-    alone, _ = forward(ids_a, sem_a, params)
+    alone = embed_one(ids_a, sem_a, params)
     batched, _ = forward_batch(
         np.stack([ids_a, ids_b]), np.stack([sem_a, sem_b]), params, train=False
     )
@@ -239,18 +240,9 @@ def test_infer_independent_of_batch_composition(rng, base_config):
 
 def test_infer_does_not_mutate_params(rng, base_config):
     params = init_params(2, base_config)
-    before = copy_params(params)
-    forward(random_rule_ids(rng, 1)[0], rng.normal(size=(25, 17)), params)
-    assert params_equal(params, before)
-
-
-def test_copy_params_shares_no_memory(base_config):
-    params = init_params(2, base_config)
-    copy = copy_params(params)
-    assert params_equal(copy, params)
-    assert not np.shares_memory(copy.values, params.values)
-    copy.views["conv1.weight"][0, 0, 0] += 1.0
-    assert not params_equal(copy, params)
+    before = params.values.copy()
+    embed_one(random_rule_ids(rng, 1)[0], rng.normal(size=(25, 17)), params)
+    assert np.array_equal(params.values, before)
 
 
 def test_named_views_alias_the_parameter_vector(rng, base_config):
@@ -310,15 +302,15 @@ def test_train_mode_batch_norm_statistics(rng, base_config):
 
 def test_running_stats_update_only_when_requested(rng, base_config):
     params = init_params(6, base_config)
-    before = copy_params(params)
+    before = EncoderParams(params.config, params.values.copy())
     rule_ids = random_rule_ids(rng, 4)
     sems = rng.normal(size=(4, 25, 17))
     forward_batch(rule_ids, sems, params, train=True,
                   dropout_rng=np.random.default_rng(0), update_running_stats=False)
-    assert params_equal(params, before)
+    assert np.array_equal(params.values, before.values)
     forward_batch(rule_ids, sems, params, train=True,
                   dropout_rng=np.random.default_rng(0), update_running_stats=True)
-    assert not params_equal(params, before)
+    assert not np.array_equal(params.values, before.values)
     for layer, old in zip(conv_layers(params), conv_layers(before)):
         assert np.array_equal(layer.weight, old.weight)  # only stats moved
 
@@ -353,19 +345,19 @@ def test_semantic_rows_are_position_sensitive(rng, base_config):
     sem = rng.normal(size=(25, 17))
     swapped = sem.copy()
     swapped[[0, 1]] = swapped[[1, 0]]
-    out_a, _ = forward(rule_ids, sem, params)
-    out_b, _ = forward(rule_ids, swapped, params)
+    out_a = embed_one(rule_ids, sem, params)
+    out_b = embed_one(rule_ids, swapped, params)
     assert not np.allclose(out_a, out_b)
 
 
 def test_forward_shape_mismatch_rejected(rng, base_config):
     params = init_params(1, base_config)
     with pytest.raises(EncoderError, match="schema"):
-        forward(np.full(15, -1), np.zeros((25, 17)), params)
+        embed_one(np.full(15, -1), np.zeros((25, 17)), params)
     with pytest.raises(EncoderError, match="schema"):
-        forward(np.zeros((16, 60), dtype=int), np.zeros((25, 17)), params)
+        embed_one(np.zeros((16, 60), dtype=int), np.zeros((25, 17)), params)
     with pytest.raises(EncoderError, match="semantic"):
-        forward(np.full(16, -1), np.zeros((25, 16)), params)
+        embed_one(np.full(16, -1), np.zeros((25, 16)), params)
 
 
 def test_forward_rejects_invalid_rule_ids(base_config):
@@ -373,33 +365,33 @@ def test_forward_rejects_invalid_rule_ids(base_config):
     sem = np.zeros((25, 17))
     for bad in (np.zeros(16), np.full(16, -1.0), np.zeros(16, dtype=bool)):
         with pytest.raises(EncoderError, match="integers"):
-            forward(bad, sem, params)
+            embed_one(bad, sem, params)
     for value in (-2, 60, 127):
         rule_ids = np.full(16, -1, dtype=np.int8)
         rule_ids[3] = value
         with pytest.raises(EncoderError, match=r"\[-1, 60\)"):
-            forward(rule_ids, sem, params)
+            embed_one(rule_ids, sem, params)
     edge = np.array([0, 59] + [-1] * 14)
-    assert forward(edge, sem, params)[0].shape == (540,)
+    assert embed_one(edge, sem, params).shape == (540,)
 
 
 def test_forward_rejects_non_finite_params(base_config):
     params = init_params(1, base_config)
     params.views["fc1.weight"][0, 0] = np.nan
     with pytest.raises(EncoderError, match="non-finite parameter detected in fc1.weight"):
-        forward(np.full(16, -1), np.zeros((25, 17)), params)
+        embed_one(np.full(16, -1), np.zeros((25, 17)), params)
 
 
 def test_zero_branch_switches(rng):
     rule_ids = random_rule_ids(rng, 1)[0]
     sem = rng.normal(size=(25, 17))
     params = init_params(3, EncoderConfig(zero_schema=True))
-    a, _ = forward(rule_ids, sem, params)
-    b, _ = forward(np.full(16, -1), sem, params)
+    a = embed_one(rule_ids, sem, params)
+    b = embed_one(np.full(16, -1), sem, params)
     assert np.array_equal(a, b)
     params = init_params(3, EncoderConfig(zero_semantics=True))
-    a, _ = forward(rule_ids, sem, params)
-    b, _ = forward(rule_ids, np.zeros((25, 17)), params)
+    a = embed_one(rule_ids, sem, params)
+    b = embed_one(rule_ids, np.zeros((25, 17)), params)
     assert np.array_equal(a, b)
 
 
@@ -409,8 +401,8 @@ def test_checkpoint_roundtrip(tmp_path, base_config):
     save_checkpoint(params, path=path, extras={"note": 1})
     loaded, config = load_checkpoint(path)
     assert config == base_config
-    assert params_equal(loaded, params)
-    assert load_checkpoint_extras(path) == {"note": 1}
+    with open(path, "rb") as fh:
+        assert _read_header(fh)["extras"] == {"note": 1}
     # Bit-exactness of the whole payload.
     assert loaded.values.tobytes() == params.values.tobytes()
 
@@ -422,7 +414,7 @@ def test_checkpoint_roundtrip_no_fc(tmp_path):
     save_checkpoint(params, path=path)
     loaded, loaded_config = load_checkpoint(path)
     assert loaded_config == config
-    assert params_equal(loaded, params)
+    assert np.array_equal(loaded.values, params.values)
 
 
 def test_checkpoint_loads_hand_written_c2v2_layout(tmp_path):
@@ -458,7 +450,7 @@ def test_checkpoint_loads_hand_written_c2v2_layout(tmp_path):
     )
     loaded, loaded_config = load_checkpoint(str(path))
     assert loaded_config == config
-    assert params_equal(loaded, params)
+    assert np.array_equal(loaded.values, params.values)
     assert loaded.values.size == 598_622
 
 

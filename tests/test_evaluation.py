@@ -145,6 +145,14 @@ def test_nearest_scope_and_errors():
     assert all(index.dataset_ids[index.row[cid]] == "ds" for cid, _ in ranked)
 
 
+def test_nearest_overflowing_distances_are_infinite():
+    index = index_of(
+        [entry("a", [1e308], "s", 0), entry("b", [-1e308], "s", 1), entry("c", [0.0], "s", 2)]
+    )
+    # Under the suite's error::RuntimeWarning filter, a numpy warning fails here.
+    assert nearest(index, "a", k=2) == [("b", math.inf), ("c", math.inf)]
+
+
 def test_nearest_distances_non_decreasing(rng):
     entries = [entry(f"c{i}", rng.normal(size=3), "s", i) for i in range(9)]
     index = index_of(entries)

@@ -28,14 +28,11 @@ from chartembed.grammar import (
     RULE_COUNT,
     RULES,
     GrammarError,
-    RuleSequence,
-    decode_skeleton,
     derive_rules,
-    encode_one_hot,
-    fact_skeleton,
     grammar_dump,
 )
 from chartembed.semantics import VectorStore
+from reference import decode_skeleton, fact_skeleton, one_hot
 
 
 def test_rule_table_has_sixty_rules():
@@ -95,7 +92,7 @@ def test_minimal_fact_derivation(minimal_fact):
         "Focus", "Meta",
     ]
     # Absent measure maps onto the count rule.
-    assert RULES[seq.ids[5]].rhs == "count"
+    assert RULES[seq[5]].rhs == "count"
 
 
 def test_maximal_fact_derivation():
@@ -130,15 +127,26 @@ def test_derive_rejects_invalid_fact():
         derive_rules(fact)
 
 
+def encoded_rule_ids(facts):
+    """The model's (N, 16) rule-id input for the facts, via encode_corpus."""
+    charts = tuple((f"c{i}", fact) for i, fact in enumerate(facts))
+    corpus = Corpus((MultiViewVis("v", "d", "economy", "data-story", charts),))
+    rule_ids, _ = encode_corpus(corpus, VectorStore({}), EncoderConfig()).rows(
+        np.arange(len(facts))
+    )
+    return rule_ids
+
+
 def test_one_hot_shape_and_padding(example_fact):
     seq = derive_rules(example_fact)
-    matrix = encode_one_hot(seq)
+    # The rule ids the model reads stand for a 16x60 one-hot schema.
+    matrix = one_hot(encoded_rule_ids([example_fact])[0])
     assert matrix.shape == (16, 60)
     assert matrix.sum() == len(seq)
     for row in range(16):
         if row < len(seq):
             assert matrix[row].sum() == 1.0
-            assert matrix[row, seq.ids[row]] == 1.0
+            assert matrix[row, seq[row]] == 1.0
         else:
             assert not matrix[row].any()
     assert set(np.unique(matrix)) <= {0.0, 1.0}
@@ -147,25 +155,14 @@ def test_one_hot_shape_and_padding(example_fact):
 def test_encoded_corpus_rows_match_one_hot_on_random_facts():
     rng = np.random.default_rng(12)
     facts = [random_fact(rng) for _ in range(300)]
-    charts = tuple((f"c{i}", fact) for i, fact in enumerate(facts))
-    corpus = Corpus((MultiViewVis("v", "d", "economy", "data-story", charts),))
-    rule_ids, _ = encode_corpus(corpus, VectorStore({}), EncoderConfig()).rows(
-        np.arange(len(facts))
-    )
+    rule_ids = encoded_rule_ids(facts)
     assert rule_ids.shape == (len(facts), 16)
     for fact, row in zip(facts, rule_ids):
         seq = derive_rules(fact)
-        assert row.tolist() == list(seq.ids) + [-1] * (16 - len(seq))
-        # The rule ids stand for exactly the one-hot schema.
-        schema = (row[:, None] == np.arange(60)).astype(np.float64)
-        assert np.array_equal(schema, encode_one_hot(seq))
-
-
-def test_one_hot_rejects_empty_and_oversized():
-    with pytest.raises(GrammarError, match="empty"):
-        encode_one_hot(RuleSequence(()))
-    with pytest.raises(GrammarError, match="exceeds"):
-        encode_one_hot(RuleSequence((0,) * 17))
+        assert row.tolist() == list(seq) + [-1] * (16 - len(seq))
+        # The rule ids stand for exactly the one-hot schema of the derivation.
+        assert np.array_equal(one_hot(row)[: len(seq)], one_hot(seq))
+        assert not one_hot(row)[len(seq) :].any()
 
 
 def test_decode_roundtrip_on_example(example_fact):
@@ -183,16 +180,16 @@ def test_decode_roundtrip_on_random_facts():
 def test_decode_rejects_truncated_sequence(example_fact):
     seq = derive_rules(example_fact)
     with pytest.raises(GrammarError, match="ill-formed"):
-        decode_skeleton(RuleSequence(seq.ids[:-1]))
+        decode_skeleton(seq[:-1])
 
 
 def test_decode_rejects_trailing_rules(example_fact):
     seq = derive_rules(example_fact)
     with pytest.raises(GrammarError, match="ill-formed"):
-        decode_skeleton(RuleSequence(seq.ids + (0,)))
+        decode_skeleton(seq + (0,))
 
 
 def test_decode_rejects_wrong_start(example_fact):
     seq = derive_rules(example_fact)
     with pytest.raises(GrammarError, match="ill-formed"):
-        decode_skeleton(RuleSequence((5,) + seq.ids[1:]))
+        decode_skeleton((5,) + seq[1:])

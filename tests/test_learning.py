@@ -8,12 +8,10 @@ from chartembed.corpus import SampleSet, build_samples
 from chartembed.encoder import (
     EncoderConfig,
     backward_batch,
-    copy_params,
     forward_batch,
     init_params,
     param_count,
     param_views,
-    params_equal,
     trainable_count,
     trainable_items,
 )
@@ -24,17 +22,15 @@ from chartembed.learning import (
     TrainingDivergedError,
     adam_step,
     batch_loss_from_embeddings,
+    backward,
     combined_loss,
-    euclidean,
-    euclidean_grad,
     grad_check,
     history_csv,
     init_adam,
-    interpolation_loss,
     loss_gradients_wrt_embeddings,
     train,
-    triplet_loss,
 )
+from reference import euclidean, euclidean_grad, interpolation_loss, triplet_loss
 
 SQRT2 = np.sqrt(2.0)
 
@@ -323,6 +319,42 @@ def test_grad_check_epsilon_window(base_config):
     assert tiny > good
 
 
+def test_gradients_under_a_fixed_dropout_mask(base_config):
+    # grad_check runs with dropout off, but training uses 0.1. A fresh
+    # generator per evaluation draws the same mask for every probe, so
+    # central differences see the gradient through the dropout gate.
+    assert base_config.dropout == 0.1
+    params = init_params(0, base_config)
+    batch = _gradcheck_batch(0, base_config)
+    hyper = HyperParams()
+
+    def evaluate():
+        return combined_loss(*batch, params, hyper, dropout_rng=np.random.default_rng(3),
+                             update_running_stats=False)
+
+    _, _, trace, emb = evaluate()
+    scale = 1.0 / (1.0 - base_config.dropout)
+    assert set(np.unique(trace.fc1_gate)) == {0.0, scale}
+    assert (trace.fc1_gate == 0).mean() > 0.5  # the ReLU and the mask both close gates
+    grads = param_views(base_config, backward(trace, emb, params, hyper))
+    rng = np.random.default_rng(0)
+    epsilon = 1e-5
+    for name in ("fc1.weight", "fc1.bias", "fc2.weight", "fc2.bias", "conv2.gamma"):
+        view = params.views[name]
+        for flat in rng.choice(view.size, size=4, replace=False):
+            idx = np.unravel_index(flat, view.shape)
+            original = view[idx]
+            view[idx] = original + epsilon
+            plus = evaluate()[0]
+            view[idx] = original - epsilon
+            minus = evaluate()[0]
+            view[idx] = original
+            numeric = (plus - minus) / (2.0 * epsilon)
+            analytic = grads[name][idx]
+            error = abs(numeric - analytic) / max(1.0, abs(numeric), abs(analytic))
+            assert error < 1e-4, (name, idx, numeric, analytic)
+
+
 @pytest.mark.parametrize("name", ["alpha", "beta", "margin", "learning_rate"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_hyper_params_reject_non_finite(name, value):
@@ -362,11 +394,11 @@ def test_adam_constant_gradient_step_size(base_config):
 
 def test_adam_zero_gradient_keeps_params(base_config):
     params = init_params(0, base_config)
-    before = copy_params(params)
+    before = params.values.copy()
     state = init_adam(params)
     zeros = np.zeros_like(params.trainable)
     adam_step(params, zeros, state, 0.01)
-    assert params_equal(params, before)
+    assert np.array_equal(params.values, before)
     assert state.step == 1
     # Pre-loaded moments decay toward zero under zero gradients.
     state.m[:] = 0.5
@@ -432,7 +464,7 @@ def test_adam_deterministic(base_config):
         for _ in range(3):
             adam_step(params, rng.normal(size=params.trainable.shape), state, 0.01)
         runs.append(params)
-    assert params_equal(runs[0], runs[1])
+    assert np.array_equal(runs[0].values, runs[1].values)
 
 
 def test_combined_loss_empty_batch_rejected(base_config):
@@ -448,7 +480,7 @@ def test_train_bitwise_reproducible(fixture_corpus, store, base_config):
         samples = build_samples(fixture_corpus, store, 1, "same-dataset-first", 7, base_config)
         params, history = train(samples, hyper, init_params(7, base_config))
         outs.append((params, history))
-    assert params_equal(outs[0][0], outs[1][0])
+    assert np.array_equal(outs[0][0].values, outs[1][0].values)
     for a, b in zip(outs[0][1], outs[1][1]):
         assert a.total == b.total
 

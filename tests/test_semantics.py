@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import ast
+import importlib
+import pathlib
+
 import numpy as np
 import pytest
 import reference
@@ -349,10 +353,63 @@ def test_encode_corpus_looks_up_each_distinct_word_once(fixture_corpus, store):
         assert {w.lower() for w in counting.calls} == kept
 
 
-def test_all_names_resolve():
+# Names the package no longer has, with the module that held each; test
+# oracles for some of them live in tests/reference.py.
+REMOVED_NAMES = [
+    ("semantics", "build_semantic_block"),
+    ("grammar", "RuleSequence"),
+    ("grammar", "decode_skeleton"),
+    ("grammar", "encode_one_hot"),
+    ("facts", "StoryRef"),
+    ("facts", "parse_fact_json"),
+    ("facts", "serialize_fact"),
+    ("encoder", "forward"),
+    ("learning", "interpolation_loss"),
+    ("learning", "triplet_loss"),
+]
+
+
+def test_all_names_resolve(example_fact):
     for name in chartembed.__all__:
         assert getattr(chartembed, name, None) is not None, name
-    assert "build_semantic_block" not in chartembed.__all__
+    for module, name in REMOVED_NAMES:
+        assert name not in chartembed.__all__, name
+        assert not hasattr(importlib.import_module(f"chartembed.{module}"), name), name
+    assert type(chartembed.derive_rules(example_fact)) is tuple
+
+
+def _referenced_names(path: pathlib.Path) -> set[str]:
+    """Every name a module's code uses: loaded names, attributes and
+    from-imports (docstrings and comments do not count)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_no_package_name_is_test_only():
+    # Every public module-level function and class is called by the
+    # package itself or by the benchmark; __init__'s re-exports do not
+    # count. Code only the tests call belongs in the tests.
+    root = pathlib.Path(__file__).parents[1]
+    modules = sorted(p for p in (root / "src" / "chartembed").glob("*.py") if p.name != "__init__.py")
+    used = set()
+    for path in modules + sorted((root / "perfbench").glob("*.py")):
+        used |= _referenced_names(path)
+    unused = [
+        f"{path.stem}.{node.name}"
+        for path in modules
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in used
+    ]
+    assert unused == []
 
 
 @pytest.mark.parametrize("component", ["nan", "inf", "-inf", "1e400", "NaN"])
