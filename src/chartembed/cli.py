@@ -368,15 +368,10 @@ def cmd_nearest(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        index = load_index(args.index)
+        ranked = nearest(load_index(args.index), args.anchor, scope=args.scope, k=k)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except EvaluationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    try:
-        ranked = nearest(index, args.anchor, scope=args.scope, k=k)
     except EvaluationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

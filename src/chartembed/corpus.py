@@ -87,6 +87,8 @@ def _vis_from_dict(obj: dict, where: str, strict: bool) -> Optional[MultiViewVis
     for key in ("id", "dataset_id"):
         if not isinstance(obj[key], str):
             raise CorpusError(f"{where}.{key}: expected a string")
+        if not {"\t", "\r", "\n"}.isdisjoint(obj[key]):  # each id is one index TSV cell
+            raise CorpusError(f"{where}.{key}: {obj[key]!r} contains a tab, CR or LF")
     if not isinstance(obj["charts"], list):
         raise CorpusError(f"{where}.charts: expected a list")
     if obj["domain"] not in DOMAINS:
@@ -106,6 +108,8 @@ def _vis_from_dict(obj: dict, where: str, strict: bool) -> Optional[MultiViewVis
         chart_id = chart_obj["chart_id"]
         if not isinstance(chart_id, str) or not chart_id:
             raise CorpusError(f"{cwhere}: chart_id must be a non-empty string")
+        if not {"\t", "\r", "\n"}.isdisjoint(chart_id):
+            raise CorpusError(f"{cwhere}.chart_id: {chart_id!r} contains a tab, CR or LF")
         if chart_id in seen_ids:
             raise CorpusError(f"{cwhere}: duplicate chart id {chart_id!r}")
         seen_ids.add(chart_id)

@@ -88,28 +88,24 @@ def index_encoded(encoded: EncodedCorpus, params: EncoderParams) -> EmbeddingInd
 _BLOCK_FLOATS = 1 << 20  # bounds one Gram slab and one block of anchor-candidate differences
 
 
-def _distances(vectors: np.ndarray, anchors: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """(len(anchors), len(candidates)) Euclidean distances in the exact
-    difference form. The expansion |a|^2 + |b|^2 - 2ab can flip near-ties:
-    compute_metrics ranks by it only to find each anchor's near-ties
-    (_near_ties), and re-ranks those in this arithmetic (_nearest_kept).
-    Candidates go in chunks that keep the differences within _BLOCK_FLOATS."""
-    points = vectors[anchors][:, None, :]
-    dist = np.empty((len(anchors), len(candidates)))
-    step = max(1, _BLOCK_FLOATS // max(1, points.size))
-    for lo in range(0, len(candidates), step):
-        diff = vectors[candidates[lo : lo + step]][None, :, :] - points
-        dist[:, lo : lo + step] = np.sqrt(np.einsum("abd,abd->ab", diff, diff))
-    return dist
+def _difference_distances(vectors: np.ndarray, points: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Euclidean distances sqrt(sum((b - a)^2)) over the last axis from
+    `points`, broadcast, to the charts at `columns`, in the exact difference
+    form: one gather, the anchors subtracted in place. The expansion
+    |a|^2 + |b|^2 - 2ab can flip near-ties: compute_metrics ranks by it only
+    to find each anchor's near-ties (_near_ties), and re-ranks those here."""
+    diff = vectors[columns]
+    diff -= points
+    return np.sqrt(np.einsum("...d,...d->...", diff, diff))
 
 
 def _nearest_kept(
     vectors: np.ndarray, anchors: np.ndarray, block: np.ndarray, keep: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(row, distance) of each anchor's nearest chart among the block columns
-    that its row of `keep` marks, in the arithmetic of _distances and so to
-    its bits; ties go to the first column. Rows are padded to the longest
-    row, and tiles keep the differences within _BLOCK_FLOATS."""
+    that its row of `keep` marks, to the bits of _difference_distances; ties
+    go to the first column. Rows are padded to the longest row, and tiles
+    keep the differences within _BLOCK_FLOATS."""
     rows, cols = np.nonzero(keep)
     counts = np.bincount(rows, minlength=len(keep))
     starts = np.cumsum(counts) - counts
@@ -123,9 +119,8 @@ def _nearest_kept(
     for r in range(0, len(anchors), rows_step):
         points = vectors[anchors[r : r + rows_step]][:, None, :]
         for c in range(0, width, cols_step):
-            diff = vectors[columns[r : r + rows_step, c : c + cols_step]]
-            diff -= points
-            dist[r : r + rows_step, c : c + cols_step] = np.sqrt(np.einsum("abd,abd->ab", diff, diff))
+            tile = columns[r : r + rows_step, c : c + cols_step]
+            dist[r : r + rows_step, c : c + cols_step] = _difference_distances(vectors, points, tile)
     dist[np.arange(width) >= counts[:, None]] = np.inf
     # argmin takes the first minimum, which has the smallest chart id.
     best = np.argmin(dist, axis=1)
@@ -138,14 +133,14 @@ def _near_ties(
 ) -> np.ndarray:
     """Keep mask over the Gram slab of a block's anchors lo, lo + 1, ... (rows)
     and all of its charts (columns), given the block's squared norms, doubled
-    norms and the vector length: every candidate whose _distances value may
-    tie with or beat the anchor's nearest chart. The anchor is never kept.
+    norms and the vector length: every candidate whose _difference_distances
+    value may tie with or beat the anchor's nearest chart, but not the anchor.
 
     Write u = 2^-53, gamma_k = k u / (1 - k u), R = (|a| + |b|)^2 for anchor
     a and candidate b, s = |a - b|^2 exactly, g the Gram value below and e
-    the einsum sum that _distances takes the root of. Higham's dot-product
-    bound |fl(x.y) - x.y| <= gamma_D |x|.|y| holds for any summation order,
-    FMA or not, and so for any BLAS:
+    the einsum sum that _difference_distances takes the root of. Higham's
+    dot-product bound |fl(x.y) - x.y| <= gamma_D |x|.|y| holds for any
+    summation order, FMA or not, and so for any BLAS:
     - g: |a|^2, |b|^2 and 2a.b are off by gamma_D R in all (|a|.|b| <=
       |a||b|), and the add and the subtract round twice: |g - s| <= gamma_{D+2} R;
     - e: each b_i - a_i rounds once, which moves the exact sum of squares
@@ -208,9 +203,13 @@ def nearest(
     candidates = candidates[candidates != row]
     if not len(candidates):
         raise EvaluationError(f"no candidates for anchor {anchor!r} in scope {scope}")
+    vectors, dist = index.vectors, np.empty(len(candidates))
+    step = max(1, _BLOCK_FLOATS // max(1, vectors.shape[1]))
     # A difference beyond the float64 range is an infinite distance.
     with np.errstate(over="ignore", invalid="ignore"):
-        dist = _distances(index.vectors, np.array([row]), candidates)[0]
+        for lo in range(0, len(candidates), step):
+            chunk = candidates[lo : lo + step]
+            dist[lo : lo + step] = _difference_distances(vectors, vectors[row], chunk)
     # Candidates are in chart-id order, so a stable sort breaks ties on id.
     ranked = np.argsort(dist, kind="stable")[:k]
     return [(index.ids[candidates[j]], float(dist[j])) for j in ranked]
@@ -245,11 +244,11 @@ def compute_metrics(index: EmbeddingIndex, gap2: int = 2, gap3: int = 3) -> Metr
     """Score every anchor by its nearest same-dataset chart.
 
     The nearest chart and its distance are those of a scan in the exact
-    difference form (_distances), ties broken by chart id: one Gram product
-    per chunk of anchors finds each anchor's near-ties, and only those are
-    re-ranked in that form. Anchors without a same-dataset candidate cannot
-    be scored; they are excluded from the denominators and reported in the
-    detail rows. Raises EvaluationError for a negative gap or gap2 > gap3.
+    difference form (_difference_distances), ties broken by chart id: one
+    Gram product per chunk of anchors finds each anchor's near-ties, and
+    only those are re-ranked. Anchors without a same-dataset candidate
+    cannot be scored; they are excluded from the denominators and reported
+    in the detail rows. Raises EvaluationError for a negative gap or gap2 > gap3.
     """
     if gap2 < 0 or gap3 < 0:
         raise EvaluationError(f"position gaps must be >= 0, got gap2={gap2} gap3={gap3}")
@@ -536,8 +535,8 @@ def save_index(index: EmbeddingIndex, path: str) -> None:
 
 def load_index(path: str) -> EmbeddingIndex:
     """Read an index TSV. Raises EvaluationError, naming the line, for a
-    wrong field count, a non-integer position, or a vector cell that is not
-    a finite number; and for a duplicate chart id or a non-UTF-8 file."""
+    wrong field count, a position that is not an int64, or a vector cell that
+    is not a finite number; and for a duplicate chart id or a non-UTF-8 file."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -550,10 +549,10 @@ def load_index(path: str) -> EmbeddingIndex:
                 if len(parts) != 4 + dim:
                     raise EvaluationError(f"{path}:{lineno}: expected {4 + dim} fields")
                 try:
-                    position = int(parts[2])
-                except ValueError:
+                    position = np.int64(parts[2])  # int() syntax, int64 range
+                except (ValueError, OverflowError):
                     raise EvaluationError(
-                        f"{path}:{lineno}: position {parts[2]!r} is not an integer"
+                        f"{path}:{lineno}: position {parts[2]!r} is not an integer within int64"
                     ) from None
                 try:
                     vector = np.array(parts[4:], dtype=np.float64)

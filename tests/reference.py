@@ -9,6 +9,9 @@ bit in every mode.
 as a full scan: every anchor-candidate distance in the difference form. The
 package ranks each block by its Gram form and re-ranks only the near-ties;
 its retrieved charts and distances must equal these bit for bit.
+`ranking_by_difference` is `nearest` with k = every candidate, ranked by a
+stable sort of the same distances; the package's ids and distance bits must
+equal it.
 
 `decode_skeleton` parses rule ids as a leftmost derivation over `RULES`; it
 inverts `derive_rules` onto `fact_skeleton`, which proves the grammar
@@ -125,6 +128,19 @@ def nearest_by_difference(index: EmbeddingIndex) -> tuple[np.ndarray, np.ndarray
             retrieved[anchors] = block[best]
             distance[anchors] = dist[own, best]
     return retrieved, distance
+
+
+def ranking_by_difference(index: EmbeddingIndex, anchor: str, scope: str) -> tuple[list[str], np.ndarray]:
+    """(chart ids, distances) of every candidate of `anchor` in `scope`,
+    nearest first. Candidates are in chart-id order, so the stable sort
+    breaks ties on id; a difference that overflows is an infinite distance."""
+    row = index.row[anchor]
+    pool = np.arange(len(index)) if scope == "all" else index.blocks[index.dataset_ids[row]]
+    pool = pool[pool != row]
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist = difference_distances(index.vectors, np.array([row]), pool)[0]
+    order = np.argsort(dist, kind="stable")
+    return [index.ids[pool[j]] for j in order], dist[order]
 
 
 @dataclass(frozen=True)

@@ -121,6 +121,37 @@ def test_validate_reports_json_type_errors(tmp_path, capsys, corpus, message):
         load_corpus(str(path))
 
 
+def _chart(chart_id):
+    fact = {"type_c": "table", "type_f": "value", "subspace": [], "breakdown": None,
+            "measure": None, "focus": None, "meta": None}
+    return {"chart_id": chart_id, "fact": fact}
+
+
+@pytest.mark.parametrize("char", ["\t", "\r", "\n"])
+@pytest.mark.parametrize("field", ["id", "dataset_id", "chart_id"])
+def test_ids_that_would_split_an_index_line_are_rejected(
+    tmp_path, capsys, fixture_vectors_path, field, char
+):
+    # Each id is one cell of the index TSV that `embed` writes.
+    bad = f"bad{char}id"
+    vis = _vis(charts=[_chart(f"c{i}") for i in range(3)])
+    if field == "chart_id":
+        vis["charts"][1]["chart_id"] = bad
+        where = "visualizations[0].charts[1].chart_id"
+    else:
+        vis[field] = bad
+        where = f"visualizations[0].{field}"
+    message = f"{where}: {bad!r} contains a tab, CR or LF"
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps({"visualizations": [vis]}), encoding="utf-8")
+    with pytest.raises(CorpusError, match=f"^{re.escape(message)}$"):
+        load_corpus(str(path))
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"violation: {message}"]
+    assert main(["train", str(path), fixture_vectors_path, str(tmp_path / "m.ckpt")]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
 def test_validate_missing_file():
     assert main(["validate", "/nonexistent/corpus.json"]) == 2
 

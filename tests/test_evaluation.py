@@ -25,6 +25,7 @@ from chartembed.evaluation import (
     variant_switches,
 )
 from chartembed.learning import HyperParams
+from reference import ranking_by_difference
 
 
 def entry(chart_id, vec, story_id, position, dataset_id="ds"):
@@ -106,6 +107,8 @@ def test_build_index_empty_corpus(store, base_config):
 
 
 def test_nearest_matches_brute_force_oracle(rng):
+    # Ids against the math.dist loop; ids and distance bits against the
+    # difference-form oracle.
     entries = [
         entry(f"c{i}", rng.normal(size=4), f"story{i % 3}", i, dataset_id=f"ds{i % 2}")
         for i in range(12)
@@ -115,9 +118,10 @@ def test_nearest_matches_brute_force_oracle(rng):
         for scope in ("same-dataset", "all"):
             expected = brute_force_ranking(index, anchor_id, scope)
             got = nearest(index, anchor_id, scope, k=len(expected))
-            assert [cid for cid, _ in got] == [cid for cid, _ in expected]
-            for (_, d_got), (_, d_exp) in zip(got, expected):
-                assert d_got == pytest.approx(d_exp)
+            ids, distances = ranking_by_difference(index, anchor_id, scope)
+            assert [cid for cid, _ in got] == ids == [cid for cid, _ in expected]
+            got_bits = np.array([d for _, d in got]).view(np.uint64)
+            assert np.array_equal(got_bits, distances.view(np.uint64))
 
 
 def test_nearest_tie_breaks_lexicographically():
@@ -250,6 +254,8 @@ def test_load_index_rejects_garbage(tmp_path, capsys):
         (header + good + "b\ts\t1\tds\tabc\t2.0\n", ":3: non-numeric"),
         (header + "b\ts\tx\tds\t1.0\t2.0\n" + good, ":2: position 'x' is not an integer"),
         (header + "b\ts\t1.5\tds\t1.0\t2.0\n" + good, ":2: position '1.5' is not an integer"),
+        (header + good + f"b\ts\t{'9' * 40}\tds\t1.0\t2.0\n", ":3: position '9999"),
+        (header + "b\ts\t-9223372036854775809\tds\t1.0\t2.0\n" + good, "not an integer within int64"),
         (header + good + "b\ts\t1\tds\tnan\t2.0\n", ":3: non-finite"),
         (header + good + "b\ts\t1\tds\t1.0\t-inf\n", ":3: non-finite"),
         (header + good + "a\ts\t1\tds\t1.0\t2.0\n", "duplicate chart id 'a'"),

@@ -1,7 +1,9 @@
 """compute_metrics ranks each dataset block by its Gram form and re-ranks
 the near-ties in the difference form. Its retrieved charts and distances
 must equal a full difference-form scan (`reference.nearest_by_difference`)
-bit for bit, on trained and collapsed models and on planted near-ties."""
+bit for bit, on trained and collapsed models and on planted near-ties.
+`nearest` scans in the difference form, one chunk of candidates at a time;
+its whole ranking must equal `reference.ranking_by_difference`."""
 
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from chartembed.evaluation import (
     nearest,
 )
 from chartembed.learning import HyperParams, train
-from reference import nearest_by_difference
+from reference import nearest_by_difference, ranking_by_difference
 
 
 def index_of(vectors, datasets=None):
@@ -49,6 +51,20 @@ def assert_matches_difference_scan(index):
     scored = rows >= 0
     got = [d.distance for d, s in zip(report.details, scored) if s]
     assert np.array_equal(bits(got), bits(distances[scored]))
+
+
+def assert_nearest_matches_ranking(index):
+    """Every anchor, both scopes, k = every candidate: ids and distance bits."""
+    for anchor in index.ids:
+        for scope in ("same-dataset", "all"):
+            ids, distances = ranking_by_difference(index, anchor, scope)
+            if not ids:
+                with pytest.raises(EvaluationError, match="no candidates"):
+                    nearest(index, anchor, scope)
+                continue
+            got = nearest(index, anchor, scope, k=len(ids))
+            assert [chart_id for chart_id, _ in got] == ids
+            assert np.array_equal(bits([d for _, d in got]), bits(distances))
 
 
 def assert_matches_nearest(index):
@@ -106,6 +122,18 @@ def _planted(rng):
 PLANTED = _planted(np.random.default_rng(7))
 
 
+@pytest.mark.parametrize("case", [*PLANTED, "difference-overflow"])
+def test_planted_nearest_rankings_equal_difference_scan(case):
+    # Two datasets, so that the scopes differ. The differences of the last
+    # case overflow to inf distances, which tie and break on chart id.
+    if case == "difference-overflow":
+        vectors = np.array([[0.0, 1.0], [1e308, 0.0], [-1e308, 0.0], [1e308, 1.0], [0.0, 1.0]])
+    else:
+        vectors = PLANTED[case]
+    datasets = ["a", "b", "a"] * len(vectors)
+    assert_nearest_matches_ranking(index_of(vectors, datasets[: len(vectors)]))
+
+
 @pytest.mark.parametrize("case", list(PLANTED))
 def test_planted_near_ties_equal_difference_scan(case):
     index = index_of(PLANTED[case])
@@ -144,6 +172,33 @@ def test_small_blocks_chunk_and_tile_the_same(monkeypatch, rng):
     assert_matches_difference_scan(index)
 
 
+def test_nearest_walks_small_chunks_the_same(monkeypatch, rng):
+    # A 64-value budget gathers eight 8-d candidates per chunk: scope "all"
+    # walks five chunks of the 34 charts, "same-dataset" up to three.
+    vectors = np.vstack([_offset_cloud(rng, n=30, dim=8), np.zeros((4, 8)) + 1e4])
+    index = index_of(vectors, ["a"] * 20 + ["b"] * 13 + ["c"])
+    expected = {a: nearest(index, a, "all", k=len(index)) for a in index.ids}
+    monkeypatch.setattr(evaluation, "_BLOCK_FLOATS", 64)
+    assert {a: nearest(index, a, "all", k=len(index)) for a in index.ids} == expected
+    assert_nearest_matches_ranking(index)
+
+
+def test_nearest_holds_one_chunk_of_differences(rng):
+    # Each chunk of candidates is gathered once and the anchor subtracted in
+    # place, so a query holds one chunk of differences plus O(n) indices and
+    # distances; a separate broadcast difference would double the chunk.
+    n, dim = 3000, 540
+    index = index_of(rng.normal(size=(n, dim)))
+    chunk_bytes = min(n - 1, evaluation._BLOCK_FLOATS // dim) * dim * 8
+    tracemalloc.start()
+    try:
+        nearest(index, index.ids[5], k=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= chunk_bytes + 10 * 8 * n
+
+
 @pytest.mark.parametrize("collapsed", [False, True])
 def test_memory_stays_within_the_block_budget(monkeypatch, rng, collapsed):
     # One 3,000-chart dataset: an (n x n) distance matrix would take 72 MB.
@@ -179,7 +234,9 @@ def test_random_indexes_with_planted_duplicates(data, dim, scale, offset):
     picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=3, max_size=24))
     datasets = data.draw(st.lists(st.sampled_from("abc"), min_size=len(picks), max_size=len(picks)))
     datasets[1] = datasets[0]  # some anchor can be scored
-    assert_matches_difference_scan(index_of(pool[picks], datasets))
+    index = index_of(pool[picks], datasets)
+    assert_matches_difference_scan(index)
+    assert_nearest_matches_ranking(index)
 
 
 _BAD_GAPS = [
