@@ -2,7 +2,9 @@
 
 Subcommands wire the modules into reproducible workflows: validate, train,
 embed, nearest, eval, ablate, gradcheck, and import. Exit codes are stable:
-0 success, 1 domain failure, 2 usage or I/O failure. Every mutating command
+0 success, 1 domain failure, 2 usage or I/O failure. The commands raise, and
+`main` alone turns an exception into an exit code and one `error:` line.
+Every mutating command
 writes a run manifest (config snapshot, seeds, input digests) next to its
 primary output, and all randomness flows from the single --seed flag.
 """
@@ -38,16 +40,13 @@ from .corpus import (
     split_corpus,
 )
 from .encoder import (
-    CheckpointError,
     EncoderConfig,
-    EncoderError,
     init_params,
     load_checkpoint,
     save_checkpoint,
 )
 from .evaluation import (
     ABLATION_VARIANTS,
-    EvaluationError,
     ablation_csv,
     build_index,
     compute_metrics,
@@ -67,7 +66,7 @@ from .learning import (
     history_csv,
     train,
 )
-from .semantics import VectorStore, VectorStoreError, extract_tokens, load_vector_store
+from .semantics import VectorStore, extract_tokens, load_vector_store
 
 log = logging.getLogger(__name__)
 
@@ -137,12 +136,6 @@ def _resolve_vectors(explicit: Optional[str]) -> Optional[str]:
     return explicit or os.environ.get(VECTORS_ENV)
 
 
-def _check_embedding_dim(dim: int) -> Optional[str]:
-    if dim != 100:
-        return f"--embedding-dim is fixed at 100, got {dim}"
-    return None
-
-
 # Every key that a --config file or a flag may set: its JSON type and range.
 # An int key takes a JSON integer, a float key any JSON number; a bool is
 # neither, though Python counts it as an int.
@@ -169,18 +162,22 @@ _QUERY_TYPES = {
 }
 
 
+class UsageError(Exception):
+    """A bad flag, option value or config file: exit code 2."""
+
+
 def _checked(name: str, value, types: dict = _CONFIG_TYPES):
     """The value of key `name` of `types`, as a float for a float key. Raises
-    ValueError, naming the key, for a wrong type, a non-finite number or a
+    UsageError, naming the key, for a wrong type, a non-finite number or a
     value out of range."""
     kind, allowed, in_range = types[name]
     accepted = (int, float) if kind is float else kind
     if isinstance(value, bool) or not isinstance(value, accepted):
-        raise ValueError(f"{name}: expected {_TYPE_NAMES[kind]}, got {json.dumps(value)}")
+        raise UsageError(f"{name}: expected {_TYPE_NAMES[kind]}, got {json.dumps(value)}")
     if kind is float and not math.isfinite(value):
-        raise ValueError(f"{name}: expected a finite number, got {value}")
+        raise UsageError(f"{name}: expected a finite number, got {value}")
     if not in_range(value):
-        raise ValueError(f"{name}: must be {allowed}, got {json.dumps(value)}")
+        raise UsageError(f"{name}: must be {allowed}, got {json.dumps(value)}")
     return float(value) if kind is float else value
 
 
@@ -188,12 +185,15 @@ def _load_config_file(path: Optional[str]) -> dict:
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise UsageError(exc) from None
     if not isinstance(obj, dict):
-        raise ValueError("config file must hold a JSON object")
+        raise UsageError("config file must hold a JSON object")
     unknown = sorted(set(obj) - set(_CONFIG_TYPES))
     if unknown:
-        raise ValueError(f"unknown config key {unknown[0]!r}; known: {sorted(_CONFIG_TYPES)}")
+        raise UsageError(f"unknown config key {unknown[0]!r}; known: {sorted(_CONFIG_TYPES)}")
     return {name: _checked(name, value) for name, value in obj.items()}
 
 
@@ -208,9 +208,6 @@ def _resolve(args: argparse.Namespace, file_config: dict, name: str, default):
 def cmd_validate(args: argparse.Namespace) -> int:
     try:
         corpus = load_corpus(args.corpus, strict=True)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except CorpusError as exc:
         for line in str(exc).splitlines():
             print(f"violation: {line.strip()}", file=sys.stderr)
@@ -237,51 +234,26 @@ def _hyper_from(args: argparse.Namespace, file_config: dict) -> HyperParams:
 
 def cmd_train(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    problem = _check_embedding_dim(args.embedding_dim)
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        file_config = _load_config_file(args.config)
-        hyper = _hyper_from(args, file_config)
-        test_fraction = _resolve(args, file_config, "test_fraction", 0.1)
-        negatives = _resolve(args, file_config, "negatives", 1)
-        policy = _resolve(args, file_config, "policy", "same-dataset-first")
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
-        store = load_vector_store(args.vectors)
-        corpus = load_corpus(args.corpus, strict=not args.lenient)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (CorpusError, VectorStoreError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    file_config = _load_config_file(args.config)
+    hyper = _hyper_from(args, file_config)
+    test_fraction = _resolve(args, file_config, "test_fraction", 0.1)
+    negatives = _resolve(args, file_config, "negatives", 1)
+    policy = _resolve(args, file_config, "policy", "same-dataset-first")
+    store = load_vector_store(args.vectors)
+    corpus = load_corpus(args.corpus, strict=not args.lenient)
 
     outputs = [args.out]
-    try:
-        if test_fraction > 0.0:
-            train_corpus, test_corpus = split_corpus(corpus, test_fraction, hyper.seed)
-            save_corpus(train_corpus, args.out + ".train-corpus.json")
-            save_corpus(test_corpus, args.out + ".test-corpus.json")
-            outputs += [args.out + ".train-corpus.json", args.out + ".test-corpus.json"]
-        else:
-            train_corpus = corpus
-
-        config = EncoderConfig(dropout=hyper.dropout)
-        sample_set = build_samples(train_corpus, store, negatives, policy, hyper.seed, config)
-        log.info("built %d training samples", len(sample_set))
-        params = init_params(hyper.seed, config)
-        params, history = train(sample_set, hyper, params)
-    except TrainingDivergedError as exc:
-        print(f"error: training diverged: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except (CorpusError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    if test_fraction > 0.0:
+        train_corpus, test_corpus = split_corpus(corpus, test_fraction, hyper.seed)
+        save_corpus(train_corpus, args.out + ".train-corpus.json")
+        save_corpus(test_corpus, args.out + ".test-corpus.json")
+        outputs += [args.out + ".train-corpus.json", args.out + ".test-corpus.json"]
+    else:
+        train_corpus = corpus
+    config = EncoderConfig(dropout=hyper.dropout)
+    sample_set = build_samples(train_corpus, store, negatives, policy, hyper.seed, config)
+    log.info("built %d training samples", len(sample_set))
+    params, history = train(sample_set, hyper, init_params(hyper.seed, config))
 
     hyper_dict = {
         "alpha": hyper.alpha,
@@ -322,32 +294,13 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_embed(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    problem = _check_embedding_dim(args.embedding_dim)
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return EXIT_USAGE
     vectors = _resolve_vectors(args.vectors)
     if not vectors:
-        print(
-            f"error: no vector store given (use --vectors or set {VECTORS_ENV})",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    try:
-        params, _ = load_checkpoint(args.checkpoint)
-        store = load_vector_store(vectors)
-        corpus = load_corpus(args.corpus, strict=True)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (CheckpointError, CorpusError, VectorStoreError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    try:
-        index = build_index(corpus, params, store)
-    except (EncoderError, EvaluationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise UsageError(f"no vector store given (use --vectors or set {VECTORS_ENV})")
+    params, _ = load_checkpoint(args.checkpoint)
+    store = load_vector_store(vectors)
+    corpus = load_corpus(args.corpus, strict=True)
+    index = build_index(corpus, params, store)
     save_index(index, args.out)
     _write_manifest(
         args.out + ".manifest.json",
@@ -362,44 +315,21 @@ def cmd_embed(args: argparse.Namespace) -> int:
 
 
 def cmd_nearest(args: argparse.Namespace) -> int:
-    try:
-        k = _checked("k", args.k, _QUERY_TYPES)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        ranked = nearest(load_index(args.index), args.anchor, scope=args.scope, k=k)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except EvaluationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    k = _checked("k", args.k, _QUERY_TYPES)
+    ranked = nearest(load_index(args.index), args.anchor, scope=args.scope, k=k)
     for rank, (chart_id, distance) in enumerate(ranked, start=1):
         print(f"{rank}\t{chart_id}\t{distance:.6f}")
     return EXIT_OK
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    try:
-        gap2 = _checked("gap2", args.gap2, _QUERY_TYPES)
-        gap3 = _checked("gap3", args.gap3, _QUERY_TYPES)
-        if gap2 > gap3:
-            raise ValueError(f"gap2: must be <= gap3 ({gap3}), got {gap2}")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        index = load_index(args.index)
-        report = compute_metrics(index, gap2=gap2, gap3=gap3)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except EvaluationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    gap2 = _checked("gap2", args.gap2, _QUERY_TYPES)
+    gap3 = _checked("gap3", args.gap3, _QUERY_TYPES)
+    if gap2 > gap3:
+        raise UsageError(f"gap2: must be <= gap3 ({gap3}), got {gap2}")
+    report = compute_metrics(load_index(args.index), gap2=gap2, gap3=gap3)
     if args.json:
-        print(json.dumps(metrics_json(report), indent=1))
+        print(json.dumps(metrics_json(report), indent=1, allow_nan=False))
     else:
         print(render_metrics(report), end="")
     return EXIT_OK
@@ -413,45 +343,21 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     unknown = [v for v in variants if v not in ABLATION_VARIANTS]
     if unknown or not variants:
-        print(
-            f"error: unknown variants {unknown}; choose from {list(ABLATION_VARIANTS)}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        raise UsageError(f"unknown variants {unknown}; choose from {list(ABLATION_VARIANTS)}")
+    file_config = _load_config_file(args.config)
+    hyper = _hyper_from(args, file_config)
+    test_fraction = _resolve(args, file_config, "test_fraction", 0.0)
+    store = load_vector_store(args.vectors)
+    corpus = load_corpus(args.corpus, strict=True)
 
-    problem = _check_embedding_dim(args.embedding_dim)
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        file_config = _load_config_file(args.config)
-        hyper = _hyper_from(args, file_config)
-        test_fraction = _resolve(args, file_config, "test_fraction", 0.0)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        store = load_vector_store(args.vectors)
-        corpus = load_corpus(args.corpus, strict=True)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (CorpusError, VectorStoreError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-
-    try:
-        if test_fraction > 0.0:
-            train_corpus, eval_corpus = split_corpus(corpus, test_fraction, hyper.seed)
-        else:
-            train_corpus = eval_corpus = corpus
-        results = run_ablation(
-            train_corpus, eval_corpus, store, hyper, variants, hyper.seed,
-            trace_memory=args.trace_memory,
-        )
-    except (CorpusError, EvaluationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    if test_fraction > 0.0:
+        train_corpus, eval_corpus = split_corpus(corpus, test_fraction, hyper.seed)
+    else:
+        train_corpus = eval_corpus = corpus
+    results = run_ablation(
+        train_corpus, eval_corpus, store, hyper, variants, hyper.seed,
+        trace_memory=args.trace_memory,
+    )
 
     print(render_ablation_table(results), end="")
     if args.out:
@@ -501,8 +407,7 @@ def _gradcheck_batch(seed: int, config: EncoderConfig) -> tuple[np.ndarray, np.n
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     if args.coords < 1:
-        print("error: --coords must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("--coords must be at least 1")
     if not 1e-7 <= args.epsilon <= 1e-3:
         print(
             f"warning: epsilon {args.epsilon:g} is outside the reliable central-"
@@ -513,19 +418,15 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     params = init_params(args.seed, config)
     batch = _gradcheck_batch(args.seed, config)
     hyper = HyperParams(seed=args.seed)
-    try:
-        error = grad_check(
-            batch,
-            params,
-            hyper,
-            epsilon=args.epsilon,
-            n_coords=args.coords,
-            seed=args.seed,
-            corrupt=args.inject_fault,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    error = grad_check(
+        batch,
+        params,
+        hyper,
+        epsilon=args.epsilon,
+        n_coords=args.coords,
+        seed=args.seed,
+        corrupt=args.inject_fault,
+    )
     print(f"max relative error: {error:.3e} over {args.coords} coordinates")
     if error < GRADCHECK_THRESHOLD:
         print("gradients OK")
@@ -543,19 +444,10 @@ def cmd_grammar(args: argparse.Namespace) -> int:
 
 def cmd_import(args: argparse.Namespace) -> int:
     if args.format != "calliope":
-        print(f"error: unknown import format {args.format!r}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        converted = import_calliope(obj)
-        corpus = corpus_from_dict(converted, strict=not args.lenient)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (CorpusError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise UsageError(f"unknown import format {args.format!r}")
+    with open(args.input, "r", encoding="utf-8") as fh:
+        obj = json.load(fh)
+    corpus = corpus_from_dict(import_calliope(obj), strict=not args.lenient)
     save_corpus(corpus, args.out)
     print(f"imported {len(corpus)} visualizations -> {args.out}")
     return EXIT_OK
@@ -593,8 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="negative sampling policy (default same-dataset-first)")
     p.add_argument("--config", help="JSON config file; flags win on conflict")
     p.add_argument("--lenient", action="store_true", help="drop invalid charts instead of failing")
-    p.add_argument("--embedding-dim", dest="embedding_dim", type=int, default=100,
-                   help="word-vector width; fixed at 100")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("embed", help="embed a corpus with a trained checkpoint")
@@ -602,8 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus")
     p.add_argument("out", help="embedding index output path (TSV)")
     p.add_argument("--vectors", help=f"word-vector store (or set ${VECTORS_ENV})")
-    p.add_argument("--embedding-dim", dest="embedding_dim", type=int, default=100,
-                   help="word-vector width; fixed at 100")
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("nearest", help="retrieve nearest charts from an index")
@@ -640,8 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-memory", dest="trace_memory", action="store_true",
                    help="trace allocations to fill the peak_bytes column; slows the run, "
                         "so wall_ms overstates the time")
-    p.add_argument("--embedding-dim", dest="embedding_dim", type=int, default=100,
-                   help="word-vector width; fixed at 100")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("gradcheck", help="compare analytic vs numeric gradients")
@@ -671,7 +557,27 @@ def main(argv: Optional[list[str]] = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
-    return args.func(args)
+    # The one place where an exception becomes an exit code. Every domain
+    # error of the package is a ValueError, as are invalid JSON and text
+    # that is not UTF-8.
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # Point stdout at /dev/null so that the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output closed", file=sys.stderr)
+        return EXIT_USAGE
+    except (UsageError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except TrainingDivergedError as exc:
+        print(f"error: training diverged: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -188,6 +188,8 @@ def load_corpus(path: str, strict: bool = True) -> Corpus:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"{path}: not a UTF-8 text file: {exc}") from None
         except json.JSONDecodeError as exc:
             raise CorpusError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     return corpus_from_dict(obj, strict=strict)

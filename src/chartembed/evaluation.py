@@ -11,6 +11,7 @@ shared corpus.
 from __future__ import annotations
 
 import logging
+import math
 import time
 import tracemalloc
 from dataclasses import dataclass, replace
@@ -328,12 +329,6 @@ ABLATION_VARIANTS = (
     "no-fc",
 )
 
-# Variants differing from the full model by exactly one switch; the
-# words-max variant flips both the pooling scope and the operator.
-SINGLE_SWITCH_VARIANTS = tuple(
-    v for v in ABLATION_VARIANTS if v not in ("full", "words-max-pooling")
-)
-
 
 def variant_switches(variant: str, base: EncoderConfig) -> tuple[EncoderConfig, tuple[bool, bool]]:
     """Map a variant name to its (encoder config, loss mask) switch set."""
@@ -380,9 +375,6 @@ def run_ablation(
     hyper: HyperParams,
     variants: Sequence[str],
     seed: int,
-    negatives_per_window: int = 1,
-    policy: str = "same-dataset-first",
-    base_config: Optional[EncoderConfig] = None,
     trace_memory: bool = False,
 ) -> list[AblationResult]:
     """Train and evaluate each variant from the same seed and corpus.
@@ -396,7 +388,7 @@ def run_ablation(
     for variant in variants:
         if variant not in ABLATION_VARIANTS:
             raise EvaluationError(f"unknown ablation variant {variant!r}")
-    base = base_config or EncoderConfig(dropout=hyper.dropout)
+    base = EncoderConfig(dropout=hyper.dropout)
     results: list[AblationResult] = []
     for variant in variants:
         started = time.perf_counter()
@@ -405,9 +397,7 @@ def run_ablation(
         metrics = final = error = None
         try:
             config, loss_mask = variant_switches(variant, base)
-            sample_set = build_samples(
-                train_corpus, store, negatives_per_window, policy, seed, config
-            )
+            sample_set = build_samples(train_corpus, store, 1, "same-dataset-first", seed, config)
             params = init_params(seed, config)
             params, history = train(sample_set, hyper, params, loss_mask)
             if eval_corpus is train_corpus:
@@ -508,7 +498,10 @@ def metrics_json(report: MetricsReport) -> dict:
             {
                 "anchor": d.anchor,
                 "retrieved": d.retrieved,
-                "distance": d.distance,
+                # JSON has no infinity: a distance that overflowed is null.
+                "distance": (
+                    d.distance if d.distance is not None and math.isfinite(d.distance) else None
+                ),
                 "same_story": d.same_story,
                 "gap": d.gap,
                 "top2": d.top2,

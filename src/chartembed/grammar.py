@@ -29,8 +29,6 @@ from .facts import (
 
 RULE_COUNT = 60
 MAX_SEQUENCE_LENGTH = 16
-MIN_DERIVATION_LENGTH = 8
-MAX_DERIVATION_LENGTH = 13
 
 
 class GrammarError(ValueError):

@@ -171,23 +171,26 @@ def load_vector_store(path: str) -> VectorStore:
     """
     vectors: dict[str, np.ndarray] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(" ")
-            if len(parts) != WORD_DIM + 1:
-                raise VectorStoreError(
-                    f"{path}:{lineno}: expected a word and {WORD_DIM} components, "
-                    f"got {len(parts)} fields"
-                )
-            try:
-                vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise VectorStoreError(f"{path}:{lineno}: {exc}") from None
-            if not np.isfinite(vec).all():
-                raise VectorStoreError(f"{path}:{lineno}: non-finite component")
-            vectors.setdefault(parts[0].lower(), vec)
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                parts = line.split(" ")
+                if len(parts) != WORD_DIM + 1:
+                    raise VectorStoreError(
+                        f"{path}:{lineno}: expected a word and {WORD_DIM} components, "
+                        f"got {len(parts)} fields"
+                    )
+                try:
+                    vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+                except ValueError as exc:
+                    raise VectorStoreError(f"{path}:{lineno}: {exc}") from None
+                if not np.isfinite(vec).all():
+                    raise VectorStoreError(f"{path}:{lineno}: non-finite component")
+                vectors.setdefault(parts[0].lower(), vec)
+        except UnicodeDecodeError as exc:
+            raise VectorStoreError(f"{path}: not a UTF-8 text file: {exc}") from None
     return VectorStore(vectors)
 
 

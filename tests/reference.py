@@ -13,6 +13,9 @@ its retrieved charts and distances must equal these bit for bit.
 stable sort of the same distances; the package's ids and distance bits must
 equal it.
 
+`SINGLE_SWITCH_VARIANTS` and the derivation-length bounds are facts about
+the package's tables that only the tests check.
+
 `decode_skeleton` parses rule ids as a leftmost derivation over `RULES`; it
 inverts `derive_rules` onto `fact_skeleton`, which proves the grammar
 invertible. `one_hot` is the schema matrix that the model's rule ids stand
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from chartembed.evaluation import EmbeddingIndex
+from chartembed.evaluation import ABLATION_VARIANTS, EmbeddingIndex
 from chartembed.facts import Aggregation, ChartFact, ChartType, FactType, FieldType, fact_to_dict
 from chartembed.grammar import RULES, GrammarError
 from chartembed.semantics import (
@@ -39,6 +42,16 @@ from chartembed.semantics import (
     VectorStore,
     semantic_shape,
 )
+
+# Variants differing from the full model by exactly one switch; the
+# words-max variant flips both the pooling scope and the operator.
+SINGLE_SWITCH_VARIANTS = tuple(
+    v for v in ABLATION_VARIANTS if v not in ("full", "words-max-pooling")
+)
+
+# The rule count of the shortest and the longest derivation of a fact.
+MIN_DERIVATION_LENGTH = 8
+MAX_DERIVATION_LENGTH = 13
 
 
 def pool_word(vec: np.ndarray) -> np.ndarray:

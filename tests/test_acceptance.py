@@ -27,23 +27,21 @@ from chartembed.corpus import (
     split_corpus,
 )
 from chartembed.encoder import EncoderConfig, init_params, load_checkpoint, save_checkpoint
-from chartembed.evaluation import (
-    SINGLE_SWITCH_VARIANTS,
-    build_index,
-    compute_metrics,
-    run_ablation,
-)
+from chartembed.evaluation import build_index, compute_metrics, run_ablation
 from chartembed.factgen import random_fact
-from chartembed.grammar import (
-    MAX_DERIVATION_LENGTH,
-    MIN_DERIVATION_LENGTH,
-    RULE_COUNT,
-    RULES,
-    derive_rules,
-)
+from chartembed.grammar import RULE_COUNT, RULES, derive_rules
 from chartembed.learning import HyperParams, batch_loss_from_embeddings, grad_check, train
 from chartembed.semantics import VectorStore, load_vector_store, pool_word, split_words
-from reference import decode_skeleton, fact_skeleton, interpolation_loss, one_hot, triplet_loss
+from reference import (
+    MAX_DERIVATION_LENGTH,
+    MIN_DERIVATION_LENGTH,
+    SINGLE_SWITCH_VARIANTS,
+    decode_skeleton,
+    fact_skeleton,
+    interpolation_loss,
+    one_hot,
+    triplet_loss,
+)
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> None:

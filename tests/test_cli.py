@@ -516,14 +516,17 @@ def test_c2v1_checkpoint_rejected(
     assert err.endswith(message), err
 
 
+def _cli_process_env() -> dict:
+    path = [str(pathlib.Path(chartembed.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
 def _run_cli(*args) -> subprocess.CompletedProcess:
     """The CLI in its own process, so that numpy's warnings reach stderr as
     a user would see them."""
-    path = [str(pathlib.Path(chartembed.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     return subprocess.run(
         [sys.executable, "-m", "chartembed.cli", *args],
-        capture_output=True, text=True, env=env, timeout=300,
+        capture_output=True, text=True, env=_cli_process_env(), timeout=300,
     )
 
 
@@ -578,16 +581,21 @@ def test_nearest_k_exceeds_candidates(index_path, capsys):
     assert len(rows) == 9  # the dataset holds two five-chart stories
 
 
-def test_nearest_overflow_prints_only_the_ranking(tmp_path):
-    # The differences overflow float64; the distances are infinite, and
-    # numpy must not warn on stderr.
+def _overflowing_index(tmp_path) -> str:
+    """An index whose squared differences overflow float64."""
     path = tmp_path / "big.tsv"
     path.write_text(
         "chart_id\tstory_id\tposition\tdataset_id\tv1\n"
         "a\ts\t0\tds\t1e308\nb\ts\t1\tds\t-1e308\nc\ts\t2\tds\t0\n",
         encoding="utf-8",
     )
-    run = _run_cli("nearest", str(path), "a", "--k", "2")
+    return str(path)
+
+
+def test_nearest_overflow_prints_only_the_ranking(tmp_path):
+    # The differences overflow float64; the distances are infinite, and
+    # numpy must not warn on stderr.
+    run = _run_cli("nearest", _overflowing_index(tmp_path), "a", "--k", "2")
     assert run.returncode == 0
     assert run.stderr == ""
     assert run.stdout.splitlines() == ["1\tb\tinf", "2\tc\tinf"]
@@ -601,6 +609,17 @@ def test_eval_text_and_json(index_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert set(payload) >= {"top2", "top3", "cooccurrence", "n_anchors"}
     assert len(payload["details"]) == 50
+
+
+def test_eval_json_writes_an_infinite_distance_as_null(tmp_path, capsys):
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    assert main(["eval", _overflowing_index(tmp_path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert [(d["anchor"], d["distance"], d["excluded"]) for d in payload["details"]] == [
+        ("a", None, False), ("b", None, False), ("c", None, False),
+    ]
 
 
 def test_eval_gap_flags(index_path, capsys):
@@ -681,15 +700,13 @@ def test_gradcheck_epsilon_warning(capsys):
     assert "outside the reliable" in capsys.readouterr().err
 
 
-def test_embedding_dim_is_fixed(fixture_corpus_path, fixture_vectors_path, tmp_path):
-    out = tmp_path / "model.ckpt"
-    code = main(
-        [
-            "train", fixture_corpus_path, fixture_vectors_path, str(out),
-            "--embedding-dim", "50",
-        ]
-    )
-    assert code == 2
+def test_embedding_dim_is_fixed(capsys):
+    # The store format fixes the word-vector width; no flag sets it.
+    for command in (["train", "c", "v", "out"], ["embed", "ckpt", "c", "out"], ["ablate", "c", "v"]):
+        with pytest.raises(SystemExit) as info:
+            main(command + ["--embedding-dim", "100"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --embedding-dim 100" in capsys.readouterr().err
 
 
 def test_embed_vectors_env_fallback(
@@ -723,3 +740,55 @@ def test_import_unknown_format(tmp_path, data_dir):
         ["import", str(data_dir / "calliope_sample.json"), str(out), "--format", "vega"]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # An output path in a directory that does not exist: an I/O failure.
+        (["train", "{corpus}", "{vectors}", "{missing}", "--epochs", "0", "--test-fraction", "0"], 2),
+        (["embed", "{model}", "{corpus}", "{missing}", "--vectors", "{vectors}"], 2),
+        (["import", "{calliope}", "{missing}"], 2),
+        (["ablate", "{corpus}", "{vectors}", "--variants", "full", "--epochs", "0",
+          "--out", "{missing}"], 2),
+        # An input that is not UTF-8: a domain failure, but a usage failure
+        # for a config file.
+        (["validate", "{latin1}"], 1),
+        (["train", "{latin1}", "{vectors}", "{out}"], 1),
+        (["train", "{corpus}", "{latin1}", "{out}"], 1),
+        (["train", "{corpus}", "{vectors}", "{out}", "--config", "{latin1}"], 2),
+    ],
+)
+def test_file_failures_end_in_one_line_not_a_traceback(
+    tmp_path, capsys, trained, data_dir, fixture_corpus_path, fixture_vectors_path, argv, code
+):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("caf\u00e9 au lait\n".encode("latin-1"))
+    paths = {
+        "corpus": fixture_corpus_path,
+        "vectors": fixture_vectors_path,
+        "model": trained,
+        "calliope": str(data_dir / "calliope_sample.json"),
+        "missing": str(tmp_path / "missing" / "out"),
+        "latin1": str(latin1),
+        "out": str(tmp_path / "m.ckpt"),
+    }
+    assert main([arg.format(**paths) for arg in argv]) == code
+    err = capsys.readouterr().err.splitlines()
+    # validate reports a file that is not a corpus as its one violation.
+    prefix = "violation: " if argv[0] == "validate" else "error: "
+    assert len(err) == 1 and err[0].startswith(prefix), err
+    if "{latin1}" in argv[1:3]:
+        assert err[0].startswith(f"{prefix}{latin1}: not a UTF-8 text file: "), err
+
+
+def test_closed_stdout_is_one_error_line(index_path):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "chartembed.cli", "eval", index_path, "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_process_env(),
+    )
+    proc.stdout.close()  # before the child has even imported numpy
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 2
+    assert err == "error: standard output closed\n"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +64,14 @@ def test_save_load_roundtrip(fixture_corpus, tmp_path):
     path = str(tmp_path / "copy.json")
     save_corpus(fixture_corpus, path)
     assert load_corpus(path) == fixture_corpus
+
+
+def test_load_corpus_rejects_a_file_that_is_not_utf8(tmp_path, fixture_corpus_path):
+    path = tmp_path / "corpus.json"
+    text = open(fixture_corpus_path, encoding="utf-8").read()
+    path.write_bytes(text.replace('"economy"', '"\u00e9conomie"', 1).encode("latin-1"))
+    with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: not a UTF-8 text file: "):
+        load_corpus(str(path))
 
 
 def test_two_chart_story_rejected():

@@ -10,7 +10,6 @@ from chartembed.corpus import Corpus, corpus_from_dict
 from chartembed.encoder import init_params
 from chartembed.evaluation import (
     ABLATION_VARIANTS,
-    SINGLE_SWITCH_VARIANTS,
     AblationResult,
     EmbeddingIndex,
     EvaluationError,
@@ -25,7 +24,7 @@ from chartembed.evaluation import (
     variant_switches,
 )
 from chartembed.learning import HyperParams
-from reference import ranking_by_difference
+from reference import SINGLE_SWITCH_VARIANTS, ranking_by_difference
 
 
 def entry(chart_id, vec, story_id, position, dataset_id="ds"):

@@ -22,9 +22,7 @@ from chartembed.facts import (
     MetaExtreme,
 )
 from chartembed.grammar import (
-    MAX_DERIVATION_LENGTH,
     MAX_SEQUENCE_LENGTH,
-    MIN_DERIVATION_LENGTH,
     RULE_COUNT,
     RULES,
     GrammarError,
@@ -32,7 +30,13 @@ from chartembed.grammar import (
     grammar_dump,
 )
 from chartembed.semantics import VectorStore
-from reference import decode_skeleton, fact_skeleton, one_hot
+from reference import (
+    MAX_DERIVATION_LENGTH,
+    MIN_DERIVATION_LENGTH,
+    decode_skeleton,
+    fact_skeleton,
+    one_hot,
+)
 
 
 def test_rule_table_has_sixty_rules():

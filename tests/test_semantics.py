@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import importlib
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -126,6 +127,13 @@ def test_store_rejects_bad_dimensions(tmp_path):
     path = tmp_path / "vectors.txt"
     path.write_text("word 1.0 2.0\n", encoding="utf-8")
     with pytest.raises(VectorStoreError, match="expected a word and 100"):
+        load_vector_store(str(path))
+
+
+def test_store_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "vectors.txt"
+    path.write_bytes(("caf\u00e9 " + " ".join(["1.0"] * 100) + "\n").encode("latin-1"))
+    with pytest.raises(VectorStoreError, match=f"^{re.escape(str(path))}: not a UTF-8 text file: "):
         load_vector_store(str(path))
 
 
@@ -366,6 +374,9 @@ REMOVED_NAMES = [
     ("encoder", "forward"),
     ("learning", "interpolation_loss"),
     ("learning", "triplet_loss"),
+    ("evaluation", "SINGLE_SWITCH_VARIANTS"),
+    ("grammar", "MIN_DERIVATION_LENGTH"),
+    ("grammar", "MAX_DERIVATION_LENGTH"),
 ]
 
 
@@ -380,10 +391,11 @@ def test_all_names_resolve(example_fact):
 
 def _referenced_names(path: pathlib.Path) -> set[str]:
     """Every name a module's code uses: loaded names, attributes and
-    from-imports (docstrings and comments do not count)."""
+    from-imports (docstrings and comments do not count, nor does the target
+    of an assignment)."""
     names = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -392,22 +404,32 @@ def _referenced_names(path: pathlib.Path) -> set[str]:
     return names
 
 
+def _defined_names(path: pathlib.Path):
+    """The names a module defines at top level: functions, classes and
+    assigned constants."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            yield from (target.id for target in node.targets if isinstance(target, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id
+
+
 def test_no_package_name_is_test_only():
-    # Every public module-level function and class is called by the
+    # Every public module-level function, class and constant is used by the
     # package itself or by the benchmark; __init__'s re-exports do not
-    # count. Code only the tests call belongs in the tests.
+    # count. Code only the tests use belongs in the tests.
     root = pathlib.Path(__file__).parents[1]
     modules = sorted(p for p in (root / "src" / "chartembed").glob("*.py") if p.name != "__init__.py")
     used = set()
     for path in modules + sorted((root / "perfbench").glob("*.py")):
         used |= _referenced_names(path)
     unused = [
-        f"{path.stem}.{node.name}"
+        f"{path.stem}.{name}"
         for path in modules
-        for node in ast.parse(path.read_text(encoding="utf-8")).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in used
+        for name in _defined_names(path)
+        if not name.startswith("_") and name not in used
     ]
     assert unused == []
 
