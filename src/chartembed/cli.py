@@ -36,6 +36,7 @@ from .corpus import (
     encode_corpus,
     import_calliope,
     load_corpus,
+    read_json,
     save_corpus,
     split_corpus,
 )
@@ -154,11 +155,12 @@ _CONFIG_TYPES = {
 }
 _TYPE_NAMES = {float: "a number", int: "an integer", str: "a string"}
 
-# The retrieval options of nearest (k) and eval (gap2, gap3).
+# The options of nearest (k), eval (gap2, gap3) and gradcheck (epsilon).
 _QUERY_TYPES = {
     "k": (int, ">= 1", lambda v: v >= 1),
     "gap2": (int, ">= 0", lambda v: v >= 0),
     "gap3": (int, ">= 0", lambda v: v >= 0),
+    "epsilon": (float, "> 0", lambda v: v > 0),
 }
 
 
@@ -184,11 +186,7 @@ def _checked(name: str, value, types: dict = _CONFIG_TYPES):
 def _load_config_file(path: Optional[str]) -> dict:
     if path is None:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise UsageError(exc) from None
+    obj = read_json(path, UsageError)
     if not isinstance(obj, dict):
         raise UsageError("config file must hold a JSON object")
     unknown = sorted(set(obj) - set(_CONFIG_TYPES))
@@ -408,9 +406,10 @@ def _gradcheck_batch(seed: int, config: EncoderConfig) -> tuple[np.ndarray, np.n
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     if args.coords < 1:
         raise UsageError("--coords must be at least 1")
-    if not 1e-7 <= args.epsilon <= 1e-3:
+    epsilon = _checked("epsilon", args.epsilon, _QUERY_TYPES)
+    if not 1e-7 <= epsilon <= 1e-3:
         print(
-            f"warning: epsilon {args.epsilon:g} is outside the reliable central-"
+            f"warning: epsilon {epsilon:g} is outside the reliable central-"
             "difference window [1e-7, 1e-3]; expect larger reported error",
             file=sys.stderr,
         )
@@ -422,7 +421,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         batch,
         params,
         hyper,
-        epsilon=args.epsilon,
+        epsilon=epsilon,
         n_coords=args.coords,
         seed=args.seed,
         corrupt=args.inject_fault,
@@ -445,9 +444,7 @@ def cmd_grammar(args: argparse.Namespace) -> int:
 def cmd_import(args: argparse.Namespace) -> int:
     if args.format != "calliope":
         raise UsageError(f"unknown import format {args.format!r}")
-    with open(args.input, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    corpus = corpus_from_dict(import_calliope(obj), strict=not args.lenient)
+    corpus = corpus_from_dict(import_calliope(read_json(args.input)), strict=not args.lenient)
     save_corpus(corpus, args.out)
     print(f"imported {len(corpus)} visualizations -> {args.out}")
     return EXIT_OK

@@ -185,14 +185,19 @@ def load_corpus(path: str, strict: bool = True) -> Corpus:
     lenient mode drops offending charts (and visualizations that fall below
     the three-chart minimum) with warnings.
     """
+    return corpus_from_dict(read_json(path), strict=strict)
+
+
+def read_json(path: str, error: type[Exception] = CorpusError):
+    """The decoded JSON of a UTF-8 file. Raises `error`, naming the file, for
+    text that is not UTF-8 or not JSON."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            return json.load(fh)
         except UnicodeDecodeError as exc:
-            raise CorpusError(f"{path}: not a UTF-8 text file: {exc}") from None
+            raise error(f"{path}: not a UTF-8 text file: {exc}") from None
         except json.JSONDecodeError as exc:
-            raise CorpusError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return corpus_from_dict(obj, strict=strict)
+            raise error(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
 
 
 def corpus_to_dict(corpus: Corpus) -> dict:
@@ -279,11 +284,12 @@ def encode_corpus(corpus: Corpus, store: VectorStore, config: EncoderConfig) -> 
     rule_ids = np.full((corpus.chart_count, grammar.MAX_SEQUENCE_LENGTH), -1, dtype=np.int8)
     tokens = []
     columns = []
+    memo: dict = {}  # (text, location) -> tokens, for this call only
     for vis in corpus.visualizations:
         for position, (chart_id, fact) in enumerate(vis.charts):
             ids = grammar.derive_rules(fact)
             rule_ids[len(columns), : len(ids)] = ids
-            tokens.append(semantics.extract_tokens(fact))
+            tokens.append(semantics.extract_tokens(fact, memo))
             columns.append((chart_id, vis.id, vis.dataset_id, vis.domain, position))
     blocks = semantics.encode_semantics(tokens, store, config.semantic_mode, config.use_locations)
     chart_ids, vis_ids, dataset_ids, domains, positions = list(zip(*columns)) or [()] * 5

@@ -515,15 +515,19 @@ def metrics_json(report: MetricsReport) -> dict:
 
 
 def save_index(index: EmbeddingIndex, path: str) -> None:
-    """Write the index as TSV with 17-significant-digit floats (lossless)."""
+    """Write the index as TSV with 17-significant-digit floats (lossless).
+
+    Each row is one `%` of a template built once per call, written as soon
+    as it is formatted."""
+    dim = index.vectors.shape[1]
+    template = "%s\t%s\t%d\t%s" + "\t%.17g" * dim + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         header = ["chart_id", "story_id", "position", "dataset_id"]
-        header += [f"v{i + 1}" for i in range(index.vectors.shape[1])]
+        header += [f"v{i + 1}" for i in range(dim)]
         fh.write("\t".join(header) + "\n")
-        for row, chart_id in enumerate(index.ids):
-            cells = [chart_id, index.story_ids[row], str(index.positions[row]), index.dataset_ids[row]]
-            cells += [format(x, ".17g") for x in index.vectors[row].tolist()]
-            fh.write("\t".join(cells) + "\n")
+        columns = zip(index.ids, index.story_ids, index.positions.tolist(), index.dataset_ids)
+        for cells, vector in zip(columns, index.vectors):
+            fh.write(template % (*cells, *vector.tolist()))
 
 
 def load_index(path: str) -> EmbeddingIndex:

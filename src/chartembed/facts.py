@@ -285,8 +285,32 @@ def validate_fact(fact: ChartFact) -> ValidationReport:
     return ValidationReport(tuple(out))
 
 
-def _expect_keys(obj: dict, required: tuple[str, ...], where: str) -> None:
-    unknown = set(obj) - set(required)
+def _keys(*names: str) -> tuple[tuple[str, ...], frozenset[str]]:
+    """The keys an object must hold exactly: in order, and as a set."""
+    return names, frozenset(names)
+
+
+_FACT_KEYS = _keys("type_c", "type_f", "subspace", "breakdown", "measure", "focus", "meta")
+_FILTER_KEYS = _keys("field", "value", "field_type")
+_FIELDREF_KEYS = _keys("field", "field_type")
+_MEASURE_KEYS = _keys("field", "aggregation")
+_FOCUS_KEYS = _keys("field", "field_type", "value")
+_META_KEYS = {
+    "none": _keys("kind"),
+    "trend": _keys("kind", "direction"),
+    "categorization": _keys("kind", "count"),
+    "difference": _keys("kind", "relation"),
+    "rank": _keys("kind", "top3"),
+    "extreme": _keys("kind", "extreme"),
+    "association": _keys("kind", "sign"),
+}
+
+
+def _expect_keys(obj: dict, keys: tuple[tuple[str, ...], frozenset[str]], where: str) -> None:
+    required, exact = keys
+    if obj.keys() == exact:
+        return
+    unknown = set(obj) - exact
     if unknown:
         raise FactParseError(f"{where}: unknown keys {sorted(unknown)}")
     missing = [k for k in required if k not in obj]
@@ -294,7 +318,19 @@ def _expect_keys(obj: dict, required: tuple[str, ...], where: str) -> None:
         raise FactParseError(f"{where}: missing required keys {missing}")
 
 
+# value -> member of every enum that fact JSON names.
+_MEMBERS = {
+    cls: {m.value: m for m in cls}
+    for cls in (FieldType, ChartType, FactType, Aggregation, TrendDirection,
+                DifferenceRelation, ExtremeKind, AssociationSign)
+}
+
+
 def _parse_enum(cls: type, text: Any, where: str):
+    if isinstance(text, str):
+        member = _MEMBERS[cls].get(text)
+        if member is not None:
+            return member
     try:
         return cls(text)
     except ValueError:
@@ -313,7 +349,7 @@ def _parse_str(value: Any, where: str) -> str:
 def _parse_filter(obj: Any, where: str) -> Filter:
     if not isinstance(obj, dict):
         raise FactParseError(f"{where}: expected an object")
-    _expect_keys(obj, ("field", "value", "field_type"), where)
+    _expect_keys(obj, _FILTER_KEYS, where)
     return Filter(
         field=_parse_str(obj["field"], f"{where}.field"),
         value=_parse_str(obj["value"], f"{where}.value"),
@@ -324,7 +360,7 @@ def _parse_filter(obj: Any, where: str) -> Filter:
 def _parse_fieldref(obj: Any, where: str) -> FieldRef:
     if not isinstance(obj, dict):
         raise FactParseError(f"{where}: expected an object or null")
-    _expect_keys(obj, ("field", "field_type"), where)
+    _expect_keys(obj, _FIELDREF_KEYS, where)
     return FieldRef(
         name=_parse_str(obj["field"], f"{where}.field"),
         field_type=_parse_enum(FieldType, obj["field_type"], f"{where}.field_type"),
@@ -337,45 +373,32 @@ def _parse_meta(obj: Any, where: str) -> MetaInfo:
     if not isinstance(obj, dict):
         raise FactParseError(f"{where}: expected an object or null")
     kind = _parse_str(obj.get("kind", ""), f"{where}.kind")
+    if kind not in _META_KEYS:
+        raise FactParseError(
+            f"{where}.kind: unknown value {kind!r}, expected one of {list(_META_KEYS)}"
+        )
+    _expect_keys(obj, _META_KEYS[kind], where)
     if kind == "none":
-        _expect_keys(obj, ("kind",), where)
         return META_NONE
     if kind == "trend":
-        _expect_keys(obj, ("kind", "direction"), where)
         return MetaTrend(_parse_enum(TrendDirection, obj["direction"], f"{where}.direction"))
     if kind == "categorization":
-        _expect_keys(obj, ("kind", "count"), where)
         count = obj["count"]
         if not isinstance(count, int) or isinstance(count, bool):
             raise FactParseError(f"{where}.count: expected an integer")
         return MetaCategorization(count)
     if kind == "difference":
-        _expect_keys(obj, ("kind", "relation"), where)
         return MetaDifference(
             _parse_enum(DifferenceRelation, obj["relation"], f"{where}.relation")
         )
     if kind == "rank":
-        _expect_keys(obj, ("kind", "top3"), where)
         top3 = obj["top3"]
         if not isinstance(top3, list):
             raise FactParseError(f"{where}.top3: expected a list of strings")
         return MetaRank(tuple(_parse_str(v, f"{where}.top3[{i}]") for i, v in enumerate(top3)))
     if kind == "extreme":
-        _expect_keys(obj, ("kind", "extreme"), where)
         return MetaExtreme(_parse_enum(ExtremeKind, obj["extreme"], f"{where}.extreme"))
-    if kind == "association":
-        _expect_keys(obj, ("kind", "sign"), where)
-        return MetaAssociation(
-            _parse_enum(AssociationSign, obj["sign"], f"{where}.sign")
-        )
-    raise FactParseError(
-        f"{where}.kind: unknown value {kind!r}, expected one of "
-        "['none', 'trend', 'categorization', 'difference', 'rank', 'extreme', "
-        "'association']"
-    )
-
-
-_FACT_KEYS = ("type_c", "type_f", "subspace", "breakdown", "measure", "focus", "meta")
+    return MetaAssociation(_parse_enum(AssociationSign, obj["sign"], f"{where}.sign"))
 
 
 def fact_from_dict(obj: Any, where: str = "fact") -> ChartFact:
@@ -400,7 +423,7 @@ def fact_from_dict(obj: Any, where: str = "fact") -> ChartFact:
         mobj = obj["measure"]
         if not isinstance(mobj, dict):
             raise FactParseError(f"{where}.measure: expected an object or null")
-        _expect_keys(mobj, ("field", "aggregation"), f"{where}.measure")
+        _expect_keys(mobj, _MEASURE_KEYS, f"{where}.measure")
         measure = MeasureSpec(
             field=_parse_str(mobj["field"], f"{where}.measure.field"),
             aggregation=_parse_enum(
@@ -413,7 +436,7 @@ def fact_from_dict(obj: Any, where: str = "fact") -> ChartFact:
         fobj = obj["focus"]
         if not isinstance(fobj, dict):
             raise FactParseError(f"{where}.focus: expected an object or null")
-        _expect_keys(fobj, ("field", "field_type", "value"), f"{where}.focus")
+        _expect_keys(fobj, _FOCUS_KEYS, f"{where}.focus")
         focus = Focus(
             field=FieldRef(
                 name=_parse_str(fobj["field"], f"{where}.focus.field"),

@@ -294,6 +294,8 @@ def grad_check(
     """
     if n_coords < 1:
         raise ValueError("gradient check needs at least one coordinate")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"gradient check needs a finite epsilon > 0, got {epsilon}")
     hyper_nd = replace(hyper, dropout=0.0)
     work = EncoderParams(replace(params.config, dropout=0.0), params.values.copy())
 
@@ -360,7 +362,9 @@ def grad_check(
             numeric = (plus - minus) / (2.0 * step)
             analytic = grads[name][idx]
             scale = max(1.0, abs(numeric), abs(analytic))
-            worst = max(worst, abs(numeric - analytic) / scale)
+            error = abs(numeric - analytic) / scale
+            # A non-finite gradient is no agreement: count it as infinite.
+            worst = max(worst, error if math.isfinite(error) else math.inf)
             checked += 1
     if checked == 0:
         raise ValueError("gradient check: every chosen coordinate sits on a kink")

@@ -73,39 +73,44 @@ def split_words(text: str) -> list[str]:
     return out
 
 
-def meta_words(meta: MetaInfo) -> list[str]:
-    """The semantic text carried by a meta variant."""
+def meta_texts(meta: MetaInfo) -> list[str]:
+    """The semantic text carried by a meta variant, one string per part."""
     if isinstance(meta, MetaNone):
         return []
     if isinstance(meta, MetaTrend):
-        return split_words(meta.direction.value)
+        return [meta.direction.value]
     if isinstance(meta, MetaCategorization):
-        return split_words(f"{meta.count} categories")
+        return [f"{meta.count} categories"]
     if isinstance(meta, MetaDifference):
-        return split_words(meta.relation.value)
+        return [meta.relation.value]
     if isinstance(meta, MetaRank):
-        out: list[str] = []
-        for entry in meta.top3:
-            out.extend(split_words(entry))
-        return out
+        return list(meta.top3)
     if isinstance(meta, MetaExtreme):
-        return split_words(meta.extreme.value)
+        return [meta.extreme.value]
     if isinstance(meta, MetaAssociation):
-        return split_words(meta.sign.value)
+        return [meta.sign.value]
     raise TypeError(f"unknown meta variant {type(meta).__name__}")
 
 
-def extract_tokens(fact: ChartFact) -> list[Token]:
+def extract_tokens(
+    fact: ChartFact, memo: dict[tuple[str, int], tuple[Token, ...]] | None = None
+) -> list[Token]:
     """All semantic words of a fact, visited in location order 1..7.
 
     Chart type and fact type are structural and contribute nothing here.
-    Duplicate words are kept.
+    Duplicate words are kept. `memo` maps (text, location) to its tokens;
+    a caller that passes the same dict for many facts splits each distinct
+    string once.
     """
+    if memo is None:
+        memo = {}
     tokens: list[Token] = []
 
     def emit(text: str, location: int) -> None:
-        for word in split_words(text):
-            tokens.append(Token(word, location))
+        run = memo.get((text, location))
+        if run is None:
+            run = memo[text, location] = tuple(Token(w, location) for w in split_words(text))
+        tokens.extend(run)
 
     for filt in fact.subspace:
         emit(filt.field, LOC_SUBSPACE_FIELD)
@@ -118,8 +123,8 @@ def extract_tokens(fact: ChartFact) -> list[Token]:
     if fact.focus is not None:
         emit(fact.focus.field.name, LOC_FOCUS_FIELD)
         emit(fact.focus.value, LOC_FOCUS_VALUE)
-    for word in meta_words(fact.meta):
-        tokens.append(Token(word, LOC_META))
+    for text in meta_texts(fact.meta):
+        emit(text, LOC_META)
     return tokens
 
 
@@ -183,7 +188,7 @@ def load_vector_store(path: str) -> VectorStore:
                         f"got {len(parts)} fields"
                     )
                 try:
-                    vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+                    vec = np.array(parts[1:], dtype=np.float64)  # float() syntax and messages
                 except ValueError as exc:
                     raise VectorStoreError(f"{path}:{lineno}: {exc}") from None
                 if not np.isfinite(vec).all():

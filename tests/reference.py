@@ -13,6 +13,14 @@ its retrieved charts and distances must equal these bit for bit.
 stable sort of the same distances; the package's ids and distance bits must
 equal it.
 
+`extract_tokens` splits and wraps every string of one fact anew. The
+package splits each distinct (text, location) once per corpus; its token
+lists must equal these.
+
+`save_index` writes the index TSV one `format(x, ".17g")` cell at a time.
+The package formats each row with one `%` of a template; its bytes must
+equal these.
+
 `SINGLE_SWITCH_VARIANTS` and the derivation-length bounds are facts about
 the package's tables that only the tests check.
 
@@ -31,9 +39,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from chartembed.evaluation import ABLATION_VARIANTS, EmbeddingIndex
-from chartembed.facts import Aggregation, ChartFact, ChartType, FactType, FieldType, fact_to_dict
+from chartembed.facts import (
+    Aggregation,
+    ChartFact,
+    ChartType,
+    FactType,
+    FieldType,
+    MetaAssociation,
+    MetaCategorization,
+    MetaDifference,
+    MetaExtreme,
+    MetaNone,
+    MetaRank,
+    MetaTrend,
+    fact_to_dict,
+)
 from chartembed.grammar import RULES, GrammarError
 from chartembed.semantics import (
+    LOC_BREAKDOWN_FIELD,
+    LOC_FOCUS_FIELD,
+    LOC_FOCUS_VALUE,
+    LOC_MEASURE_FIELD,
+    LOC_META,
+    LOC_SUBSPACE_FIELD,
+    LOC_SUBSPACE_VALUE,
     LOCATION_COUNT,
     POOLED_DIM,
     SEMANTIC_SLOTS,
@@ -41,6 +70,7 @@ from chartembed.semantics import (
     Token,
     VectorStore,
     semantic_shape,
+    split_words,
 )
 
 # Variants differing from the full model by exactly one switch; the
@@ -52,6 +82,41 @@ SINGLE_SWITCH_VARIANTS = tuple(
 # The rule count of the shortest and the longest derivation of a fact.
 MIN_DERIVATION_LENGTH = 8
 MAX_DERIVATION_LENGTH = 13
+
+
+def meta_words(meta) -> list[str]:
+    """The words of a meta variant's semantic text."""
+    if isinstance(meta, MetaNone):
+        return []
+    if isinstance(meta, MetaTrend):
+        return split_words(meta.direction.value)
+    if isinstance(meta, MetaCategorization):
+        return split_words(f"{meta.count} categories")
+    if isinstance(meta, MetaDifference):
+        return split_words(meta.relation.value)
+    if isinstance(meta, MetaRank):
+        return [w for entry in meta.top3 for w in split_words(entry)]
+    if isinstance(meta, MetaExtreme):
+        return split_words(meta.extreme.value)
+    if isinstance(meta, MetaAssociation):
+        return split_words(meta.sign.value)
+    raise TypeError(f"unknown meta variant {type(meta).__name__}")
+
+
+def extract_tokens(fact: ChartFact) -> list[Token]:
+    """All semantic words of one fact in location order 1..7, each string
+    split and each word wrapped anew."""
+    texts = [(f.field, LOC_SUBSPACE_FIELD) for f in fact.subspace]
+    texts += [(f.value, LOC_SUBSPACE_VALUE) for f in fact.subspace]
+    if fact.breakdown is not None:
+        texts.append((fact.breakdown.name, LOC_BREAKDOWN_FIELD))
+    if fact.measure is not None:
+        texts.append((fact.measure.field, LOC_MEASURE_FIELD))
+    if fact.focus is not None:
+        texts.append((fact.focus.field.name, LOC_FOCUS_FIELD))
+        texts.append((fact.focus.value, LOC_FOCUS_VALUE))
+    tokens = [Token(word, location) for text, location in texts for word in split_words(text)]
+    return tokens + [Token(word, LOC_META) for word in meta_words(fact.meta)]
 
 
 def pool_word(vec: np.ndarray) -> np.ndarray:
@@ -101,6 +166,18 @@ def encode_semantics(
     elif mode == "words-max":
         block[0] = np.concatenate([vecs.max(axis=0), locs.max(axis=0)])
     return block
+
+
+def save_index(index: EmbeddingIndex, path: str) -> None:
+    """The index TSV, one format(x, ".17g") per vector cell."""
+    with open(path, "w", encoding="utf-8") as fh:
+        header = ["chart_id", "story_id", "position", "dataset_id"]
+        header += [f"v{i + 1}" for i in range(index.vectors.shape[1])]
+        fh.write("\t".join(header) + "\n")
+        for row, chart_id in enumerate(index.ids):
+            cells = [chart_id, index.story_ids[row], str(index.positions[row]), index.dataset_ids[row]]
+            cells += [format(x, ".17g") for x in index.vectors[row].tolist()]
+            fh.write("\t".join(cells) + "\n")
 
 
 _BLOCK_FLOATS = 1 << 20

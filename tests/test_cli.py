@@ -695,6 +695,18 @@ def test_gradcheck_rejects_nonpositive_coords(capsys):
         assert capsys.readouterr().err == "error: --coords must be at least 1\n"
 
 
+@pytest.mark.parametrize("epsilon, message", [
+    ("0", "epsilon: must be > 0, got 0.0"),
+    ("-1e-5", "epsilon: must be > 0, got -1e-05"),
+    ("nan", "epsilon: expected a finite number, got nan"),
+    ("inf", "epsilon: expected a finite number, got inf"),
+])
+def test_gradcheck_rejects_bad_epsilon(capsys, epsilon, message):
+    assert main(["gradcheck", "--coords", "5", f"--epsilon={epsilon}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
 def test_gradcheck_epsilon_warning(capsys):
     main(["gradcheck", "--seed", "0", "--coords", "10", "--epsilon", "1e-2"])
     assert "outside the reliable" in capsys.readouterr().err
@@ -732,6 +744,29 @@ def test_grammar_dump_command(capsys, data_dir):
     assert main(["grammar"]) == 0
     out = capsys.readouterr().out
     assert out == (data_dir / "grammar_dump.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command, code", [("import", 1), ("config", 2)])
+@pytest.mark.parametrize("content, message", [
+    (b'{"stories": [}', "invalid JSON at line 1: Expecting value"),
+    (b'{\n  "epochs": 1,\n}', "invalid JSON at line 3: Expecting property name enclosed in double quotes"),
+    (b"", "invalid JSON at line 1: Expecting value"),
+    ("{\"caf\u00e9\": 1}".encode("latin-1"), "not a UTF-8 text file: 'utf-8' codec can't decode byte 0xe9"),
+])
+def test_json_inputs_name_the_file_in_decode_errors(
+    tmp_path, capsys, fixture_corpus_path, fixture_vectors_path, command, code, content, message
+):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    if command == "import":
+        argv = ["import", str(bad), str(tmp_path / "out.json")]
+    else:
+        argv = ["train", fixture_corpus_path, fixture_vectors_path, str(tmp_path / "m.ckpt"),
+                "--config", str(bad)]
+    assert main(argv) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}: {message}"), err
+    assert not (tmp_path / "out.json").exists() and not (tmp_path / "m.ckpt").exists()
 
 
 def test_import_unknown_format(tmp_path, data_dir):
@@ -778,7 +813,7 @@ def test_file_failures_end_in_one_line_not_a_traceback(
     # validate reports a file that is not a corpus as its one violation.
     prefix = "violation: " if argv[0] == "validate" else "error: "
     assert len(err) == 1 and err[0].startswith(prefix), err
-    if "{latin1}" in argv[1:3]:
+    if "{latin1}" in argv:
         assert err[0].startswith(f"{prefix}{latin1}: not a UTF-8 text file: "), err
 
 

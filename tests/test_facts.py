@@ -178,3 +178,72 @@ def test_roundtrip_on_randomized_facts():
 
 def test_fact_to_dict_meta_none_is_null(minimal_fact):
     assert fact_to_dict(minimal_fact)["meta"] is None
+
+
+_FULL_FACT = {
+    "type_c": "line chart", "type_f": "trend",
+    "subspace": [{"field": "Year", "value": "2020", "field_type": "temporal"}],
+    "breakdown": {"field": "Month", "field_type": "temporal"},
+    "measure": {"field": "Sales", "aggregation": "sum"},
+    "focus": {"field": "Region", "field_type": "categorical", "value": "West"},
+    "meta": {"kind": "trend", "direction": "increasing"},
+}
+_DELETE = object()
+_CHART_TYPES = (
+    "['vertical bar chart', 'horizontal bar chart', 'grouped bar chart', 'stacked bar chart', "
+    "'line chart', 'area chart', 'pie chart', 'donut chart', 'scatter plot', 'bubble chart', "
+    "'treemap', 'map', 'radial bar chart', 'progress chart', 'table']"
+)
+_FACT_TYPES = (
+    "['trend', 'categorization', 'difference', 'rank', 'extreme', 'association', "
+    "'proportion', 'distribution', 'outlier', 'value']"
+)
+_FIELD_TYPES = "['temporal', 'numerical', 'categorical', 'geographical']"
+_AGGREGATIONS = "['count', 'sum', 'average', 'minimum', 'maximum']"
+_DIRECTIONS = "['increasing', 'decreasing', 'no-trend']"
+
+
+# Error texts are a contract: these are frozen, byte for byte.
+@pytest.mark.parametrize("path, value, message", [
+    (("color",), "red", "fact: unknown keys ['color']"),
+    (("meta",), _DELETE, "fact: missing required keys ['meta']"),
+    (("subspace", 0, "op"), "=", "fact.subspace[0]: unknown keys ['op']"),
+    (("subspace", 0, "value"), _DELETE, "fact.subspace[0]: missing required keys ['value']"),
+    (("breakdown", "field_type"), _DELETE, "fact.breakdown: missing required keys ['field_type']"),
+    (("measure", "unit"), "usd", "fact.measure: unknown keys ['unit']"),
+    (("focus", "value"), _DELETE, "fact.focus: missing required keys ['value']"),
+    (("meta", "extra"), 1, "fact.meta: unknown keys ['extra']"),
+    (("meta", "direction"), _DELETE, "fact.meta: missing required keys ['direction']"),
+    (("meta", "kind"), "spiral",
+     "fact.meta.kind: unknown value 'spiral', expected one of ['none', 'trend', "
+     "'categorization', 'difference', 'rank', 'extreme', 'association']"),
+    (("type_c",), "3d chart", f"fact.type_c: unknown value '3d chart', expected one of {_CHART_TYPES}"),
+    (("type_f",), "Trend", f"fact.type_f: unknown value 'Trend', expected one of {_FACT_TYPES}"),
+    (("measure", "aggregation"), "median",
+     f"fact.measure.aggregation: unknown value 'median', expected one of {_AGGREGATIONS}"),
+    (("meta", "direction"), "up", f"fact.meta.direction: unknown value 'up', expected one of {_DIRECTIONS}"),
+    # Enum values that are not strings.
+    (("subspace", 0, "field_type"), ["temporal"],
+     f"fact.subspace[0].field_type: unknown value ['temporal'], expected one of {_FIELD_TYPES}"),
+    (("breakdown", "field_type"), {"x": 1},
+     f"fact.breakdown.field_type: unknown value {{'x': 1}}, expected one of {_FIELD_TYPES}"),
+    (("type_c",), 3, f"fact.type_c: unknown value 3, expected one of {_CHART_TYPES}"),
+    (("type_f",), True, f"fact.type_f: unknown value True, expected one of {_FACT_TYPES}"),
+    (("measure", "aggregation"), None,
+     f"fact.measure.aggregation: unknown value None, expected one of {_AGGREGATIONS}"),
+    (("meta", "direction"), [], f"fact.meta.direction: unknown value [], expected one of {_DIRECTIONS}"),
+])
+def test_parse_error_texts_are_frozen(path, value, message):
+    obj = json.loads(json.dumps(_FULL_FACT))
+    *head, last = path
+    parent = obj
+    for key in head:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[last]
+    else:
+        parent[last] = value
+    with pytest.raises(FactParseError) as info:
+        fact_from_dict(obj)
+    assert str(info.value) == message
+    fact_from_dict(_FULL_FACT)  # the undamaged fact parses

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from chartembed import learning
 from chartembed.cli import _gradcheck_batch
 from chartembed.corpus import SampleSet, build_samples
 from chartembed.encoder import (
@@ -317,6 +318,29 @@ def test_grad_check_epsilon_window(base_config):
     assert good < 1e-4
     assert coarse > good
     assert tiny > good
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1e-5, float("nan"), float("inf")])
+def test_grad_check_rejects_bad_epsilon(base_config, epsilon):
+    batch = _gradcheck_batch(0, base_config)
+    with pytest.raises(ValueError, match="finite epsilon > 0"):
+        grad_check(batch, init_params(0, base_config), HyperParams(), epsilon=epsilon, n_coords=5)
+
+
+def test_grad_check_counts_a_non_finite_numeric_gradient_as_infinite(monkeypatch, base_config):
+    # Every probe of the loss reads NaN; the first call, for the analytic
+    # gradient, is left alone.
+    calls = []
+
+    def nan_probes(*args, **kwargs):
+        total, *rest = combined_loss(*args, **kwargs)
+        calls.append(total)
+        return (total if len(calls) == 1 else float("nan"), *rest)
+
+    monkeypatch.setattr(learning, "combined_loss", nan_probes)
+    batch = _gradcheck_batch(0, base_config)
+    error = grad_check(batch, init_params(0, base_config), HyperParams(), epsilon=1e-5, n_coords=5)
+    assert error == np.inf and len(calls) > 1
 
 
 def test_gradients_under_a_fixed_dropout_mask(base_config):

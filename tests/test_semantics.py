@@ -13,7 +13,18 @@ import chartembed
 from chartembed.corpus import Corpus, MultiViewVis, encode_corpus
 from chartembed.encoder import EncoderConfig
 from chartembed.factgen import random_fact
-from chartembed.facts import ChartFact, ChartType, FactType, FieldRef, FieldType, Filter, Focus
+from chartembed.facts import (
+    Aggregation,
+    ChartFact,
+    ChartType,
+    FactType,
+    FieldRef,
+    FieldType,
+    Filter,
+    Focus,
+    MeasureSpec,
+    MetaRank,
+)
 from chartembed.semantics import (
     LOC_BREAKDOWN_FIELD,
     LOC_FOCUS_FIELD,
@@ -295,9 +306,29 @@ def random_fact_corpus(seed, size=120):
     return one_vis_corpus([random_fact(rng) for _ in range(size)])
 
 
+def shared_strings_corpus():
+    """One string as a subspace field, a subspace value, a breakdown, a
+    measure, a focus field and value and a rank entry, across several facts;
+    and one spelling of it per case."""
+    text = "Total Sales"
+
+    def fact(i):
+        other = ("total sales", "TOTAL SALES", "Region")[i % 3]
+        return ChartFact(
+            type_c=ChartType.TABLE, type_f=FactType.RANK,
+            subspace=(Filter(text, other, FieldType.CATEGORICAL), Filter(other, text, FieldType.CATEGORICAL)),
+            breakdown=FieldRef(text, FieldType.CATEGORICAL),
+            measure=MeasureSpec(text, Aggregation.SUM),
+            focus=Focus(FieldRef(text, FieldType.CATEGORICAL), text if i % 2 else other),
+            meta=MetaRank((text, other)),
+        )
+
+    return one_vis_corpus([fact(i) for i in range(6)])
+
+
 def oracle_blocks(corpus, store, mode, use_locations):
     return np.stack([
-        reference.encode_semantics(extract_tokens(fact), store, mode, use_locations)
+        reference.encode_semantics(reference.extract_tokens(fact), store, mode, use_locations)
         for vis in corpus.visualizations
         for _, fact in vis.charts
     ])
@@ -305,12 +336,13 @@ def oracle_blocks(corpus, store, mode, use_locations):
 
 @pytest.mark.parametrize("use_locations", [True, False])
 @pytest.mark.parametrize("mode", SEMANTIC_MODES)
-@pytest.mark.parametrize("corpus_name", ["fixture", "random_fact", "edge"])
+@pytest.mark.parametrize("corpus_name", ["fixture", "random_fact", "edge", "shared_strings"])
 def test_word_table_blocks_bit_equal_per_chart_oracle(
     fixture_corpus, store, corpus_name, mode, use_locations
 ):
     corpus = {
-        "fixture": fixture_corpus, "random_fact": random_fact_corpus(3), "edge": edge_corpus()
+        "fixture": fixture_corpus, "random_fact": random_fact_corpus(3), "edge": edge_corpus(),
+        "shared_strings": shared_strings_corpus(),
     }[corpus_name]
     config = EncoderConfig(semantic_mode=mode, use_locations=use_locations)
     got = encode_corpus(corpus, store, config).semantics
@@ -326,6 +358,34 @@ def test_edge_corpus_covers_its_cases(store):
     words = [t.word for t in tokens[2]]
     assert {"Country", "COUNTRY", "country"} <= set(words)
     assert any(w not in store for w in words) and any(w in store for w in words)
+
+
+def test_shared_memo_tokens_equal_per_fact_oracle(fixture_corpus):
+    for corpus in (fixture_corpus, random_fact_corpus(4), edge_corpus(), shared_strings_corpus()):
+        memo = {}
+        for vis in corpus.visualizations:
+            for _, fact in vis.charts:
+                expected = reference.extract_tokens(fact)
+                assert extract_tokens(fact, memo) == expected
+                assert extract_tokens(fact) == expected
+    # The shared corpus splits few distinct strings for many tokens.
+    memo = {}
+    for _, fact in shared_strings_corpus().visualizations[0].charts:
+        extract_tokens(fact, memo)
+    assert len(memo) < 20
+
+
+@pytest.mark.parametrize("mode", SEMANTIC_MODES)
+def test_encode_corpus_keeps_no_state_between_calls(store, mode):
+    config = EncoderConfig(semantic_mode=mode)
+    first, second = shared_strings_corpus(), random_fact_corpus(6, size=40)
+    alone = encode_corpus(second, store, config)
+    encode_corpus(first, store, config)
+    after = encode_corpus(second, store, config)
+    expected = oracle_blocks(second, store, mode, True)
+    for got in (alone, after):
+        assert got.semantics.tobytes() == expected.tobytes()
+        assert got.rule_ids.tobytes() == alone.rule_ids.tobytes()
 
 
 @pytest.mark.parametrize("mode", SEMANTIC_MODES)
@@ -365,6 +425,7 @@ def test_encode_corpus_looks_up_each_distinct_word_once(fixture_corpus, store):
 # oracles for some of them live in tests/reference.py.
 REMOVED_NAMES = [
     ("semantics", "build_semantic_block"),
+    ("semantics", "meta_words"),
     ("grammar", "RuleSequence"),
     ("grammar", "decode_skeleton"),
     ("grammar", "encode_one_hot"),
@@ -448,3 +509,23 @@ def test_store_rejects_non_finite_components(tmp_path, component):
     with pytest.raises(VectorStoreError) as info:
         load_vector_store(str(path))
     assert str(info.value) == f"{path}:2: non-finite component"
+
+
+@pytest.mark.parametrize("components, message", [
+    (["abc"], "could not convert string to float: 'abc'"),
+    ([""], "could not convert string to float: ''"),
+    (["0x1"], "could not convert string to float: '0x1'"),
+    (["abc", "def"], "could not convert string to float: 'abc'"),  # the first bad cell
+    (["1_0"], None),  # float() syntax: accepted
+    (["١"], None),
+])
+def test_store_components_parse_as_float_does(tmp_path, components, message):
+    path = tmp_path / "vectors.txt"
+    line = ["0.5"] * 40 + components + ["0.5"] * (60 - len(components))
+    path.write_text("word " + " ".join(line) + "\n", encoding="utf-8")
+    if message is None:
+        assert load_vector_store(str(path)).lookup("word")[40] == float(components[0])
+        return
+    with pytest.raises(VectorStoreError) as info:
+        load_vector_store(str(path))
+    assert str(info.value) == f"{path}:1: {message}"
