@@ -58,6 +58,9 @@ class MultiViewVis:
 
 @dataclass(frozen=True)
 class Corpus:
+    """Visualizations whose facts all pass validate_fact; corpus_from_dict
+    checks them, and encode_corpus does not check them again."""
+
     visualizations: tuple[MultiViewVis, ...]
 
     def __len__(self) -> int:
@@ -287,7 +290,7 @@ def encode_corpus(corpus: Corpus, store: VectorStore, config: EncoderConfig) -> 
     memo: dict = {}  # (text, location) -> tokens, for this call only
     for vis in corpus.visualizations:
         for position, (chart_id, fact) in enumerate(vis.charts):
-            ids = grammar.derive_rules(fact)
+            ids = grammar.derive_rules(fact, validated=True)
             rule_ids[len(columns), : len(ids)] = ids
             tokens.append(semantics.extract_tokens(fact, memo))
             columns.append((chart_id, vis.id, vis.dataset_id, vis.domain, position))
@@ -424,8 +427,11 @@ def _calliope_meta(fact_type: str, raw, where: str):
         direction = str(raw).lower().replace(" ", "-")
         return {"kind": "trend", "direction": direction}
     if fact_type == "categorization":
-        text = str(raw).split()[0]
-        return {"kind": "categorization", "count": int(text)}
+        try:
+            count = int(str(raw).split()[0])
+        except (IndexError, ValueError):
+            raise CorpusError(f"{where}.meta: expected a category count, got {raw!r}") from None
+        return {"kind": "categorization", "count": count}
     if fact_type == "difference":
         return {"kind": "difference", "relation": str(raw).lower()}
     if fact_type == "rank":
@@ -439,46 +445,68 @@ def _calliope_meta(fact_type: str, raw, where: str):
     return None
 
 
+def _calliope_list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise CorpusError(f"{where}: expected a list")
+    return value
+
+
+def _calliope_object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise CorpusError(f"{where}: expected an object")
+    return value
+
+
+def _calliope_part(item: dict, key: str, where: str) -> Optional[dict]:
+    """The object of a single-element list (or a bare object) under key, or
+    None when it is absent or empty."""
+    raw = item.get(key)
+    if isinstance(raw, list):
+        raw, where = (raw[0] if raw else None), f"{where}.{key}[0]"
+    else:
+        where = f"{where}.{key}"
+    return _calliope_object(raw, where) if raw else None
+
+
 def import_calliope(obj: dict) -> dict:
     """Convert a story-list export (5-part facts plus chart/meta) into the
     native corpus layout. The expected input shape is documented in the
-    README; unknown aggregations or field types are rejected."""
-    if "stories" not in obj:
-        raise CorpusError("expected a top-level 'stories' list")
+    README; unknown aggregations or field types, and a value of the wrong
+    JSON type, are rejected with the location of the value."""
+    if not isinstance(obj, dict) or "stories" not in obj:
+        raise CorpusError("expected a top-level object with a 'stories' list")
     visualizations = []
-    for s_idx, story in enumerate(obj["stories"]):
+    for s_idx, story in enumerate(_calliope_list(obj["stories"], "stories")):
         where = f"stories[{s_idx}]"
+        _calliope_object(story, where)
         charts = []
-        for c_idx, item in enumerate(story.get("facts", [])):
+        for c_idx, item in enumerate(_calliope_list(story.get("facts", []), f"{where}.facts")):
             cwhere = f"{where}.facts[{c_idx}]"
-            subspace = [
-                {
-                    "field": str(f.get("field", "")),
-                    "value": str(f.get("value", "")),
-                    "field_type": _calliope_field_type(
-                        f.get("type", f.get("field_type", "categorical")), cwhere
-                    ),
-                }
-                for f in item.get("subspace", [])
-            ]
+            _calliope_object(item, cwhere)
+            subspace = []
+            filters = _calliope_list(item.get("subspace", []), f"{cwhere}.subspace")
+            for f_idx, f in enumerate(filters):
+                _calliope_object(f, f"{cwhere}.subspace[{f_idx}]")
+                subspace.append(
+                    {
+                        "field": str(f.get("field", "")),
+                        "value": str(f.get("value", "")),
+                        "field_type": _calliope_field_type(
+                            f.get("type", f.get("field_type", "categorical")), cwhere
+                        ),
+                    }
+                )
             breakdown = None
-            raw_breakdown = item.get("breakdown")
-            if isinstance(raw_breakdown, list):
-                raw_breakdown = raw_breakdown[0] if raw_breakdown else None
+            raw_breakdown = _calliope_part(item, "breakdown", cwhere)
             if raw_breakdown:
                 breakdown = {
                     "field": str(raw_breakdown.get("field", raw_breakdown)),
                     "field_type": _calliope_field_type(
-                        raw_breakdown.get("type", "categorical")
-                        if isinstance(raw_breakdown, dict)
-                        else "categorical",
-                        cwhere,
+                        raw_breakdown.get("type", "categorical"), cwhere
                     ),
                 }
             measure = None
-            raw_measure = item.get("measure")
-            if isinstance(raw_measure, list):
-                raw_measure = raw_measure[0] if raw_measure else None
+            raw_measure = _calliope_part(item, "measure", cwhere)
             if raw_measure:
                 agg_raw = str(raw_measure.get("aggregate", "sum")).lower()
                 if agg_raw not in _CALLIOPE_AGGREGATIONS:
@@ -488,9 +516,7 @@ def import_calliope(obj: dict) -> dict:
                     "aggregation": _CALLIOPE_AGGREGATIONS[agg_raw],
                 }
             focus = None
-            raw_focus = item.get("focus")
-            if isinstance(raw_focus, list):
-                raw_focus = raw_focus[0] if raw_focus else None
+            raw_focus = _calliope_part(item, "focus", cwhere)
             if raw_focus:
                 focus = {
                     "field": str(raw_focus.get("field", "")),

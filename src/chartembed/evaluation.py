@@ -35,7 +35,8 @@ class EmbeddingIndex:
     """Charts as columns in chart-id order, with one (N, D) vector matrix.
 
     `row` maps a chart id to its row; `blocks` maps a dataset id to its rows,
-    ascending, so every block is in chart-id order too.
+    ascending, so every block is in chart-id order too. `sq` and `twice_norm`
+    hold each row's squared norm and twice its norm.
     """
 
     def __init__(
@@ -56,6 +57,11 @@ class EmbeddingIndex:
         self.positions = np.asarray(positions, dtype=np.int64)[order]
         self.dataset_ids = tuple(dataset_ids[i] for i in order)
         self.vectors = np.asarray(vectors, dtype=np.float64)[order]
+        # The Gram screen's norms (_near_ties), for nearest and compute_metrics.
+        # Large vectors overflow them to inf, which makes the screen keep all.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.sq = np.einsum("nd,nd->n", self.vectors, self.vectors)
+            self.twice_norm = 2.0 * np.sqrt(self.sq)
         blocks: dict[str, list[int]] = {}
         for row, dataset_id in enumerate(self.dataset_ids):
             blocks.setdefault(dataset_id, []).append(row)
@@ -87,6 +93,8 @@ def index_encoded(encoded: EncodedCorpus, params: EncoderParams) -> EmbeddingInd
 
 
 _BLOCK_FLOATS = 1 << 20  # bounds one Gram slab and one block of anchor-candidate differences
+_U = np.finfo(np.float64).eps / 2  # unit roundoff
+_TINY = np.finfo(np.float64).tiny
 
 
 def _difference_distances(vectors: np.ndarray, points: np.ndarray, columns: np.ndarray) -> np.ndarray:
@@ -130,12 +138,13 @@ def _nearest_kept(
 
 
 def _near_ties(
-    gram: np.ndarray, lo: int, sq: np.ndarray, twice_norm: np.ndarray, dim: int
+    gram: np.ndarray, lo: int, sq: np.ndarray, twice_norm: np.ndarray, dim: int, k: int = 1
 ) -> np.ndarray:
     """Keep mask over the Gram slab of a block's anchors lo, lo + 1, ... (rows)
     and all of its charts (columns), given the block's squared norms, doubled
     norms and the vector length: every candidate whose _difference_distances
-    value may tie with or beat the anchor's nearest chart, but not the anchor.
+    value may tie with or beat the anchor's k-th nearest chart, but not the
+    anchor. k is at most the number of candidates, len(sq) - 1.
 
     Write u = 2^-53, gamma_k = k u / (1 - k u), R = (|a| + |b|)^2 for anchor
     a and candidate b, s = |a - b|^2 exactly, g the Gram value below and e
@@ -154,29 +163,84 @@ def _near_ties(
     g - tau and of g + tau (a few u R) while D u << 1. So every chart that
     may be retrieved has g_b - tau_b <= min_c (g_c + tau_c), and a re-rank
     of the kept charts in the difference form returns the chart and the
-    distance bits of a scan of the whole block.
+    distance bits of a scan of the whole block. For the k-th nearest: a chart
+    b ranked among the first k by a stable sort of that scan has at least
+    n - k + 1 candidates c, itself included, at or after it, each with
+    g_b - tau_b <= g_c + tau_c; at most n - k candidates have an upper bound
+    g_c + tau_c above the k-th smallest, so g_b - tau_b is at most that bound.
 
     Underflow adds at most D 2^-1075 per dot product; D * finfo.tiny covers it.
     tau is computed as gamma (2|a| + 2|b|)^2, and 4R overflows to inf before
     s or any term of g or e can. An inf tau, or inf - inf = NaN in g, makes
     g - tau -inf or NaN, or the row's bound NaN; the comparison below is then
     false, so the candidate stays, and a row that keeps all is a full scan.
+    For k = 1 a NaN upper bound makes the row's bound NaN; for k > 1 the
+    partition sorts it last, so a bound that is not NaN is a candidate c's
+    with a finite or inf upper bound, for which the argument above holds.
     """
-    u = np.finfo(np.float64).eps / 2
-    gamma = (dim + 4) * u / (1 - (dim + 4) * u)
-    own = (np.arange(len(gram)), lo + np.arange(len(gram)))
-    g = sq[lo : lo + len(gram), None] + sq[None, :]
+    gamma = (dim + 4) * _U / (1 - (dim + 4) * _U)
+    rows = slice(lo, lo + len(gram))
+    g = sq[rows, None] + sq
     g -= 2.0 * gram
-    tau = twice_norm[lo : lo + len(gram), None] + twice_norm[None, :]
+    tau = twice_norm[rows, None] + twice_norm
     np.square(tau, out=tau)
     tau *= gamma
-    tau += dim * np.finfo(np.float64).tiny
+    tau += dim * _TINY
     upper = g + tau
-    upper[own] = np.inf
+    own = slice(lo, None, len(sq) + 1)  # the flat indices of cells (i, lo + i)
+    upper.flat[own] = np.inf
     g -= tau
-    keep = ~(g > np.min(upper, axis=1)[:, None])
-    keep[own] = False
+    if k == 1:
+        bound = np.minimum.reduce(upper, axis=1)
+    else:
+        upper.partition(k - 1, axis=1)
+        bound = upper[:, k - 1]
+    keep = g > bound[:, None]
+    np.logical_not(keep, out=keep)
+    keep.flat[own] = False
     return keep
+
+
+# Scopes with fewer candidates are scanned whole: there the screen's matrix-
+# vector product and its dozen numpy calls cost more than the scan they
+# save. Measured per query at k = 5 on 540-dim vectors, one BLAS thread, as
+# a multiple of the scan's time: on random vectors 1.3-1.5x at 23-31
+# candidates, even between 40 and 55, 0.7-0.9x at 63 and 0.4-0.55x at
+# 95-119; on a collapsed model, where every candidate is a near-tie, 1.6x
+# at 23.
+_SCREEN_MIN_CANDIDATES = 64
+
+
+def _scan(vectors: np.ndarray, point: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """_difference_distances from point to the candidates, in chunks that
+    keep the gathered differences within _BLOCK_FLOATS."""
+    dist = np.empty(len(candidates))
+    step = max(1, _BLOCK_FLOATS // max(1, vectors.shape[1]))
+    for lo in range(0, len(candidates), step):
+        dist[lo : lo + step] = _difference_distances(vectors, point, candidates[lo : lo + step])
+    return dist
+
+
+def _screened(index: EmbeddingIndex, row: int, pool: np.ndarray, k: int) -> np.ndarray:
+    """The charts of `pool` (ascending, holding row) that _near_ties keeps
+    for the anchor row and its k nearest. A pool of consecutive rows, as
+    scope "all" always is, is multiplied in place; any other is gathered in
+    chunks of _BLOCK_FLOATS values."""
+    vectors, first = index.vectors, int(pool[0])
+    if pool[-1] - first + 1 == len(pool):
+        rows = slice(first, first + len(pool))
+        products = vectors[rows] @ vectors[row]
+    else:
+        rows = pool
+        products = np.empty(len(pool))
+        step = max(1, _BLOCK_FLOATS // max(1, vectors.shape[1]))
+        for lo in range(0, len(pool), step):
+            products[lo : lo + step] = vectors[pool[lo : lo + step]] @ vectors[row]
+    lo = int(np.searchsorted(pool, row))
+    keep = _near_ties(
+        products[None, :], lo, index.sq[rows], index.twice_norm[rows], vectors.shape[1], k
+    )
+    return pool[keep[0]]
 
 
 def nearest(
@@ -189,6 +253,10 @@ def nearest(
 
     Scope "same-dataset" restricts candidates to the anchor's dataset;
     "all" considers every other chart. The anchor itself is excluded.
+    The ids and distances are those of a scan in the exact difference form
+    (_difference_distances). A scope of at least _SCREEN_MIN_CANDIDATES
+    candidates is screened by its Gram form first, and only the candidates
+    that may rank among the first k are scanned.
     """
     if scope not in ("same-dataset", "all"):
         raise EvaluationError(f"unknown scope {scope!r}")
@@ -197,20 +265,17 @@ def nearest(
     if k < 1:
         raise EvaluationError("k must be >= 1")
     row = index.row[anchor]
-    if scope == "all":
-        candidates = np.arange(len(index))
-    else:
-        candidates = index.blocks[index.dataset_ids[row]]
-    candidates = candidates[candidates != row]
-    if not len(candidates):
+    pool = np.arange(len(index)) if scope == "all" else index.blocks[index.dataset_ids[row]]
+    if len(pool) < 2:
         raise EvaluationError(f"no candidates for anchor {anchor!r} in scope {scope}")
-    vectors, dist = index.vectors, np.empty(len(candidates))
-    step = max(1, _BLOCK_FLOATS // max(1, vectors.shape[1]))
-    # A difference beyond the float64 range is an infinite distance.
+    # A difference beyond the float64 range is an infinite distance; Gram
+    # terms that overflow make the screen keep every candidate.
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, len(candidates), step):
-            chunk = candidates[lo : lo + step]
-            dist[lo : lo + step] = _difference_distances(vectors, vectors[row], chunk)
+        if len(pool) - 1 < _SCREEN_MIN_CANDIDATES:
+            candidates = pool[pool != row]
+        else:
+            candidates = _screened(index, row, pool, min(k, len(pool) - 1))
+        dist = _scan(index.vectors, index.vectors[row], candidates)
     # Candidates are in chart-id order, so a stable sort breaks ties on id.
     ranked = np.argsort(dist, kind="stable")[:k]
     return [(index.ids[candidates[j]], float(dist[j])) for j in ranked]
@@ -260,11 +325,10 @@ def compute_metrics(index: EmbeddingIndex, gap2: int = 2, gap3: int = 3) -> Metr
     vectors = index.vectors
     retrieved = np.full(len(index), -1)
     distance = np.zeros(len(index))
+    sq, twice_norm = index.sq, index.twice_norm
     # Large vectors overflow the Gram terms to inf or NaN, which makes
     # _near_ties keep every candidate, and their differences to inf.
     with np.errstate(over="ignore", invalid="ignore"):
-        sq = np.einsum("nd,nd->n", vectors, vectors)
-        twice_norm = 2.0 * np.sqrt(sq)
         for block in index.blocks.values():
             if len(block) < 2:
                 continue

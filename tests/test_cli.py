@@ -740,6 +740,26 @@ def test_import_calliope(tmp_path, data_dir):
     assert len(corpus) == 3
 
 
+@pytest.mark.parametrize("source, message", [
+    ({"stories": 5}, "stories: expected a list"),
+    ({"stories": [{"facts": 3}]}, "stories[0].facts: expected a list"),
+    ("xstoriesx", "expected a top-level object with a 'stories' list"),
+    ({"stories": [5]}, "stories[0]: expected an object"),
+    ({"stories": [{"facts": [7]}]}, "stories[0].facts[0]: expected an object"),
+    ({"stories": [{"facts": [{"subspace": [3]}]}]},
+     "stories[0].facts[0].subspace[0]: expected an object"),
+    ({"stories": [{"facts": [{"measure": 4}]}]}, "stories[0].facts[0].measure: expected an object"),
+    ({"stories": [{"facts": [{"fact_type": "categorization", "meta": "x"}]}]},
+     "stories[0].facts[0].meta: expected a category count, got 'x'"),
+])
+def test_import_names_the_location_of_a_wrong_json_type(tmp_path, capsys, source, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(source), encoding="utf-8")
+    assert main(["import", str(bad), str(tmp_path / "out.json")]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_grammar_dump_command(capsys, data_dir):
     assert main(["grammar"]) == 0
     out = capsys.readouterr().out

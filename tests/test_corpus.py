@@ -6,6 +6,8 @@ import re
 import numpy as np
 import pytest
 
+from chartembed import corpus as corpus_mod
+from chartembed import facts, grammar
 from chartembed.corpus import (
     NEGATIVE_POLICIES,
     Corpus,
@@ -169,6 +171,24 @@ def test_window_count(fixture_corpus, store, base_config):
     )
     assert expected_windows == 30
     assert len(samples) == 30
+
+
+def test_each_fact_is_validated_once_before_training(
+    monkeypatch, fixture_corpus_path, store, base_config
+):
+    # load_corpus validates every fact; encode_corpus, inside build_samples,
+    # derives its rule ids without a second check.
+    calls = []
+
+    def counting(fact):
+        calls.append(fact)
+        return facts.validate_fact(fact)
+
+    monkeypatch.setattr(corpus_mod, "validate_fact", counting)
+    monkeypatch.setattr(grammar, "validate_fact", counting)
+    corpus = load_corpus(fixture_corpus_path)
+    build_samples(corpus, store, 1, "same-dataset-first", 0, base_config)
+    assert len(calls) == corpus.chart_count == 50
 
 
 def test_five_chart_story_gives_three_windows(store, base_config):

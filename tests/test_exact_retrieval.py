@@ -2,12 +2,16 @@
 the near-ties in the difference form. Its retrieved charts and distances
 must equal a full difference-form scan (`reference.nearest_by_difference`)
 bit for bit, on trained and collapsed models and on planted near-ties.
-`nearest` scans in the difference form, one chunk of candidates at a time;
-its whole ranking must equal `reference.ranking_by_difference`."""
+`nearest` screens a scope of at least `_SCREEN_MIN_CANDIDATES` candidates
+by the same Gram bound and scans only the kept ones; smaller scopes are
+scanned whole. On both paths its ranking, for every k, must equal
+`reference.ranking_by_difference`: the nearest checks run at the real
+threshold and again at 0, where every scope is screened."""
 
 from __future__ import annotations
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -53,24 +57,36 @@ def assert_matches_difference_scan(index):
     assert np.array_equal(bits(got), bits(distances[scored]))
 
 
-def assert_nearest_matches_ranking(index):
-    """Every anchor, both scopes, k = every candidate: ids and distance bits."""
-    for anchor in index.ids:
-        for scope in ("same-dataset", "all"):
-            ids, distances = ranking_by_difference(index, anchor, scope)
-            if not ids:
-                with pytest.raises(EvaluationError, match="no candidates"):
-                    nearest(index, anchor, scope)
-                continue
-            got = nearest(index, anchor, scope, k=len(ids))
-            assert [chart_id for chart_id, _ in got] == ids
-            assert np.array_equal(bits([d for _, d in got]), bits(distances))
+# The real threshold, then 0, at which every scope is screened.
+SCREEN_THRESHOLDS = (evaluation._SCREEN_MIN_CANDIDATES, 0)
+
+
+def assert_nearest_matches_ranking(index, anchors=None, ks=(1, 2, 5)):
+    """Every anchor (or the given ones), both scopes, at both screen
+    thresholds, each k in ks and k = every candidate: ids and distance bits
+    of the first k."""
+    for threshold in SCREEN_THRESHOLDS:
+        with mock.patch.object(evaluation, "_SCREEN_MIN_CANDIDATES", threshold):
+            for anchor in index.ids if anchors is None else anchors:
+                for scope in ("same-dataset", "all"):
+                    ids, distances = ranking_by_difference(index, anchor, scope)
+                    if not ids:
+                        with pytest.raises(EvaluationError, match="no candidates"):
+                            nearest(index, anchor, scope)
+                        continue
+                    for k in sorted({*ks, len(ids)}):
+                        got = nearest(index, anchor, scope, k=k)
+                        assert [chart_id for chart_id, _ in got] == ids[:k]
+                        assert np.array_equal(bits([d for _, d in got]), bits(distances[:k]))
 
 
 def assert_matches_nearest(index):
-    for detail in compute_metrics(index).details:
-        [(chart_id, distance)] = nearest(index, detail.anchor, "same-dataset", k=1)
-        assert (chart_id, bits(distance)) == (detail.retrieved, bits(detail.distance))
+    details = compute_metrics(index).details
+    for threshold in SCREEN_THRESHOLDS:
+        with mock.patch.object(evaluation, "_SCREEN_MIN_CANDIDATES", threshold):
+            for detail in details:
+                [(chart_id, distance)] = nearest(index, detail.anchor, "same-dataset", k=1)
+                assert (chart_id, bits(distance)) == (detail.retrieved, bits(detail.distance))
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +111,11 @@ def test_fixture_details_equal_difference_scan(fixture_corpus, store, fixture_mo
 @pytest.mark.parametrize("model", ["untrained", "collapsed"])
 def test_metrics_distance_equals_nearest_k1(fixture_corpus, store, fixture_models, model):
     assert_matches_nearest(build_index(fixture_corpus, fixture_models[model], store))
+
+
+def test_collapsed_fixture_rankings_equal_difference_scan(fixture_corpus, store, fixture_models):
+    # 25 distinct of 50 vectors: exact ties at every k.
+    assert_nearest_matches_ranking(build_index(fixture_corpus, fixture_models["collapsed"], store))
 
 
 def _offset_cloud(rng, n=40, dim=16, offset=1e4, scale=1e-4):
@@ -158,6 +179,74 @@ def test_all_distances_overflow_keeps_documented_answer():
     assert [d.retrieved for d in details] == ["c001", "c000", "c000", "c000"]
     assert all(d.distance == np.inf for d in details)
     assert_matches_difference_scan(index_of(v))
+    assert_nearest_matches_ranking(index_of(v))
+
+
+def test_all_overflow_scope_is_screened_whole():
+    # Past the threshold too, every norm overflows: the screen keeps every
+    # candidate, and all distances tie at inf in chart-id order.
+    v = 1e200 * np.arange(-40, 40, dtype=np.float64)[:, None]
+    index = index_of(v)
+    assert len(index) - 1 >= evaluation._SCREEN_MIN_CANDIDATES
+    ranked = nearest(index, "c003", "all", k=len(v))
+    assert [chart_id for chart_id, _ in ranked] == [c for c in index.ids if c != "c003"]
+    assert all(d == np.inf for _, d in ranked)
+    assert_nearest_matches_ranking(index, anchors=index.ids[:3])
+
+
+def _ties_at_place(rng, k, offset):
+    """An anchor (c000 after sorting) and 80 candidates: k - 1 nearer ones,
+    then a group at the k-th place (three copies of one unit point, which
+    tie exactly and rank by chart id, its negation and a permutation of it)
+    and one a single ulp beyond it, then far ones. With an offset the Gram
+    form cancels most digits and the screen keeps many candidates; without,
+    its bound is tight and the exact ties decide."""
+    dim = 6
+    near = 0.1 * rng.normal(size=(k - 1, dim))
+    tie = rng.normal(size=dim)
+    tie *= 1.0 / np.linalg.norm(tie)
+    mirrored = np.vstack([tie, tie, tie, -tie, tie[::-1]])
+    beyond = np.nextafter(tie, 2 * tie)[None, :]
+    far = 3.0 + rng.random(size=(80 - len(near) - len(mirrored) - 1, dim))
+    candidates = np.vstack([near, mirrored, beyond, far])
+    return offset + np.vstack([np.zeros(dim), candidates[rng.permutation(len(candidates))]])
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("offset", [0.0, 1e4])
+def test_planted_ties_at_the_kth_place(rng, k, offset):
+    index = index_of(_ties_at_place(rng, k, offset))
+    _, distances = ranking_by_difference(index, "c000", "all")
+    assert distances[k - 1] == distances[k] or offset  # the tie straddles place k
+    assert_nearest_matches_ranking(index, anchors=index.ids[:4], ks=(k, k + 1, k + 5))
+
+
+def test_scope_all_and_gathered_blocks_equal_difference_scan(rng):
+    # 150 charts in three interleaved datasets: scope "all" multiplies the
+    # whole matrix in place, and each 50-chart block, whose rows are not
+    # consecutive, is gathered; duplicates tie at every k.
+    pool = _offset_cloud(rng, n=60, dim=12)
+    vectors = pool[rng.integers(0, len(pool), size=150)]
+    index = index_of(vectors, ["a", "b", "c"] * 50)
+    assert_nearest_matches_ranking(index, anchors=index.ids[::7])
+
+
+def test_screen_is_chosen_by_candidate_count(monkeypatch, rng):
+    # Scopes of _SCREEN_MIN_CANDIDATES - 1 candidates are scanned whole,
+    # scopes of _SCREEN_MIN_CANDIDATES screened.
+    calls = []
+    near_ties = evaluation._near_ties
+    monkeypatch.setattr(
+        evaluation, "_near_ties", lambda *a: calls.append(a[0].shape) or near_ties(*a)
+    )
+    threshold = evaluation._SCREEN_MIN_CANDIDATES
+    datasets = ["a"] * threshold + ["b"] * (threshold + 1)
+    index = index_of(rng.normal(size=(len(datasets), 4)), datasets)
+    nearest(index, index.ids[0], "same-dataset", k=3)
+    assert calls == []
+    nearest(index, index.ids[-1], "same-dataset", k=3)
+    nearest(index, index.ids[0], "all", k=3)
+    assert calls == [(1, threshold + 1), (1, 2 * threshold + 1)]
 
 
 def test_small_blocks_chunk_and_tile_the_same(monkeypatch, rng):
@@ -228,7 +317,8 @@ def test_memory_stays_within_the_block_budget(monkeypatch, rng, collapsed):
 )
 def test_random_indexes_with_planted_duplicates(data, dim, scale, offset):
     # Rows drawn from a small pool of points tie exactly; an offset makes the
-    # Gram form cancel, and the extreme scales overflow or underflow it.
+    # Gram form cancel, and the extreme scales overflow or underflow it. At
+    # the real threshold these small scopes are scanned; at 0, screened.
     coords = st.lists(st.integers(-30, 30), min_size=dim, max_size=dim)
     pool = np.array(data.draw(st.lists(coords, min_size=2, max_size=8))) * scale + offset
     picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=3, max_size=24))
