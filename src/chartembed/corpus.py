@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -58,10 +58,12 @@ class MultiViewVis:
 
 @dataclass(frozen=True)
 class Corpus:
-    """Visualizations whose facts all pass validate_fact; corpus_from_dict
-    checks them, and encode_corpus does not check them again."""
+    """Visualizations in order. `facts_checked` records that every fact has
+    passed validate_fact, as corpus_from_dict and split_corpus ensure;
+    encode_corpus checks the facts of any other corpus."""
 
     visualizations: tuple[MultiViewVis, ...]
+    facts_checked: bool = field(default=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.visualizations)
@@ -178,7 +180,7 @@ def corpus_from_dict(obj: dict, strict: bool = True) -> Corpus:
                 )
             chart_ids[chart_id] = vis.id
         visualizations.append(vis)
-    return Corpus(tuple(visualizations))
+    return Corpus(tuple(visualizations), facts_checked=True)
 
 
 def load_corpus(path: str, strict: bool = True) -> Corpus:
@@ -255,7 +257,8 @@ def split_corpus(corpus: Corpus, test_fraction: float, seed: int) -> tuple[Corpu
     test_vis = tuple(v for v in corpus.visualizations if v.dataset_id in test_sets)
     if not train_vis or not test_vis:
         raise CorpusError("split left one side empty; adjust test_fraction")
-    return Corpus(train_vis), Corpus(test_vis)
+    checked = corpus.facts_checked
+    return Corpus(train_vis, facts_checked=checked), Corpus(test_vis, facts_checked=checked)
 
 
 @dataclass(frozen=True)
@@ -283,14 +286,17 @@ class EncodedCorpus:
 
 
 def encode_corpus(corpus: Corpus, store: VectorStore, config: EncoderConfig) -> EncodedCorpus:
-    """Encode every chart of the corpus exactly once, in corpus order."""
+    """Encode every chart of the corpus exactly once, in corpus order.
+    Raises GrammarError for an invalid fact, unless corpus.facts_checked
+    says every fact has passed validate_fact already."""
     rule_ids = np.full((corpus.chart_count, grammar.MAX_SEQUENCE_LENGTH), -1, dtype=np.int8)
     tokens = []
     columns = []
     memo: dict = {}  # (text, location) -> tokens, for this call only
+    derive = grammar._rule_ids if corpus.facts_checked else grammar.derive_rules
     for vis in corpus.visualizations:
         for position, (chart_id, fact) in enumerate(vis.charts):
-            ids = grammar.derive_rules(fact, validated=True)
+            ids = derive(fact)
             rule_ids[len(columns), : len(ids)] = ids
             tokens.append(semantics.extract_tokens(fact, memo))
             columns.append((chart_id, vis.id, vis.dataset_id, vis.domain, position))

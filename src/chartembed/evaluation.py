@@ -93,8 +93,6 @@ def index_encoded(encoded: EncodedCorpus, params: EncoderParams) -> EmbeddingInd
 
 
 _BLOCK_FLOATS = 1 << 20  # bounds one Gram slab and one block of anchor-candidate differences
-_U = np.finfo(np.float64).eps / 2  # unit roundoff
-_TINY = np.finfo(np.float64).tiny
 
 
 def _difference_distances(vectors: np.ndarray, points: np.ndarray, columns: np.ndarray) -> np.ndarray:
@@ -138,7 +136,7 @@ def _nearest_kept(
 
 
 def _near_ties(
-    gram: np.ndarray, lo: int, sq: np.ndarray, twice_norm: np.ndarray, dim: int, k: int = 1
+    gram: np.ndarray, lo: int, sq: np.ndarray, twice_norm: np.ndarray, dim: int, k: int
 ) -> np.ndarray:
     """Keep mask over the Gram slab of a block's anchors lo, lo + 1, ... (rows)
     and all of its charts (columns), given the block's squared norms, doubled
@@ -174,41 +172,41 @@ def _near_ties(
     s or any term of g or e can. An inf tau, or inf - inf = NaN in g, makes
     g - tau -inf or NaN, or the row's bound NaN; the comparison below is then
     false, so the candidate stays, and a row that keeps all is a full scan.
-    For k = 1 a NaN upper bound makes the row's bound NaN; for k > 1 the
-    partition sorts it last, so a bound that is not NaN is a candidate c's
-    with a finite or inf upper bound, for which the argument above holds.
+    The partition sorts NaN upper bounds last: with m of them, the k-th
+    smallest is NaN when k > n - m, and otherwise at most n - m - k bounds
+    that are not NaN exceed it, while at least n - m - k + 1 candidates at
+    or after b have one, so the argument above holds. The anchor's own cell
+    is inf, which can only raise the k-th smallest.
     """
-    gamma = (dim + 4) * _U / (1 - (dim + 4) * _U)
-    rows = slice(lo, lo + len(gram))
-    g = sq[rows, None] + sq
+    u = np.finfo(np.float64).eps / 2
+    gamma = (dim + 4) * u / (1 - (dim + 4) * u)
+    own = (np.arange(len(gram)), lo + np.arange(len(gram)))
+    g = sq[lo : lo + len(gram), None] + sq[None, :]
     g -= 2.0 * gram
-    tau = twice_norm[rows, None] + twice_norm
+    tau = twice_norm[lo : lo + len(gram), None] + twice_norm[None, :]
     np.square(tau, out=tau)
     tau *= gamma
-    tau += dim * _TINY
+    tau += dim * np.finfo(np.float64).tiny
     upper = g + tau
-    own = slice(lo, None, len(sq) + 1)  # the flat indices of cells (i, lo + i)
-    upper.flat[own] = np.inf
+    upper[own] = np.inf
     g -= tau
-    if k == 1:
-        bound = np.minimum.reduce(upper, axis=1)
-    else:
-        upper.partition(k - 1, axis=1)
-        bound = upper[:, k - 1]
-    keep = g > bound[:, None]
-    np.logical_not(keep, out=keep)
-    keep.flat[own] = False
+    upper.partition(k - 1, axis=1)
+    keep = ~(g > upper[:, k - 1 : k])
+    keep[own] = False
     return keep
 
 
 # Scopes with fewer candidates are scanned whole: there the screen's matrix-
 # vector product and its dozen numpy calls cost more than the scan they
 # save. Measured per query at k = 5 on 540-dim vectors, one BLAS thread, as
-# a multiple of the scan's time: on random vectors 1.3-1.5x at 23-31
-# candidates, even between 40 and 55, 0.7-0.9x at 63 and 0.4-0.55x at
-# 95-119; on a collapsed model, where every candidate is a near-tie, 1.6x
-# at 23.
-_SCREEN_MIN_CANDIDATES = 64
+# a multiple of the scan's time (median of 15 alternating repeats, random
+# and trained vectors). A block of consecutive rows, multiplied in place:
+# 1.5x at 23, 0.86-1.05x at 47, 0.73-0.88x at 63, 0.62-0.63x at 79, 0.5x
+# at 119. A gathered block: 1.7-1.8x at 23, 1.1-1.2x at 47-63, 0.92-1.01x
+# at 71, 0.88-0.97x at 79, 0.77-0.78x at 119, 0.67x at 999. The constant
+# sits at the gathered crossover, so both layouts gain above it. On a
+# collapsed model, where every candidate is a near-tie, 1.6x at 23.
+_SCREEN_MIN_CANDIDATES = 80
 
 
 def _scan(vectors: np.ndarray, point: np.ndarray, candidates: np.ndarray) -> np.ndarray:
@@ -336,7 +334,7 @@ def compute_metrics(index: EmbeddingIndex, gap2: int = 2, gap3: int = 3) -> Metr
             step = max(1, _BLOCK_FLOATS // len(block))
             for lo in range(0, len(block), step):
                 gram = charts[lo : lo + step] @ charts.T
-                keep = _near_ties(gram, lo, sq[block], twice_norm[block], vectors.shape[1])
+                keep = _near_ties(gram, lo, sq[block], twice_norm[block], vectors.shape[1], 1)
                 # The anchor is never kept. So when every distance overflows
                 # to inf, the nearest is the block's first row, or its second
                 # for the first row itself, as in nearest().

@@ -127,17 +127,18 @@ def meta_label(meta: MetaInfo) -> str:
     raise TypeError(f"unknown meta variant {type(meta).__name__}")
 
 
-def derive_rules(fact: ChartFact, *, validated: bool = False) -> tuple[int, ...]:
-    """Leftmost derivation of the fact's structure, in canonical order.
-    Raises GrammarError for a fact that validate_fact rejects; `validated`
-    skips that check for a fact that has passed it, as every fact of a
-    loaded corpus has."""
-    if not validated:
-        report = validate_fact(fact)
-        if not report.ok:
-            details = "; ".join(f"{v.field}: {v.message}" for v in report.violations)
-            raise GrammarError(f"cannot derive an invalid fact: {details}")
+def derive_rules(fact: ChartFact) -> tuple[int, ...]:
+    """Leftmost derivation of the fact's structure, in canonical order."""
+    report = validate_fact(fact)
+    if not report.ok:
+        details = "; ".join(f"{v.field}: {v.message}" for v in report.violations)
+        raise GrammarError(f"cannot derive an invalid fact: {details}")
+    return _rule_ids(fact)
 
+
+def _rule_ids(fact: ChartFact) -> tuple[int, ...]:
+    """derive_rules without the validity check, for a fact that has passed
+    validate_fact."""
     ids = [ROOT_RULE, _CHART_TYPE_ID[fact.type_c], _FACT_TYPE_ID[fact.type_f]]
 
     n_filters = len(fact.subspace)

@@ -177,7 +177,8 @@ def test_each_fact_is_validated_once_before_training(
     monkeypatch, fixture_corpus_path, store, base_config
 ):
     # load_corpus validates every fact; encode_corpus, inside build_samples,
-    # derives its rule ids without a second check.
+    # derives its rule ids without a second check, also for the parts that
+    # split_corpus makes.
     calls = []
 
     def counting(fact):
@@ -188,6 +189,8 @@ def test_each_fact_is_validated_once_before_training(
     monkeypatch.setattr(grammar, "validate_fact", counting)
     corpus = load_corpus(fixture_corpus_path)
     build_samples(corpus, store, 1, "same-dataset-first", 0, base_config)
+    train_part, _ = split_corpus(corpus, 0.3, 0)
+    build_samples(train_part, store, 1, "same-dataset-first", 0, base_config)
     assert len(calls) == corpus.chart_count == 50
 
 

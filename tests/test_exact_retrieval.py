@@ -185,7 +185,7 @@ def test_all_distances_overflow_keeps_documented_answer():
 def test_all_overflow_scope_is_screened_whole():
     # Past the threshold too, every norm overflows: the screen keeps every
     # candidate, and all distances tie at inf in chart-id order.
-    v = 1e200 * np.arange(-40, 40, dtype=np.float64)[:, None]
+    v = 1e200 * np.arange(-41, 41, dtype=np.float64)[:, None]
     index = index_of(v)
     assert len(index) - 1 >= evaluation._SCREEN_MIN_CANDIDATES
     ranked = nearest(index, "c003", "all", k=len(v))
@@ -224,7 +224,8 @@ def test_planted_ties_at_the_kth_place(rng, k, offset):
 def test_scope_all_and_gathered_blocks_equal_difference_scan(rng):
     # 150 charts in three interleaved datasets: scope "all" multiplies the
     # whole matrix in place, and each 50-chart block, whose rows are not
-    # consecutive, is gathered; duplicates tie at every k.
+    # consecutive, is gathered where it is screened (at threshold 0);
+    # duplicates tie at every k.
     pool = _offset_cloud(rng, n=60, dim=12)
     vectors = pool[rng.integers(0, len(pool), size=150)]
     index = index_of(vectors, ["a", "b", "c"] * 50)

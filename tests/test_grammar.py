@@ -141,6 +141,16 @@ def encoded_rule_ids(facts):
     return rule_ids
 
 
+def test_encode_corpus_rejects_an_invalid_fact_of_a_built_corpus():
+    # A corpus built directly has not been through corpus_from_dict's
+    # check, so encode_corpus derives its facts through derive_rules.
+    fact = ChartFact(
+        type_c=ChartType.LINE, type_f=FactType.TREND, meta=MetaExtreme(ExtremeKind.MAX)
+    )
+    with pytest.raises(GrammarError, match="invalid fact"):
+        encoded_rule_ids([fact])
+
+
 def test_one_hot_shape_and_padding(example_fact):
     seq = derive_rules(example_fact)
     # The rule ids the model reads stand for a 16x60 one-hot schema.
