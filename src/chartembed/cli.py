@@ -450,6 +450,19 @@ def cmd_import(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _add_training_flags(p: argparse.ArgumentParser) -> None:
+    """The hyperparameter flags that train and ablate share."""
+    p.add_argument("--alpha", type=float, help="pair-distance weight (default 0.5)")
+    p.add_argument("--beta", type=float, help="hinge-loss weight (default 10.0)")
+    p.add_argument("--margin", type=float, help="hinge margin (default 1.0)")
+    p.add_argument("--lr", type=float, help="learning rate (default 0.01)")
+    p.add_argument("--batch", type=int, help="batch size (default 128)")
+    p.add_argument("--epochs", type=int, help="epochs (default 10)")
+    p.add_argument("--dropout", type=float, help="dropout rate (default 0.1)")
+    p.add_argument("--seed", type=int, help="master seed (default 0)")
+    p.add_argument("--config", help="JSON config file; flags win on conflict")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chartembed",
@@ -467,20 +480,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus")
     p.add_argument("vectors", help="word-vector store (text format)")
     p.add_argument("out", help="checkpoint output path")
-    p.add_argument("--alpha", type=float, help="pair-distance weight (default 0.5)")
-    p.add_argument("--beta", type=float, help="hinge-loss weight (default 10.0)")
-    p.add_argument("--margin", type=float, help="hinge margin (default 1.0)")
-    p.add_argument("--lr", type=float, help="learning rate (default 0.01)")
-    p.add_argument("--batch", type=int, help="batch size (default 128)")
-    p.add_argument("--epochs", type=int, help="epochs (default 10)")
-    p.add_argument("--dropout", type=float, help="dropout rate (default 0.1)")
-    p.add_argument("--seed", type=int, help="master seed (default 0)")
+    _add_training_flags(p)
     p.add_argument("--test-fraction", dest="test_fraction", type=float,
                    help="held-out fraction, split by dataset; 0 trains on all (default 0.1)")
     p.add_argument("--negatives", type=int, help="negatives per window (default 1)")
     p.add_argument("--policy", choices=["same-dataset-first", "any"],
                    help="negative sampling policy (default same-dataset-first)")
-    p.add_argument("--config", help="JSON config file; flags win on conflict")
     p.add_argument("--lenient", action="store_true", help="drop invalid charts instead of failing")
     p.set_defaults(func=cmd_train)
 
@@ -510,17 +515,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("vectors")
     p.add_argument("--variants", default="all",
                    help="comma-separated variant names, or 'all'")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--margin", type=float)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--dropout", type=float)
+    _add_training_flags(p)
     p.add_argument("--test-fraction", dest="test_fraction", type=float,
                    help="eval on a held-out split; 0 evaluates on the training corpus (default 0)")
-    p.add_argument("--config", help="JSON config file; flags win on conflict")
     p.add_argument("--out", help="write the results CSV here")
     p.add_argument("--trace-memory", dest="trace_memory", action="store_true",
                    help="trace allocations to fill the peak_bytes column; slows the run, "

@@ -79,6 +79,15 @@ class Corpus:
         return tuple(seen)
 
 
+# Each id is one cell of the index TSV, so it may not split a line or a cell.
+_ID_BREAKS = frozenset("\t\r\n")
+
+
+def _check_id_cell(value: str, where: str) -> None:
+    if not _ID_BREAKS.isdisjoint(value):
+        raise CorpusError(f"{where}: {value!r} contains a tab, CR or LF")
+
+
 def _vis_from_dict(obj: dict, where: str, strict: bool) -> Optional[MultiViewVis]:
     if not isinstance(obj, dict):
         raise CorpusError(f"{where}: expected an object")
@@ -92,8 +101,7 @@ def _vis_from_dict(obj: dict, where: str, strict: bool) -> Optional[MultiViewVis
     for key in ("id", "dataset_id"):
         if not isinstance(obj[key], str):
             raise CorpusError(f"{where}.{key}: expected a string")
-        if not {"\t", "\r", "\n"}.isdisjoint(obj[key]):  # each id is one index TSV cell
-            raise CorpusError(f"{where}.{key}: {obj[key]!r} contains a tab, CR or LF")
+        _check_id_cell(obj[key], f"{where}.{key}")
     if not isinstance(obj["charts"], list):
         raise CorpusError(f"{where}.charts: expected a list")
     if obj["domain"] not in DOMAINS:
@@ -113,8 +121,7 @@ def _vis_from_dict(obj: dict, where: str, strict: bool) -> Optional[MultiViewVis
         chart_id = chart_obj["chart_id"]
         if not isinstance(chart_id, str) or not chart_id:
             raise CorpusError(f"{cwhere}: chart_id must be a non-empty string")
-        if not {"\t", "\r", "\n"}.isdisjoint(chart_id):
-            raise CorpusError(f"{cwhere}.chart_id: {chart_id!r} contains a tab, CR or LF")
+        _check_id_cell(chart_id, f"{cwhere}.chart_id")
         if chart_id in seen_ids:
             raise CorpusError(f"{cwhere}: duplicate chart id {chart_id!r}")
         seen_ids.add(chart_id)

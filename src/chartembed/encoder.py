@@ -24,7 +24,7 @@ import json
 import math
 import struct
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -43,6 +43,15 @@ class CheckpointError(ValueError):
     """Raised for unreadable, mismatched, or corrupt checkpoint files."""
 
 
+# The paper's fixed architecture; every checkpoint header records it.
+CONV_CHANNELS = (grammar.RULE_COUNT, 30, 15, 8)
+KERNEL_SIZE = 3
+OUTPUT_DIM = 540
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
+CONV_FLAT_DIM = grammar.MAX_SEQUENCE_LENGTH * CONV_CHANNELS[-1]
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -50,9 +59,6 @@ def _is_int(value) -> bool:
 # What a value of each field annotation (a string under `from __future__
 # import annotations`) must be, and the check.
 _FIELD_TYPES = {
-    "tuple[int, ...]": ("at least 2 positive ints", lambda v: isinstance(v, tuple)
-                        and len(v) >= 2 and all(_is_int(c) and c > 0 for c in v)),
-    "int": ("a positive int", lambda v: _is_int(v) and v > 0),
     "float": ("a finite number", lambda v: (_is_int(v) or isinstance(v, float))
               and abs(v) <= sys.float_info.max),
     "str": ("a string", lambda v: isinstance(v, str)),
@@ -62,14 +68,9 @@ _FIELD_TYPES = {
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    conv_channels: tuple[int, ...] = (60, 30, 15, 8)
-    kernel_size: int = 3
-    sequence_length: int = 16
-    semantic_slots: int = 25
-    output_dim: int = 540
+    """The encoder settings that vary: dropout and the ablation switches."""
+
     dropout: float = 0.1
-    bn_momentum: float = 0.1
-    bn_eps: float = 1e-5
     semantic_mode: str = "interval-average"
     use_locations: bool = True
     zero_schema: bool = False
@@ -82,43 +83,42 @@ class EncoderConfig:
             kind, check = _FIELD_TYPES[f.type]
             if not check(value):
                 raise EncoderError(f"{f.name} must be {kind}, got {value!r}")
-        if self.conv_channels[0] != grammar.RULE_COUNT:
-            raise EncoderError(
-                f"first conv layer must take {grammar.RULE_COUNT} input channels"
-            )
-        if self.sequence_length != grammar.MAX_SEQUENCE_LENGTH:
-            raise EncoderError(
-                f"sequence length must be {grammar.MAX_SEQUENCE_LENGTH}"
-            )
-        if self.semantic_slots != semantics.SEMANTIC_SLOTS:
-            raise EncoderError(f"semantic slots must be {semantics.SEMANTIC_SLOTS}")
-        if self.kernel_size % 2 != 1:
-            raise EncoderError("kernel size must be odd for same-length padding")
         if self.semantic_mode not in semantics.SEMANTIC_MODES:
             raise EncoderError(f"unknown semantic mode {self.semantic_mode!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise EncoderError("dropout must lie in [0, 1)")
-        if not 0.0 <= self.bn_momentum <= 1.0:
-            raise EncoderError("bn_momentum must lie in [0, 1]")
-        if self.bn_eps <= 0.0:
-            raise EncoderError("bn_eps must be > 0")
 
     @property
     def semantic_shape(self) -> tuple[int, int]:
         return semantics.semantic_shape(self.semantic_mode)
 
     @property
-    def conv_flat_dim(self) -> int:
-        return self.sequence_length * self.conv_channels[-1]
-
-    @property
     def fc1_in(self) -> int:
         rows, cols = self.semantic_shape
-        return self.conv_flat_dim + rows * cols
+        return CONV_FLAT_DIM + rows * cols
 
     @property
     def embedding_dim(self) -> int:
-        return self.output_dim if self.use_fc else self.fc1_in
+        return OUTPUT_DIM if self.use_fc else self.fc1_in
+
+
+# The checkpoint header's config block, in its key order: the fixed value of
+# each architecture key, or None for a field of EncoderConfig.
+_CONFIG_BLOCK = {
+    "conv_channels": CONV_CHANNELS,
+    "kernel_size": KERNEL_SIZE,
+    "sequence_length": grammar.MAX_SEQUENCE_LENGTH,
+    "semantic_slots": semantics.SEMANTIC_SLOTS,
+    "output_dim": OUTPUT_DIM,
+    "dropout": None,
+    "bn_momentum": BN_MOMENTUM,
+    "bn_eps": BN_EPS,
+    "semantic_mode": None,
+    "use_locations": None,
+    "zero_schema": None,
+    "zero_semantics": None,
+    "use_fc": None,
+}
 
 
 class EncoderParams:
@@ -158,17 +158,17 @@ class ForwardTrace:
 def _array_shapes(config: EncoderConfig) -> list[tuple[str, tuple[int, ...]]]:
     """Name and shape of every persisted array, in checkpoint order: the
     trainable arrays, then the running statistics."""
-    layers = list(enumerate(zip(config.conv_channels, config.conv_channels[1:]), start=1))
+    layers = list(enumerate(zip(CONV_CHANNELS, CONV_CHANNELS[1:]), start=1))
     shapes: list[tuple[str, tuple[int, ...]]] = []
     for i, (cin, cout) in layers:
-        shapes.append((f"conv{i}.weight", (cout, cin, config.kernel_size)))
+        shapes.append((f"conv{i}.weight", (cout, cin, KERNEL_SIZE)))
         shapes += [(f"conv{i}.gamma", (cout,)), (f"conv{i}.beta", (cout,))]
     if config.use_fc:
         shapes += [
-            ("fc1.weight", (config.output_dim, config.fc1_in)),
-            ("fc1.bias", (config.output_dim,)),
-            ("fc2.weight", (config.output_dim, config.output_dim)),
-            ("fc2.bias", (config.output_dim,)),
+            ("fc1.weight", (OUTPUT_DIM, config.fc1_in)),
+            ("fc1.bias", (OUTPUT_DIM,)),
+            ("fc2.weight", (OUTPUT_DIM, OUTPUT_DIM)),
+            ("fc2.bias", (OUTPUT_DIM,)),
         ]
     for i, (_, cout) in layers:
         shapes += [(f"conv{i}.running_mean", (cout,)), (f"conv{i}.running_var", (cout,))]
@@ -182,7 +182,7 @@ def param_count(config: EncoderConfig) -> int:
 
 def trainable_count(config: EncoderConfig) -> int:
     """Length of the trainable prefix (all but the running statistics)."""
-    return param_count(config) - 2 * sum(config.conv_channels[1:])
+    return param_count(config) - 2 * sum(CONV_CHANNELS[1:])
 
 
 def param_views(config: EncoderConfig, values: np.ndarray) -> dict[str, np.ndarray]:
@@ -244,7 +244,7 @@ def _conv1_taps(rule_ids: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
     padding id -1 and a zeroed schema all select that zero row.
     """
     batch, length = rule_ids.shape
-    k, n_rules = cfg.kernel_size, cfg.conv_channels[0]
+    k, n_rules = KERNEL_SIZE, CONV_CHANNELS[0]
     pad = k // 2
     ids = np.full((batch, length + 2 * pad), n_rules, dtype=np.intp)
     if not cfg.zero_schema:
@@ -301,14 +301,15 @@ def forward_batch(
     cfg = params.config
     rule_ids = np.asarray(rule_ids)
     sem_blocks = np.asarray(sem_blocks, dtype=np.float64)
-    if rule_ids.ndim != 2 or rule_ids.shape[1] != cfg.sequence_length:
+    length = grammar.MAX_SEQUENCE_LENGTH
+    if rule_ids.ndim != 2 or rule_ids.shape[1] != length:
         raise EncoderError(
-            f"schema batch has shape {rule_ids.shape}, expected (B, {cfg.sequence_length}) rule ids"
+            f"schema batch has shape {rule_ids.shape}, expected (B, {length}) rule ids"
         )
     if not np.issubdtype(rule_ids.dtype, np.integer):
         raise EncoderError(f"schema rule ids must be integers, not {rule_ids.dtype}")
-    if rule_ids.size and (rule_ids.min() < -1 or rule_ids.max() >= cfg.conv_channels[0]):
-        raise EncoderError(f"schema rule ids must lie in [-1, {cfg.conv_channels[0]})")
+    if rule_ids.size and (rule_ids.min() < -1 or rule_ids.max() >= CONV_CHANNELS[0]):
+        raise EncoderError(f"schema rule ids must lie in [-1, {CONV_CHANNELS[0]})")
     if sem_blocks.ndim != 3 or sem_blocks.shape[1:] != cfg.semantic_shape:
         raise EncoderError(
             f"semantic batch has shape {sem_blocks.shape}, expected "
@@ -327,7 +328,7 @@ def forward_batch(
     conv_relu_mask: list[np.ndarray] = []
 
     x = None
-    for i in range(1, len(cfg.conv_channels)):
+    for i in range(1, len(CONV_CHANNELS)):
         weight, gamma, beta, running_mean, running_var = (
             params.views[f"conv{i}.{part}"]
             for part in ("weight", "gamma", "beta", "running_mean", "running_var")
@@ -338,7 +339,7 @@ def forward_batch(
             for row in taps[1:]:
                 z += table.take(row, axis=0)
         else:
-            cols = _im2col(x, batch, cfg.kernel_size)
+            cols = _im2col(x, batch, KERNEL_SIZE)
             z = cols @ _conv_matrix(weight)
             if train:
                 conv_cols.append(cols)
@@ -349,14 +350,14 @@ def forward_batch(
             if update_running_stats:
                 n = z.shape[0]
                 var_unbiased = var * n / (n - 1) if n > 1 else var
-                running_mean *= 1.0 - cfg.bn_momentum
-                running_mean += cfg.bn_momentum * mean
-                running_var *= 1.0 - cfg.bn_momentum
-                running_var += cfg.bn_momentum * var_unbiased
+                running_mean *= 1.0 - BN_MOMENTUM
+                running_mean += BN_MOMENTUM * mean
+                running_var *= 1.0 - BN_MOMENTUM
+                running_var += BN_MOMENTUM * var_unbiased
         else:
             z -= running_mean
             var = running_var
-        invstd = 1.0 / np.sqrt(var + cfg.bn_eps)
+        invstd = 1.0 / np.sqrt(var + BN_EPS)
         xhat = z
         xhat *= invstd
         x = xhat * gamma
@@ -369,7 +370,7 @@ def forward_batch(
             conv_relu_mask.append(mask)
 
     # fc1 reads the conv output channel-major, as (B, C, L) flattened.
-    conv_out = x.reshape(batch, cfg.sequence_length, -1).transpose(0, 2, 1)
+    conv_out = x.reshape(batch, length, -1).transpose(0, 2, 1)
     fused = np.concatenate([conv_out.reshape(batch, -1), sem.reshape(batch, -1)], axis=1)
 
     out, gate, a1 = fused, None, None
@@ -423,14 +424,14 @@ def backward_batch(
         np.matmul(d_z1.T, trace.fused, out=g["fc1.weight"])
         g["fc1.bias"][...] = d_z1.sum(axis=0)
         # Only the conv columns of fc1's input lead back to parameters.
-        d_conv = d_z1 @ params.views["fc1.weight"][:, : cfg.conv_flat_dim]
+        d_conv = d_z1 @ params.views["fc1.weight"][:, :CONV_FLAT_DIM]
     else:
-        d_conv = d_out[:, : cfg.conv_flat_dim]
+        d_conv = d_out[:, :CONV_FLAT_DIM]
 
-    batch, length, k = trace.batch_size, cfg.sequence_length, cfg.kernel_size
+    batch, length, k = trace.batch_size, grammar.MAX_SEQUENCE_LENGTH, KERNEL_SIZE
     d_x = d_conv.reshape(batch, -1, length).transpose(0, 2, 1).reshape(batch * length, -1)
 
-    for i in range(len(cfg.conv_channels) - 2, -1, -1):
+    for i in range(len(CONV_CHANNELS) - 2, -1, -1):
         layer = f"conv{i + 1}."
         weight = params.views[layer + "weight"]
         cout, cin, _ = weight.shape
@@ -463,21 +464,26 @@ def backward_batch(
 
 
 def _config_from_dict(obj) -> EncoderConfig:
-    """The config of a checkpoint header; every field must be present."""
+    """The config of a checkpoint header: every key present, each
+    architecture value equal to the constant as JSON text (so 3.0 is not 3),
+    and the switches a valid EncoderConfig."""
     if not isinstance(obj, dict):
         raise CheckpointError("invalid config block: expected an object")
-    names = [f.name for f in fields(EncoderConfig)]
     for problem, keys in (
-        ("missing", [name for name in names if name not in obj]),
-        ("unknown", sorted(set(obj) - set(names))),
+        ("missing", [name for name in _CONFIG_BLOCK if name not in obj]),
+        ("unknown", sorted(set(obj) - set(_CONFIG_BLOCK))),
     ):
         if keys:
             raise CheckpointError(f"invalid config block: {problem} keys {keys}")
-    channels = obj["conv_channels"]
+    for name, fixed in _CONFIG_BLOCK.items():
+        if fixed is not None and json.dumps(obj[name]) != json.dumps(fixed):
+            raise CheckpointError(
+                f"invalid config block: {name} must be {json.dumps(fixed)}, "
+                f"got {json.dumps(obj[name])}"
+            )
     try:
-        return EncoderConfig(
-            **{**obj, "conv_channels": tuple(channels) if isinstance(channels, list) else channels}
-        )
+        return EncoderConfig(**{name: obj[name] for name, fixed in _CONFIG_BLOCK.items()
+                                if fixed is None})
     except EncoderError as exc:
         raise CheckpointError(f"invalid config block: {exc}") from exc
 
@@ -486,9 +492,10 @@ def save_checkpoint(
     params: EncoderParams, path: str = "encoder.ckpt", extras: Optional[dict] = None
 ) -> None:
     """Write params to a little-endian binary checkpoint (bit-exact)."""
+    config = {name: getattr(params.config, name) if fixed is None else fixed
+              for name, fixed in _CONFIG_BLOCK.items()}
     header = json.dumps(
-        {"format_version": CHECKPOINT_FORMAT_VERSION, "config": asdict(params.config),
-         "extras": extras},
+        {"format_version": CHECKPOINT_FORMAT_VERSION, "config": config, "extras": extras},
         ensure_ascii=False,
     ).encode("utf-8")
     with open(path, "wb") as fh:

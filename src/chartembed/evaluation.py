@@ -377,46 +377,30 @@ def compute_metrics(index: EmbeddingIndex, gap2: int = 2, gap3: int = 3) -> Metr
     )
 
 
-ABLATION_VARIANTS = (
-    "full",
-    "no-linear-interpolation",
-    "no-classification",
-    "no-fact-schema",
-    "no-fact-semantics",
-    "no-word-pooling",
-    "words-avg-pooling",
-    "word-max-pooling",
-    "words-max-pooling",
-    "no-pos",
-    "no-fc",
-)
+# Each ablation variant's EncoderConfig switches and loss mask (interpolation
+# loss, hinge loss), in report order.
+_VARIANTS: dict[str, tuple[dict, tuple[bool, bool]]] = {
+    "full": ({}, (True, True)),
+    "no-linear-interpolation": ({}, (False, True)),
+    "no-classification": ({}, (True, False)),
+    "no-fact-schema": ({"zero_schema": True}, (True, True)),
+    "no-fact-semantics": ({"zero_semantics": True}, (True, True)),
+    "no-word-pooling": ({"semantic_mode": "none"}, (True, True)),
+    "words-avg-pooling": ({"semantic_mode": "words-average"}, (True, True)),
+    "word-max-pooling": ({"semantic_mode": "word-max"}, (True, True)),
+    "words-max-pooling": ({"semantic_mode": "words-max"}, (True, True)),
+    "no-pos": ({"use_locations": False}, (True, True)),
+    "no-fc": ({"use_fc": False}, (True, True)),
+}
+ABLATION_VARIANTS = tuple(_VARIANTS)
 
 
 def variant_switches(variant: str, base: EncoderConfig) -> tuple[EncoderConfig, tuple[bool, bool]]:
     """Map a variant name to its (encoder config, loss mask) switch set."""
-    if variant == "full":
-        return base, (True, True)
-    if variant == "no-linear-interpolation":
-        return base, (False, True)
-    if variant == "no-classification":
-        return base, (True, False)
-    if variant == "no-fact-schema":
-        return replace(base, zero_schema=True), (True, True)
-    if variant == "no-fact-semantics":
-        return replace(base, zero_semantics=True), (True, True)
-    if variant == "no-word-pooling":
-        return replace(base, semantic_mode="none"), (True, True)
-    if variant == "words-avg-pooling":
-        return replace(base, semantic_mode="words-average"), (True, True)
-    if variant == "word-max-pooling":
-        return replace(base, semantic_mode="word-max"), (True, True)
-    if variant == "words-max-pooling":
-        return replace(base, semantic_mode="words-max"), (True, True)
-    if variant == "no-pos":
-        return replace(base, use_locations=False), (True, True)
-    if variant == "no-fc":
-        return replace(base, use_fc=False), (True, True)
-    raise EvaluationError(f"unknown ablation variant {variant!r}")
+    if variant not in _VARIANTS:
+        raise EvaluationError(f"unknown ablation variant {variant!r}")
+    switches, loss_mask = _VARIANTS[variant]
+    return replace(base, **switches), loss_mask
 
 
 @dataclass(frozen=True)

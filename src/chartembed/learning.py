@@ -21,15 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .corpus import SampleSet
-from .encoder import (
-    EncoderConfig,
-    EncoderParams,
-    backward_batch,
-    forward_batch,
-    init_params,
-    param_views,
-    trainable_items,
-)
+from .encoder import EncoderParams, backward_batch, forward_batch, param_views, trainable_items
 
 log = logging.getLogger(__name__)
 
@@ -150,17 +142,17 @@ def combined_loss(
     sem_blocks: np.ndarray,
     params: EncoderParams,
     hyper: HyperParams,
-    train: bool = True,
     dropout_rng: Optional[np.random.Generator] = None,
     update_running_stats: bool = True,
     loss_mask: tuple[bool, bool] = (True, True),
 ):
-    """One shared-parameter forward over all four charts of every sample.
+    """One shared-parameter train-mode forward over all four charts of
+    every sample.
 
     The batch rows hold four equal blocks: every sample's prev chart, then
     its mid, next and negative charts (see SampleSet.batch). Returns (total,
-    LossBreakdown, trace, embeddings); trace is None outside train mode.
-    Raises TrainingDivergedError on a non-finite loss.
+    LossBreakdown, trace, embeddings). Raises TrainingDivergedError on a
+    non-finite loss.
     """
     if len(rule_ids) == 0:
         raise ValueError("empty batch")
@@ -170,7 +162,7 @@ def combined_loss(
             rule_ids,
             sem_blocks,
             params,
-            train=train,
+            train=True,  # by keyword: perfbench names the forward's span from it
             dropout_rng=dropout_rng,
             update_running_stats=update_running_stats,
         )
@@ -204,6 +196,11 @@ def backward(
     return backward_batch(trace, d_out, params, out)
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment accumulators, laid out like the trainable prefix."""
@@ -211,9 +208,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def init_adam(params: EncoderParams) -> AdamState:
@@ -239,8 +233,8 @@ def adam_step(
             f"gradient has shape {grad.shape}, the trainable prefix {params.trainable.shape}"
         )
     state.step += 1
-    bc1 = 1.0 - state.beta1**state.step
-    bc2 = 1.0 - state.beta2**state.step
+    bc1 = 1.0 - ADAM_BETA1**state.step
+    bc2 = 1.0 - ADAM_BETA2**state.step
     size = min(_ADAM_BLOCK, len(grad))
     update_block, denom_block = np.empty(size), np.empty(size)
     for lo in range(0, len(grad), _ADAM_BLOCK):
@@ -250,16 +244,16 @@ def adam_step(
         update, denom = update_block[: len(g)], denom_block[: len(g)]
         # Each value rounds as in m += (1 - beta1) * g; v += (1 - beta2) * g * g;
         # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps).
-        np.multiply(1.0 - state.beta1, g, out=update)
-        m *= state.beta1
+        np.multiply(1.0 - ADAM_BETA1, g, out=update)
+        m *= ADAM_BETA1
         m += update
-        np.multiply(1.0 - state.beta2, g, out=update)
+        np.multiply(1.0 - ADAM_BETA2, g, out=update)
         update *= g
-        v *= state.beta2
+        v *= ADAM_BETA2
         v += update
         np.divide(v, bc2, out=denom)
         np.sqrt(denom, out=denom)
-        denom += state.eps
+        denom += ADAM_EPS
         np.divide(m, bc1, out=update)
         update *= lr
         update /= denom
@@ -296,13 +290,10 @@ def grad_check(
         raise ValueError("gradient check needs at least one coordinate")
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"gradient check needs a finite epsilon > 0, got {epsilon}")
-    hyper_nd = replace(hyper, dropout=0.0)
     work = EncoderParams(replace(params.config, dropout=0.0), params.values.copy())
 
     def run():
-        return combined_loss(
-            *batch, work, hyper_nd, train=True, update_running_stats=False, loss_mask=loss_mask
-        )
+        return combined_loss(*batch, work, hyper, update_running_stats=False, loss_mask=loss_mask)
 
     def kink_sides(trace, emb) -> np.ndarray:
         """The side of every ReLU kink, and of the hinge kink unless the
@@ -323,7 +314,7 @@ def grad_check(
         return total, kink_sides(trace, emb)
 
     _, _, trace, emb = run()
-    grads = param_views(work.config, backward(trace, emb, work, hyper_nd, loss_mask))
+    grads = param_views(work.config, backward(trace, emb, work, hyper, loss_mask))
     if corrupt:
         grads["conv1.weight"][...] = grads["conv1.weight"] * 1.05 + 0.01
 
@@ -385,19 +376,18 @@ class EpochStats:
 def train(
     samples: SampleSet,
     hyper: HyperParams,
-    params: Optional[EncoderParams] = None,
+    params: EncoderParams,
     loss_mask: tuple[bool, bool] = (True, True),
 ) -> tuple[EncoderParams, list[EpochStats]]:
-    """Run the full training loop; bitwise reproducible for a fixed seed.
+    """Run the full training loop, updating params in place; bitwise
+    reproducible for a fixed seed.
 
-    Initial parameters default to init_params(hyper.seed). Shuffling and
-    dropout randomness both derive from hyper.seed.
+    Shuffling and dropout randomness both derive from hyper.seed; the
+    dropout rate is params.config's.
     """
     n = len(samples)
     if n == 0:
         raise ValueError("empty sample set")
-    if params is None:
-        params = init_params(hyper.seed, EncoderConfig(dropout=hyper.dropout))
     shuffle_seq, dropout_seq = np.random.SeedSequence(hyper.seed).spawn(2)
     shuffle_rng = np.random.default_rng(shuffle_seq)
     dropout_rng = np.random.default_rng(dropout_seq)
@@ -413,8 +403,7 @@ def train(
         for lo in range(0, n, hyper.batch_size):
             rule_ids, sems = samples.batch(order[lo : lo + hyper.batch_size])
             _, breakdown, trace, emb = combined_loss(
-                rule_ids, sems, params, hyper, train=True, dropout_rng=dropout_rng,
-                loss_mask=loss_mask,
+                rule_ids, sems, params, hyper, dropout_rng=dropout_rng, loss_mask=loss_mask,
             )
             backward(trace, emb, params, hyper, loss_mask, out=grad)
             adam_step(params, grad, adam, hyper.learning_rate)

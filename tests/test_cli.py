@@ -16,6 +16,7 @@ import chartembed
 from chartembed.cli import main
 from chartembed.corpus import CorpusError, load_corpus
 from chartembed.encoder import (
+    OUTPUT_DIM,
     CheckpointError,
     EncoderConfig,
     _read_header,
@@ -158,7 +159,7 @@ def test_validate_missing_file():
 
 def test_train_outputs(trained):
     params, config = load_checkpoint(trained)
-    assert config.output_dim == 540
+    assert config.embedding_dim == OUTPUT_DIM == 540
     extras = checkpoint_extras(trained)
     assert extras["epochs"] == 2 and extras["seed"] == 3
     with open(trained + ".history.csv", encoding="utf-8") as fh:
@@ -450,17 +451,39 @@ def _embed_error(checkpoint, corpus_path, vectors_path, out, capsys) -> str:
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda c: c.update(kernel_size=3.0), "kernel_size must be a positive int, got 3.0"),
+        (lambda c: c.update(kernel_size=3.0), "kernel_size must be 3, got 3.0"),
         (lambda c: c.update(conv_channels=[60, 30, 15, 8.0]),
-         "conv_channels must be at least 2 positive ints"),
-        (lambda c: c.update(output_dim="540"), "output_dim must be a positive int, got '540'"),
-        (lambda c: c.update(bn_eps=-1.0), "bn_eps must be > 0"),
+         "conv_channels must be [60, 30, 15, 8], got [60, 30, 15, 8.0]"),
+        (lambda c: c.update(output_dim="540"), 'output_dim must be 540, got "540"'),
+        (lambda c: c.update(bn_eps=-1.0), "bn_eps must be 1e-05, got -1.0"),
         (lambda c: c.update(use_fc="yes"), "use_fc must be true or false, got 'yes'"),
         (lambda c: c.pop("dropout"), "missing keys ['dropout']"),
         (lambda c: c.update(extra=1), "unknown keys ['extra']"),
+        # Each architecture value must equal the constant as JSON text.
+        (lambda c: c.update(conv_channels=[60, 20, 10, 8]),
+         "conv_channels must be [60, 30, 15, 8], got [60, 20, 10, 8]"),
+        (lambda c: c.update(conv_channels=[59, 30, 15, 8]),
+         "conv_channels must be [60, 30, 15, 8], got [59, 30, 15, 8]"),
+        (lambda c: c.update(conv_channels=[60]), "conv_channels must be [60, 30, 15, 8], got [60]"),
+        (lambda c: c.update(conv_channels=[60, True, 15, 8]),
+         "conv_channels must be [60, 30, 15, 8], got [60, true, 15, 8]"),
+        (lambda c: c.update(kernel_size=5), "kernel_size must be 3, got 5"),
+        (lambda c: c.update(kernel_size=4), "kernel_size must be 3, got 4"),
+        (lambda c: c.update(sequence_length=17), "sequence_length must be 16, got 17"),
+        (lambda c: c.update(semantic_slots=24), "semantic_slots must be 25, got 24"),
+        (lambda c: c.update(output_dim=True), "output_dim must be 540, got true"),
+        (lambda c: c.update(output_dim=0), "output_dim must be 540, got 0"),
+        (lambda c: c.update(bn_momentum=1.5), "bn_momentum must be 0.1, got 1.5"),
+        (lambda c: c.update(bn_momentum=float("nan")), "bn_momentum must be 0.1, got NaN"),
+        (lambda c: c.update(bn_eps=1e-6), "bn_eps must be 1e-05, got 1e-06"),
+        (lambda c: c.update(bn_eps=0.0), "bn_eps must be 1e-05, got 0.0"),
+        (lambda c: c.update(bn_eps=float("inf")), "bn_eps must be 1e-05, got Infinity"),
     ],
     ids=["kernel-float", "channel-float", "dim-string", "eps-negative", "flag-string",
-         "missing-key", "unknown-key"],
+         "missing-key", "unknown-key", "channels-narrower", "channels-first-59",
+         "channels-one-layer", "channel-bool", "kernel-5", "kernel-even", "length-17",
+         "slots-24", "dim-true", "dim-zero", "momentum-above-1", "momentum-nan",
+         "eps-smaller", "eps-zero", "eps-infinite"],
 )
 def test_embed_rejects_bad_config_block(
     tmp_path, trained, fixture_corpus_path, fixture_vectors_path, capsys, edit, message

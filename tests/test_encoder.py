@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import struct
 from types import SimpleNamespace
 
@@ -10,7 +11,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from chartembed.corpus import Corpus, MultiViewVis, encode_corpus
 from chartembed.encoder import (
+    BN_EPS,
+    BN_MOMENTUM,
     CHECKPOINT_MAGIC,
+    CONV_CHANNELS,
+    CONV_FLAT_DIM,
+    OUTPUT_DIM,
     CheckpointError,
     EncoderConfig,
     EncoderError,
@@ -25,6 +31,7 @@ from chartembed.encoder import (
     trainable_items,
 )
 from chartembed.evaluation import ABLATION_VARIANTS, variant_switches
+from chartembed.grammar import MAX_SEQUENCE_LENGTH
 from reference import one_hot
 
 # Frozen regression pin: first five output components for seed-1234 params
@@ -59,7 +66,7 @@ def conv_layers(params):
     parts = ("weight", "gamma", "beta", "running_mean", "running_var")
     return [
         SimpleNamespace(**{part: params.views[f"conv{i}.{part}"] for part in parts})
-        for i in range(1, len(params.config.conv_channels))
+        for i in range(1, len(CONV_CHANNELS))
     ]
 
 
@@ -89,9 +96,9 @@ def dense_forward_backward(schemas, sems, params, dropout_rng, d_out):
         z = np.einsum("bclk,ock->bol", windows, layer.weight)
         mean, var = z.mean(axis=(0, 2)), z.var(axis=(0, 2))
         n = z.shape[0] * z.shape[2]
-        layer.running_mean[:] = (1 - cfg.bn_momentum) * layer.running_mean + cfg.bn_momentum * mean
-        layer.running_var[:] = (1 - cfg.bn_momentum) * layer.running_var + cfg.bn_momentum * var * n / (n - 1)
-        invstd = 1.0 / np.sqrt(var + cfg.bn_eps)
+        layer.running_mean[:] = (1 - BN_MOMENTUM) * layer.running_mean + BN_MOMENTUM * mean
+        layer.running_var[:] = (1 - BN_MOMENTUM) * layer.running_var + BN_MOMENTUM * var * n / (n - 1)
+        invstd = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (z - mean[None, :, None]) * invstd[None, :, None]
         y = layer.gamma[None, :, None] * xhat + layer.beta[None, :, None]
         cache.append((xp, xhat, invstd, y > 0))
@@ -115,7 +122,7 @@ def dense_forward_backward(schemas, sems, params, dropout_rng, d_out):
         d_fused = d_z1 @ fc1_w
     else:
         out, d_fused = fused, d_out
-    d_x = d_fused[:, : cfg.conv_flat_dim].reshape(batch, cfg.conv_channels[-1], -1)
+    d_x = d_fused[:, :CONV_FLAT_DIM].reshape(batch, CONV_CHANNELS[-1], -1)
     for i, layer in reversed(list(enumerate(conv_layers(params)))):
         xp, xhat, invstd, mask = cache[i]
         d_y = d_x * mask
@@ -145,11 +152,11 @@ def naive_forward_infer(schema, sem, params):
     for layer in conv_layers(params):
         cout, cin, k = layer.weight.shape
         pad = k // 2
-        xp = np.zeros((cin, cfg.sequence_length + 2 * pad))
-        xp[:, pad : pad + cfg.sequence_length] = x
-        z = np.zeros((cout, cfg.sequence_length))
+        xp = np.zeros((cin, MAX_SEQUENCE_LENGTH + 2 * pad))
+        xp[:, pad : pad + MAX_SEQUENCE_LENGTH] = x
+        z = np.zeros((cout, MAX_SEQUENCE_LENGTH))
         for o in range(cout):
-            for pos in range(cfg.sequence_length):
+            for pos in range(MAX_SEQUENCE_LENGTH):
                 acc = 0.0
                 for c in range(cin):
                     for kk in range(k):
@@ -157,7 +164,7 @@ def naive_forward_infer(schema, sem, params):
                 z[o, pos] = acc
         y = np.zeros_like(z)
         for o in range(cout):
-            inv = 1.0 / np.sqrt(layer.running_var[o] + cfg.bn_eps)
+            inv = 1.0 / np.sqrt(layer.running_var[o] + BN_EPS)
             y[o] = layer.gamma[o] * (z[o] - layer.running_mean[o]) * inv + layer.beta[o]
         x = np.maximum(y, 0.0)
     h = np.concatenate([x.reshape(-1), sem.reshape(-1)])
@@ -182,7 +189,7 @@ def test_init_weight_bounds(base_config):
         assert (layer.gamma == 1.0).all() and not layer.beta.any()
         assert not layer.running_mean.any() and (layer.running_var == 1.0).all()
     assert np.abs(params.views["fc1.weight"]).max() <= np.sqrt(6.0 / base_config.fc1_in)
-    assert np.abs(params.views["fc2.weight"]).max() <= np.sqrt(6.0 / base_config.output_dim)
+    assert np.abs(params.views["fc2.weight"]).max() <= np.sqrt(6.0 / OUTPUT_DIM)
 
 
 def test_forward_matches_naive_oracle(rng, base_config):
@@ -294,7 +301,7 @@ def test_train_mode_batch_norm_statistics(rng, base_config):
         assert np.abs(normalized.var(axis=(0, 2)) - 1.0).max() < 1e-5
         # And the traced values, one row per (chart, position), use exactly
         # the guarded batch statistics.
-        guarded = (z - mean[None, :, None]) / np.sqrt(var + base_config.bn_eps)[None, :, None]
+        guarded = (z - mean[None, :, None]) / np.sqrt(var + BN_EPS)[None, :, None]
         xhat = xhat_rows.reshape(8, 16, -1).transpose(0, 2, 1)
         assert np.allclose(xhat, guarded, atol=1e-12)
         x = np.maximum(layer.gamma[None, :, None] * guarded + layer.beta[None, :, None], 0.0)
@@ -452,6 +459,9 @@ def test_checkpoint_loads_hand_written_c2v2_layout(tmp_path):
     assert loaded_config == config
     assert np.array_equal(loaded.values, params.values)
     assert loaded.values.size == 598_622
+    # save_checkpoint writes this layout, header included, byte for byte.
+    save_checkpoint(params, path=str(tmp_path / "saved.ckpt"))
+    assert (tmp_path / "saved.ckpt").read_bytes() == path.read_bytes()
 
 
 def test_checkpoint_corrupt_magic(tmp_path, base_config):
@@ -465,19 +475,25 @@ def test_checkpoint_corrupt_magic(tmp_path, base_config):
 
 
 def test_checkpoint_config_shape_mismatch(tmp_path):
-    # Craft a checkpoint whose header claims different conv widths than the
-    # payload actually holds.
+    # Craft checkpoints whose header claims a different shape than the
+    # payload actually holds: other conv widths are not the architecture,
+    # and without the FC layers the config implies fewer values.
     params = init_params(1, EncoderConfig())
     path = str(tmp_path / "model.ckpt")
     save_checkpoint(params, path=path)
     blob = open(path, "rb").read()
     (header_len,) = struct.unpack_from("<I", blob, 4)
     header = blob[8 : 8 + header_len].decode("utf-8")
-    patched = header.replace("[60, 30, 15, 8]", "[60, 20, 10, 8]").encode("utf-8")
-    out = CHECKPOINT_MAGIC + struct.pack("<I", len(patched)) + patched + blob[8 + header_len :]
-    open(path, "wb").write(out)
-    with pytest.raises(CheckpointError, match="shape mismatch"):
-        load_checkpoint(path)
+    for old, new, message in [
+        ("[60, 30, 15, 8]", "[60, 20, 10, 8]",
+         "invalid config block: conv_channels must be [60, 30, 15, 8], got [60, 20, 10, 8]"),
+        ('"use_fc": true', '"use_fc": false', "shape mismatch"),
+    ]:
+        patched = header.replace(old, new).encode("utf-8")
+        out = CHECKPOINT_MAGIC + struct.pack("<I", len(patched)) + patched + blob[8 + header_len :]
+        open(path, "wb").write(out)
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            load_checkpoint(path)
 
 
 def test_trainable_items_order(base_config):
@@ -496,7 +512,7 @@ def test_trainable_items_order(base_config):
 
 def test_config_dimension_arithmetic():
     config = EncoderConfig()
-    assert config.conv_flat_dim == 128
+    assert CONV_FLAT_DIM == 128
     assert config.fc1_in == 553
     assert config.embedding_dim == 540
     assert EncoderConfig(use_fc=False).embedding_dim == 553
@@ -506,22 +522,15 @@ def test_config_dimension_arithmetic():
 
 def test_config_validation():
     with pytest.raises(EncoderError):
-        EncoderConfig(conv_channels=(59, 30, 15, 8))
-    with pytest.raises(EncoderError):
-        EncoderConfig(kernel_size=4)
-    with pytest.raises(EncoderError):
         EncoderConfig(semantic_mode="bogus")
     # Types are checked field by field: bools are not numbers, and numbers
-    # are not flags.
+    # are not flags. (The architecture values are constants; a checkpoint
+    # header that holds other ones is rejected on load.)
     bad_fields = [
-        {"kernel_size": 3.0}, {"output_dim": "540"}, {"output_dim": True}, {"output_dim": 0},
-        {"conv_channels": (60, 30, 15, 8.0)}, {"conv_channels": (60,)},
-        {"conv_channels": [60, 30, 15, 8]}, {"conv_channels": (60, True, 15, 8)},
-        {"dropout": True}, {"dropout": "0.1"}, {"bn_eps": -1.0}, {"bn_eps": 0.0},
-        {"bn_eps": float("inf")}, {"bn_momentum": 1.5}, {"bn_momentum": float("nan")},
+        {"dropout": True}, {"dropout": "0.1"},
         {"use_fc": "yes"}, {"use_locations": 1}, {"semantic_mode": None},
     ]
     for fields in bad_fields:
         with pytest.raises(EncoderError, match=next(iter(fields))):
             EncoderConfig(**fields)
-    assert EncoderConfig(dropout=0, bn_momentum=1).bn_momentum == 1
+    assert EncoderConfig(dropout=0).dropout == 0

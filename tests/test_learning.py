@@ -7,6 +7,7 @@ from chartembed import learning
 from chartembed.cli import _gradcheck_batch
 from chartembed.corpus import SampleSet, build_samples
 from chartembed.encoder import (
+    CONV_CHANNELS,
     EncoderConfig,
     backward_batch,
     forward_batch,
@@ -262,7 +263,7 @@ def test_gradients_and_adam_cover_the_trainable_prefix(base_config):
         config, _ = variant_switches(variant, base_config)
         params = init_params(0, config)
         n = trainable_count(config)
-        assert n == param_count(config) - 2 * sum(config.conv_channels[1:])
+        assert n == param_count(config) - 2 * sum(CONV_CHANNELS[1:])
         assert params.trainable.size == n and np.shares_memory(params.trainable, params.values)
         rule_ids, sems = _gradcheck_batch(0, config)
         _, trace = forward_batch(rule_ids, sems, params, train=True,
@@ -530,7 +531,7 @@ def test_train_empty_sample_set_rejected(fixture_corpus, store, base_config):
     samples = build_samples(fixture_corpus, store, 1, "same-dataset-first", 0, base_config)
     empty = SampleSet(samples.encoded, samples.quads[:0])
     with pytest.raises(ValueError, match="empty"):
-        train(empty, HyperParams(epochs=1))
+        train(empty, HyperParams(epochs=1), init_params(0, base_config))
 
 
 def test_history_csv_layout():
