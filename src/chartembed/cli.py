@@ -32,9 +32,8 @@ from .corpus import (
     MultiViewVis,
     SampleSet,
     build_samples,
-    corpus_from_dict,
+    corpus_from_calliope,
     encode_corpus,
-    import_calliope,
     load_corpus,
     read_json,
     save_corpus,
@@ -444,7 +443,7 @@ def cmd_grammar(args: argparse.Namespace) -> int:
 def cmd_import(args: argparse.Namespace) -> int:
     if args.format != "calliope":
         raise UsageError(f"unknown import format {args.format!r}")
-    corpus = corpus_from_dict(import_calliope(read_json(args.input)), strict=not args.lenient)
+    corpus = corpus_from_calliope(read_json(args.input), strict=not args.lenient)
     save_corpus(corpus, args.out)
     print(f"imported {len(corpus)} visualizations -> {args.out}")
     return EXIT_OK

@@ -88,7 +88,28 @@ def _check_id_cell(value: str, where: str) -> None:
         raise CorpusError(f"{where}: {value!r} contains a tab, CR or LF")
 
 
-def _vis_from_dict(obj: dict, where: str, strict: bool) -> Optional[MultiViewVis]:
+@dataclass(frozen=True)
+class _Locations:
+    """The names that messages give a corpus's parts: its visualization
+    list, a visualization's two id keys and chart list, and the suffix of a
+    chart's location that names its fact."""
+
+    visualizations: str = "visualizations"
+    id: str = "id"
+    dataset_id: str = "dataset_id"
+    charts: str = "charts"
+    fact: str = ".fact"
+
+
+# import_calliope's output named after its source: stories[i] is
+# visualizations[i], and stories[i].facts[j], which holds the fact's keys
+# itself, is its charts[j].
+_CALLIOPE_LOCATIONS = _Locations("stories", "story_id", "dataset", "facts", "")
+
+
+def _vis_from_dict(
+    obj: dict, where: str, strict: bool, names: _Locations
+) -> Optional[MultiViewVis]:
     if not isinstance(obj, dict):
         raise CorpusError(f"{where}: expected an object")
     required = ("id", "dataset_id", "domain", "kind", "charts")
@@ -98,12 +119,12 @@ def _vis_from_dict(obj: dict, where: str, strict: bool) -> Optional[MultiViewVis
     missing = [k for k in required if k not in obj]
     if missing:
         raise CorpusError(f"{where}: missing keys {missing}")
-    for key in ("id", "dataset_id"):
+    for key, name in (("id", names.id), ("dataset_id", names.dataset_id)):
         if not isinstance(obj[key], str):
-            raise CorpusError(f"{where}.{key}: expected a string")
-        _check_id_cell(obj[key], f"{where}.{key}")
+            raise CorpusError(f"{where}.{name}: expected a string")
+        _check_id_cell(obj[key], f"{where}.{name}")
     if not isinstance(obj["charts"], list):
-        raise CorpusError(f"{where}.charts: expected a list")
+        raise CorpusError(f"{where}.{names.charts}: expected a list")
     if obj["domain"] not in DOMAINS:
         raise CorpusError(f"{where}: unknown domain {obj['domain']!r}")
     if obj["kind"] not in KINDS:
@@ -113,7 +134,7 @@ def _vis_from_dict(obj: dict, where: str, strict: bool) -> Optional[MultiViewVis
     seen_ids: set[str] = set()
     problems: list[str] = []
     for pos, chart_obj in enumerate(obj["charts"]):
-        cwhere = f"{where}.charts[{pos}]"
+        cwhere = f"{where}.{names.charts}[{pos}]"
         if not isinstance(chart_obj, dict):
             raise CorpusError(f"{cwhere}: expected an object")
         if set(chart_obj) != {"chart_id", "fact"}:
@@ -126,7 +147,7 @@ def _vis_from_dict(obj: dict, where: str, strict: bool) -> Optional[MultiViewVis
             raise CorpusError(f"{cwhere}: duplicate chart id {chart_id!r}")
         seen_ids.add(chart_id)
         try:
-            fact = fact_from_dict(chart_obj["fact"], where=f"{cwhere}.fact")
+            fact = fact_from_dict(chart_obj["fact"], where=f"{cwhere}{names.fact}")
         except FactParseError as exc:
             problems.append(str(exc))
             continue
@@ -164,7 +185,7 @@ def _vis_from_dict(obj: dict, where: str, strict: bool) -> Optional[MultiViewVis
     )
 
 
-def corpus_from_dict(obj: dict, strict: bool = True) -> Corpus:
+def corpus_from_dict(obj: dict, strict: bool = True, names: _Locations = _Locations()) -> Corpus:
     if not isinstance(obj, dict) or set(obj) != {"visualizations"}:
         raise CorpusError("corpus must be an object with a 'visualizations' list")
     if not isinstance(obj["visualizations"], list):
@@ -173,7 +194,7 @@ def corpus_from_dict(obj: dict, strict: bool = True) -> Corpus:
     vis_ids: set[str] = set()
     chart_ids: dict[str, str] = {}
     for i, vis_obj in enumerate(obj["visualizations"]):
-        vis = _vis_from_dict(vis_obj, f"visualizations[{i}]", strict)
+        vis = _vis_from_dict(vis_obj, f"{names.visualizations}[{i}]", strict, names)
         if vis is None:
             continue
         if vis.id in vis_ids:
@@ -188,6 +209,12 @@ def corpus_from_dict(obj: dict, strict: bool = True) -> Corpus:
             chart_ids[chart_id] = vis.id
         visualizations.append(vis)
     return Corpus(tuple(visualizations), facts_checked=True)
+
+
+def corpus_from_calliope(obj: dict, strict: bool = True) -> Corpus:
+    """corpus_from_dict of import_calliope's output, with every location in
+    its messages named as in the Calliope source."""
+    return corpus_from_dict(import_calliope(obj), strict, _CALLIOPE_LOCATIONS)
 
 
 def load_corpus(path: str, strict: bool = True) -> Corpus:

@@ -560,20 +560,159 @@ def metrics_json(report: MetricsReport) -> dict:
     }
 
 
-def save_index(index: EmbeddingIndex, path: str) -> None:
-    """Write the index as TSV with 17-significant-digit floats (lossless).
+def _cell(negative: bool, exponent: Optional[int], kept: int) -> tuple[bytes, list]:
+    """A "\\t%.17g" cell as (prefix, region): constant bytes, then one item
+    per byte, the index of one of the 17 significant digits or a constant
+    byte. `exponent` is None for a zero; `kept` counts the digits left once
+    trailing zeros are stripped. Region byte r holds digit r or, after a
+    point, digit r - 1."""
+    prefix = b"\t-" if negative else b"\t"
+    if exponent is None:
+        return prefix + b"0", []
+    if exponent < -4:  # d.ddde-0N
+        fraction = [b".", *range(1, kept)] if kept > 1 else []
+        return prefix, [0, *fraction, b"e", b"-", b"0", str(-exponent).encode()]
+    if exponent < 0:  # 0.000ddd
+        return prefix + b"0." + b"0" * (-exponent - 1), list(range(kept))
+    whole = exponent + 1  # ddd.ddd
+    fraction = [b".", *range(whole, kept)] if kept > whole else []
+    return prefix, [*range(whole), *fraction]
 
-    Each row is one `%` of a template built once per call, written as soon
-    as it is formatted."""
+
+# _format_rows writes a cell as four little-endian words: word 0 the prefix,
+# words 1-3 the region, as (digits & A) | (digits shifted one byte & B) | C,
+# with the masks A and B and the constant bytes C looked up by the cell's
+# code (sign, exponent slot, kept digits - 1). Exponent slot 0-22 stands for
+# -6..16 and slot 23 for a zero. Unused bytes are NUL, which one translate
+# drops.
+def _cell_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    cells = [
+        _cell(negative, None if slot == 23 else slot - 6, kept)
+        for negative in (False, True) for slot in range(24) for kept in range(1, 18)
+    ]
+    tables = np.zeros((3, len(cells), 32), dtype=np.uint8)  # C, A, B
+    for code, (prefix, region) in enumerate(cells):
+        tables[0, code, : len(prefix)] = list(prefix)
+        for r, item in enumerate(region):
+            if isinstance(item, bytes):
+                tables[0, code, 8 + r] = item[0]
+            else:  # A for digit r, B for digit r - 1
+                tables[1 + r - item, code, 8 + r] = 0xFF
+    lengths = np.array([len(prefix) + len(region) for prefix, region in cells], dtype=np.intp)
+    constants, digits, shifted = tables.view("<u8")
+    return constants, digits, shifted, lengths
+
+
+_CELL_CONSTANTS, _CELL_DIGITS, _CELL_SHIFTED, _CELL_LENGTHS = _cell_tables()
+# Four ASCII digits of 0-9999 as the low bytes of a little-endian word, and
+# their trailing zeros (4 for 0000).
+_GROUP_WORDS = np.array(
+    [int.from_bytes(f"{g:04d}".encode(), "little") for g in range(10_000)], dtype=np.uint64
+)
+_GROUP_ZEROS = np.array([4 - len(f"{g:04d}".rstrip("0")) for g in range(10_000)], dtype=np.intp)
+# 10**s for s = 0..22, each an exact double, and its Veltkamp halves.
+_SPLITTER = 2.0**27 + 1.0
+_POW10 = np.array([float(10**s) for s in range(23)])
+_POW10_HI = _POW10 * _SPLITTER - (_POW10 * _SPLITTER - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+_FORMAT_CELLS = 8192  # cells per block of _format_rows: about 3 MB of temporaries
+
+
+def _scaled(a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * 10**s exactly, as p + err (Dekker's TwoProduct)."""
+    hi, lo = _POW10_HI[s], _POW10_LO[s]
+    p = a * _POW10[s]
+    c = a * _SPLITTER
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    return p, a_lo * lo - (((p - a_hi * hi) - a_lo * hi) - a_hi * lo)
+
+
+def _format_rows(vectors: np.ndarray) -> list[memoryview]:
+    """Each row's bytes of "\\t%.17g" per cell, for a block whose cells are
+    all ±0 or 1e-6 < |x| < 1e17. (The double 1e-6 lies below 10**-6; its
+    digits would need 10**23, which is inexact.)
+
+    A nonzero |x| is D * 10**(k - 16), D its 17 significant digits, rounded
+    half to even from the exact product |x| * 10**(16 - k)."""
+    rows, dim = vectors.shape
+    x = vectors.ravel()
+    a = np.abs(x)
+    zero = a == 0.0
+    a[zero] = 1.0
+    k = np.floor(np.log10(a)).astype(np.intp)
+    np.clip(k, -6, 16, out=k)
+    p, err = _scaled(a, 16 - k)
+    # log10 can miss a power of ten by an ulp: move k where the floor of the
+    # product is outside [1e16, 1e17).
+    low = (p < 1e16) | ((p == 1e16) & (err < 0.0))
+    high = (p > 1e17) | ((p == 1e17) & (err >= 0.0))
+    wrong = np.flatnonzero(low | high)
+    if wrong.size:
+        k[wrong] += high[wrong].astype(np.intp) - low[wrong]
+        p[wrong], err[wrong] = _scaled(a[wrong], 16 - k[wrong])
+    floor = np.floor(err)
+    digits = p.astype(np.int64) + floor.astype(np.int64)
+    half = floor + 0.5
+    digits += (err > half) | ((err == half) & (digits & 1 == 1))
+    # No carry to 10**17: 17 digits round up to 10**k only from within a
+    # relative 5e-18 of it, closer than any double below it in this range.
+
+    lead, rest = np.divmod(digits, 10**16)
+    upper, lower = np.divmod(rest, 10**8)
+    groups = (*np.divmod(upper, 10**4), *np.divmod(lower, 10**4))
+    zeros = _GROUP_ZEROS[groups[0]]
+    for group in groups[1:]:
+        zeros = _GROUP_ZEROS[group] + (group == 0) * zeros
+    k += 6
+    k[zero] = 23
+    code = (np.signbit(x) * 24 + k) * 17 + 16 - zeros
+
+    # Words 1-3 of each cell: its 17 digits at region bytes 0-16, and the
+    # same shifted one byte up.
+    g1, g2, g3, g4 = (_GROUP_WORDS[group] for group in groups)
+    digit_words = np.zeros((len(x), 4), dtype=np.uint64)
+    digit_words[:, 1] = (lead + ord("0")).astype(np.uint64) | g1 << 8 | g2 << 40
+    digit_words[:, 2] = g2 >> 24 | g3 << 8 | g4 << 40
+    digit_words[:, 3] = g4 >> 24
+    shifted = digit_words << 8
+    shifted[:, 2:] |= digit_words[:, 1:3] >> 56
+    words = _CELL_CONSTANTS[code]
+    for masks, source in ((_CELL_DIGITS, digit_words), (_CELL_SHIFTED, shifted)):
+        mask = masks[code]
+        mask &= source
+        words |= mask
+    text = memoryview(words.astype("<u8", copy=False).tobytes().translate(None, b"\0"))
+    ends = np.cumsum(_CELL_LENGTHS[code].reshape(rows, dim).sum(axis=1)).tolist()
+    return [text[start:end] for start, end in zip([0] + ends, ends)]
+
+
+def save_index(index: EmbeddingIndex, path: str) -> None:
+    """Write the index as TSV with 17-significant-digit floats (lossless):
+    each cell holds the bytes of "%.17g".
+
+    Blocks of rows are formatted by _format_rows; a row holding a cell that
+    it does not cover (non-finite, |x| <= 1e-6 or |x| >= 1e17) takes one `%`
+    of a "\\t%.17g" template instead."""
     dim = index.vectors.shape[1]
-    template = "%s\t%s\t%d\t%s" + "\t%.17g" * dim + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
+    template = "\t%.17g" * dim
+    step = max(1, _FORMAT_CELLS // max(dim, 1))
+    with open(path, "wb") as fh:
         header = ["chart_id", "story_id", "position", "dataset_id"]
         header += [f"v{i + 1}" for i in range(dim)]
-        fh.write("\t".join(header) + "\n")
-        columns = zip(index.ids, index.story_ids, index.positions.tolist(), index.dataset_ids)
-        for cells, vector in zip(columns, index.vectors):
-            fh.write(template % (*cells, *vector.tolist()))
+        fh.write(("\t".join(header) + "\n").encode())
+        columns = list(zip(index.ids, index.story_ids, index.positions.tolist(), index.dataset_ids))
+        for lo in range(0, len(columns), step):
+            block = index.vectors[lo : lo + step]
+            a = np.abs(block)
+            covered = (((a > 1e-6) & (a < 1e17)) | (a == 0.0)).all(axis=1)
+            formatted = iter(_format_rows(block[covered]))
+            pieces = []
+            for cells, vector, fast in zip(columns[lo : lo + step], block, covered.tolist()):
+                pieces.append(("%s\t%s\t%d\t%s" % cells).encode())
+                pieces.append(next(formatted) if fast else (template % tuple(vector.tolist())).encode())
+                pieces.append(b"\n")
+            fh.write(b"".join(pieces))
 
 
 def load_index(path: str) -> EmbeddingIndex:

@@ -383,11 +383,16 @@ def train(
     reproducible for a fixed seed.
 
     Shuffling and dropout randomness both derive from hyper.seed; the
-    dropout rate is params.config's.
+    dropout rate is params.config's, and hyper.dropout must equal it.
     """
     n = len(samples)
     if n == 0:
         raise ValueError("empty sample set")
+    if hyper.dropout != params.config.dropout:
+        raise ValueError(
+            f"hyper.dropout {hyper.dropout} differs from params.config.dropout "
+            f"{params.config.dropout}, the rate that training uses"
+        )
     shuffle_seq, dropout_seq = np.random.SeedSequence(hyper.seed).spawn(2)
     shuffle_rng = np.random.default_rng(shuffle_seq)
     dropout_rng = np.random.default_rng(dropout_seq)

@@ -4,6 +4,7 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from chartembed.corpus import Corpus, load_corpus
 from chartembed.encoder import EncoderConfig
@@ -22,6 +23,12 @@ from chartembed.facts import (
 from chartembed.semantics import VectorStore, load_vector_store
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
+
+# Every run draws the same examples, with no database of earlier failures,
+# so two runs of the suite on the same code give the same results. Each
+# test's own max_examples still applies.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -18,8 +18,8 @@ package splits each distinct (text, location) once per corpus; its token
 lists must equal these.
 
 `save_index` writes the index TSV one `format(x, ".17g")` cell at a time.
-The package formats each row with one `%` of a template; its bytes must
-equal these.
+The package formats blocks of rows with a numpy kernel, and the rest with
+one `%` of a template per row; its bytes must equal these.
 
 `SINGLE_SWITCH_VARIANTS` and the derivation-length bounds are facts about
 the package's tables that only the tests check.

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import os
 import platform
 import pathlib
@@ -781,6 +782,44 @@ def test_import_names_the_location_of_a_wrong_json_type(tmp_path, capsys, source
     assert main(["import", str(bad), str(tmp_path / "out.json")]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not (tmp_path / "out.json").exists()
+
+
+def calliope_fact(chart_id, fact_type="trend"):
+    return {"chart_id": chart_id, "chart": "line chart", "fact_type": fact_type,
+            "measure": [{"field": "Sales", "aggregate": "sum"}],
+            "breakdown": [{"field": "Year", "type": "temporal"}]}
+
+
+@pytest.mark.parametrize("story, message", [
+    ({"facts": [{"chart_id": 5, "chart": "line chart", "fact_type": "trend"}]},
+     "stories[0].facts[0]: chart_id must be a non-empty string"),
+    ({"story_id": "a\tb", "facts": []}, "stories[0].story_id: 'a\\tb' contains a tab, CR or LF"),
+    ({"dataset": "d\n", "facts": []}, "stories[0].dataset: 'd\\n' contains a tab, CR or LF"),
+    ({"facts": [calliope_fact("c\r1")]},
+     "stories[0].facts[0].chart_id: 'c\\r1' contains a tab, CR or LF"),
+    ({"story_id": "s", "facts": [calliope_fact("c0"), calliope_fact("c1"), calliope_fact("c1")]},
+     "stories[0].facts[2]: duplicate chart id 'c1'"),
+    ({"story_id": "s", "facts": [calliope_fact("c0"), calliope_fact("c1")]},
+     "stories[0] ('s'): 2 valid charts, minimum chart number is 3"),
+])
+def test_import_names_the_calliope_location_of_an_invalid_corpus(tmp_path, capsys, story, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"stories": [story]}), encoding="utf-8")
+    assert main(["import", str(bad), str(tmp_path / "out.json")]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+def test_lenient_import_names_dropped_charts_by_calliope_location(tmp_path, caplog):
+    source = tmp_path / "story.json"
+    facts = [calliope_fact("c0"), calliope_fact("c1", "bogus"), calliope_fact("c2"), calliope_fact("c3")]
+    source.write_text(json.dumps({"stories": [{"story_id": "s", "facts": facts}]}), encoding="utf-8")
+    out = tmp_path / "out.json"
+    with caplog.at_level(logging.WARNING, logger="chartembed.corpus"):
+        assert main(["import", str(source), str(out), "--lenient"]) == 0
+    dropped = [r.getMessage() for r in caplog.records if r.getMessage().startswith("dropping chart")]
+    assert len(dropped) == 1
+    assert dropped[0].startswith("dropping chart: stories[0].facts[1].type_f: unknown value 'bogus'")
+    assert [c for c, _ in load_corpus(str(out)).visualizations[0].charts] == ["c0", "c2", "c3"]
 
 
 def test_grammar_dump_command(capsys, data_dir):

@@ -534,6 +534,18 @@ def test_train_empty_sample_set_rejected(fixture_corpus, store, base_config):
         train(empty, HyperParams(epochs=1), init_params(0, base_config))
 
 
+@pytest.mark.parametrize("hyper_rate, config_rate", [(0.3, 0.1), (0.0, 0.1), (0.1, 0.0)])
+def test_train_rejects_two_dropout_rates(fixture_corpus, store, hyper_rate, config_rate):
+    config = EncoderConfig(dropout=config_rate)
+    samples = build_samples(fixture_corpus, store, 1, "same-dataset-first", 0, config)
+    with pytest.raises(ValueError) as info:
+        train(samples, HyperParams(epochs=1, dropout=hyper_rate), init_params(0, config))
+    assert str(info.value) == (
+        f"hyper.dropout {hyper_rate} differs from params.config.dropout {config_rate}, "
+        "the rate that training uses"
+    )
+
+
 def test_history_csv_layout():
     from chartembed.learning import EpochStats
 
