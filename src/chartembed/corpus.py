@@ -160,9 +160,8 @@ def _vis_from_dict(
 
     if problems:
         if strict:
-            raise CorpusError(
-                f"{where} ({obj['id']!r}): invalid charts:\n  " + "\n  ".join(problems)
-            )
+            more = f" (and {len(problems) - 1} more)" if len(problems) > 1 else ""
+            raise CorpusError(f"{where} ({obj['id']!r}): invalid charts: {problems[0]}{more}")
         for problem in problems:
             log.warning("dropping chart: %s", problem)
 
@@ -229,7 +228,8 @@ def load_corpus(path: str, strict: bool = True) -> Corpus:
 
 def read_json(path: str, error: type[Exception] = CorpusError):
     """The decoded JSON of a UTF-8 file. Raises `error`, naming the file, for
-    text that is not UTF-8 or not JSON."""
+    text that is not UTF-8 or not JSON, an integer longer than Python
+    converts, or nesting deeper than the decoder goes."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
@@ -237,6 +237,10 @@ def read_json(path: str, error: type[Exception] = CorpusError):
             raise error(f"{path}: not a UTF-8 text file: {exc}") from None
         except json.JSONDecodeError as exc:
             raise error(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+        except ValueError as exc:  # an integer longer than int() converts
+            raise error(f"{path}: invalid JSON: {exc}") from None
+        except RecursionError:
+            raise error(f"{path}: invalid JSON: nested too deeply") from None
 
 
 def corpus_to_dict(corpus: Corpus) -> dict:

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 import struct
 import sys
 from dataclasses import dataclass, fields
@@ -507,7 +509,11 @@ def save_checkpoint(
 
 
 def _read_exact(fh, size: int, part: str) -> bytes:
-    data = fh.read(size)
+    # A damaged header length can ask for 4 GiB, so a regular file is read
+    # for no more than it holds.
+    held = os.fstat(fh.fileno())
+    room = held.st_size - fh.tell() if stat.S_ISREG(held.st_mode) else size
+    data = fh.read(min(size, room))
     if len(data) != size:
         raise CheckpointError(f"truncated checkpoint: the file ends inside the {part}")
     return data
@@ -524,10 +530,13 @@ def _read_header(fh) -> dict:
             f"found {magic!r}"
         )
     (header_len,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
+    text = _read_exact(fh, header_len, "header")
     try:
-        header = json.loads(_read_exact(fh, header_len, "header").decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        header = json.loads(text.decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, not JSON, or an overlong integer
         raise CheckpointError(f"corrupt checkpoint header: {exc}") from exc
+    except RecursionError:
+        raise CheckpointError("corrupt checkpoint header: nested too deeply") from None
     version = header.get("format_version") if isinstance(header, dict) else None
     if version != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointError(f"checkpoint version mismatch: format {version!r}")

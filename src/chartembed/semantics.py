@@ -139,10 +139,12 @@ def _oov_vector(word: str, dim: int) -> np.ndarray:
 
 
 class VectorStore:
-    """Immutable word -> vector mapping with a deterministic OOV fallback.
+    """Word -> vector mapping with a deterministic OOV fallback.
 
     Lookups are case-insensitive: keys are folded to lowercase at load and
-    query words are folded at lookup.
+    query words are folded at lookup. A store line that `load_vector_store`
+    kept as text is converted on its word's first lookup and cached, so
+    every lookup of a word returns the same array.
     """
 
     def __init__(self, vectors: dict[str, np.ndarray]):
@@ -151,7 +153,17 @@ class VectorStore:
                 raise VectorStoreError(
                     f"vector for {word!r} has shape {vec.shape}, expected ({WORD_DIM},)"
                 )
-        self._vectors = {w.lower(): np.asarray(v, dtype=np.float64) for w, v in vectors.items()}
+        self._vectors: dict[str, np.ndarray | str] = {
+            w.lower(): np.asarray(v, dtype=np.float64) for w, v in vectors.items()
+        }
+
+    @classmethod
+    def _of_entries(cls, entries: dict[str, np.ndarray | str]) -> VectorStore:
+        """A store over folded words, each with its checked vector or its
+        whole store line that matched `_PLAIN_LINE`."""
+        store = cls({})
+        store._vectors = entries
+        return store
 
     def __len__(self) -> int:
         return len(self._vectors)
@@ -162,9 +174,23 @@ class VectorStore:
     def lookup(self, word: str) -> np.ndarray:
         key = word.lower()
         hit = self._vectors.get(key)
-        if hit is not None:
-            return hit
-        return _oov_vector(key, WORD_DIM)
+        if hit is None:
+            return _oov_vector(key, WORD_DIM)
+        if isinstance(hit, str):
+            hit = self._vectors[key] = _components(hit.split(" ")[1:])
+        return hit
+
+
+# A store line that is a word and WORD_DIM plain decimals, each of which
+# float() reads as a finite value below 1e120 (at most 20 + 20 digits and a
+# two-digit exponent), so the line needs no conversion to be checked.
+_PLAIN_LINE = re.compile(
+    r"[^ ]+(?: -?[0-9]{1,20}(?:\.[0-9]{1,20})?(?:[eE][-+]?[0-9]{1,2})?){%d}" % WORD_DIM
+)
+
+
+def _components(cells: list[str]) -> np.ndarray:
+    return np.array(cells, dtype=np.float64)  # float() syntax and messages
 
 
 def load_vector_store(path: str) -> VectorStore:
@@ -172,14 +198,19 @@ def load_vector_store(path: str) -> VectorStore:
 
     Every line is checked: the embedding width is fixed at 100, and a
     component that is not a finite number is rejected. The first occurrence
-    of a word wins.
+    of a word wins. A line of plain decimals (`_PLAIN_LINE`) is checked by
+    its form and kept as text until its word is looked up; any other line
+    is converted here.
     """
-    vectors: dict[str, np.ndarray] = {}
+    entries: dict[str, np.ndarray | str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if not line:
+                    continue
+                if _PLAIN_LINE.fullmatch(line):
+                    entries.setdefault(line[: line.index(" ")].lower(), line)
                     continue
                 parts = line.split(" ")
                 if len(parts) != WORD_DIM + 1:
@@ -188,15 +219,15 @@ def load_vector_store(path: str) -> VectorStore:
                         f"got {len(parts)} fields"
                     )
                 try:
-                    vec = np.array(parts[1:], dtype=np.float64)  # float() syntax and messages
+                    vec = _components(parts[1:])
                 except ValueError as exc:
                     raise VectorStoreError(f"{path}:{lineno}: {exc}") from None
                 if not np.isfinite(vec).all():
                     raise VectorStoreError(f"{path}:{lineno}: non-finite component")
-                vectors.setdefault(parts[0].lower(), vec)
+                entries.setdefault(parts[0].lower(), vec)
         except UnicodeDecodeError as exc:
             raise VectorStoreError(f"{path}: not a UTF-8 text file: {exc}") from None
-    return VectorStore(vectors)
+    return VectorStore._of_entries(entries)
 
 
 def pool_word(vec: np.ndarray) -> np.ndarray:

@@ -17,6 +17,11 @@ equal it.
 package splits each distinct (text, location) once per corpus; its token
 lists must equal these.
 
+`load_vector_store` converts every line of a word-vector file as it reads
+it. The package checks a line of plain decimals by its form and converts it
+on its word's first lookup; both must raise the same error, or hold the
+same words with bit-identical vectors.
+
 `save_index` writes the index TSV one `format(x, ".17g")` cell at a time.
 The package formats blocks of rows with a numpy kernel, and the rest with
 one `%` of a template per row; its bytes must equal these.
@@ -69,6 +74,7 @@ from chartembed.semantics import (
     WORD_DIM,
     Token,
     VectorStore,
+    VectorStoreError,
     semantic_shape,
     split_words,
 )
@@ -166,6 +172,34 @@ def encode_semantics(
     elif mode == "words-max":
         block[0] = np.concatenate([vecs.max(axis=0), locs.max(axis=0)])
     return block
+
+
+def load_vector_store(path: str) -> VectorStore:
+    """The store of a word-vector file, every line split, converted with
+    `np.array` and finiteness-checked as it is read."""
+    vectors: dict[str, np.ndarray] = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                parts = line.split(" ")
+                if len(parts) != WORD_DIM + 1:
+                    raise VectorStoreError(
+                        f"{path}:{lineno}: expected a word and {WORD_DIM} components, "
+                        f"got {len(parts)} fields"
+                    )
+                try:
+                    vec = np.array(parts[1:], dtype=np.float64)
+                except ValueError as exc:
+                    raise VectorStoreError(f"{path}:{lineno}: {exc}") from None
+                if not np.isfinite(vec).all():
+                    raise VectorStoreError(f"{path}:{lineno}: non-finite component")
+                vectors.setdefault(parts[0].lower(), vec)
+        except UnicodeDecodeError as exc:
+            raise VectorStoreError(f"{path}: not a UTF-8 text file: {exc}") from None
+    return VectorStore(vectors)
 
 
 def save_index(index: EmbeddingIndex, path: str) -> None:

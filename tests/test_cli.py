@@ -822,6 +822,35 @@ def test_lenient_import_names_dropped_charts_by_calliope_location(tmp_path, capl
     assert [c for c, _ in load_corpus(str(out)).visualizations[0].charts] == ["c0", "c2", "c3"]
 
 
+def test_invalid_charts_are_one_error_line(tmp_path, capsys, fixture_corpus_path, fixture_vectors_path):
+    corpus = json.loads(pathlib.Path(fixture_corpus_path).read_text(encoding="utf-8"))
+    for chart in corpus["visualizations"][0]["charts"][1:3]:
+        chart["fact"]["type_f"] = "bogus"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(corpus), encoding="utf-8")
+    assert main(["train", str(bad), fixture_vectors_path, str(tmp_path / "m.ckpt")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(
+        "error: visualizations[0] ('story-00'): invalid charts: "
+        "visualizations[0].charts[1].fact.type_f: unknown value 'bogus', "
+    )
+    assert err[0].endswith(" (and 1 more)")
+
+
+def test_import_of_an_unknown_fact_type_is_one_error_line(tmp_path, capsys):
+    facts = [calliope_fact("c0"), calliope_fact("c1", "bogus"), calliope_fact("c2")]
+    source = tmp_path / "story.json"
+    source.write_text(json.dumps({"stories": [{"story_id": "s", "facts": facts}]}), encoding="utf-8")
+    assert main(["import", str(source), str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(
+        "error: stories[0] ('s'): invalid charts: stories[0].facts[1].type_f: unknown value 'bogus', "
+    )
+    assert not err[0].endswith("more)")
+
+
 def test_grammar_dump_command(capsys, data_dir):
     assert main(["grammar"]) == 0
     out = capsys.readouterr().out

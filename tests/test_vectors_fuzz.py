@@ -121,7 +121,11 @@ def test_vector_files_that_load(setup, name, mutate):
     assert [code for code, _ in check_contract(folder, mutate(data))] == [0, 0]
 
 
-_CELLS = [b"nan", b"inf", b"-inf", b"1e999", b"", b"x", b"1_0", b"\xff", b"\t", b"\r", b"0", b"-0"]
+_CELLS = [b"nan", b"inf", b"-inf", b"1e999", b"", b"x", b"1_0", b"\xff", b"\t", b"\r", b"0", b"-0",
+          # Either side of the plain-decimal form that the loader checks
+          # without converting.
+          b"1E5", b"+1.5", b".5", b"5.", b"1e99", b"1e-100", b"1e308", b"1" * 21,
+          "\u0663".encode("utf-8")]
 _BYTES = st.sampled_from(b" \t\n\r\x00\xff\xc3-+.e9") | st.integers(0, 255)
 
 
