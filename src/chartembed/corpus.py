@@ -18,7 +18,9 @@ import numpy as np
 
 from . import grammar, semantics
 from .encoder import EncoderConfig
-from .facts import ChartFact, FactParseError, fact_from_dict, fact_to_dict, validate_fact
+from .facts import (
+    ChartFact, FactParseError, Where, fact_from_dict, fact_to_dict, location, validate_fact,
+)
 from .semantics import VectorStore
 
 log = logging.getLogger(__name__)
@@ -83,9 +85,12 @@ class Corpus:
 _ID_BREAKS = frozenset("\t\r\n")
 
 
-def _check_id_cell(value: str, where: str) -> None:
+_CHART_KEYS = frozenset({"chart_id", "fact"})
+
+
+def _check_id_cell(value: str, where: Where) -> None:
     if not _ID_BREAKS.isdisjoint(value):
-        raise CorpusError(f"{where}: {value!r} contains a tab, CR or LF")
+        raise CorpusError(f"{location(where)}: {value!r} contains a tab, CR or LF")
 
 
 @dataclass(frozen=True)
@@ -133,28 +138,29 @@ def _vis_from_dict(
     charts: list[tuple[str, ChartFact]] = []
     seen_ids: set[str] = set()
     problems: list[str] = []
+    # Chart locations are joined into text only for an error message.
+    listed = (where, "." + names.charts)
     for pos, chart_obj in enumerate(obj["charts"]):
-        cwhere = f"{where}.{names.charts}[{pos}]"
         if not isinstance(chart_obj, dict):
-            raise CorpusError(f"{cwhere}: expected an object")
-        if set(chart_obj) != {"chart_id", "fact"}:
-            raise CorpusError(f"{cwhere}: expected exactly 'chart_id' and 'fact'")
+            raise CorpusError(f"{location((listed, pos))}: expected an object")
+        if chart_obj.keys() != _CHART_KEYS:
+            raise CorpusError(f"{location((listed, pos))}: expected exactly 'chart_id' and 'fact'")
         chart_id = chart_obj["chart_id"]
         if not isinstance(chart_id, str) or not chart_id:
-            raise CorpusError(f"{cwhere}: chart_id must be a non-empty string")
-        _check_id_cell(chart_id, f"{cwhere}.chart_id")
+            raise CorpusError(f"{location((listed, pos))}: chart_id must be a non-empty string")
+        _check_id_cell(chart_id, (listed, pos, ".chart_id"))
         if chart_id in seen_ids:
-            raise CorpusError(f"{cwhere}: duplicate chart id {chart_id!r}")
+            raise CorpusError(f"{location((listed, pos))}: duplicate chart id {chart_id!r}")
         seen_ids.add(chart_id)
         try:
-            fact = fact_from_dict(chart_obj["fact"], where=f"{cwhere}{names.fact}")
+            fact = fact_from_dict(chart_obj["fact"], where=(listed, pos, names.fact))
         except FactParseError as exc:
             problems.append(str(exc))
             continue
         report = validate_fact(fact)
         if not report.ok:
             details = "; ".join(f"{v.field}: {v.message}" for v in report.violations)
-            problems.append(f"{cwhere}: invalid fact ({details})")
+            problems.append(f"{location((listed, pos))}: invalid fact ({details})")
             continue
         charts.append((chart_id, fact))
 

@@ -569,9 +569,9 @@ def _cell(negative: bool, exponent: Optional[int], kept: int) -> tuple[bytes, li
     prefix = b"\t-" if negative else b"\t"
     if exponent is None:
         return prefix + b"0", []
-    if exponent < -4:  # d.ddde-0N
+    if exponent < -4:  # d.ddde-NN, at least two exponent digits
         fraction = [b".", *range(1, kept)] if kept > 1 else []
-        return prefix, [0, *fraction, b"e", b"-", b"0", str(-exponent).encode()]
+        return prefix, [0, *fraction, b"e", b"-", *(bytes([c]) for c in b"%02d" % -exponent)]
     if exponent < 0:  # 0.000ddd
         return prefix + b"0." + b"0" * (-exponent - 1), list(range(kept))
     whole = exponent + 1  # ddd.ddd
@@ -579,27 +579,35 @@ def _cell(negative: bool, exponent: Optional[int], kept: int) -> tuple[bytes, li
     return prefix, [*range(whole), *fraction]
 
 
+# The decimal exponents that _format_rows writes and _read_cells proves:
+# ±0 and 1e-22 <= |x| < 1e17 (the double 1e-22 lies above 10**-22).
+_MIN_EXPONENT, _MAX_EXPONENT = -22, 16
+_EXPONENTS = _MAX_EXPONENT - _MIN_EXPONENT + 1
+_ZERO_SLOT = _EXPONENTS
+
+
 # _format_rows writes a cell as four little-endian words: word 0 the prefix,
 # words 1-3 the region, as (digits & A) | (digits shifted one byte & B) | C,
 # with the masks A and B and the constant bytes C looked up by the cell's
-# code (sign, exponent slot, kept digits - 1). Exponent slot 0-22 stands for
-# -6..16 and slot 23 for a zero. Unused bytes are NUL, which one translate
+# code (sign, exponent slot, kept digits - 1). Exponent slot 0-38 stands for
+# -22..16 and slot 39 for a zero. Unused bytes are NUL, which one translate
 # drops.
 def _cell_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     cells = [
-        _cell(negative, None if slot == 23 else slot - 6, kept)
-        for negative in (False, True) for slot in range(24) for kept in range(1, 18)
+        _cell(negative, None if slot == _ZERO_SLOT else slot + _MIN_EXPONENT, kept)
+        for negative in (False, True) for slot in range(_EXPONENTS + 1) for kept in range(1, 18)
     ]
-    tables = np.zeros((3, len(cells), 32), dtype=np.uint8)  # C, A, B
+    size = 32 * len(cells)
+    tables = bytearray(3 * size)  # C, A, B
     for code, (prefix, region) in enumerate(cells):
-        tables[0, code, : len(prefix)] = list(prefix)
+        tables[32 * code : 32 * code + len(prefix)] = prefix
         for r, item in enumerate(region):
             if isinstance(item, bytes):
-                tables[0, code, 8 + r] = item[0]
+                tables[32 * code + 8 + r] = item[0]
             else:  # A for digit r, B for digit r - 1
-                tables[1 + r - item, code, 8 + r] = 0xFF
+                tables[(1 + r - item) * size + 32 * code + 8 + r] = 0xFF
     lengths = np.array([len(prefix) + len(region) for prefix, region in cells], dtype=np.intp)
-    constants, digits, shifted = tables.view("<u8")
+    constants, digits, shifted = np.frombuffer(bytes(tables), dtype="<u8").reshape(3, len(cells), 4)
     return constants, digits, shifted, lengths
 
 
@@ -610,53 +618,120 @@ _GROUP_WORDS = np.array(
     [int.from_bytes(f"{g:04d}".encode(), "little") for g in range(10_000)], dtype=np.uint64
 )
 _GROUP_ZEROS = np.array([4 - len(f"{g:04d}".rstrip("0")) for g in range(10_000)], dtype=np.intp)
-# 10**s for s = 0..22, each an exact double, and its Veltkamp halves.
+# 10**n = 2**n * 5**n for n = 0..38. 5**n is _FIVE_HI + _FIVE_LO exactly:
+# 5**38 has 89 bits, so the low part holds at most 36, and it is 0 up to
+# 5**22. _FIVE_HI is split in Veltkamp halves for Dekker's TwoProduct.
 _SPLITTER = 2.0**27 + 1.0
-_POW10 = np.array([float(10**s) for s in range(23)])
-_POW10_HI = _POW10 * _SPLITTER - (_POW10 * _SPLITTER - _POW10)
-_POW10_LO = _POW10 - _POW10_HI
+_MAX_SCALE = 16 - _MIN_EXPONENT
+_FIVE_HI = np.array([float(5**n) for n in range(_MAX_SCALE + 1)])
+_FIVE_LO = np.array([float(5**n - int(float(5**n))) for n in range(_MAX_SCALE + 1)])
+_FIVE_HH = _FIVE_HI * _SPLITTER - (_FIVE_HI * _SPLITTER - _FIVE_HI)
+_FIVE_HL = _FIVE_HI - _FIVE_HH
+_TWO_POW = 2.0 ** np.arange(_MAX_SCALE + 1)
+# Where 5**n is inexact (n > 22), the computed remainder of _scaled may be
+# off by a few 1e-15: a rounding within _TIE_MARGIN of a half is not decided.
+_EXACT_SCALE = 22
+_TIE_MARGIN = 2.0**-30
 _FORMAT_CELLS = 8192  # cells per block of _format_rows: about 3 MB of temporaries
 
 
+def _two_product(a: np.ndarray, s: np.ndarray, five: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * five exactly, as p + err, where five is _FIVE_HI[s] (Dekker's
+    TwoProduct, its sums in his order)."""
+    p = a * five
+    a_hi = a * _SPLITTER
+    a_lo = a_hi - a
+    a_hi -= a_lo
+    np.subtract(a, a_hi, out=a_lo)
+    five_hi, five_lo = np.take(_FIVE_HH, s), np.take(_FIVE_HL, s)
+    err = a_hi * five_hi
+    err -= p
+    five_hi *= a_lo
+    err += five_hi
+    a_hi *= five_lo
+    err += a_hi
+    a_lo *= five_lo
+    err += a_lo
+    return p, err
+
+
 def _scaled(a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """a * 10**s exactly, as p + err (Dekker's TwoProduct)."""
-    hi, lo = _POW10_HI[s], _POW10_LO[s]
-    p = a * _POW10[s]
-    c = a * _SPLITTER
-    a_hi = c - (c - a)
-    a_lo = a - a_hi
-    return p, a_lo * lo - (((p - a_hi * hi) - a_lo * hi) - a_hi * lo)
+    """a * 10**s as p + err, p the rounded product and err the remainder:
+    exact for s <= 22, within a few 1e-15 above. a * 2**s is exact, then
+    a * 5**s takes one TwoProduct on its high part and a Fast2Sum with its
+    low part, whose own rounding is the only error."""
+    a = a * np.take(_TWO_POW, s)
+    p, err = _two_product(a, s, np.take(_FIVE_HI, s))
+    if s.max(initial=0) > _EXACT_SCALE:
+        low = a * np.take(_FIVE_LO, s)
+        total = p + low
+        p -= total
+        p += low
+        err += p
+        p = total
+    return p, err
 
 
-def _format_rows(vectors: np.ndarray) -> list[memoryview]:
-    """Each row's bytes of "\\t%.17g" per cell, for a block whose cells are
-    all ±0 or 1e-6 < |x| < 1e17. (The double 1e-6 lies below 10**-6; its
-    digits would need 10**23, which is inexact.)
+def _decimal_digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(D, k, decided) for doubles 1e-22 <= a < 1e17: a is D * 10**(k - 16)
+    once D, its 17 significant digits, is rounded half to even from the
+    exact product a * 10**(16 - k). `decided` is false where 10**(16 - k) is
+    not a double and the product lies within _TIE_MARGIN of a half; D is
+    then unproven. `%.17g` prints D and k, and each double has one such
+    (D, k), so a cell whose text has the value D * 10**(k - 16) reads back
+    as a itself: the writer's digits prove the reader's double."""
+    k = np.log10(a)
+    np.floor(k, out=k)
+    k = k.astype(np.intp)
+    np.clip(k, _MIN_EXPONENT, _MAX_EXPONENT, out=k)
+    s = 16 - k
+    p, err = _scaled(a, s)
+    # log10 can miss a power of ten by an ulp: move k where the floor of the
+    # product is outside [1e16, 1e17).
+    near = np.flatnonzero((p <= 1e16) | (p >= 1e17))
+    if near.size:
+        p_near, err_near = p[near], err[near]
+        low = (p_near < 1e16) | ((p_near == 1e16) & (err_near < 0.0))
+        high = (p_near > 1e17) | ((p_near == 1e17) & (err_near >= 0.0))
+        move = high.astype(np.intp) - low
+        wrong = near[move != 0]
+        if wrong.size:
+            k[wrong] += move[move != 0]
+            s[wrong] = 16 - k[wrong]
+            p[wrong], err[wrong] = _scaled(a[wrong], s[wrong])
+    half = np.floor(err)
+    digits = half.astype(np.int64)
+    digits += p.astype(np.int64)
+    half += 0.5
+    up = err > half
+    ties = np.flatnonzero(err == half)
+    up[ties] = digits[ties] & 1 == 1
+    digits += up
+    if s.max(initial=0) > _EXACT_SCALE:
+        err -= half
+        decided = (np.abs(err) > _TIE_MARGIN) | (s <= _EXACT_SCALE)
+    else:
+        decided = np.ones(len(a), dtype=bool)
+    # 17 digits round up to 10**17 only from within a relative 5e-18 of a
+    # power of ten: in this range, from the double 1e-14 alone.
+    carry = np.flatnonzero(digits == 10**17)
+    digits[carry] = 10**16
+    k[carry] += 1
+    return digits, k, decided
 
-    A nonzero |x| is D * 10**(k - 16), D its 17 significant digits, rounded
-    half to even from the exact product |x| * 10**(16 - k)."""
+
+def _format_rows(vectors: np.ndarray) -> list[Optional[memoryview]]:
+    """Each row's bytes of "\\t%.17g" per cell, or None for a row holding a
+    cell that _decimal_digits does not prove: one that is not ±0 or
+    1e-22 <= |x| < 1e17, or an undecided one."""
     rows, dim = vectors.shape
     x = vectors.ravel()
     a = np.abs(x)
     zero = a == 0.0
-    a[zero] = 1.0
-    k = np.floor(np.log10(a)).astype(np.intp)
-    np.clip(k, -6, 16, out=k)
-    p, err = _scaled(a, 16 - k)
-    # log10 can miss a power of ten by an ulp: move k where the floor of the
-    # product is outside [1e16, 1e17).
-    low = (p < 1e16) | ((p == 1e16) & (err < 0.0))
-    high = (p > 1e17) | ((p == 1e17) & (err >= 0.0))
-    wrong = np.flatnonzero(low | high)
-    if wrong.size:
-        k[wrong] += high[wrong].astype(np.intp) - low[wrong]
-        p[wrong], err[wrong] = _scaled(a[wrong], 16 - k[wrong])
-    floor = np.floor(err)
-    digits = p.astype(np.int64) + floor.astype(np.int64)
-    half = floor + 0.5
-    digits += (err > half) | ((err == half) & (digits & 1 == 1))
-    # No carry to 10**17: 17 digits round up to 10**k only from within a
-    # relative 5e-18 of it, closer than any double below it in this range.
+    covered = zero | ((a >= 1e-22) & (a < 1e17))
+    a[~covered | zero] = 1.0
+    digits, k, decided = _decimal_digits(a)
+    proven = (covered & (decided | zero)).reshape(rows, dim).all(axis=1)
 
     lead, rest = np.divmod(digits, 10**16)
     upper, lower = np.divmod(rest, 10**8)
@@ -664,9 +739,9 @@ def _format_rows(vectors: np.ndarray) -> list[memoryview]:
     zeros = _GROUP_ZEROS[groups[0]]
     for group in groups[1:]:
         zeros = _GROUP_ZEROS[group] + (group == 0) * zeros
-    k += 6
-    k[zero] = 23
-    code = (np.signbit(x) * 24 + k) * 17 + 16 - zeros
+    k -= _MIN_EXPONENT
+    k[zero] = _ZERO_SLOT
+    code = (np.signbit(x) * (_EXPONENTS + 1) + k) * 17 + 16 - zeros
 
     # Words 1-3 of each cell: its 17 digits at region bytes 0-16, and the
     # same shifted one byte up.
@@ -684,16 +759,18 @@ def _format_rows(vectors: np.ndarray) -> list[memoryview]:
         words |= mask
     text = memoryview(words.astype("<u8", copy=False).tobytes().translate(None, b"\0"))
     ends = np.cumsum(_CELL_LENGTHS[code].reshape(rows, dim).sum(axis=1)).tolist()
-    return [text[start:end] for start, end in zip([0] + ends, ends)]
+    return [
+        text[start:end] if ok else None
+        for start, end, ok in zip([0] + ends, ends, proven.tolist())
+    ]
 
 
 def save_index(index: EmbeddingIndex, path: str) -> None:
     """Write the index as TSV with 17-significant-digit floats (lossless):
     each cell holds the bytes of "%.17g".
 
-    Blocks of rows are formatted by _format_rows; a row holding a cell that
-    it does not cover (non-finite, |x| <= 1e-6 or |x| >= 1e17) takes one `%`
-    of a "\\t%.17g" template instead."""
+    Blocks of rows are formatted by _format_rows; a row that it does not
+    prove takes one `%` of a "\\t%.17g" template instead."""
     dim = index.vectors.shape[1]
     template = "\t%.17g" * dim
     step = max(1, _FORMAT_CELLS // max(dim, 1))
@@ -704,21 +781,276 @@ def save_index(index: EmbeddingIndex, path: str) -> None:
         columns = list(zip(index.ids, index.story_ids, index.positions.tolist(), index.dataset_ids))
         for lo in range(0, len(columns), step):
             block = index.vectors[lo : lo + step]
-            a = np.abs(block)
-            covered = (((a > 1e-6) & (a < 1e17)) | (a == 0.0)).all(axis=1)
-            formatted = iter(_format_rows(block[covered]))
             pieces = []
-            for cells, vector, fast in zip(columns[lo : lo + step], block, covered.tolist()):
+            for cells, vector, text in zip(columns[lo : lo + step], block, _format_rows(block)):
                 pieces.append(("%s\t%s\t%d\t%s" % cells).encode())
-                pieces.append(next(formatted) if fast else (template % tuple(vector.tolist())).encode())
+                pieces.append(text if text is not None else (template % tuple(vector.tolist())).encode())
                 pieces.append(b"\n")
             fh.write(b"".join(pieces))
 
 
-def load_index(path: str) -> EmbeddingIndex:
-    """Read an index TSV. Raises EvaluationError, naming the line, for a
-    wrong field count, a position that is not an int64, or a vector cell that
-    is not a finite number; and for a duplicate chart id or a non-UTF-8 file."""
+# _read_cells finds a cell's shape by one lookup of a dense key: its sign,
+# its length with the leading tab (25 for any longer), the offset of its
+# first "." (its length if none) and, when it ends in "e-NN" with NN <= 22,
+# NN + 1 (else 0). A shape is a decimal number: a tab, an optional "-", and
+# digits with at most one "." between two of them, or one digit or "d.d...",
+# before "e-NN". Its digits are slots; where it has more than 17, the
+# leading ones are constant "0"s, so the slots hold an integer M < 10**17
+# and the cell's value is M * 10**-scale. No shape has a scale above 38.
+_SHAPE_LENGTHS = 26  # cell lengths 0..24 with the tab, and 25 for longer
+_SHAPE_EXPONENTS = 24  # no exponent, or e-00 .. e-22
+
+
+def _shapes() -> list[tuple[int, int, Optional[int], int, list, int]]:
+    """Every shape as (sign, length, point offset or None, exponent key,
+    slot offsets, scale)."""
+    shapes = []
+    for sign in (0, 1):
+        first = 1 + sign
+        for length in range(first + 1, _SHAPE_LENGTHS - 1):
+            bodies = [(length, None, 0)]  # digits only, a point, or an exponent
+            bodies += [(length, point, 0) for point in range(first + 1, length - 1)]
+            end = length - 4  # before "e-NN": "d" or "d.d..."
+            if end - first == 1 or end - first > 2:
+                point = first + 1 if end - first > 1 else None
+                bodies += [(end, point, marked) for marked in range(1, _SHAPE_EXPONENTS)]
+            for end, point, marked in bodies:
+                slots = [i for i in range(first, end) if i != point]
+                fraction = 0 if point is None else sum(i > point for i in slots)
+                scale = fraction + max(0, marked - 1) + 17 - min(17, len(slots))
+                if scale <= _MAX_SCALE:
+                    shapes.append((sign, length, point, marked, slots, scale))
+    return shapes
+
+
+def _shape_tables():
+    """The dense key table and each shape's arrays: the bit shift to its
+    first slot and its scale; the mask and value of the leading "0"s in the
+    first word; and per word of the slots, the mask of slots before the
+    point (A), taken in place, and of all slots (S), the rest taken from one
+    byte up, with "0" past the slots. Shape 0 fails every check."""
+    shapes = _shapes()
+    keys, shift, scale = [], [0], [0]
+    constant, value = [0xFF], [0]  # shape 0 wants a NUL where every cell has its tab
+    masks = bytearray(48 * (len(shapes) + 1))  # A, then S, per shape
+    for sid, (sign, length, point, marked, slots, cell_scale) in enumerate(shapes, start=1):
+        dot = length if point is None else point
+        keys.append(((sign * _SHAPE_LENGTHS + length) * _SHAPE_LENGTHS + dot) * _SHAPE_EXPONENTS + marked)
+        leading = slots[: max(0, len(slots) - 17)]
+        assert all(i < 8 for i in leading), "a leading 0 outside the first word"
+        constant.append(sum(0xFF << 8 * i for i in leading))
+        value.append(sum(ord("0") << 8 * i for i in leading))
+        slots = slots[len(leading) :]
+        shift.append(8 * slots[0])
+        scale.append(cell_scale)
+        in_place = len(slots) - sum(slots[0] < dot < i for i in slots)
+        masks[48 * sid : 48 * sid + in_place] = b"\xff" * in_place
+        masks[48 * sid + 24 : 48 * sid + 24 + len(slots)] = b"\xff" * len(slots)
+    assert len(set(keys)) == len(keys), "two shapes share a key"
+    key_of = np.zeros(2 * _SHAPE_LENGTHS * _SHAPE_LENGTHS * _SHAPE_EXPONENTS, dtype=np.int16)
+    key_of[keys] = np.arange(1, len(keys) + 1)
+    before, slot = np.frombuffer(bytes(masks), dtype="<u8").reshape(-1, 2, 3).transpose(1, 2, 0)
+    return (
+        key_of, np.array(shift, dtype=np.uint64), np.array(scale, dtype=np.intp),
+        np.array(constant, dtype=np.uint64), np.array(value, dtype=np.uint64),
+        np.ascontiguousarray(before), np.ascontiguousarray(slot),
+    )
+
+
+(_SHAPE_OF_KEY, _SHAPE_SHIFT, _SHAPE_SCALE, _SHAPE_CM, _SHAPE_CV, _SHAPE_A,
+ _SHAPE_S) = _shape_tables()
+
+
+def _every_byte(value: int) -> np.uint64:
+    """A word with `value` in each of its eight bytes. (numpy before 2 turns
+    a uint64 scalar times a Python int into a float.)"""
+    return np.uint64(0x0101010101010101 * value)
+
+
+_POW10_U64 = np.array([10**p for p in range(17)], dtype=np.uint64)
+_SIGNS = np.array([1.0, -1.0])
+_READ_CELLS = 1 << 14  # cells per block of _read_cells
+_READ_BYTES = 1 << 18  # bytes per chunk of whole rows that load_index reads
+
+
+def _first_dot(c0: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """Offset of the first "." in the 24 bytes of each cell, or 64 if none:
+    each word's bytes that equal "." flag their high bit, the flags are
+    gathered into 24 bits, and the lowest set bit t is the exponent of the
+    double 2**(t + 1) - 1."""
+    bits = None
+    for j, word in enumerate((c0, c1, c2)):
+        word = word ^ _every_byte(ord("."))
+        flags = ~(((word & _every_byte(0x7F)) + _every_byte(0x7F)) | word) & _every_byte(0x80)
+        flags >>= 7
+        flags *= np.uint64(0x0102040810204080)
+        flags >>= 56
+        flags <<= np.uint64(8 * j)
+        bits = flags if bits is None else bits | flags
+    below = (bits ^ (bits - np.uint64(1))).astype(np.float64)
+    return np.frexp(below)[1] - 1
+
+
+def _funnel(low: np.ndarray, high: np.ndarray, shift: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """The word that starts `shift` bits into `low` and continues into
+    `high`; `rest` is 64 - shift. numpy shifts a uint64 by 64 to 0."""
+    word = low >> shift
+    word |= high << rest
+    return word
+
+
+def _read_cells(words: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(value, proven) of the cells whose bytes run from the tab at `starts`
+    to the separator at `ends`, in the little-endian `words` of their text
+    (padded by four words). A proven value is the double that float() reads.
+
+    Each cell's 24 bytes are built from aligned 8-byte loads and its shape
+    is looked up (_shape_tables). The key checks the sign, the point and the
+    exponent, the first word the leading "0"s, and every slot must hold an
+    ASCII digit; SWAR arithmetic makes the slots M. The candidate is
+    M / 10**scale, nearly correctly rounded: the quotient by 5**scale is
+    corrected by its remainder, then scaled by 2**-scale. It is proven only
+    if _decimal_digits gives back M's value: its text and the writer's then
+    have one value, and 17 significant digits round-trip."""
+    length = np.minimum(ends - starts, _SHAPE_LENGTHS - 1)
+    base = starts >> 3
+    shift = ((starts & 7) << 3).astype(np.uint64)
+    rest = np.uint64(64) - shift
+    loads = [np.take(words, base)]
+    for j in range(1, 4):
+        base += 1
+        loads.append(np.take(words, base))
+    c0, c1, c2 = (_funnel(loads[j], loads[j + 1], shift, rest) for j in range(3))
+    base = ends - 4
+    shift = ((base & 7) << 3).astype(np.uint64)
+    rest = np.uint64(64) - shift
+    base >>= 3
+    first = np.take(words, base)
+    base += 1
+    tail = _funnel(first, np.take(words, base), shift, rest)
+
+    # The shape's key: sign, length, first point, exponent.
+    sign = (c0 >> 8) & np.uint64(0xFF) == ord("-")
+    dot = np.minimum(_first_dot(c0, c1, c2), length)
+    tens = (tail >> 16) & np.uint64(0xFF)
+    tens -= np.uint64(ord("0"))
+    ones = tail >> 24 & np.uint64(0xFF)
+    ones -= np.uint64(ord("0"))
+    marked = (tail & np.uint64(0xFFFF)) == 0x2D65  # "e-"
+    marked &= (tens < 10) & (ones < 10)
+    tens *= np.uint64(10)
+    tens += ones
+    marked &= tens < _SHAPE_EXPONENTS - 1
+    tens += np.uint64(1)
+    key = sign * _SHAPE_LENGTHS
+    key += length
+    key *= _SHAPE_LENGTHS
+    key += dot
+    key *= _SHAPE_EXPONENTS
+    key += marked * tens.astype(np.intp)
+    shape = np.take(_SHAPE_OF_KEY, key).astype(np.intp)
+
+    # Leading "0"s are the only constants that the key does not check, and
+    # they lie in the first word.
+    proven = (c0 & np.take(_SHAPE_CM, shape)) == np.take(_SHAPE_CV, shape)
+    shift = np.take(_SHAPE_SHIFT, shape)
+    rest = np.uint64(64) - shift
+    region = (_funnel(c0, c1, shift, rest), _funnel(c1, c2, shift, rest), c2 >> shift)
+    byte, rest = np.uint64(8), np.uint64(56)
+    up = (_funnel(region[0], region[1], byte, rest), _funnel(region[1], region[2], byte, rest),
+          region[2] >> byte)
+    zeros = _every_byte(ord("0"))
+    high = _every_byte(0xF0)
+    digits = []
+    bad = np.zeros(len(shape), dtype=np.uint64)
+    for j in range(3):
+        # Slots before the point in place, after it from one byte up; "0" past them.
+        word = region[j] ^ up[j]
+        word &= np.take(_SHAPE_A[j], shape)
+        word ^= up[j]
+        word ^= zeros
+        word &= np.take(_SHAPE_S[j], shape)
+        word ^= zeros
+        digits.append(word)
+        check = word + _every_byte(6)
+        check &= high
+        check >>= 4
+        check |= word & high
+        check ^= _every_byte(0x33)  # zero where each byte is "0".."9"
+        bad |= check
+    proven &= bad == 0
+    # Eight ASCII digits, the first in the low byte, to their value.
+    for word in digits[:2]:
+        word &= _every_byte(0x0F)
+        word *= np.uint64(2561)
+        word >>= 8
+        word &= np.uint64(0x00FF00FF00FF00FF)
+        word *= np.uint64(6553601)
+        word >>= 16
+        word &= np.uint64(0x0000FFFF0000FFFF)
+        word *= np.uint64(42949672960001)
+        word >>= 32
+    m = digits[0]
+    m *= np.uint64(10**9)
+    digits[1] *= np.uint64(10)
+    m += digits[1]
+    digits[2] &= np.uint64(0x0F)
+    m += digits[2]
+
+    scale = np.take(_SHAPE_SCALE, shape)
+    m_hi = m.astype(np.float64)
+    m_lo = m.view(np.int64) - m_hi.astype(np.int64)
+    five = np.take(_FIVE_HI, scale)
+    value = m_hi / five
+    p, err = _two_product(value, scale, five)
+    rem = m_hi - p
+    rem -= err
+    p = value * np.take(_FIVE_LO, scale)
+    rem -= p
+    rem += m_lo
+    rem /= five
+    value += rem
+    value /= np.take(_TWO_POW, scale)
+
+    covered = (value >= 1e-22) & (value < 1e17)
+    a = np.where(covered, value, 1.0)
+    digits17, k, decided = _decimal_digits(a)
+    # The writer's D * 10**(k - 16) is M * 10**-scale when D = M * 10**power.
+    power = 16 - k
+    power -= scale
+    match = (power >= 0) & (power <= 16)
+    np.clip(power, 0, 16, out=power)
+    match &= digits17.view(np.uint64) == m * np.take(_POW10_U64, power)
+    match &= decided
+    match &= covered
+    match |= m == 0
+    proven &= match
+    value *= np.take(_SIGNS, sign.view(np.uint8))
+    return value, proven
+
+
+def _parse_row(path: str, lineno: int, line: str, dim: int) -> tuple:
+    """(chart id, story id, position, dataset id, vector) of one index line."""
+    parts = line.rstrip("\n").split("\t")
+    if len(parts) != 4 + dim:
+        raise EvaluationError(f"{path}:{lineno}: expected {4 + dim} fields")
+    try:
+        position = np.int64(parts[2])  # int() syntax, int64 range
+    except (ValueError, OverflowError):
+        raise EvaluationError(
+            f"{path}:{lineno}: position {parts[2]!r} is not an integer within int64"
+        ) from None
+    try:
+        vector = np.array(parts[4:], dtype=np.float64)
+    except ValueError:
+        raise EvaluationError(f"{path}:{lineno}: non-numeric vector cell") from None
+    if not np.isfinite(vector).all():
+        raise EvaluationError(f"{path}:{lineno}: non-finite vector cell")
+    return parts[0], parts[1], position, parts[3], vector
+
+
+def _load_index_rows(path: str) -> EmbeddingIndex:
+    """load_index one line at a time, each converted by numpy."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -727,25 +1059,102 @@ def load_index(path: str) -> EmbeddingIndex:
                 raise EvaluationError(f"{path}: not an embedding index file")
             dim = len(header) - 4
             for lineno, line in enumerate(fh, start=2):
-                parts = line.rstrip("\n").split("\t")
-                if len(parts) != 4 + dim:
-                    raise EvaluationError(f"{path}:{lineno}: expected {4 + dim} fields")
-                try:
-                    position = np.int64(parts[2])  # int() syntax, int64 range
-                except (ValueError, OverflowError):
-                    raise EvaluationError(
-                        f"{path}:{lineno}: position {parts[2]!r} is not an integer within int64"
-                    ) from None
-                try:
-                    vector = np.array(parts[4:], dtype=np.float64)
-                except ValueError:
-                    raise EvaluationError(f"{path}:{lineno}: non-numeric vector cell") from None
-                if not np.isfinite(vector).all():
-                    raise EvaluationError(f"{path}:{lineno}: non-finite vector cell")
-                rows.append((parts[0], parts[1], position, parts[3], vector))
+                rows.append(_parse_row(path, lineno, line, dim))
         except UnicodeDecodeError as exc:
             raise EvaluationError(f"{path}: not a UTF-8 text file: {exc}") from None
     chart_ids, story_ids, positions, dataset_ids, vectors = list(zip(*rows)) or [()] * 5
     return EmbeddingIndex(
         chart_ids, story_ids, positions, dataset_ids, np.array(vectors).reshape(len(rows), dim)
     )
+
+
+def _read_chunk(path: str, chunk: bytes, dim: int) -> Optional[tuple]:
+    """(ids, positions, vectors) of a chunk of whole lines, or None if
+    _load_index_rows must judge the file."""
+    if b"\r" in chunk:
+        return None
+    text = np.frombuffer(chunk, dtype=np.uint8)
+    # Tabs and newlines, and any control byte below them, which no valid row holds.
+    separators = np.flatnonzero(text <= ord("\n"))
+    rows = len(separators) // (4 + dim)
+    if len(separators) != rows * (4 + dim):
+        return None
+    grid = separators.reshape(rows, 4 + dim)
+    if not ((text[grid[:, :-1]] == ord("\t")).all() and (text[grid[:, -1]] == ord("\n")).all()):
+        return None  # the chunk ends in a newline, so these are all of its lines
+    line_starts = [0] + (grid[:-1, -1] + 1).tolist()
+    ids, positions = [], []
+    try:
+        for start, end in zip(line_starts, grid[:, 3].tolist()):
+            chart_id, story_id, position, dataset_id = chunk[start:end].decode("utf-8").split("\t")
+            ids.append((chart_id, story_id, dataset_id))
+            positions.append(np.int64(position))  # int() syntax, int64 range
+    except (UnicodeDecodeError, ValueError, OverflowError):
+        return None
+    words = np.zeros(len(chunk) // 8 + 5, dtype=np.uint64)
+    words.view(np.uint8)[: len(chunk)] = text
+    vectors = np.empty((rows, dim))
+    step = max(1, _READ_CELLS // dim)
+    for lo in range(0, rows, step):
+        cells = grid[lo : lo + step]
+        values, proven = _read_cells(words, cells[:, 3:-1].ravel(), cells[:, 4:].ravel())
+        vectors[lo : lo + step] = values.reshape(len(cells), dim)
+        for row in (lo + np.flatnonzero(~proven.reshape(len(cells), dim).all(axis=1))).tolist():
+            try:  # an error sends the file to _load_index_rows, which names the line
+                line = chunk[line_starts[row] : grid[row, -1]].decode("utf-8")
+                vectors[row] = _parse_row(path, 0, line, dim)[4]
+            except (UnicodeDecodeError, EvaluationError):
+                return None
+    return ids, positions, vectors
+
+
+def _load_index_chunks(path: str) -> Optional[EmbeddingIndex]:
+    """load_index through _read_chunk, in chunks of whole lines of about
+    _READ_BYTES, or None for a file that only _load_index_rows may judge:
+    a bad header, a CR byte, invalid UTF-8, a line with the wrong field
+    count, no final newline, or a row that _parse_row rejects."""
+    with open(path, "rb") as fh:
+        head = fh.readline()
+        if not head.endswith(b"\n") or b"\r" in head:
+            return None
+        try:
+            header = head[:-1].decode("utf-8").split("\t")
+        except UnicodeDecodeError:
+            return None
+        if header[:4] != ["chart_id", "story_id", "position", "dataset_id"] or len(header) == 4:
+            return None
+        dim = len(header) - 4
+        ids, positions, blocks = [], [], []
+        carry = b""
+        while True:
+            data = fh.read(_READ_BYTES)
+            if not data:
+                break
+            data = carry + data
+            cut = data.rfind(b"\n") + 1
+            carry = data[cut:]
+            if cut:
+                read = _read_chunk(path, data[:cut], dim)
+                if read is None:
+                    return None
+                ids += read[0]
+                positions += read[1]
+                blocks.append(read[2])
+        if carry:
+            return None
+    chart_ids, story_ids, dataset_ids = list(zip(*ids)) or [()] * 3
+    vectors = np.concatenate(blocks) if blocks else np.zeros((0, dim))
+    blocks.clear()  # EmbeddingIndex copies the vectors: hold two copies at most
+    return EmbeddingIndex(chart_ids, story_ids, positions, dataset_ids, vectors)
+
+
+def load_index(path: str) -> EmbeddingIndex:
+    """Read an index TSV. Raises EvaluationError, naming the line, for a
+    wrong field count, a position that is not an int64, or a vector cell that
+    is not a finite number; and for a duplicate chart id or a non-UTF-8 file.
+
+    Cells in the writer's range are read by _read_cells; any other row is
+    read by numpy, and any irregular file by _load_index_rows, with the same
+    result."""
+    index = _load_index_chunks(path)
+    return _load_index_rows(path) if index is None else index

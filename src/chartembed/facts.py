@@ -306,16 +306,29 @@ _META_KEYS = {
 }
 
 
-def _expect_keys(obj: dict, keys: tuple[tuple[str, ...], frozenset[str]], where: str) -> None:
+# A location in decoded JSON, joined into text only for an error message: a
+# string, or a tuple of a location and its steps, each a suffix such as
+# ".measure" or a list index.
+Where = Union[str, tuple]
+
+
+def location(where: Where) -> str:
+    if isinstance(where, str):
+        return where
+    base, *steps = where
+    return location(base) + "".join(f"[{step}]" if isinstance(step, int) else step for step in steps)
+
+
+def _expect_keys(obj: dict, keys: tuple[tuple[str, ...], frozenset[str]], where: Where) -> None:
     required, exact = keys
     if obj.keys() == exact:
         return
     unknown = set(obj) - exact
     if unknown:
-        raise FactParseError(f"{where}: unknown keys {sorted(unknown)}")
+        raise FactParseError(f"{location(where)}: unknown keys {sorted(unknown)}")
     missing = [k for k in required if k not in obj]
     if missing:
-        raise FactParseError(f"{where}: missing required keys {missing}")
+        raise FactParseError(f"{location(where)}: missing required keys {missing}")
 
 
 # value -> member of every enum that fact JSON names.
@@ -326,7 +339,7 @@ _MEMBERS = {
 }
 
 
-def _parse_enum(cls: type, text: Any, where: str):
+def _parse_enum(cls: type, text: Any, where: Where):
     if isinstance(text, str):
         member = _MEMBERS[cls].get(text)
         if member is not None:
@@ -335,99 +348,100 @@ def _parse_enum(cls: type, text: Any, where: str):
         return cls(text)
     except ValueError:
         raise FactParseError(
-            f"{where}: unknown value {text!r}, expected one of "
+            f"{location(where)}: unknown value {text!r}, expected one of "
             f"{[m.value for m in cls]}"
         ) from None
 
 
-def _parse_str(value: Any, where: str) -> str:
+def _parse_str(value: Any, where: Where) -> str:
     if not isinstance(value, str):
-        raise FactParseError(f"{where}: expected a string, got {type(value).__name__}")
+        raise FactParseError(f"{location(where)}: expected a string, got {type(value).__name__}")
     return value
 
 
-def _parse_filter(obj: Any, where: str) -> Filter:
+def _parse_filter(obj: Any, where: Where) -> Filter:
     if not isinstance(obj, dict):
-        raise FactParseError(f"{where}: expected an object")
+        raise FactParseError(f"{location(where)}: expected an object")
     _expect_keys(obj, _FILTER_KEYS, where)
     return Filter(
-        field=_parse_str(obj["field"], f"{where}.field"),
-        value=_parse_str(obj["value"], f"{where}.value"),
-        field_type=_parse_enum(FieldType, obj["field_type"], f"{where}.field_type"),
+        field=_parse_str(obj["field"], (where, ".field")),
+        value=_parse_str(obj["value"], (where, ".value")),
+        field_type=_parse_enum(FieldType, obj["field_type"], (where, ".field_type")),
     )
 
 
-def _parse_fieldref(obj: Any, where: str) -> FieldRef:
+def _parse_fieldref(obj: Any, where: Where) -> FieldRef:
     if not isinstance(obj, dict):
-        raise FactParseError(f"{where}: expected an object or null")
+        raise FactParseError(f"{location(where)}: expected an object or null")
     _expect_keys(obj, _FIELDREF_KEYS, where)
     return FieldRef(
-        name=_parse_str(obj["field"], f"{where}.field"),
-        field_type=_parse_enum(FieldType, obj["field_type"], f"{where}.field_type"),
+        name=_parse_str(obj["field"], (where, ".field")),
+        field_type=_parse_enum(FieldType, obj["field_type"], (where, ".field_type")),
     )
 
 
-def _parse_meta(obj: Any, where: str) -> MetaInfo:
+def _parse_meta(obj: Any, where: Where) -> MetaInfo:
     if obj is None:
         return META_NONE
     if not isinstance(obj, dict):
-        raise FactParseError(f"{where}: expected an object or null")
-    kind = _parse_str(obj.get("kind", ""), f"{where}.kind")
+        raise FactParseError(f"{location(where)}: expected an object or null")
+    kind = _parse_str(obj.get("kind", ""), (where, ".kind"))
     if kind not in _META_KEYS:
         raise FactParseError(
-            f"{where}.kind: unknown value {kind!r}, expected one of {list(_META_KEYS)}"
+            f"{location(where)}.kind: unknown value {kind!r}, expected one of {list(_META_KEYS)}"
         )
     _expect_keys(obj, _META_KEYS[kind], where)
     if kind == "none":
         return META_NONE
     if kind == "trend":
-        return MetaTrend(_parse_enum(TrendDirection, obj["direction"], f"{where}.direction"))
+        return MetaTrend(_parse_enum(TrendDirection, obj["direction"], (where, ".direction")))
     if kind == "categorization":
         count = obj["count"]
         if not isinstance(count, int) or isinstance(count, bool):
-            raise FactParseError(f"{where}.count: expected an integer")
+            raise FactParseError(f"{location(where)}.count: expected an integer")
         return MetaCategorization(count)
     if kind == "difference":
         return MetaDifference(
-            _parse_enum(DifferenceRelation, obj["relation"], f"{where}.relation")
+            _parse_enum(DifferenceRelation, obj["relation"], (where, ".relation"))
         )
     if kind == "rank":
         top3 = obj["top3"]
         if not isinstance(top3, list):
-            raise FactParseError(f"{where}.top3: expected a list of strings")
-        return MetaRank(tuple(_parse_str(v, f"{where}.top3[{i}]") for i, v in enumerate(top3)))
+            raise FactParseError(f"{location(where)}.top3: expected a list of strings")
+        return MetaRank(tuple(_parse_str(v, (where, ".top3", i)) for i, v in enumerate(top3)))
     if kind == "extreme":
-        return MetaExtreme(_parse_enum(ExtremeKind, obj["extreme"], f"{where}.extreme"))
-    return MetaAssociation(_parse_enum(AssociationSign, obj["sign"], f"{where}.sign"))
+        return MetaExtreme(_parse_enum(ExtremeKind, obj["extreme"], (where, ".extreme")))
+    return MetaAssociation(_parse_enum(AssociationSign, obj["sign"], (where, ".sign")))
 
 
-def fact_from_dict(obj: Any, where: str = "fact") -> ChartFact:
-    """Build a ChartFact from decoded JSON, rejecting unknown keys."""
+def fact_from_dict(obj: Any, where: Where = "fact") -> ChartFact:
+    """Build a ChartFact from decoded JSON, rejecting unknown keys. `where`
+    names obj in error messages."""
     if not isinstance(obj, dict):
-        raise FactParseError(f"{where}: expected an object")
+        raise FactParseError(f"{location(where)}: expected an object")
     _expect_keys(obj, _FACT_KEYS, where)
 
     subspace_raw = obj["subspace"]
     if not isinstance(subspace_raw, list):
-        raise FactParseError(f"{where}.subspace: expected a list")
+        raise FactParseError(f"{location(where)}.subspace: expected a list")
     subspace = tuple(
-        _parse_filter(f, f"{where}.subspace[{i}]") for i, f in enumerate(subspace_raw)
+        _parse_filter(f, (where, ".subspace", i)) for i, f in enumerate(subspace_raw)
     )
 
     breakdown = None
     if obj["breakdown"] is not None:
-        breakdown = _parse_fieldref(obj["breakdown"], f"{where}.breakdown")
+        breakdown = _parse_fieldref(obj["breakdown"], (where, ".breakdown"))
 
     measure = None
     if obj["measure"] is not None:
         mobj = obj["measure"]
         if not isinstance(mobj, dict):
-            raise FactParseError(f"{where}.measure: expected an object or null")
-        _expect_keys(mobj, _MEASURE_KEYS, f"{where}.measure")
+            raise FactParseError(f"{location(where)}.measure: expected an object or null")
+        _expect_keys(mobj, _MEASURE_KEYS, (where, ".measure"))
         measure = MeasureSpec(
-            field=_parse_str(mobj["field"], f"{where}.measure.field"),
+            field=_parse_str(mobj["field"], (where, ".measure.field")),
             aggregation=_parse_enum(
-                Aggregation, mobj["aggregation"], f"{where}.measure.aggregation"
+                Aggregation, mobj["aggregation"], (where, ".measure.aggregation")
             ),
         )
 
@@ -435,26 +449,26 @@ def fact_from_dict(obj: Any, where: str = "fact") -> ChartFact:
     if obj["focus"] is not None:
         fobj = obj["focus"]
         if not isinstance(fobj, dict):
-            raise FactParseError(f"{where}.focus: expected an object or null")
-        _expect_keys(fobj, _FOCUS_KEYS, f"{where}.focus")
+            raise FactParseError(f"{location(where)}.focus: expected an object or null")
+        _expect_keys(fobj, _FOCUS_KEYS, (where, ".focus"))
         focus = Focus(
             field=FieldRef(
-                name=_parse_str(fobj["field"], f"{where}.focus.field"),
+                name=_parse_str(fobj["field"], (where, ".focus.field")),
                 field_type=_parse_enum(
-                    FieldType, fobj["field_type"], f"{where}.focus.field_type"
+                    FieldType, fobj["field_type"], (where, ".focus.field_type")
                 ),
             ),
-            value=_parse_str(fobj["value"], f"{where}.focus.value"),
+            value=_parse_str(fobj["value"], (where, ".focus.value")),
         )
 
     return ChartFact(
-        type_c=_parse_enum(ChartType, obj["type_c"], f"{where}.type_c"),
-        type_f=_parse_enum(FactType, obj["type_f"], f"{where}.type_f"),
+        type_c=_parse_enum(ChartType, obj["type_c"], (where, ".type_c")),
+        type_f=_parse_enum(FactType, obj["type_f"], (where, ".type_f")),
         subspace=subspace,
         breakdown=breakdown,
         measure=measure,
         focus=focus,
-        meta=_parse_meta(obj["meta"], f"{where}.meta"),
+        meta=_parse_meta(obj["meta"], (where, ".meta")),
     )
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import pathlib
 
 import numpy as np
@@ -24,11 +25,27 @@ from chartembed.semantics import VectorStore, load_vector_store
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
-# Every run draws the same examples, with no database of earlier failures,
-# so two runs of the suite on the same code give the same results. Each
-# test's own max_examples still applies.
+# By default every run draws the same examples, with no database of earlier
+# failures, so two runs of the suite on the same code give the same results.
+# Each test's own max_examples still applies. HYPOTHESIS_PROFILE=explore
+# draws new examples on every run instead, EXPLORE_FACTOR times as many.
 settings.register_profile("deterministic", derandomize=True, database=None)
-settings.load_profile("deterministic")
+settings.register_profile("explore", derandomize=False, database=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "deterministic"))
+EXPLORE_FACTOR = 10
+
+
+def pytest_collection_modifyitems(items):
+    if os.environ.get("HYPOTHESIS_PROFILE") != "explore":
+        return
+    for item in items:
+        test = getattr(item, "obj", None)
+        # The settings that @given and @settings attached, read when the test runs.
+        own = getattr(test, "_hypothesis_internal_use_settings", None)
+        if own is not None:
+            test._hypothesis_internal_use_settings = settings(
+                own, max_examples=EXPLORE_FACTOR * own.max_examples
+            )
 
 
 @pytest.fixture(scope="session")

@@ -26,6 +26,11 @@ same words with bit-identical vectors.
 The package formats blocks of rows with a numpy kernel, and the rest with
 one `%` of a template per row; its bytes must equal these.
 
+`load_index` reads the index TSV one line at a time, every cell converted
+by numpy. The package proves the cells that its own writer prints with a
+numpy kernel and reads only the other rows this way; both must raise the
+same error, or give the same ids, positions and vector bits.
+
 `SINGLE_SWITCH_VARIANTS` and the derivation-length bounds are facts about
 the package's tables that only the tests check.
 
@@ -43,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from chartembed.evaluation import ABLATION_VARIANTS, EmbeddingIndex
+from chartembed.evaluation import ABLATION_VARIANTS, EmbeddingIndex, EvaluationError
 from chartembed.facts import (
     Aggregation,
     ChartFact,
@@ -212,6 +217,40 @@ def save_index(index: EmbeddingIndex, path: str) -> None:
             cells = [chart_id, index.story_ids[row], str(index.positions[row]), index.dataset_ids[row]]
             cells += [format(x, ".17g") for x in index.vectors[row].tolist()]
             fh.write("\t".join(cells) + "\n")
+
+
+def load_index(path: str) -> EmbeddingIndex:
+    """The index TSV, every line split and converted with `np.array`."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            header = fh.readline().rstrip("\n").split("\t")
+            if header[:4] != ["chart_id", "story_id", "position", "dataset_id"]:
+                raise EvaluationError(f"{path}: not an embedding index file")
+            dim = len(header) - 4
+            for lineno, line in enumerate(fh, start=2):
+                parts = line.rstrip("\n").split("\t")
+                if len(parts) != 4 + dim:
+                    raise EvaluationError(f"{path}:{lineno}: expected {4 + dim} fields")
+                try:
+                    position = np.int64(parts[2])  # int() syntax, int64 range
+                except (ValueError, OverflowError):
+                    raise EvaluationError(
+                        f"{path}:{lineno}: position {parts[2]!r} is not an integer within int64"
+                    ) from None
+                try:
+                    vector = np.array(parts[4:], dtype=np.float64)
+                except ValueError:
+                    raise EvaluationError(f"{path}:{lineno}: non-numeric vector cell") from None
+                if not np.isfinite(vector).all():
+                    raise EvaluationError(f"{path}:{lineno}: non-finite vector cell")
+                rows.append((parts[0], parts[1], position, parts[3], vector))
+        except UnicodeDecodeError as exc:
+            raise EvaluationError(f"{path}: not a UTF-8 text file: {exc}") from None
+    chart_ids, story_ids, positions, dataset_ids, vectors = list(zip(*rows)) or [()] * 5
+    return EmbeddingIndex(
+        chart_ids, story_ids, positions, dataset_ids, np.array(vectors).reshape(len(rows), dim)
+    )
 
 
 _BLOCK_FLOATS = 1 << 20
