@@ -10,12 +10,13 @@ shared corpus.
 
 from __future__ import annotations
 
+import io
 import logging
 import math
 import time
 import tracemalloc
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import BinaryIO, Optional, Sequence
 
 import numpy as np
 
@@ -632,7 +633,7 @@ _TWO_POW = 2.0 ** np.arange(_MAX_SCALE + 1)
 # off by a few 1e-15: a rounding within _TIE_MARGIN of a half is not decided.
 _EXACT_SCALE = 22
 _TIE_MARGIN = 2.0**-30
-_FORMAT_CELLS = 8192  # cells per block of _format_rows: about 3 MB of temporaries
+_FORMAT_CELLS = 8192  # cells per block of _format_rows: about 1 MB of temporaries
 
 
 def _two_product(a: np.ndarray, s: np.ndarray, five: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -643,14 +644,15 @@ def _two_product(a: np.ndarray, s: np.ndarray, five: np.ndarray) -> tuple[np.nda
     a_lo = a_hi - a
     a_hi -= a_lo
     np.subtract(a, a_hi, out=a_lo)
-    five_hi, five_lo = np.take(_FIVE_HH, s), np.take(_FIVE_HL, s)
-    err = a_hi * five_hi
+    five_part = np.take(_FIVE_HH, s)
+    err = a_hi * five_part
     err -= p
-    five_hi *= a_lo
-    err += five_hi
-    a_hi *= five_lo
+    five_part *= a_lo
+    err += five_part
+    np.take(_FIVE_HL, s, out=five_part)
+    a_hi *= five_part
     err += a_hi
-    a_lo *= five_lo
+    a_lo *= five_part
     err += a_lo
     return p, err
 
@@ -723,40 +725,58 @@ def _decimal_digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _format_rows(vectors: np.ndarray) -> list[Optional[memoryview]]:
     """Each row's bytes of "\\t%.17g" per cell, or None for a row holding a
     cell that _decimal_digits does not prove: one that is not ±0 or
-    1e-22 <= |x| < 1e17, or an undecided one."""
+    1e-22 <= |x| < 1e17, or an undecided one. Each temporary is dropped
+    when it dies."""
     rows, dim = vectors.shape
     x = vectors.ravel()
     a = np.abs(x)
     zero = a == 0.0
-    covered = zero | ((a >= 1e-22) & (a < 1e17))
+    covered = (a >= 1e-22) & (a < 1e17)
+    covered |= zero
     a[~covered | zero] = 1.0
     digits, k, decided = _decimal_digits(a)
-    proven = (covered & (decided | zero)).reshape(rows, dim).all(axis=1)
+    del a
+    decided |= zero
+    covered &= decided
+    proven = covered.reshape(rows, dim).all(axis=1)
+    del covered, decided
 
     lead, rest = np.divmod(digits, 10**16)
+    del digits
     upper, lower = np.divmod(rest, 10**8)
+    del rest
     groups = (*np.divmod(upper, 10**4), *np.divmod(lower, 10**4))
+    del upper, lower
     zeros = _GROUP_ZEROS[groups[0]]
     for group in groups[1:]:
         zeros = _GROUP_ZEROS[group] + (group == 0) * zeros
     k -= _MIN_EXPONENT
     k[zero] = _ZERO_SLOT
     code = (np.signbit(x) * (_EXPONENTS + 1) + k) * 17 + 16 - zeros
+    del k, zeros
 
-    # Words 1-3 of each cell: its 17 digits at region bytes 0-16, and the
-    # same shifted one byte up.
+    # Words 1-3 of each cell: its 17 digits at region bytes 0-16.
     g1, g2, g3, g4 = (_GROUP_WORDS[group] for group in groups)
+    del groups
     digit_words = np.zeros((len(x), 4), dtype=np.uint64)
     digit_words[:, 1] = (lead + ord("0")).astype(np.uint64) | g1 << 8 | g2 << 40
     digit_words[:, 2] = g2 >> 24 | g3 << 8 | g4 << 40
     digit_words[:, 3] = g4 >> 24
-    shifted = digit_words << 8
-    shifted[:, 2:] |= digit_words[:, 1:3] >> 56
+    del lead, g1, g2, g3, g4
     words = _CELL_CONSTANTS[code]
-    for masks, source in ((_CELL_DIGITS, digit_words), (_CELL_SHIFTED, shifted)):
-        mask = masks[code]
-        mask &= source
-        words |= mask
+    mask = _CELL_DIGITS[code]
+    mask &= digit_words
+    words |= mask
+    del mask
+    # The same digits shifted one byte up, in place.
+    carry = digit_words[:, 1:3] >> np.uint64(56)
+    digit_words <<= np.uint64(8)
+    digit_words[:, 2:] |= carry
+    del carry
+    mask = _CELL_SHIFTED[code]
+    mask &= digit_words
+    words |= mask
+    del mask, digit_words
     text = memoryview(words.astype("<u8", copy=False).tobytes().translate(None, b"\0"))
     ends = np.cumsum(_CELL_LENGTHS[code].reshape(rows, dim).sum(axis=1)).tolist()
     return [
@@ -899,37 +919,30 @@ def _funnel(low: np.ndarray, high: np.ndarray, shift: np.ndarray, rest: np.ndarr
     return word
 
 
-def _read_cells(words: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(value, proven) of the cells whose bytes run from the tab at `starts`
-    to the separator at `ends`, in the little-endian `words` of their text
-    (padded by four words). A proven value is the double that float() reads.
-
-    Each cell's 24 bytes are built from aligned 8-byte loads and its shape
-    is looked up (_shape_tables). The key checks the sign, the point and the
-    exponent, the first word the leading "0"s, and every slot must hold an
-    ASCII digit; SWAR arithmetic makes the slots M. The candidate is
-    M / 10**scale, nearly correctly rounded: the quotient by 5**scale is
-    corrected by its remainder, then scaled by 2**-scale. It is proven only
-    if _decimal_digits gives back M's value: its text and the writer's then
-    have one value, and 17 significant digits round-trip."""
-    length = np.minimum(ends - starts, _SHAPE_LENGTHS - 1)
+def _cell_words(words: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[np.ndarray]:
+    """Each cell's 24 bytes from its tab as three words, and its last four
+    bytes in the low half of a fourth, each word funnelled from two aligned
+    8-byte loads."""
     base = starts >> 3
     shift = ((starts & 7) << 3).astype(np.uint64)
     rest = np.uint64(64) - shift
-    loads = [np.take(words, base)]
-    for j in range(1, 4):
+    low = np.take(words, base)
+    cells = []
+    for _ in range(3):
         base += 1
-        loads.append(np.take(words, base))
-    c0, c1, c2 = (_funnel(loads[j], loads[j + 1], shift, rest) for j in range(3))
+        high = np.take(words, base)
+        cells.append(_funnel(low, high, shift, rest))
+        low = high
     base = ends - 4
     shift = ((base & 7) << 3).astype(np.uint64)
-    rest = np.uint64(64) - shift
     base >>= 3
-    first = np.take(words, base)
-    base += 1
-    tail = _funnel(first, np.take(words, base), shift, rest)
+    cells.append(_funnel(np.take(words, base), np.take(words, base + 1), shift, np.uint64(64) - shift))
+    return cells
 
-    # The shape's key: sign, length, first point, exponent.
+
+def _shape_of(c0: np.ndarray, c1: np.ndarray, c2: np.ndarray, tail: np.ndarray, length: np.ndarray):
+    """(sign, shape) of each cell, the shape from its key: sign, length,
+    first point, exponent. Shape 0 is none."""
     sign = (c0 >> 8) & np.uint64(0xFF) == ord("-")
     dot = np.minimum(_first_dot(c0, c1, c2), length)
     tens = (tail >> 16) & np.uint64(0xFF)
@@ -948,30 +961,56 @@ def _read_cells(words: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tupl
     key += dot
     key *= _SHAPE_EXPONENTS
     key += marked * tens.astype(np.intp)
-    shape = np.take(_SHAPE_OF_KEY, key).astype(np.intp)
+    return sign, np.take(_SHAPE_OF_KEY, key).astype(np.intp)
 
+
+def _read_cells(words: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(value, proven) of the cells whose bytes run from the tab at `starts`
+    to the separator at `ends`, in the little-endian `words` of their text
+    (padded by four words). A proven value is the double that float() reads.
+
+    Each cell's 24 bytes are built from aligned 8-byte loads and its shape
+    is looked up (_shape_tables). The key checks the sign, the point and the
+    exponent, the first word the leading "0"s, and every slot must hold an
+    ASCII digit; SWAR arithmetic makes the slots M. The candidate is
+    M / 10**scale, nearly correctly rounded: the quotient by 5**scale is
+    corrected by its remainder, then scaled by 2**-scale. It is proven only
+    if _decimal_digits gives back M's value: its text and the writer's then
+    have one value, and 17 significant digits round-trip.
+
+    The words are worked in place and each temporary is dropped when it
+    dies, so a block holds about a dozen arrays of one word per cell."""
+    c0, c1, c2, tail = _cell_words(words, starts, ends)
+    sign, shape = _shape_of(c0, c1, c2, tail, np.minimum(ends - starts, _SHAPE_LENGTHS - 1))
+    del tail
     # Leading "0"s are the only constants that the key does not check, and
     # they lie in the first word.
     proven = (c0 & np.take(_SHAPE_CM, shape)) == np.take(_SHAPE_CV, shape)
+    # The slots to the low bytes: c0..c2 become the region.
     shift = np.take(_SHAPE_SHIFT, shape)
     rest = np.uint64(64) - shift
-    region = (_funnel(c0, c1, shift, rest), _funnel(c1, c2, shift, rest), c2 >> shift)
-    byte, rest = np.uint64(8), np.uint64(56)
-    up = (_funnel(region[0], region[1], byte, rest), _funnel(region[1], region[2], byte, rest),
-          region[2] >> byte)
+    for word, following in ((c0, c1), (c1, c2)):
+        word >>= shift
+        word |= following << rest
+    c2 >>= shift
+    del shift, rest
     zeros = _every_byte(ord("0"))
     high = _every_byte(0xF0)
-    digits = []
     bad = np.zeros(len(shape), dtype=np.uint64)
-    for j in range(3):
-        # Slots before the point in place, after it from one byte up; "0" past them.
-        word = region[j] ^ up[j]
+    region = (c0, c1, c2)
+    for j, word in enumerate(region):
+        # Slots before the point in place, after it from one byte up (read
+        # before region[j + 1] itself changes); "0" past them.
+        up = word >> np.uint64(8)
+        if j < 2:
+            up |= region[j + 1] << np.uint64(56)
+        word ^= up
         word &= np.take(_SHAPE_A[j], shape)
-        word ^= up[j]
+        word ^= up
+        del up
         word ^= zeros
         word &= np.take(_SHAPE_S[j], shape)
         word ^= zeros
-        digits.append(word)
         check = word + _every_byte(6)
         check &= high
         check >>= 4
@@ -979,8 +1018,9 @@ def _read_cells(words: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tupl
         check ^= _every_byte(0x33)  # zero where each byte is "0".."9"
         bad |= check
     proven &= bad == 0
+    del check, bad, region
     # Eight ASCII digits, the first in the low byte, to their value.
-    for word in digits[:2]:
+    for word in (c0, c1):
         word &= _every_byte(0x0F)
         word *= np.uint64(2561)
         word >>= 8
@@ -990,33 +1030,39 @@ def _read_cells(words: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tupl
         word &= np.uint64(0x0000FFFF0000FFFF)
         word *= np.uint64(42949672960001)
         word >>= 32
-    m = digits[0]
+    m = c0
     m *= np.uint64(10**9)
-    digits[1] *= np.uint64(10)
-    m += digits[1]
-    digits[2] &= np.uint64(0x0F)
-    m += digits[2]
+    c1 *= np.uint64(10)
+    m += c1
+    c2 &= np.uint64(0x0F)
+    m += c2
+    del c1, c2
 
     scale = np.take(_SHAPE_SCALE, shape)
+    del shape
     m_hi = m.astype(np.float64)
-    m_lo = m.view(np.int64) - m_hi.astype(np.int64)
     five = np.take(_FIVE_HI, scale)
     value = m_hi / five
     p, err = _two_product(value, scale, five)
-    rem = m_hi - p
-    rem -= err
-    p = value * np.take(_FIVE_LO, scale)
+    rem = m_hi
     rem -= p
-    rem += m_lo
+    rem -= err
+    del err
+    np.multiply(value, np.take(_FIVE_LO, scale), out=p)
+    rem -= p
+    del p
+    rem += m.view(np.int64) - m.astype(np.float64).astype(np.int64)  # M - m_hi
     rem /= five
+    del five
     value += rem
+    del rem
     value /= np.take(_TWO_POW, scale)
 
     covered = (value >= 1e-22) & (value < 1e17)
-    a = np.where(covered, value, 1.0)
-    digits17, k, decided = _decimal_digits(a)
+    digits17, k, decided = _decimal_digits(np.where(covered, value, 1.0))
     # The writer's D * 10**(k - 16) is M * 10**-scale when D = M * 10**power.
     power = 16 - k
+    del k
     power -= scale
     match = (power >= 0) & (power <= 16)
     np.clip(power, 0, 16, out=power)
@@ -1029,51 +1075,48 @@ def _read_cells(words: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tupl
     return value, proven
 
 
-def _parse_row(path: str, lineno: int, line: str, dim: int) -> tuple:
-    """(chart id, story id, position, dataset id, vector) of one index line."""
-    parts = line.rstrip("\n").split("\t")
-    if len(parts) != 4 + dim:
-        raise EvaluationError(f"{path}:{lineno}: expected {4 + dim} fields")
-    try:
-        position = np.int64(parts[2])  # int() syntax, int64 range
-    except (ValueError, OverflowError):
-        raise EvaluationError(
-            f"{path}:{lineno}: position {parts[2]!r} is not an integer within int64"
-        ) from None
-    try:
-        vector = np.array(parts[4:], dtype=np.float64)
-    except ValueError:
-        raise EvaluationError(f"{path}:{lineno}: non-numeric vector cell") from None
-    if not np.isfinite(vector).all():
-        raise EvaluationError(f"{path}:{lineno}: non-finite vector cell")
-    return parts[0], parts[1], position, parts[3], vector
-
-
-def _load_index_rows(path: str) -> EmbeddingIndex:
-    """load_index one line at a time, each converted by numpy."""
+def _load_index_rows(path: str, fh: BinaryIO) -> EmbeddingIndex:
+    """load_index one line at a time, each converted by numpy, from the
+    start of `fh`."""
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            header = fh.readline().rstrip("\n").split("\t")
-            if header[:4] != ["chart_id", "story_id", "position", "dataset_id"]:
-                raise EvaluationError(f"{path}: not an embedding index file")
-            dim = len(header) - 4
-            for lineno, line in enumerate(fh, start=2):
-                rows.append(_parse_row(path, lineno, line, dim))
-        except UnicodeDecodeError as exc:
-            raise EvaluationError(f"{path}: not a UTF-8 text file: {exc}") from None
+    try:
+        text = io.TextIOWrapper(fh, encoding="utf-8")
+        header = text.readline().rstrip("\n").split("\t")
+        if header[:4] != ["chart_id", "story_id", "position", "dataset_id"]:
+            raise EvaluationError(f"{path}: not an embedding index file")
+        dim = len(header) - 4
+        for lineno, line in enumerate(text, start=2):
+            parts = line.rstrip("\n").split("\t")
+            if len(parts) != 4 + dim:
+                raise EvaluationError(f"{path}:{lineno}: expected {4 + dim} fields")
+            try:
+                position = np.int64(parts[2])  # int() syntax, int64 range
+            except (ValueError, OverflowError):
+                raise EvaluationError(
+                    f"{path}:{lineno}: position {parts[2]!r} is not an integer within int64"
+                ) from None
+            try:
+                vector = np.array(parts[4:], dtype=np.float64)
+            except ValueError:
+                raise EvaluationError(f"{path}:{lineno}: non-numeric vector cell") from None
+            if not np.isfinite(vector).all():
+                raise EvaluationError(f"{path}:{lineno}: non-finite vector cell")
+            rows.append((parts[0], parts[1], position, parts[3], vector))
+    except UnicodeDecodeError as exc:
+        raise EvaluationError(f"{path}: not a UTF-8 text file: {exc}") from None
     chart_ids, story_ids, positions, dataset_ids, vectors = list(zip(*rows)) or [()] * 5
     return EmbeddingIndex(
         chart_ids, story_ids, positions, dataset_ids, np.array(vectors).reshape(len(rows), dim)
     )
 
 
-def _read_chunk(path: str, chunk: bytes, dim: int) -> Optional[tuple]:
-    """(ids, positions, vectors) of a chunk of whole lines, or None if
-    _load_index_rows must judge the file."""
-    if b"\r" in chunk:
+def _read_chunk(chunk: bytes, size: int, dim: int) -> Optional[tuple]:
+    """(ids, positions, vectors) of the whole lines in the first `size`
+    bytes of `chunk`, or None if _load_index_rows must read the file: a line
+    is irregular or holds a cell that _read_cells does not prove."""
+    if chunk.find(b"\r", 0, size) >= 0:
         return None
-    text = np.frombuffer(chunk, dtype=np.uint8)
+    text = np.frombuffer(chunk, dtype=np.uint8, count=size)
     # Tabs and newlines, and any control byte below them, which no valid row holds.
     separators = np.flatnonzero(text <= ord("\n"))
     rows = len(separators) // (4 + dim)
@@ -1082,66 +1125,59 @@ def _read_chunk(path: str, chunk: bytes, dim: int) -> Optional[tuple]:
     grid = separators.reshape(rows, 4 + dim)
     if not ((text[grid[:, :-1]] == ord("\t")).all() and (text[grid[:, -1]] == ord("\n")).all()):
         return None  # the chunk ends in a newline, so these are all of its lines
-    line_starts = [0] + (grid[:-1, -1] + 1).tolist()
     ids, positions = [], []
     try:
-        for start, end in zip(line_starts, grid[:, 3].tolist()):
+        for start, end in zip([0] + (grid[:-1, -1] + 1).tolist(), grid[:, 3].tolist()):
             chart_id, story_id, position, dataset_id = chunk[start:end].decode("utf-8").split("\t")
             ids.append((chart_id, story_id, dataset_id))
             positions.append(np.int64(position))  # int() syntax, int64 range
     except (UnicodeDecodeError, ValueError, OverflowError):
         return None
-    words = np.zeros(len(chunk) // 8 + 5, dtype=np.uint64)
-    words.view(np.uint8)[: len(chunk)] = text
+    words = np.zeros(size // 8 + 5, dtype=np.uint64)
+    words.view(np.uint8)[:size] = text
     vectors = np.empty((rows, dim))
     step = max(1, _READ_CELLS // dim)
     for lo in range(0, rows, step):
         cells = grid[lo : lo + step]
         values, proven = _read_cells(words, cells[:, 3:-1].ravel(), cells[:, 4:].ravel())
+        if not proven.all():
+            return None
         vectors[lo : lo + step] = values.reshape(len(cells), dim)
-        for row in (lo + np.flatnonzero(~proven.reshape(len(cells), dim).all(axis=1))).tolist():
-            try:  # an error sends the file to _load_index_rows, which names the line
-                line = chunk[line_starts[row] : grid[row, -1]].decode("utf-8")
-                vectors[row] = _parse_row(path, 0, line, dim)[4]
-            except (UnicodeDecodeError, EvaluationError):
-                return None
     return ids, positions, vectors
 
 
-def _load_index_chunks(path: str) -> Optional[EmbeddingIndex]:
+def _load_index_chunks(fh: BinaryIO) -> Optional[EmbeddingIndex]:
     """load_index through _read_chunk, in chunks of whole lines of about
     _READ_BYTES, or None for a file that only _load_index_rows may judge:
-    a bad header, a CR byte, invalid UTF-8, a line with the wrong field
-    count, no final newline, or a row that _parse_row rejects."""
-    with open(path, "rb") as fh:
-        head = fh.readline()
-        if not head.endswith(b"\n") or b"\r" in head:
-            return None
-        try:
-            header = head[:-1].decode("utf-8").split("\t")
-        except UnicodeDecodeError:
-            return None
-        if header[:4] != ["chart_id", "story_id", "position", "dataset_id"] or len(header) == 4:
-            return None
-        dim = len(header) - 4
-        ids, positions, blocks = [], [], []
-        carry = b""
-        while True:
-            data = fh.read(_READ_BYTES)
-            if not data:
-                break
-            data = carry + data
-            cut = data.rfind(b"\n") + 1
-            carry = data[cut:]
-            if cut:
-                read = _read_chunk(path, data[:cut], dim)
-                if read is None:
-                    return None
-                ids += read[0]
-                positions += read[1]
-                blocks.append(read[2])
-        if carry:
-            return None
+    a bad header, no final newline, or a chunk that _read_chunk declines."""
+    head = fh.readline()
+    if not head.endswith(b"\n") or b"\r" in head:
+        return None
+    try:
+        header = head[:-1].decode("utf-8").split("\t")
+    except UnicodeDecodeError:
+        return None
+    if header[:4] != ["chart_id", "story_id", "position", "dataset_id"] or len(header) == 4:
+        return None
+    dim = len(header) - 4
+    ids, positions, blocks = [], [], []
+    carry = b""
+    while True:
+        data = fh.read(_READ_BYTES)
+        if not data:
+            break
+        data = carry + data
+        cut = data.rfind(b"\n") + 1
+        carry = data[cut:]
+        if cut:
+            read = _read_chunk(data, cut, dim)
+            if read is None:
+                return None
+            ids += read[0]
+            positions += read[1]
+            blocks.append(read[2])
+    if carry:
+        return None
     chart_ids, story_ids, dataset_ids = list(zip(*ids)) or [()] * 3
     vectors = np.concatenate(blocks) if blocks else np.zeros((0, dim))
     blocks.clear()  # EmbeddingIndex copies the vectors: hold two copies at most
@@ -1153,8 +1189,13 @@ def load_index(path: str) -> EmbeddingIndex:
     wrong field count, a position that is not an int64, or a vector cell that
     is not a finite number; and for a duplicate chart id or a non-UTF-8 file.
 
-    Cells in the writer's range are read by _read_cells; any other row is
-    read by numpy, and any irregular file by _load_index_rows, with the same
-    result."""
-    index = _load_index_chunks(path)
-    return _load_index_rows(path) if index is None else index
+    A file whose every cell _read_cells proves is read by it. Any other
+    file, and a stream that cannot seek back to its start, such as a pipe,
+    is read one line at a time by _load_index_rows, with the same result."""
+    with open(path, "rb") as fh:
+        if fh.seekable():
+            index = _load_index_chunks(fh)
+            if index is not None:
+                return index
+            fh.seek(0)
+        return _load_index_rows(path, fh)

@@ -28,7 +28,8 @@ DATA_DIR = pathlib.Path(__file__).parent / "data"
 # By default every run draws the same examples, with no database of earlier
 # failures, so two runs of the suite on the same code give the same results.
 # Each test's own max_examples still applies. HYPOTHESIS_PROFILE=explore
-# draws new examples on every run instead, EXPLORE_FACTOR times as many.
+# draws new examples on every run instead, EXPLORE_FACTOR times as many; it
+# stops with a usage error rather than run a @given test at its own count.
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.register_profile("explore", derandomize=False, database=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "deterministic"))
@@ -38,14 +39,21 @@ EXPLORE_FACTOR = 10
 def pytest_collection_modifyitems(items):
     if os.environ.get("HYPOTHESIS_PROFILE") != "explore":
         return
+    rescaled = set()  # a parametrized test is one function behind many items
     for item in items:
         test = getattr(item, "obj", None)
+        if not getattr(test, "is_hypothesis_test", False) or test in rescaled:
+            continue
         # The settings that @given and @settings attached, read when the test runs.
         own = getattr(test, "_hypothesis_internal_use_settings", None)
-        if own is not None:
-            test._hypothesis_internal_use_settings = settings(
-                own, max_examples=EXPLORE_FACTOR * own.max_examples
-            )
+        if own is None:
+            raise pytest.UsageError(f"{item.nodeid}: no Hypothesis settings to scale for explore")
+        test._hypothesis_internal_use_settings = settings(
+            own, max_examples=EXPLORE_FACTOR * own.max_examples
+        )
+        rescaled.add(test)
+    if items and not rescaled:
+        raise pytest.UsageError("explore found no Hypothesis test to scale")
 
 
 @pytest.fixture(scope="session")

@@ -1,14 +1,16 @@
 """The index TSV reader against the per-line reference reader.
 
-`load_index` proves the cells that `save_index` prints with a numpy kernel
-and reads every other row one line at a time; an irregular file is read
-one line at a time from its start. On every input it must give what
-`reference.load_index` gives: the same ids, story ids, positions, dataset
-ids and vector bits, or an `EvaluationError` with the same text.
+`load_index` proves the cells that `save_index` prints with a numpy kernel;
+a file with any other cell, an irregular file and a stream that cannot
+seek, such as a pipe, are read one line at a time from the start. On every
+input it must give what `reference.load_index` gives: the same ids, story
+ids, positions, dataset ids and vector bits, or an `EvaluationError` with
+the same text.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -120,8 +122,9 @@ def test_planted_cells_together(tmp_path):
 
 
 def test_writer_cells_are_proven(tmp_path, monkeypatch):
-    """Every row that save_index writes with cells of ±0 or 1e-22 <= |x| <
-    1e17 is read by the kernel: no row falls back to numpy."""
+    """Every file that save_index writes with cells of ±0 or 1e-22 <= |x| <
+    1e17 is read by the kernel, never one line at a time, and its bytes are
+    the reference writer's."""
     rng = np.random.default_rng(23)
     n = 60_000
     mantissas = rng.integers(2**52, 2**53, size=n).astype(np.float64) * 2.0**-52
@@ -132,13 +135,14 @@ def test_writer_cells_are_proven(tmp_path, monkeypatch):
     values = np.concatenate([values, np.zeros(-len(values) % 50)]).reshape(-1, 50)
     n = len(values)
     index = EmbeddingIndex([f"c{i}" for i in range(n)], ["s"] * n, [0] * n, ["d"] * n, values)
-    path = tmp_path / "index.tsv"
+    path, expected = tmp_path / "index.tsv", tmp_path / "expected.tsv"
     save_index(index, str(path))
+    reference.save_index(index, str(expected))
+    assert path.read_bytes() == expected.read_bytes()
 
     def unproven(*args):
-        raise AssertionError("a row of the writer's cells was not proven")
+        raise AssertionError("a cell of the writer's was not proven")
 
-    monkeypatch.setattr(evaluation, "_parse_row", unproven)
     monkeypatch.setattr(evaluation, "_load_index_rows", unproven)
     back = load_index(str(path))
     assert back.vectors.tobytes() == index.vectors.tobytes()
@@ -177,6 +181,48 @@ def test_rows_split_across_chunks(tmp_path, monkeypatch, chunk):
     rows[5][2] = b"1e5"  # an unproven row between proven ones
     check_bytes(tmp_path, index_text(rows))
     check_bytes(tmp_path, index_text(rows)[:-1])
+
+
+def read_through_pipe(data: bytes, read):
+    """read(path) of a path that is a pipe holding `data`, which cannot seek."""
+    r, w = os.pipe()
+    try:
+        with os.fdopen(w, "wb") as fh:
+            fh.write(data)  # within the pipe's buffer: no writer thread needed
+        return read(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+
+
+_PIPED = index_text([[b"0.5", b"1"], [b"2", b"3"]])
+_PIPE_CASES = [
+    ("proven", _PIPED),
+    ("crlf", _PIPED.replace(b"\n", b"\r\n")),
+    ("nan row", _PIPED.replace(b"\t3\n", b"\tnan\n")),
+    ("unproven row", _PIPED.replace(b"\t3\n", b"\t1e5\n")),
+    ("bad row after a proven one", _PIPED.replace(b"\t3\n", b"\tx\n")),
+    ("no final newline", _PIPED[:-1]),
+    ("non-UTF-8 byte", _PIPED.replace(b"\t3\n", b"\t3\xff\n")),
+]
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("data", [data for _, data in _PIPE_CASES], ids=[name for name, _ in _PIPE_CASES])
+def test_pipe_reads_like_reference(tmp_path, data):
+    """A stream that cannot seek back is read one line at a time from its
+    first byte, with the result and error text of a regular file."""
+    path = tmp_path / "index.tsv"
+    path.write_bytes(data)
+    try:
+        expected = reference.load_index(str(path))
+    except EvaluationError as exc:
+        with pytest.raises(EvaluationError) as got:
+            read_through_pipe(data, load_index)
+        assert str(got.value).split(":", 1)[1] == str(exc).split(":", 1)[1]
+        return
+    got = read_through_pipe(data, load_index)
+    assert got.ids == expected.ids and got.positions.tobytes() == expected.positions.tobytes()
+    assert got.vectors.tobytes() == expected.vectors.tobytes()
 
 
 _FORMATS = [g17, lambda x: b"%.15g" % x, lambda x: b"%.3f" % x, lambda x: b"%e" % x,

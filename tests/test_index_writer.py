@@ -1,7 +1,7 @@
 """The index TSV writer against the per-cell reference writer.
 
-`save_index` formats blocks of rows whose cells are all ±0 or 1e-6 < |x| <
-1e17 with a numpy kernel, and any other row with one `%` of a template; its
+`save_index` formats blocks of rows whose cells are all ±0 or 1e-22 <= |x|
+< 1e17 with a numpy kernel, and any other row with one `%` of a template; its
 bytes must equal `reference.save_index`, which formats one cell at a time,
 and `load_index` must read back every bit.
 """
@@ -91,16 +91,18 @@ def test_empty_index_writes_the_header_only(tmp_path):
 def in_range(values):
     values = np.asarray(values, dtype=np.float64)
     a = np.abs(values)
-    return values[((a > 1e-6) & (a < 1e17)) | (a == 0.0)]
+    return values[((a >= 1e-22) & (a < 1e17)) | (a == 0.0)]
 
 
 def test_dense_in_range_sample(tmp_path):
-    # Random 53-bit mantissas at decimal exponents -7..18, both signs; the
+    # Random 53-bit mantissas at decimal exponents -22..18, both signs; the
     # cells outside the kernel's range are dropped, so every row takes it.
+    # Below 1e-6, 10**(16 - k) is not a double and the digits rest on the
+    # split 5**n = H + L.
     rng = np.random.default_rng(15)
     n = 260_000
     mantissas = rng.integers(2**52, 2**53, size=n).astype(np.float64) * 2.0**-52
-    values = mantissas * 10.0 ** rng.integers(-7, 19, size=n) * rng.choice([-1.0, 1.0], size=n)
+    values = mantissas * 10.0 ** rng.integers(-22, 19, size=n) * rng.choice([-1.0, 1.0], size=n)
     values = in_range(values)[:200_000]
     assert len(values) == 200_000
     assert_writes_reference_bytes(index_of(values.reshape(400, 500)), tmp_path)
@@ -114,16 +116,30 @@ def halfway_ties():
     for e in range(-40, 45):
         for j in range(1, 2**10, 2):
             x = math.ldexp(j, e)
-            if 1e-6 < x < 1e17 and len(Decimal(x).as_tuple().digits) == 18:
+            if 1e-22 <= x < 1e17 and len(Decimal(x).as_tuple().digits) == 18:
                 ties.append(x)
     return ties
 
 
 def powers_of_ten_and_neighbours():
     cells = []
-    for k in range(-7, 18):
+    for k in range(-22, 18):
         p = float(f"1e{k}")
         cells += [p, float(np.nextafter(p, 0.0)), float(np.nextafter(p, np.inf))]
+    return cells
+
+
+def near_midpoints():
+    """The doubles nearest to the midpoint of two 17-digit numbers, and both
+    their neighbours, at every decimal exponent from -22 to 16: the cells
+    whose rounding the writer decides within _TIE_MARGIN, where 5**n is
+    inexact."""
+    rng = np.random.default_rng(29)
+    cells = []
+    for k in range(-22, 17):
+        for d in rng.integers(10**16, 10**17, size=40).tolist():
+            x = float(f"{10 * d + 5}e{k - 17}")
+            cells += [x, float(np.nextafter(x, 0.0)), float(np.nextafter(x, np.inf))]
     return cells
 
 
@@ -132,7 +148,7 @@ def test_planted_ties_and_powers_of_ten(tmp_path):
     # Both roundings of a tie occur: the 17th digit is even for some, odd for others.
     kept = {int(Decimal(x).as_tuple().digits[16]) % 2 for x in ties}
     assert len(ties) > 100 and kept == {0, 1}
-    cells = ties + powers_of_ten_and_neighbours()
+    cells = ties + powers_of_ten_and_neighbours() + near_midpoints()
     cells += [0.0, -0.0, 9.99999999999999999e-5, 2.0**-25] + [j * 2.0**-n for n in range(1, 40) for j in (1, 3, 5, 7)]
     cells = np.concatenate([cells, -np.array(cells)])
     assert_writes_reference_bytes(index_of(cells.reshape(-1, 1)), tmp_path)
@@ -170,7 +186,7 @@ def test_rows_that_mix_in_range_and_other_cells(tmp_path, outside):
 
 _ROW_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
     [0.0, -0.0, 1e-6, 1e17, 2.0**-25, 0.5, 1e16]
-) | st.integers(-7, 17).map(lambda k: float(f"1e{k}"))
+) | st.integers(-23, 17).map(lambda k: float(f"1e{k}"))
 
 
 @settings(max_examples=200, deadline=None)
