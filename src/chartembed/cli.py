@@ -154,12 +154,25 @@ _CONFIG_TYPES = {
 }
 _TYPE_NAMES = {float: "a number", int: "an integer", str: "a string"}
 
-# The options of nearest (k), eval (gap2, gap3) and gradcheck (epsilon).
+# The options of nearest (k), eval (gap2, gap3) and gradcheck (epsilon, coords).
 _QUERY_TYPES = {
     "k": (int, ">= 1", lambda v: v >= 1),
     "gap2": (int, ">= 0", lambda v: v >= 0),
     "gap3": (int, ">= 0", lambda v: v >= 0),
     "epsilon": (float, "> 0", lambda v: v > 0),
+    "coords": (int, ">= 1", lambda v: v >= 1),
+}
+
+# The HyperParams field and help text of each flag that train and ablate share.
+_HYPER_FLAGS = {
+    "alpha": ("alpha", "pair-distance weight"),
+    "beta": ("beta", "hinge-loss weight"),
+    "margin": ("margin", "hinge margin"),
+    "lr": ("learning_rate", "learning rate"),
+    "batch": ("batch_size", "batch size"),
+    "epochs": ("epochs", "epochs"),
+    "dropout": ("dropout", "dropout rate"),
+    "seed": ("seed", "master seed"),
 }
 
 
@@ -217,16 +230,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _hyper_from(args: argparse.Namespace, file_config: dict) -> HyperParams:
-    return HyperParams(
-        alpha=_resolve(args, file_config, "alpha", 0.5),
-        beta=_resolve(args, file_config, "beta", 10.0),
-        margin=_resolve(args, file_config, "margin", 1.0),
-        learning_rate=_resolve(args, file_config, "lr", 0.01),
-        batch_size=_resolve(args, file_config, "batch", 128),
-        epochs=_resolve(args, file_config, "epochs", 10),
-        dropout=_resolve(args, file_config, "dropout", 0.1),
-        seed=_resolve(args, file_config, "seed", 0),
-    )
+    """HyperParams with the values that a flag or the config file sets."""
+    values = {field: _resolve(args, file_config, name, None)
+              for name, (field, _) in _HYPER_FLAGS.items()}
+    return HyperParams(**{field: v for field, v in values.items() if v is not None})
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -403,8 +410,8 @@ def _gradcheck_batch(seed: int, config: EncoderConfig) -> tuple[np.ndarray, np.n
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    if args.coords < 1:
-        raise UsageError("--coords must be at least 1")
+    seed = _checked("seed", args.seed)
+    coords = _checked("coords", args.coords, _QUERY_TYPES)
     epsilon = _checked("epsilon", args.epsilon, _QUERY_TYPES)
     if not 1e-7 <= epsilon <= 1e-3:
         print(
@@ -413,19 +420,19 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     config = EncoderConfig()
-    params = init_params(args.seed, config)
-    batch = _gradcheck_batch(args.seed, config)
-    hyper = HyperParams(seed=args.seed)
+    params = init_params(seed, config)
+    batch = _gradcheck_batch(seed, config)
+    hyper = HyperParams(seed=seed)
     error = grad_check(
         batch,
         params,
         hyper,
         epsilon=epsilon,
-        n_coords=args.coords,
-        seed=args.seed,
+        n_coords=coords,
+        seed=seed,
         corrupt=args.inject_fault,
     )
-    print(f"max relative error: {error:.3e} over {args.coords} coordinates")
+    print(f"max relative error: {error:.3e} over {coords} coordinates")
     if error < GRADCHECK_THRESHOLD:
         print("gradients OK")
         return EXIT_OK
@@ -451,14 +458,9 @@ def cmd_import(args: argparse.Namespace) -> int:
 
 def _add_training_flags(p: argparse.ArgumentParser) -> None:
     """The hyperparameter flags that train and ablate share."""
-    p.add_argument("--alpha", type=float, help="pair-distance weight (default 0.5)")
-    p.add_argument("--beta", type=float, help="hinge-loss weight (default 10.0)")
-    p.add_argument("--margin", type=float, help="hinge margin (default 1.0)")
-    p.add_argument("--lr", type=float, help="learning rate (default 0.01)")
-    p.add_argument("--batch", type=int, help="batch size (default 128)")
-    p.add_argument("--epochs", type=int, help="epochs (default 10)")
-    p.add_argument("--dropout", type=float, help="dropout rate (default 0.1)")
-    p.add_argument("--seed", type=int, help="master seed (default 0)")
+    for name, (field, text) in _HYPER_FLAGS.items():
+        p.add_argument(f"--{name}", type=_CONFIG_TYPES[name][0],
+                       help=f"{text} (default {getattr(HyperParams, field)})")
     p.add_argument("--config", help="JSON config file; flags win on conflict")
 
 

@@ -19,7 +19,8 @@ import numpy as np
 from . import grammar, semantics
 from .encoder import EncoderConfig
 from .facts import (
-    ChartFact, FactParseError, Where, fact_from_dict, fact_to_dict, location, validate_fact,
+    META_VARIANTS, ChartFact, FactParseError, Where, fact_from_dict, fact_to_dict, location,
+    validate_fact,
 )
 from .semantics import VectorStore
 
@@ -473,26 +474,23 @@ def _calliope_field_type(raw: str, where: str) -> str:
 def _calliope_meta(fact_type: str, raw, where: str):
     if raw in (None, "", []):
         return None
-    if fact_type == "trend":
-        direction = str(raw).lower().replace(" ", "-")
-        return {"kind": "trend", "direction": direction}
-    if fact_type == "categorization":
+    variant = META_VARIANTS.get(fact_type)
+    if variant is None or variant.field is None:
+        log.warning("%s: dropping meta %r for fact type %r", where, raw, fact_type)
+        return None
+    if variant.payload is int:
         try:
-            count = int(str(raw).split()[0])
+            value = int(str(raw).split()[0])
         except (IndexError, ValueError):
             raise CorpusError(f"{where}.meta: expected a category count, got {raw!r}") from None
-        return {"kind": "categorization", "count": count}
-    if fact_type == "difference":
-        return {"kind": "difference", "relation": str(raw).lower()}
-    if fact_type == "rank":
+    elif variant.payload is tuple:
         entries = raw if isinstance(raw, list) else [p for p in str(raw).split(",") if p]
-        return {"kind": "rank", "top3": [str(e).strip() for e in entries][:3]}
-    if fact_type == "extreme":
-        return {"kind": "extreme", "extreme": str(raw).lower()}
-    if fact_type == "association":
-        return {"kind": "association", "sign": str(raw).lower()}
-    log.warning("%s: dropping meta %r for fact type %r", where, raw, fact_type)
-    return None
+        value = [str(e).strip() for e in entries][:3]
+    else:
+        value = str(raw).lower()
+        if fact_type == "trend":
+            value = value.replace(" ", "-")
+    return {"kind": variant.kind, variant.field: value}
 
 
 def _calliope_list(value, where: str) -> list:

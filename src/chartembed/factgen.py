@@ -6,11 +6,8 @@ import numpy as np
 
 from .facts import (
     Aggregation,
-    AssociationSign,
     ChartFact,
     ChartType,
-    DifferenceRelation,
-    ExtremeKind,
     FactType,
     FieldRef,
     FieldType,
@@ -18,14 +15,8 @@ from .facts import (
     Focus,
     META_KIND_FOR_FACT_TYPE,
     META_NONE,
+    META_VARIANTS,
     MeasureSpec,
-    MetaAssociation,
-    MetaCategorization,
-    MetaDifference,
-    MetaExtreme,
-    MetaRank,
-    MetaTrend,
-    TrendDirection,
 )
 
 _FIELD_WORDS = (
@@ -42,7 +33,7 @@ _MEASURE_WORDS = (
 )
 
 
-def _pick(rng: np.random.Generator, pool: tuple) -> str:
+def _pick(rng: np.random.Generator, pool: tuple):
     return pool[int(rng.integers(len(pool)))]
 
 
@@ -86,20 +77,14 @@ def random_fact(rng: np.random.Generator) -> ChartFact:
     meta = META_NONE
     allowed = META_KIND_FOR_FACT_TYPE[type_f]
     if allowed is not None and rng.random() < 0.7:
-        if allowed == "trend":
-            meta = MetaTrend(list(TrendDirection)[int(rng.integers(3))])
-        elif allowed == "categorization":
-            meta = MetaCategorization(int(rng.integers(1, 30)))
-        elif allowed == "difference":
-            meta = MetaDifference(list(DifferenceRelation)[int(rng.integers(2))])
-        elif allowed == "rank":
-            meta = MetaRank(
-                tuple(_pick(rng, _VALUE_WORDS) for _ in range(int(rng.integers(1, 4))))
-            )
-        elif allowed == "extreme":
-            meta = MetaExtreme(list(ExtremeKind)[int(rng.integers(2))])
-        elif allowed == "association":
-            meta = MetaAssociation(list(AssociationSign)[int(rng.integers(2))])
+        variant = META_VARIANTS[allowed]
+        if variant.payload is int:
+            value = int(rng.integers(1, 30))
+        elif variant.payload is tuple:
+            value = tuple(_pick(rng, _VALUE_WORDS) for _ in range(int(rng.integers(1, 4))))
+        else:
+            value = _pick(rng, variant.members)
+        meta = variant.cls(value)
 
     return ChartFact(
         type_c=type_c,

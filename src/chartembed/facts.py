@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Optional, Union
+from typing import Any, NamedTuple, Optional, Union, get_args, get_origin, get_type_hints
 
 MAX_SUBSPACE_FILTERS = 3
 
@@ -169,6 +169,47 @@ MetaInfo = Union[
 
 META_NONE = MetaNone()
 
+
+class MetaVariant(NamedTuple):
+    """One meta kind: its class, and the name and type of its one payload
+    field. The type is an Enum class, int (a count) or tuple (of strings);
+    field and type are None for "none"."""
+
+    kind: str
+    cls: type
+    field: Optional[str]
+    payload: Optional[type]
+
+    @property
+    def members(self) -> tuple:
+        """The members of an enum payload; empty for any other payload."""
+        return () if self.payload in (None, int, tuple) else tuple(self.payload)
+
+
+def _variant(cls: type) -> MetaVariant:
+    hints = get_type_hints(cls)
+    if not hints:
+        return MetaVariant(cls.kind, cls, None, None)
+    ((field, hint),) = hints.items()
+    return MetaVariant(cls.kind, cls, field, get_origin(hint) or hint)
+
+
+# Every meta kind, in MetaInfo's order. Parsing, serialization, the grammar's
+# Meta rules, semantic text and generation all read this table, so a new
+# kind needs its class in MetaInfo, its enum and its META_KIND_FOR_FACT_TYPE
+# entry.
+META_VARIANTS: dict[str, MetaVariant] = {cls.kind: _variant(cls) for cls in get_args(MetaInfo)}
+_VARIANT_OF_CLASS = {variant.cls: variant for variant in META_VARIANTS.values()}
+
+
+def meta_payload(meta: MetaInfo) -> tuple[MetaVariant, Any]:
+    """A meta value's table entry and its payload (None for "none")."""
+    variant = _VARIANT_OF_CLASS.get(type(meta))
+    if variant is None:
+        raise TypeError(f"unknown meta variant {type(meta).__name__}")
+    return variant, None if variant.field is None else getattr(meta, variant.field)
+
+
 # Fact types that may carry a non-none meta variant, and which one.
 META_KIND_FOR_FACT_TYPE: dict[FactType, Optional[str]] = {
     FactType.TREND: "trend",
@@ -296,13 +337,8 @@ _FIELDREF_KEYS = _keys("field", "field_type")
 _MEASURE_KEYS = _keys("field", "aggregation")
 _FOCUS_KEYS = _keys("field", "field_type", "value")
 _META_KEYS = {
-    "none": _keys("kind"),
-    "trend": _keys("kind", "direction"),
-    "categorization": _keys("kind", "count"),
-    "difference": _keys("kind", "relation"),
-    "rank": _keys("kind", "top3"),
-    "extreme": _keys("kind", "extreme"),
-    "association": _keys("kind", "sign"),
+    kind: _keys("kind") if v.field is None else _keys("kind", v.field)
+    for kind, v in META_VARIANTS.items()
 }
 
 
@@ -334,8 +370,8 @@ def _expect_keys(obj: dict, keys: tuple[tuple[str, ...], frozenset[str]], where:
 # value -> member of every enum that fact JSON names.
 _MEMBERS = {
     cls: {m.value: m for m in cls}
-    for cls in (FieldType, ChartType, FactType, Aggregation, TrendDirection,
-                DifferenceRelation, ExtremeKind, AssociationSign)
+    for cls in (FieldType, ChartType, FactType, Aggregation,
+                *(v.payload for v in META_VARIANTS.values() if v.members))
 }
 
 
@@ -391,27 +427,19 @@ def _parse_meta(obj: Any, where: Where) -> MetaInfo:
             f"{location(where)}.kind: unknown value {kind!r}, expected one of {list(_META_KEYS)}"
         )
     _expect_keys(obj, _META_KEYS[kind], where)
-    if kind == "none":
+    variant = META_VARIANTS[kind]
+    if variant.field is None:
         return META_NONE
-    if kind == "trend":
-        return MetaTrend(_parse_enum(TrendDirection, obj["direction"], (where, ".direction")))
-    if kind == "categorization":
-        count = obj["count"]
-        if not isinstance(count, int) or isinstance(count, bool):
-            raise FactParseError(f"{location(where)}.count: expected an integer")
-        return MetaCategorization(count)
-    if kind == "difference":
-        return MetaDifference(
-            _parse_enum(DifferenceRelation, obj["relation"], (where, ".relation"))
-        )
-    if kind == "rank":
-        top3 = obj["top3"]
-        if not isinstance(top3, list):
-            raise FactParseError(f"{location(where)}.top3: expected a list of strings")
-        return MetaRank(tuple(_parse_str(v, (where, ".top3", i)) for i, v in enumerate(top3)))
-    if kind == "extreme":
-        return MetaExtreme(_parse_enum(ExtremeKind, obj["extreme"], (where, ".extreme")))
-    return MetaAssociation(_parse_enum(AssociationSign, obj["sign"], (where, ".sign")))
+    value, at = obj[variant.field], (where, "." + variant.field)
+    if variant.payload is int:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise FactParseError(f"{location(at)}: expected an integer")
+        return variant.cls(value)
+    if variant.payload is tuple:
+        if not isinstance(value, list):
+            raise FactParseError(f"{location(at)}: expected a list of strings")
+        return variant.cls(tuple(_parse_str(v, (at, i)) for i, v in enumerate(value)))
+    return variant.cls(_parse_enum(variant.payload, value, at))
 
 
 def fact_from_dict(obj: Any, where: Where = "fact") -> ChartFact:
@@ -473,21 +501,14 @@ def fact_from_dict(obj: Any, where: Where = "fact") -> ChartFact:
 
 
 def _meta_to_obj(meta: MetaInfo) -> Optional[dict]:
-    if isinstance(meta, MetaNone):
+    variant, value = meta_payload(meta)
+    if variant.field is None:
         return None
-    if isinstance(meta, MetaTrend):
-        return {"kind": "trend", "direction": meta.direction.value}
-    if isinstance(meta, MetaCategorization):
-        return {"kind": "categorization", "count": meta.count}
-    if isinstance(meta, MetaDifference):
-        return {"kind": "difference", "relation": meta.relation.value}
-    if isinstance(meta, MetaRank):
-        return {"kind": "rank", "top3": list(meta.top3)}
-    if isinstance(meta, MetaExtreme):
-        return {"kind": "extreme", "extreme": meta.extreme.value}
-    if isinstance(meta, MetaAssociation):
-        return {"kind": "association", "sign": meta.sign.value}
-    raise TypeError(f"unknown meta variant {type(meta).__name__}")
+    if variant.payload is tuple:
+        value = list(value)
+    elif variant.payload is not int:
+        value = value.value
+    return {"kind": variant.kind, variant.field: value}
 
 
 def fact_to_dict(fact: ChartFact) -> dict:

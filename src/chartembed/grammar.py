@@ -16,14 +16,9 @@ from .facts import (
     ChartType,
     FactType,
     FieldType,
-    MetaAssociation,
-    MetaCategorization,
-    MetaDifference,
-    MetaExtreme,
+    META_VARIANTS,
     MetaInfo,
-    MetaNone,
-    MetaRank,
-    MetaTrend,
+    meta_payload,
     validate_fact,
 )
 
@@ -40,6 +35,17 @@ class Rule:
     id: int
     lhs: str
     rhs: str
+
+
+def _meta_label(variant, value) -> str:
+    """The label of a meta kind's table entry and payload value. The label
+    of a count or a string tuple names the field, whose values are
+    unbounded."""
+    if variant.field is None:
+        return "<none>"
+    if variant.payload in (int, tuple):
+        return f"{variant.kind} {variant.field}"
+    return f"{variant.kind} {value.value}"
 
 
 def _build_rules() -> tuple[Rule, ...]:
@@ -68,18 +74,9 @@ def _build_rules() -> tuple[Rule, ...]:
     add("Focus", "FocusField")
     for field_type in FieldType:
         add("FocusField", field_type.value)
-    add("Meta", "<none>")
-    add("Meta", "trend increasing")
-    add("Meta", "trend decreasing")
-    add("Meta", "trend no-trend")
-    add("Meta", "categorization count")
-    add("Meta", "difference lower")
-    add("Meta", "difference higher")
-    add("Meta", "rank top3")
-    add("Meta", "extreme max")
-    add("Meta", "extreme min")
-    add("Meta", "association positive")
-    add("Meta", "association negative")
+    for variant in META_VARIANTS.values():
+        for value in variant.members or (None,):
+            add("Meta", _meta_label(variant, value))
     assert len(rules) == RULE_COUNT
     return tuple(rules)
 
@@ -103,28 +100,12 @@ _FACT_TYPE_ID = {ft: _FACT_TYPE_BASE + i for i, ft in enumerate(FactType)}
 _FIELD_TYPE_OFFSET = {ft: i for i, ft in enumerate(FieldType)}
 _AGGREGATION_ID = {agg: _MEASURE_BASE + i for i, agg in enumerate(Aggregation)}
 
-_META_LABELS = tuple(RULES[META_BASE + i].rhs for i in range(12))
-_META_LABEL_ID = {label: META_BASE + i for i, label in enumerate(_META_LABELS)}
+_META_LABEL_ID = {rule.rhs: rule.id for rule in RULES[META_BASE:]}
 
 
 def meta_label(meta: MetaInfo) -> str:
-    """The rule-level label of a meta variant (payload collapsed for
-    categorization and rank, whose descriptors are unbounded)."""
-    if isinstance(meta, MetaNone):
-        return "<none>"
-    if isinstance(meta, MetaTrend):
-        return f"trend {meta.direction.value}"
-    if isinstance(meta, MetaCategorization):
-        return "categorization count"
-    if isinstance(meta, MetaDifference):
-        return f"difference {meta.relation.value}"
-    if isinstance(meta, MetaRank):
-        return "rank top3"
-    if isinstance(meta, MetaExtreme):
-        return f"extreme {meta.extreme.value}"
-    if isinstance(meta, MetaAssociation):
-        return f"association {meta.sign.value}"
-    raise TypeError(f"unknown meta variant {type(meta).__name__}")
+    """The rule-level label of a meta variant."""
+    return _meta_label(*meta_payload(meta))
 
 
 def derive_rules(fact: ChartFact) -> tuple[int, ...]:

@@ -16,17 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .facts import (
-    ChartFact,
-    MetaAssociation,
-    MetaCategorization,
-    MetaDifference,
-    MetaExtreme,
-    MetaInfo,
-    MetaNone,
-    MetaRank,
-    MetaTrend,
-)
+from .facts import ChartFact, MetaInfo, meta_payload
 
 WORD_DIM = 100
 POOLED_DIM = 10
@@ -75,21 +65,14 @@ def split_words(text: str) -> list[str]:
 
 def meta_texts(meta: MetaInfo) -> list[str]:
     """The semantic text carried by a meta variant, one string per part."""
-    if isinstance(meta, MetaNone):
+    variant, value = meta_payload(meta)
+    if variant.field is None:
         return []
-    if isinstance(meta, MetaTrend):
-        return [meta.direction.value]
-    if isinstance(meta, MetaCategorization):
-        return [f"{meta.count} categories"]
-    if isinstance(meta, MetaDifference):
-        return [meta.relation.value]
-    if isinstance(meta, MetaRank):
-        return list(meta.top3)
-    if isinstance(meta, MetaExtreme):
-        return [meta.extreme.value]
-    if isinstance(meta, MetaAssociation):
-        return [meta.sign.value]
-    raise TypeError(f"unknown meta variant {type(meta).__name__}")
+    if variant.payload is int:
+        return [f"{value} categories"]
+    if variant.payload is tuple:
+        return list(value)
+    return [value.value]
 
 
 def extract_tokens(

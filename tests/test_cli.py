@@ -713,10 +713,15 @@ def test_gradcheck_injected_fault():
     assert main(["gradcheck", "--seed", "0", "--coords", "60", "--inject-fault"]) == 1
 
 
-def test_gradcheck_rejects_nonpositive_coords(capsys):
-    for coords in ("0", "-3"):
-        assert main(["gradcheck", "--coords", coords]) == 2
-        assert capsys.readouterr().err == "error: --coords must be at least 1\n"
+@pytest.mark.parametrize("flags, message", [
+    (["--seed", "-1"], "seed: must be >= 0, got -1"),
+    (["--coords", "0"], "coords: must be >= 1, got 0"),
+    (["--coords", "-3"], "coords: must be >= 1, got -3"),
+], ids=["seed=-1", "coords=0", "coords=-3"])
+def test_gradcheck_options_out_of_range_exit_usage(capsys, flags, message):
+    assert main(["gradcheck", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
 @pytest.mark.parametrize("epsilon, message", [
