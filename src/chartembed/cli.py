@@ -259,20 +259,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     log.info("built %d training samples", len(sample_set))
     params, history = train(sample_set, hyper, init_params(hyper.seed, config))
 
-    hyper_dict = {
-        "alpha": hyper.alpha,
-        "beta": hyper.beta,
-        "margin": hyper.margin,
-        "lr": hyper.learning_rate,
-        "batch": hyper.batch_size,
-        "epochs": hyper.epochs,
-        "dropout": hyper.dropout,
-        "seed": hyper.seed,
-        "test_fraction": test_fraction,
-        "negatives": negatives,
-        "policy": policy,
-        "samples": len(sample_set),
-    }
+    hyper_dict = {name: getattr(hyper, field) for name, (field, _) in _HYPER_FLAGS.items()}
+    hyper_dict.update(test_fraction=test_fraction, negatives=negatives, policy=policy,
+                      samples=len(sample_set))
     save_checkpoint(params, path=args.out, extras=hyper_dict)
     with open(args.out + ".history.csv", "w", encoding="utf-8") as fh:
         fh.write(history_csv(history))

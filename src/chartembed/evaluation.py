@@ -15,7 +15,7 @@ import logging
 import math
 import time
 import tracemalloc
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import BinaryIO, Optional, Sequence
 
 import numpy as np
@@ -533,32 +533,12 @@ def render_metrics(report: MetricsReport) -> str:
 
 
 def metrics_json(report: MetricsReport) -> dict:
-    return {
-        "top2": report.top2,
-        "top3": report.top3,
-        "cooccurrence": report.cooccurrence,
-        "n_anchors": report.n_anchors,
-        "n_excluded": report.n_excluded,
-        "gap2": report.gap2,
-        "gap3": report.gap3,
-        "details": [
-            {
-                "anchor": d.anchor,
-                "retrieved": d.retrieved,
-                # JSON has no infinity: a distance that overflowed is null.
-                "distance": (
-                    d.distance if d.distance is not None and math.isfinite(d.distance) else None
-                ),
-                "same_story": d.same_story,
-                "gap": d.gap,
-                "top2": d.top2,
-                "top3": d.top3,
-                "cooccurrence": d.cooccurrence,
-                "excluded": d.excluded,
-            }
-            for d in report.details
-        ],
-    }
+    out = asdict(report)
+    for detail in out["details"]:
+        # JSON has no infinity: a distance that overflowed is null.
+        if detail["distance"] is not None and not math.isfinite(detail["distance"]):
+            detail["distance"] = None
+    return out
 
 
 def _cell(negative: bool, exponent: Optional[int], kept: int) -> tuple[bytes, list]:
@@ -585,6 +565,26 @@ def _cell(negative: bool, exponent: Optional[int], kept: int) -> tuple[bytes, li
 _MIN_EXPONENT, _MAX_EXPONENT = -22, 16
 _EXPONENTS = _MAX_EXPONENT - _MIN_EXPONENT + 1
 _ZERO_SLOT = _EXPONENTS
+# _read_cells finds a cell's template by one lookup of its dense key: its
+# sign; its length with the leading tab (25 for any longer); the offset of
+# its first "." (its length if none); NN + 1 when it ends in "e-NN" with
+# NN <= 22, else 0; and 0 unless it starts "0." after the sign, else 1 plus
+# the "0"s that follow, at most 3. The key fixes every constant byte of a
+# template.
+_KEY_LENGTHS, _KEY_TAILS, _KEY_ZEROS = 26, 24, 5
+
+
+def _key(sign, length, dot, tail, zeros):
+    """The key of a template's features (ints) or, elementwise, of arrays of cells'."""
+    key = sign * _KEY_LENGTHS
+    key += length
+    key *= _KEY_LENGTHS
+    key += dot
+    key *= _KEY_TAILS
+    key += tail
+    key *= _KEY_ZEROS
+    key += zeros
+    return key
 
 
 # _format_rows writes a cell as four little-endian words: word 0 the prefix,
@@ -592,27 +592,45 @@ _ZERO_SLOT = _EXPONENTS
 # with the masks A and B and the constant bytes C looked up by the cell's
 # code (sign, exponent slot, kept digits - 1). Exponent slot 0-38 stands for
 # -22..16 and slot 39 for a zero. Unused bytes are NUL, which one translate
-# drops.
-def _cell_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+# drops. _read_cells looks the code up by key, shifts the prefix out, takes
+# the digits of A in place and the others from one byte up, "0" past the
+# digits (mask S: byte i set for digit i), and scales by 16 - exponent.
+def _cell_tables() -> tuple[np.ndarray, ...]:
     cells = [
-        _cell(negative, None if slot == _ZERO_SLOT else slot + _MIN_EXPONENT, kept)
+        (negative, None if slot == _ZERO_SLOT else slot + _MIN_EXPONENT, kept)
         for negative in (False, True) for slot in range(_EXPONENTS + 1) for kept in range(1, 18)
     ]
     size = 32 * len(cells)
-    tables = bytearray(3 * size)  # C, A, B
-    for code, (prefix, region) in enumerate(cells):
+    tables = bytearray(4 * size)  # C, A, B, S
+    lengths, shift, scale = (np.zeros(len(cells), dtype=dtype) for dtype in (np.intp, np.uint64, np.intp))
+    code_of = np.full(2 * _KEY_LENGTHS * _KEY_LENGTHS * _KEY_TAILS * _KEY_ZEROS, -1, dtype=np.int16)
+    reads = {}
+    for code, (negative, exponent, kept) in enumerate(cells):
+        prefix, region = _cell(negative, exponent, kept)
         tables[32 * code : 32 * code + len(prefix)] = prefix
         for r, item in enumerate(region):
             if isinstance(item, bytes):
                 tables[32 * code + 8 + r] = item[0]
             else:  # A for digit r, B for digit r - 1
                 tables[(1 + r - item) * size + 32 * code + 8 + r] = 0xFF
-    lengths = np.array([len(prefix) + len(region) for prefix, region in cells], dtype=np.intp)
-    constants, digits, shifted = np.frombuffer(bytes(tables), dtype="<u8").reshape(3, len(cells), 4)
-    return constants, digits, shifted, lengths
+                tables[3 * size + 32 * code + 8 + item] = 0xFF
+        lengths[code] = len(prefix) + len(region)
+        if exponent is None:  # a zero has the key of "d", which reads it
+            continue
+        shift[code], scale[code] = 8 * len(prefix), 16 - exponent
+        text = prefix + b"".join(item if isinstance(item, bytes) else b"1" for item in region)
+        key = _key(negative, len(text), (text + b".").index(b"."),
+                   1 - exponent if exponent < -4 else 0, -exponent if -4 <= exponent < 0 else 0)
+        # Templates that share a key are one template, so they read alike.
+        assert reads.setdefault(key, (prefix, region, exponent)) == (prefix, region, exponent), text
+        code_of[key] = code
+    constants, digits, shifted, every = np.frombuffer(bytes(tables), dtype="<u8").reshape(4, len(cells), 4)
+    return (constants, digits, shifted, lengths, code_of, shift, scale,
+            np.ascontiguousarray(digits[:, 1:].T), np.ascontiguousarray(every[:, 1:].T))
 
 
-_CELL_CONSTANTS, _CELL_DIGITS, _CELL_SHIFTED, _CELL_LENGTHS = _cell_tables()
+(_CELL_CONSTANTS, _CELL_DIGITS, _CELL_SHIFTED, _CELL_LENGTHS,
+ _CODE_OF_KEY, _READ_SHIFT, _READ_SCALE, _READ_IN_PLACE, _READ_DIGITS) = _cell_tables()
 # Four ASCII digits of 0-9999 as the low bytes of a little-endian word, and
 # their trailing zeros (4 for 0000).
 _GROUP_WORDS = np.array(
@@ -809,85 +827,12 @@ def save_index(index: EmbeddingIndex, path: str) -> None:
             fh.write(b"".join(pieces))
 
 
-# _read_cells finds a cell's shape by one lookup of a dense key: its sign,
-# its length with the leading tab (25 for any longer), the offset of its
-# first "." (its length if none) and, when it ends in "e-NN" with NN <= 22,
-# NN + 1 (else 0). A shape is a decimal number: a tab, an optional "-", and
-# digits with at most one "." between two of them, or one digit or "d.d...",
-# before "e-NN". Its digits are slots; where it has more than 17, the
-# leading ones are constant "0"s, so the slots hold an integer M < 10**17
-# and the cell's value is M * 10**-scale. No shape has a scale above 38.
-_SHAPE_LENGTHS = 26  # cell lengths 0..24 with the tab, and 25 for longer
-_SHAPE_EXPONENTS = 24  # no exponent, or e-00 .. e-22
-
-
-def _shapes() -> list[tuple[int, int, Optional[int], int, list, int]]:
-    """Every shape as (sign, length, point offset or None, exponent key,
-    slot offsets, scale)."""
-    shapes = []
-    for sign in (0, 1):
-        first = 1 + sign
-        for length in range(first + 1, _SHAPE_LENGTHS - 1):
-            bodies = [(length, None, 0)]  # digits only, a point, or an exponent
-            bodies += [(length, point, 0) for point in range(first + 1, length - 1)]
-            end = length - 4  # before "e-NN": "d" or "d.d..."
-            if end - first == 1 or end - first > 2:
-                point = first + 1 if end - first > 1 else None
-                bodies += [(end, point, marked) for marked in range(1, _SHAPE_EXPONENTS)]
-            for end, point, marked in bodies:
-                slots = [i for i in range(first, end) if i != point]
-                fraction = 0 if point is None else sum(i > point for i in slots)
-                scale = fraction + max(0, marked - 1) + 17 - min(17, len(slots))
-                if scale <= _MAX_SCALE:
-                    shapes.append((sign, length, point, marked, slots, scale))
-    return shapes
-
-
-def _shape_tables():
-    """The dense key table and each shape's arrays: the bit shift to its
-    first slot and its scale; the mask and value of the leading "0"s in the
-    first word; and per word of the slots, the mask of slots before the
-    point (A), taken in place, and of all slots (S), the rest taken from one
-    byte up, with "0" past the slots. Shape 0 fails every check."""
-    shapes = _shapes()
-    keys, shift, scale = [], [0], [0]
-    constant, value = [0xFF], [0]  # shape 0 wants a NUL where every cell has its tab
-    masks = bytearray(48 * (len(shapes) + 1))  # A, then S, per shape
-    for sid, (sign, length, point, marked, slots, cell_scale) in enumerate(shapes, start=1):
-        dot = length if point is None else point
-        keys.append(((sign * _SHAPE_LENGTHS + length) * _SHAPE_LENGTHS + dot) * _SHAPE_EXPONENTS + marked)
-        leading = slots[: max(0, len(slots) - 17)]
-        assert all(i < 8 for i in leading), "a leading 0 outside the first word"
-        constant.append(sum(0xFF << 8 * i for i in leading))
-        value.append(sum(ord("0") << 8 * i for i in leading))
-        slots = slots[len(leading) :]
-        shift.append(8 * slots[0])
-        scale.append(cell_scale)
-        in_place = len(slots) - sum(slots[0] < dot < i for i in slots)
-        masks[48 * sid : 48 * sid + in_place] = b"\xff" * in_place
-        masks[48 * sid + 24 : 48 * sid + 24 + len(slots)] = b"\xff" * len(slots)
-    assert len(set(keys)) == len(keys), "two shapes share a key"
-    key_of = np.zeros(2 * _SHAPE_LENGTHS * _SHAPE_LENGTHS * _SHAPE_EXPONENTS, dtype=np.int16)
-    key_of[keys] = np.arange(1, len(keys) + 1)
-    before, slot = np.frombuffer(bytes(masks), dtype="<u8").reshape(-1, 2, 3).transpose(1, 2, 0)
-    return (
-        key_of, np.array(shift, dtype=np.uint64), np.array(scale, dtype=np.intp),
-        np.array(constant, dtype=np.uint64), np.array(value, dtype=np.uint64),
-        np.ascontiguousarray(before), np.ascontiguousarray(slot),
-    )
-
-
-(_SHAPE_OF_KEY, _SHAPE_SHIFT, _SHAPE_SCALE, _SHAPE_CM, _SHAPE_CV, _SHAPE_A,
- _SHAPE_S) = _shape_tables()
-
-
 def _every_byte(value: int) -> np.uint64:
     """A word with `value` in each of its eight bytes. (numpy before 2 turns
     a uint64 scalar times a Python int into a float.)"""
     return np.uint64(0x0101010101010101 * value)
 
 
-_POW10_U64 = np.array([10**p for p in range(17)], dtype=np.uint64)
 _SIGNS = np.array([1.0, -1.0])
 _READ_CELLS = 1 << 14  # cells per block of _read_cells
 _READ_BYTES = 1 << 18  # bytes per chunk of whole rows that load_index reads
@@ -940,9 +885,9 @@ def _cell_words(words: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list
     return cells
 
 
-def _shape_of(c0: np.ndarray, c1: np.ndarray, c2: np.ndarray, tail: np.ndarray, length: np.ndarray):
-    """(sign, shape) of each cell, the shape from its key: sign, length,
-    first point, exponent. Shape 0 is none."""
+def _template_codes(c0: np.ndarray, c1: np.ndarray, c2: np.ndarray, tail: np.ndarray, length: np.ndarray):
+    """(sign, code) of each cell: its key's features (_key) and the code of
+    the writer's template with that key, or -1 if none."""
     sign = (c0 >> 8) & np.uint64(0xFF) == ord("-")
     dot = np.minimum(_first_dot(c0, c1, c2), length)
     tens = (tail >> 16) & np.uint64(0xFF)
@@ -953,15 +898,19 @@ def _shape_of(c0: np.ndarray, c1: np.ndarray, c2: np.ndarray, tail: np.ndarray, 
     marked &= (tens < 10) & (ones < 10)
     tens *= np.uint64(10)
     tens += ones
-    marked &= tens < _SHAPE_EXPONENTS - 1
+    marked &= tens < _KEY_TAILS - 1
     tens += np.uint64(1)
-    key = sign * _SHAPE_LENGTHS
-    key += length
-    key *= _SHAPE_LENGTHS
-    key += dot
-    key *= _SHAPE_EXPONENTS
-    key += marked * tens.astype(np.intp)
-    return sign, np.take(_SHAPE_OF_KEY, key).astype(np.intp)
+    # "0." after the sign, then up to three "0"s.
+    body = sign.astype(np.uint64)
+    body <<= np.uint64(3)
+    body += np.uint64(8)
+    np.right_shift(c0, body, out=body)
+    zeros = ((body & np.uint64(0xFFFF)) == 0x2E30).astype(np.intp)
+    for mask, start in ((0xFFFFFF, 0x302E30), (0xFFFFFFFF, 0x30302E30), (0xFFFFFFFFFF, 0x3030302E30)):
+        zeros += (body & np.uint64(mask)) == start
+    del body
+    key = _key(sign, length, dot, marked * tens.astype(np.intp), zeros)
+    return sign, np.take(_CODE_OF_KEY, key).astype(np.intp)
 
 
 def _read_cells(words: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -969,25 +918,24 @@ def _read_cells(words: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tupl
     to the separator at `ends`, in the little-endian `words` of their text
     (padded by four words). A proven value is the double that float() reads.
 
-    Each cell's 24 bytes are built from aligned 8-byte loads and its shape
-    is looked up (_shape_tables). The key checks the sign, the point and the
-    exponent, the first word the leading "0"s, and every slot must hold an
-    ASCII digit; SWAR arithmetic makes the slots M. The candidate is
-    M / 10**scale, nearly correctly rounded: the quotient by 5**scale is
-    corrected by its remainder, then scaled by 2**-scale. It is proven only
-    if _decimal_digits gives back M's value: its text and the writer's then
-    have one value, and 17 significant digits round-trip.
+    Each cell's 24 bytes are built from aligned 8-byte loads and its writer
+    template is looked up by key (_cell_tables), which checks every constant
+    byte. Every digit must be an ASCII digit; SWAR arithmetic makes the 17
+    digits D, "0" past the template's. The candidate is D / 10**scale,
+    nearly correctly rounded: the quotient by 5**scale is corrected by its
+    remainder, then scaled by 2**-scale. It is proven only if
+    _decimal_digits gives back D and the template's exponent: the writer
+    then prints this very text for it, and 17 significant digits
+    round-trip. All digits "0" read as a zero.
 
     The words are worked in place and each temporary is dropped when it
     dies, so a block holds about a dozen arrays of one word per cell."""
     c0, c1, c2, tail = _cell_words(words, starts, ends)
-    sign, shape = _shape_of(c0, c1, c2, tail, np.minimum(ends - starts, _SHAPE_LENGTHS - 1))
+    sign, code = _template_codes(c0, c1, c2, tail, np.minimum(ends - starts, _KEY_LENGTHS - 1))
     del tail
-    # Leading "0"s are the only constants that the key does not check, and
-    # they lie in the first word.
-    proven = (c0 & np.take(_SHAPE_CM, shape)) == np.take(_SHAPE_CV, shape)
-    # The slots to the low bytes: c0..c2 become the region.
-    shift = np.take(_SHAPE_SHIFT, shape)
+    proven = code >= 0  # code -1 reads through the last code's tables, unproven
+    # The digits to the low bytes: c0..c2 become the region.
+    shift = np.take(_READ_SHIFT, code)
     rest = np.uint64(64) - shift
     for word, following in ((c0, c1), (c1, c2)):
         word >>= shift
@@ -996,20 +944,20 @@ def _read_cells(words: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tupl
     del shift, rest
     zeros = _every_byte(ord("0"))
     high = _every_byte(0xF0)
-    bad = np.zeros(len(shape), dtype=np.uint64)
+    bad = np.zeros(len(code), dtype=np.uint64)
     region = (c0, c1, c2)
     for j, word in enumerate(region):
-        # Slots before the point in place, after it from one byte up (read
-        # before region[j + 1] itself changes); "0" past them.
+        # Digits of A in place, the others from one byte up (read before
+        # region[j + 1] itself changes); "0" past them.
         up = word >> np.uint64(8)
         if j < 2:
             up |= region[j + 1] << np.uint64(56)
         word ^= up
-        word &= np.take(_SHAPE_A[j], shape)
+        word &= np.take(_READ_IN_PLACE[j], code)
         word ^= up
         del up
         word ^= zeros
-        word &= np.take(_SHAPE_S[j], shape)
+        word &= np.take(_READ_DIGITS[j], code)
         word ^= zeros
         check = word + _every_byte(6)
         check &= high
@@ -1038,8 +986,8 @@ def _read_cells(words: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tupl
     m += c2
     del c1, c2
 
-    scale = np.take(_SHAPE_SCALE, shape)
-    del shape
+    scale = np.take(_READ_SCALE, code)
+    del code
     m_hi = m.astype(np.float64)
     five = np.take(_FIVE_HI, scale)
     value = m_hi / five
@@ -1051,7 +999,7 @@ def _read_cells(words: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tupl
     np.multiply(value, np.take(_FIVE_LO, scale), out=p)
     rem -= p
     del p
-    rem += m.view(np.int64) - m.astype(np.float64).astype(np.int64)  # M - m_hi
+    rem += m.view(np.int64) - m.astype(np.float64).astype(np.int64)  # D - m_hi
     rem /= five
     del five
     value += rem
@@ -1060,13 +1008,11 @@ def _read_cells(words: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tupl
 
     covered = (value >= 1e-22) & (value < 1e17)
     digits17, k, decided = _decimal_digits(np.where(covered, value, 1.0))
-    # The writer's D * 10**(k - 16) is M * 10**-scale when D = M * 10**power.
-    power = 16 - k
+    # The writer prints the value as D with the template's exponent, 16 - scale.
+    k += scale
+    match = k == 16
     del k
-    power -= scale
-    match = (power >= 0) & (power <= 16)
-    np.clip(power, 0, 16, out=power)
-    match &= digits17.view(np.uint64) == m * np.take(_POW10_U64, power)
+    match &= digits17.view(np.uint64) == m
     match &= decided
     match &= covered
     match |= m == 0

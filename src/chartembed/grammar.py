@@ -83,22 +83,25 @@ def _build_rules() -> tuple[Rule, ...]:
 
 RULES: tuple[Rule, ...] = _build_rules()
 
-ROOT_RULE = 0
-_CHART_TYPE_BASE = 1
-_FACT_TYPE_BASE = 16
-SUBSPACE_EMPTY, SUBSPACE_SINGLE, SUBSPACE_MULTI = 26, 27, 28
-_FILTER_BASE = 29
-BREAKDOWN_ABSENT, BREAKDOWN_PRESENT = 33, 34
-BREAKDOWN_TEMPORAL, BREAKDOWN_CATEGORICAL = 35, 36
-_MEASURE_BASE = 37
-FOCUS_ABSENT, FOCUS_PRESENT = 42, 43
-_FOCUS_FIELD_BASE = 44
-META_BASE = 48
+_RULE_ID = {(rule.lhs, rule.rhs): rule.id for rule in RULES}
+assert len(_RULE_ID) == RULE_COUNT
 
-_CHART_TYPE_ID = {ct: _CHART_TYPE_BASE + i for i, ct in enumerate(ChartType)}
-_FACT_TYPE_ID = {ft: _FACT_TYPE_BASE + i for i, ft in enumerate(FactType)}
-_FIELD_TYPE_OFFSET = {ft: i for i, ft in enumerate(FieldType)}
-_AGGREGATION_ID = {agg: _MEASURE_BASE + i for i, agg in enumerate(Aggregation)}
+ROOT_RULE = 0
+SUBSPACE_EMPTY, SUBSPACE_SINGLE, SUBSPACE_MULTI = (
+    _RULE_ID["Subspace", rhs] for rhs in ("<empty>", "Filter", "Filter Filter+")
+)
+BREAKDOWN_ABSENT, BREAKDOWN_PRESENT = (_RULE_ID["Breakdown", rhs] for rhs in ("<absent>", "BreakdownField"))
+BREAKDOWN_TEMPORAL, BREAKDOWN_CATEGORICAL = (
+    _RULE_ID["BreakdownField", ft.value] for ft in (FieldType.TEMPORAL, FieldType.CATEGORICAL)
+)
+FOCUS_ABSENT, FOCUS_PRESENT = (_RULE_ID["Focus", rhs] for rhs in ("<absent>", "FocusField"))
+META_BASE = next(rule.id for rule in RULES if rule.lhs == "Meta")
+
+_CHART_TYPE_ID = {ct: _RULE_ID["ChartType", ct.value] for ct in ChartType}
+_FACT_TYPE_ID = {ft: _RULE_ID["FactType", ft.value] for ft in FactType}
+_FILTER_ID = {ft: _RULE_ID["Filter", ft.value] for ft in FieldType}
+_AGGREGATION_ID = {agg: _RULE_ID["Measure", agg.value] for agg in Aggregation}
+_FOCUS_FIELD_ID = {ft: _RULE_ID["FocusField", ft.value] for ft in FieldType}
 
 _META_LABEL_ID = {rule.rhs: rule.id for rule in RULES[META_BASE:]}
 
@@ -130,7 +133,7 @@ def _rule_ids(fact: ChartFact) -> tuple[int, ...]:
     else:
         ids.append(SUBSPACE_MULTI)
     for filt in fact.subspace:
-        ids.append(_FILTER_BASE + _FIELD_TYPE_OFFSET[filt.field_type])
+        ids.append(_FILTER_ID[filt.field_type])
 
     if fact.breakdown is None:
         ids.append(BREAKDOWN_ABSENT)
@@ -150,7 +153,7 @@ def _rule_ids(fact: ChartFact) -> tuple[int, ...]:
         ids.append(FOCUS_ABSENT)
     else:
         ids.append(FOCUS_PRESENT)
-        ids.append(_FOCUS_FIELD_BASE + _FIELD_TYPE_OFFSET[fact.focus.field.field_type])
+        ids.append(_FOCUS_FIELD_ID[fact.focus.field.field_type])
 
     ids.append(_META_LABEL_ID[meta_label(fact.meta)])
     return tuple(ids)

@@ -54,10 +54,16 @@ class HyperParams:
             raise ValueError("margin must be > 0")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
+        for name in ("batch_size", "epochs", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
@@ -25,7 +26,7 @@ from chartembed.encoder import (
     load_checkpoint,
     save_checkpoint,
 )
-from chartembed.evaluation import load_index
+from chartembed.evaluation import EmbeddingIndex, load_index, save_index
 
 
 def checkpoint_extras(path):
@@ -643,6 +644,32 @@ def test_eval_json_writes_an_infinite_distance_as_null(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out, parse_constant=reject)
     assert [(d["anchor"], d["distance"], d["excluded"]) for d in payload["details"]] == [
         ("a", None, False), ("b", None, False), ("c", None, False),
+    ]
+
+
+def test_train_and_eval_bytes_are_pinned(
+    tmp_path, fixture_corpus, fixture_corpus_path, fixture_vectors_path, capsys
+):
+    """The sha256 of `train`'s checkpoint and of `eval`'s text and JSON
+    output on the fixture. The model is untrained and the index holds small
+    integers, so no BLAS rounding enters and the bytes hold on any machine."""
+    model = tmp_path / "model.ckpt"
+    assert main(["train", fixture_corpus_path, fixture_vectors_path, str(model),
+                 "--epochs", "0", "--seed", "5", "--test-fraction", "0"]) == 0
+    charts = [(chart_id, vis.id, position, vis.dataset_id) for vis in fixture_corpus.visualizations
+              for position, (chart_id, _) in enumerate(vis.charts)]
+    vectors = np.random.default_rng(5).integers(-3, 4, size=(len(charts), 8)).astype(np.float64)
+    index = tmp_path / "index.tsv"
+    save_index(EmbeddingIndex(*zip(*charts), vectors), str(index))
+    capsys.readouterr()
+    digests = [hashlib.sha256(model.read_bytes()).hexdigest()]
+    for flags in ([], ["--json"]):
+        assert main(["eval", str(index), *flags]) == 0
+        digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert digests == [
+        "1223c0c121ea62b84ed0fc6a28f86b728ed13b6d4f2cbdb0d7b5692e8db84f04",
+        "602b6d87d1f4346f45afa5267f72f9a175b97ab324ee349ff631935eea40bd99",
+        "49bcaec3c17103be978ee41da18936edf0f81d573890bad53612d946066af7e4",
     ]
 
 

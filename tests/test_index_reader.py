@@ -88,6 +88,9 @@ PLANTED = (
        b"00.5", b"-.5", b"1..5", b"1.2.3", b"--1", b"1-", b"e-05", b"1e-", b"0x1p3", b"nan",
        b"-inf", b"1e999", b"", b"\xd9\xa3", b"\xef\xbc\x91", b"%.30f" % 0.1, b"%.40f" % -1e-22,
        b"123456789012345678901234567890.5", b"1" * 24, b"1" * 25, b"0." + b"0" * 21 + b"1"]
+    # the layouts of writer templates with leading or all-zero digits
+    + [b"007", b"-007", b"00", b"-00", b"000.0", b"0.0", b"-0.000", b"-0.0000", b"0e-05",
+       b"0.05", b"-0.0012", b"0.00001", b"%.20f" % 1e-5, b"%.20f" % -0.25]
 )
 
 

@@ -393,11 +393,21 @@ def test_hyper_params_reject_non_finite(name, value):
         ("learning_rate", 0.0, "learning_rate must be > 0"),
         ("batch_size", 0, "batch_size must be >= 1"),
         ("epochs", -1, "epochs must be >= 0"),
+        ("seed", -1, "seed must be >= 0"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("batch_size", 2.5, "batch_size must be an integer, got 2.5"),
+        ("epochs", 2.5, "epochs must be an integer, got 2.5"),
+        ("epochs", True, "epochs must be an integer, got True"),
     ],
 )
 def test_hyper_params_name_the_bad_optimizer_field(field, value, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         HyperParams(**{field: value})
+
+
+def test_hyper_params_take_numpy_integers():
+    hyper = HyperParams(batch_size=np.int64(4), epochs=np.int32(2), seed=np.uint8(7))
+    assert (hyper.batch_size, hyper.epochs, hyper.seed) == (4, 2, 7)
 
 
 def test_adam_constant_gradient_step_size(base_config):
