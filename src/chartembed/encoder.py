@@ -14,8 +14,8 @@ conv layers have no bias: each feeds batch norm, which cancels it, so it
 would get no gradient.
 
 Inference is a pure function of (inputs, params); training-mode forwards use
-batch statistics, record a trace for the backward pass, and may update the
-running batch-norm statistics.
+batch statistics, record a trace for the backward pass, and update the
+running batch-norm statistics, which they never read.
 """
 
 from __future__ import annotations
@@ -288,7 +288,6 @@ def forward_batch(
     params: EncoderParams,
     train: bool = False,
     dropout_rng: Optional[np.random.Generator] = None,
-    update_running_stats: bool = True,
 ) -> tuple[np.ndarray, Optional[ForwardTrace]]:
     """Embed a batch: rule_ids (B, 16) integer rule ids with -1 as padding,
     sem_blocks (B, rows, cols).
@@ -297,8 +296,8 @@ def forward_batch(
     convolves; conv1 is computed as a gather of its weight columns.
     Train mode normalizes with batch statistics, applies dropout (when a
     generator is supplied), and returns a ForwardTrace; it mutates only the
-    running statistics, and only when update_running_stats is set. Inference
-    uses running statistics, no dropout, and returns no trace.
+    running statistics, which it updates but never reads. Inference uses
+    running statistics, no dropout, and returns no trace.
     """
     cfg = params.config
     rule_ids = np.asarray(rule_ids)
@@ -349,13 +348,12 @@ def forward_batch(
             mean = np.einsum("ij->j", z) / z.shape[0]
             z -= mean
             var = np.einsum("ij,ij->j", z, z) / z.shape[0]
-            if update_running_stats:
-                n = z.shape[0]
-                var_unbiased = var * n / (n - 1) if n > 1 else var
-                running_mean *= 1.0 - BN_MOMENTUM
-                running_mean += BN_MOMENTUM * mean
-                running_var *= 1.0 - BN_MOMENTUM
-                running_var += BN_MOMENTUM * var_unbiased
+            n = z.shape[0]
+            var_unbiased = var * n / (n - 1) if n > 1 else var
+            running_mean *= 1.0 - BN_MOMENTUM
+            running_mean += BN_MOMENTUM * mean
+            running_var *= 1.0 - BN_MOMENTUM
+            running_var += BN_MOMENTUM * var_unbiased
         else:
             z -= running_mean
             var = running_var

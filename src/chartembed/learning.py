@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import time
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -33,8 +34,9 @@ class TrainingDivergedError(RuntimeError):
 @dataclass(frozen=True)
 class HyperParams:
     # beta balances the two objectives; the interpolation part runs roughly
-    # 30x the hinge part at initialization, and beta ~ 10 keeps the hinge
-    # strong enough that embeddings cannot collapse to a single point.
+    # 30x the hinge part at initialization. beta 10 does not stop collapse:
+    # 4 epochs on a random_fact corpus left 2 of 240 held-out embeddings
+    # distinct, and at beta 1 a walk-3 corpus collapsed to one point.
     alpha: float = 0.5
     beta: float = 10.0
     margin: float = 1.0
@@ -45,9 +47,12 @@ class HyperParams:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "margin", "learning_rate"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("alpha", "beta", "margin", "learning_rate", "dropout"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if name != "dropout" and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be >= 0")
         if self.margin <= 0:
@@ -77,70 +82,58 @@ class LossBreakdown:
     total: float
 
 
-def _row_distances(diff: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
-
-
 def _row_units(diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row norms of diff, and its rows scaled to unit length; a zero-length
+    """Rows of diff scaled to unit length, and their norms; a zero-length
     row stays zero (the subgradient chosen at coincident points)."""
-    dist = _row_distances(diff)
+    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     inverse = np.divide(1.0, dist, out=np.zeros_like(dist), where=dist > 0.0)
     return diff * inverse[:, None], dist
 
 
-def batch_loss_from_embeddings(
-    prev: np.ndarray,
-    mid: np.ndarray,
-    nxt: np.ndarray,
-    neg: np.ndarray,
+def objective(
+    embeddings: np.ndarray,
     hyper: HyperParams,
     loss_mask: tuple[bool, bool] = (True, True),
-) -> LossBreakdown:
-    """Sum the combined objective over a batch of embedding quadruples."""
-    interp = _row_distances(mid - (prev + nxt) / 2.0)
-    d_prev_next = _row_distances(prev - nxt)
-    pairs = _row_distances(prev - mid) + _row_distances(mid - nxt) + d_prev_next
-    hinge = np.maximum(d_prev_next - _row_distances(prev - neg) + hyper.margin, 0.0)
+) -> tuple[LossBreakdown, np.ndarray, np.ndarray]:
+    """The combined objective over a batch of embedding quadruples.
+
+    `embeddings` holds four equal blocks of rows: every sample's prev chart,
+    then its mid, next and negative charts. Returns the loss terms summed
+    over the batch, d(total)/d(embeddings) in the same layout, and whether
+    each sample's hinge is active. loss_mask selects the terms of the total
+    and of the gradient.
+    """
+    prev, mid, nxt, neg = np.split(embeddings, 4)
+    # u_a_b is d|a - b|/da, the unit vector from b towards a; d_ab is |a - b|
+    # for a, b among p(rev), m(id), n(ext) and the negative q.
+    g_mid, interp = _row_units(mid - (prev + nxt) / 2.0)
+    u_prev_mid, d_pm = _row_units(prev - mid)
+    u_mid_next, d_mn = _row_units(mid - nxt)
+    u_prev_next, d_pn = _row_units(prev - nxt)
+    u_prev_neg, d_pq = _row_units(prev - neg)
+    pairs = d_pm + d_mn + d_pn
+    slack = d_pn - d_pq + hyper.margin
     interp_term = float(interp.sum())
     pair_term = float(pairs.sum())
-    l2 = float(hinge.sum())
+    l2 = float(np.maximum(slack, 0.0).sum())
     l1 = interp_term + hyper.alpha * pair_term
     total = (l1 if loss_mask[0] else 0.0) + (hyper.beta * l2 if loss_mask[1] else 0.0)
-    return LossBreakdown(interp_term=interp_term, pair_term=pair_term, l1=l1, l2=l2, total=total)
+    breakdown = LossBreakdown(interp_term=interp_term, pair_term=pair_term, l1=l1, l2=l2, total=total)
 
-
-def loss_gradients_wrt_embeddings(
-    prev: np.ndarray,
-    mid: np.ndarray,
-    nxt: np.ndarray,
-    neg: np.ndarray,
-    hyper: HyperParams,
-    loss_mask: tuple[bool, bool] = (True, True),
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """d(total)/d(embedding) for each of the four blocks."""
-    # u_a_b is d|a - b|/da, the unit vector from b towards a.
-    d_prev = np.zeros_like(prev)
-    d_mid = np.zeros_like(mid)
-    d_next = np.zeros_like(nxt)
-    d_neg = np.zeros_like(neg)
-    u_prev_next, dist_prev_next = _row_units(prev - nxt)
+    gradient = np.zeros_like(embeddings)
+    d_prev, d_mid, d_next, d_neg = np.split(gradient, 4)
+    active = slack > 0.0
     if loss_mask[0]:
         a = hyper.alpha
-        g_mid, _ = _row_units(mid - (prev + nxt) / 2.0)
-        u_prev_mid, _ = _row_units(prev - mid)
-        u_mid_next, _ = _row_units(mid - nxt)
         d_prev += a * (u_prev_mid + u_prev_next) - 0.5 * g_mid
         d_mid += g_mid + a * (u_mid_next - u_prev_mid)
         d_next -= 0.5 * g_mid + a * (u_mid_next + u_prev_next)
     if loss_mask[1]:
-        u_prev_neg, dist_prev_neg = _row_units(prev - neg)
-        active = dist_prev_next - dist_prev_neg + hyper.margin > 0.0
         b = hyper.beta * active[:, None]
         d_prev += b * (u_prev_next - u_prev_neg)
         d_next -= b * u_prev_next
         d_neg += b * u_prev_neg
-    return d_prev, d_mid, d_next, d_neg
+    return breakdown, gradient, active
 
 
 def combined_loss(
@@ -149,57 +142,27 @@ def combined_loss(
     params: EncoderParams,
     hyper: HyperParams,
     dropout_rng: Optional[np.random.Generator] = None,
-    update_running_stats: bool = True,
     loss_mask: tuple[bool, bool] = (True, True),
 ):
     """One shared-parameter train-mode forward over all four charts of
-    every sample.
+    every sample, and the objective on its output.
 
     The batch rows hold four equal blocks: every sample's prev chart, then
-    its mid, next and negative charts (see SampleSet.batch). Returns (total,
-    LossBreakdown, trace, embeddings). Raises TrainingDivergedError on a
-    non-finite loss.
+    its mid, next and negative charts (see SampleSet.batch). Returns
+    (LossBreakdown, trace, gradient, active) as objective does, with the
+    forward's trace; backward_batch(trace, gradient, params) gives the
+    parameter gradient. Raises TrainingDivergedError on a non-finite loss.
     """
     if len(rule_ids) == 0:
         raise ValueError("empty batch")
     # An overflow shows up as the non-finite loss reported below.
     with np.errstate(all="ignore"):
-        out, trace = forward_batch(
-            rule_ids,
-            sem_blocks,
-            params,
-            train=True,  # by keyword: perfbench names the forward's span from it
-            dropout_rng=dropout_rng,
-            update_running_stats=update_running_stats,
-        )
-        prev, mid, nxt, neg = np.split(out, 4)
-        breakdown = batch_loss_from_embeddings(prev, mid, nxt, neg, hyper, loss_mask)
+        # train by keyword: perfbench names the forward's span from it
+        out, trace = forward_batch(rule_ids, sem_blocks, params, train=True, dropout_rng=dropout_rng)
+        breakdown, gradient, active = objective(out, hyper, loss_mask)
     if not np.isfinite(breakdown.total):
-        raise TrainingDivergedError(
-            f"non-finite loss (l1={breakdown.l1}, l2={breakdown.l2})"
-        )
-    return breakdown.total, breakdown, trace, out
-
-
-def backward(
-    trace,
-    embeddings: np.ndarray,
-    params: EncoderParams,
-    hyper: HyperParams,
-    loss_mask: tuple[bool, bool] = (True, True),
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Gradient of the combined loss, laid out like params.trainable (in `out` if given)."""
-    n = embeddings.shape[0]
-    if n % 4 != 0 or trace.batch_size != n:
-        raise ValueError("trace/embedding mismatch: expected four blocks per sample")
-    b = n // 4
-    d_prev, d_mid, d_next, d_neg = loss_gradients_wrt_embeddings(
-        embeddings[:b], embeddings[b : 2 * b], embeddings[2 * b : 3 * b], embeddings[3 * b :],
-        hyper, loss_mask,
-    )
-    d_out = np.concatenate([d_prev, d_mid, d_next, d_neg], axis=0)
-    return backward_batch(trace, d_out, params, out)
+        raise TrainingDivergedError(f"non-finite loss (l1={breakdown.l1}, l2={breakdown.l2})")
+    return breakdown, trace, gradient, active
 
 
 ADAM_BETA1 = 0.9
@@ -281,8 +244,8 @@ def grad_check(
 
     `batch` is (rule ids, semantic blocks) in combined_loss's four-block
     layout; with several samples it covers the cross-sample batch-norm
-    terms. Runs with dropout disabled and batch-statistics normalization
-    (running statistics frozen), over n_coords seeded parameter coordinates
+    terms. Runs on a copy of params (the caller's running statistics stay
+    put) with dropout disabled, over n_coords seeded parameter coordinates
     spread evenly across the trainable arrays, so that the small conv
     weight, gamma and beta arrays are checked as well as the large fc
     weights. A conv coordinate moves every activation of the batch, so its
@@ -299,28 +262,23 @@ def grad_check(
     work = EncoderParams(replace(params.config, dropout=0.0), params.values.copy())
 
     def run():
-        return combined_loss(*batch, work, hyper, update_running_stats=False, loss_mask=loss_mask)
-
-    def kink_sides(trace, emb) -> np.ndarray:
-        """The side of every ReLU kink, and of the hinge kink unless the
-        hinge is masked, that the batch sits on."""
-        sides = list(trace.conv_relu_mask)
-        if loss_mask[1]:
-            prev, _, nxt, neg = np.split(emb, 4)
-            sides.append(
-                _row_distances(prev - nxt) - _row_distances(prev - neg) + hyper.margin > 0.0
-            )
-        if trace.fc1_gate is not None:
-            sides.append(trace.fc1_gate > 0)
-        return np.concatenate([side.ravel() for side in sides])
+        return combined_loss(*batch, work, hyper, loss_mask=loss_mask)
 
     def probe(arr, idx, value):
+        """The total at arr[idx] = value, and the side of every ReLU kink,
+        and of the hinge kink unless the hinge is masked, that the batch
+        sits on."""
         arr[idx] = value
-        total, _, trace, emb = run()
-        return total, kink_sides(trace, emb)
+        breakdown, trace, _, active = run()
+        sides = list(trace.conv_relu_mask)
+        if loss_mask[1]:
+            sides.append(active)
+        if trace.fc1_gate is not None:
+            sides.append(trace.fc1_gate > 0)
+        return breakdown.total, np.concatenate([side.ravel() for side in sides])
 
-    _, _, trace, emb = run()
-    grads = param_views(work.config, backward(trace, emb, work, hyper, loss_mask))
+    _, trace, gradient, _ = run()
+    grads = param_views(work.config, backward_batch(trace, gradient, work))
     if corrupt:
         grads["conv1.weight"][...] = grads["conv1.weight"] * 1.05 + 0.01
 
@@ -413,10 +371,10 @@ def train(
         total = 0.0
         for lo in range(0, n, hyper.batch_size):
             rule_ids, sems = samples.batch(order[lo : lo + hyper.batch_size])
-            _, breakdown, trace, emb = combined_loss(
+            breakdown, trace, gradient, _ = combined_loss(
                 rule_ids, sems, params, hyper, dropout_rng=dropout_rng, loss_mask=loss_mask,
             )
-            backward(trace, emb, params, hyper, loss_mask, out=grad)
+            backward_batch(trace, gradient, params, out=grad)
             adam_step(params, grad, adam, hyper.learning_rate)
             sums += (breakdown.interp_term, breakdown.pair_term, breakdown.l1, breakdown.l2)
             total += breakdown.total

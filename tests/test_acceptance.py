@@ -30,7 +30,7 @@ from chartembed.encoder import EncoderConfig, init_params, load_checkpoint, save
 from chartembed.evaluation import build_index, compute_metrics, run_ablation
 from chartembed.factgen import random_fact
 from chartembed.grammar import RULE_COUNT, RULES, derive_rules
-from chartembed.learning import HyperParams, batch_loss_from_embeddings, grad_check, train
+from chartembed.learning import HyperParams, grad_check, objective, train
 from chartembed.semantics import VectorStore, load_vector_store, pool_word, split_words
 from reference import (
     MAX_DERIVATION_LENGTH,
@@ -88,8 +88,8 @@ def test_criterion_2_loss_identities():
     # beta = 0 collapses the combined objective onto the first task exactly.
     for _ in range(25):
         prev, mid, nxt, neg = (rng.normal(size=(3, 6)) for _ in range(4))
-        breakdown = batch_loss_from_embeddings(
-            prev, mid, nxt, neg, HyperParams(alpha=0.7, beta=0.0)
+        breakdown, _, _ = objective(
+            np.concatenate([prev, mid, nxt, neg]), HyperParams(alpha=0.7, beta=0.0)
         )
         checks.append(breakdown.total == breakdown.l1)
     report(2, "loss identities", all(checks), f"{len(checks)} exact checks")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 import struct
@@ -285,7 +286,7 @@ def test_train_mode_batch_norm_statistics(rng, base_config):
     sems = rng.normal(size=(8, 25, 17))
     _, trace = forward_batch(
         rule_ids, sems, params, train=True,
-        dropout_rng=np.random.default_rng(0), update_running_stats=False,
+        dropout_rng=np.random.default_rng(0),
     )
     x = one_hot(rule_ids).transpose(0, 2, 1)  # (B, 60, 16)
     for layer, xhat_rows in zip(conv_layers(params), trace.conv_xhat):
@@ -312,14 +313,36 @@ def test_running_stats_update_only_when_requested(rng, base_config):
     before = EncoderParams(params.config, params.values.copy())
     rule_ids = random_rule_ids(rng, 4)
     sems = rng.normal(size=(4, 25, 17))
-    forward_batch(rule_ids, sems, params, train=True,
-                  dropout_rng=np.random.default_rng(0), update_running_stats=False)
-    assert np.array_equal(params.values, before.values)
-    forward_batch(rule_ids, sems, params, train=True,
-                  dropout_rng=np.random.default_rng(0), update_running_stats=True)
+    forward_batch(rule_ids, sems, params, train=True, dropout_rng=np.random.default_rng(0))
     assert not np.array_equal(params.values, before.values)
     for layer, old in zip(conv_layers(params), conv_layers(before)):
         assert np.array_equal(layer.weight, old.weight)  # only stats moved
+
+
+def test_train_mode_forward_never_reads_running_stats(rng, base_config):
+    # Train mode normalizes with batch statistics: the running statistics
+    # it updates play no part in its output or its trace.
+    rule_ids = random_rule_ids(rng, 12)
+
+    def trace_bytes(trace):
+        parts = [getattr(trace, f.name) for f in dataclasses.fields(trace)]
+        arrays = [a for part in parts for a in (part if isinstance(part, list) else [part])]
+        return [np.asarray(a).tobytes() for a in arrays]
+
+    for variant in ABLATION_VARIANTS:
+        config, _ = variant_switches(variant, base_config)
+        sems = rng.normal(size=(12, *config.semantic_shape))
+        runs = []
+        for scramble in (False, True):
+            params = init_params(0, config)
+            if scramble:
+                for name, view in params.views.items():
+                    if ".running_" in name:
+                        view[...] = rng.normal(size=view.shape) * 10.0
+            out, trace = forward_batch(rule_ids, sems, params, train=True,
+                                       dropout_rng=np.random.default_rng(0))
+            runs.append((out.tobytes(), trace_bytes(trace)))
+        assert runs[0] == runs[1], variant
 
 
 def test_train_step_matches_dense_reference_for_every_variant(rng, base_config):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,18 +25,25 @@ from chartembed.learning import (
     HyperParams,
     TrainingDivergedError,
     adam_step,
-    batch_loss_from_embeddings,
-    backward,
     combined_loss,
     grad_check,
     history_csv,
     init_adam,
-    loss_gradients_wrt_embeddings,
+    objective,
     train,
 )
 from reference import euclidean, euclidean_grad, interpolation_loss, triplet_loss
 
 SQRT2 = np.sqrt(2.0)
+
+
+def quad_objective(prev, mid, nxt, neg, hyper, loss_mask=(True, True)):
+    """objective on four (B, D) blocks stacked in its layout: the loss
+    breakdown, the gradient split back into the four blocks, and active."""
+    breakdown, gradient, active = objective(
+        np.concatenate([prev, mid, nxt, neg]), hyper, loss_mask
+    )
+    return breakdown, np.split(gradient, 4), active
 
 
 def test_interpolation_loss_collinear_midpoint_is_zero():
@@ -83,7 +92,7 @@ def test_beta_zero_reduces_to_l1(rng):
     b = 4
     prev, mid, nxt, neg = (rng.normal(size=(b, 8)) for _ in range(4))
     hyper = HyperParams(alpha=0.7, beta=0.0)
-    breakdown = batch_loss_from_embeddings(prev, mid, nxt, neg, hyper)
+    breakdown, _, _ = quad_objective(prev, mid, nxt, neg, hyper)
     assert breakdown.total == breakdown.l1
     assert breakdown.l1 == pytest.approx(
         breakdown.interp_term + hyper.alpha * breakdown.pair_term
@@ -96,7 +105,7 @@ def test_collinear_alpha_beta_zero_total_zero():
     nxt = np.array([[2.0, 2.0]])
     neg = np.array([[9.0, 9.0]])
     hyper = HyperParams(alpha=0.0, beta=0.0)
-    assert batch_loss_from_embeddings(prev, mid, nxt, neg, hyper).total == 0.0
+    assert quad_objective(prev, mid, nxt, neg, hyper)[0].total == 0.0
 
 
 def test_batch_loss_matches_hand_sum():
@@ -117,7 +126,7 @@ def test_batch_loss_matches_hand_sum():
     expected_total = expected_l1 + beta * expected_l2
 
     hyper = HyperParams(alpha=alpha, beta=beta, margin=margin)
-    breakdown = batch_loss_from_embeddings(prev, mid, nxt, neg, hyper)
+    breakdown, _, _ = quad_objective(prev, mid, nxt, neg, hyper)
     assert breakdown.interp_term == pytest.approx(expected_interp)
     assert breakdown.pair_term == pytest.approx(expected_pairs)
     assert breakdown.l1 == pytest.approx(expected_l1)
@@ -129,7 +138,7 @@ def test_total_monotone_in_beta(rng):
     prev, mid, nxt, neg = (rng.normal(size=(3, 5)) for _ in range(4))
     betas = [0.0, 0.5, 1.0, 5.0, 50.0]
     totals = [
-        batch_loss_from_embeddings(prev, mid, nxt, neg, HyperParams(alpha=0.5, beta=b)).total
+        quad_objective(prev, mid, nxt, neg, HyperParams(alpha=0.5, beta=b))[0].total
         for b in betas
     ]
     assert totals == sorted(totals)
@@ -138,7 +147,7 @@ def test_total_monotone_in_beta(rng):
 def test_loss_terms_nonnegative(rng):
     for _ in range(20):
         prev, mid, nxt, neg = (rng.normal(size=(2, 7)) for _ in range(4))
-        breakdown = batch_loss_from_embeddings(prev, mid, nxt, neg, HyperParams())
+        breakdown, _, _ = quad_objective(prev, mid, nxt, neg, HyperParams())
         assert breakdown.l1 >= 0.0
         assert breakdown.l2 >= 0.0
 
@@ -189,20 +198,25 @@ def test_vectorized_loss_matches_per_sample_loop(rng):
     saw_inactive = False
     for loss_mask in ((True, True), (True, False), (False, True)):
         ref_terms, ref_grads = loop_loss_and_gradients(prev, mid, nxt, neg, hyper, loss_mask)
-        breakdown = batch_loss_from_embeddings(prev, mid, nxt, neg, hyper, loss_mask)
+        breakdown, grads, active = quad_objective(prev, mid, nxt, neg, hyper, loss_mask)
         terms = (breakdown.interp_term, breakdown.pair_term, breakdown.l1, breakdown.l2,
                  breakdown.total)
         # Tolerance fixed in advance: only the order of float64 sums differs.
         for value, ref in zip(terms, ref_terms):
             assert abs(value - ref) <= 1e-9 * max(1.0, abs(ref))
-        grads = loss_gradients_wrt_embeddings(prev, mid, nxt, neg, hyper, loss_mask)
         for g, ref in zip(grads, ref_grads):
             assert np.abs(g - ref).max() <= 1e-9 * max(1.0, np.abs(ref).max())
+        # The hinge side, whatever the mask.
+        assert active.tolist() == [
+            euclidean(p, n) - euclidean(p, q) + hyper.margin > 0.0
+            for p, n, q in zip(prev, nxt, neg)
+        ]
+        assert not active[5] and active[3] and active[4]
         if loss_mask[1]:
             saw_inactive = not grads[3][5].any()
     assert saw_inactive
     # At coincident points the unit vector is the zero subgradient.
-    g_prev, g_mid, g_next, g_neg = loss_gradients_wrt_embeddings(
+    _, (g_prev, g_mid, g_next, g_neg), _ = quad_objective(
         prev[4:5], mid[4:5], nxt[4:5], neg[4:5], hyper, (True, True)
     )
     assert not g_prev.any() and not g_mid.any() and not g_next.any() and not g_neg.any()
@@ -225,7 +239,7 @@ def test_zero_upstream_loss_gives_zero_gradients(rng, base_config):
     nxt = np.array([[2.0, 2.0]])
     neg = np.array([[50.0, 50.0]])
     hyper = HyperParams(alpha=0.0, beta=1.0)
-    grads = loss_gradients_wrt_embeddings(prev, mid, nxt, neg, hyper)
+    _, grads, _ = quad_objective(prev, mid, nxt, neg, hyper)
     for g in grads:
         assert not g.any()
 
@@ -233,8 +247,7 @@ def test_zero_upstream_loss_gives_zero_gradients(rng, base_config):
     rule_ids = rng.integers(-1, 60, size=(4, 16))
     sems = rng.normal(size=(4, 25, 17))
     _, trace = forward_batch(rule_ids, sems, params, train=True,
-                             dropout_rng=np.random.default_rng(0),
-                             update_running_stats=False)
+                             dropout_rng=np.random.default_rng(0))
     assert not backward_batch(trace, np.zeros((4, 540)), params).any()
 
 
@@ -245,8 +258,7 @@ def test_backward_into_a_used_vector_equals_a_fresh_one(base_config):
         params = init_params(0, config)
         rule_ids, sems = _gradcheck_batch(0, config)
         _, trace = forward_batch(rule_ids, sems, params, train=True,
-                                 dropout_rng=np.random.default_rng(0),
-                                 update_running_stats=False)
+                                 dropout_rng=np.random.default_rng(0))
         d_out = np.random.default_rng(1).normal(size=(len(rule_ids), config.embedding_dim))
         out = np.full(trainable_count(config), np.nan)
         fresh = backward_batch(trace, d_out, params)
@@ -302,6 +314,18 @@ def test_grad_check_every_ablation_variant(base_config):
         assert error < 1e-4, variant
 
 
+def test_grad_check_leaves_the_callers_params_unchanged(base_config):
+    # grad_check probes, and its train-mode forwards move the running
+    # statistics, on a private copy of the parameter vector.
+    for variant in ABLATION_VARIANTS:
+        config, loss_mask = variant_switches(variant, base_config)
+        params = init_params(0, config)
+        before = params.values.tobytes()
+        grad_check(_gradcheck_batch(0, config), params, HyperParams(), epsilon=1e-5,
+                   n_coords=20, seed=0, loss_mask=loss_mask)
+        assert params.values.tobytes() == before, variant
+
+
 def test_grad_check_detects_injected_fault(base_config):
     params = init_params(0, base_config)
     batch = _gradcheck_batch(0, base_config)
@@ -334,9 +358,11 @@ def test_grad_check_counts_a_non_finite_numeric_gradient_as_infinite(monkeypatch
     calls = []
 
     def nan_probes(*args, **kwargs):
-        total, *rest = combined_loss(*args, **kwargs)
-        calls.append(total)
-        return (total if len(calls) == 1 else float("nan"), *rest)
+        breakdown, *rest = combined_loss(*args, **kwargs)
+        calls.append(breakdown.total)
+        if len(calls) > 1:
+            breakdown = dataclasses.replace(breakdown, total=float("nan"))
+        return (breakdown, *rest)
 
     monkeypatch.setattr(learning, "combined_loss", nan_probes)
     batch = _gradcheck_batch(0, base_config)
@@ -354,14 +380,13 @@ def test_gradients_under_a_fixed_dropout_mask(base_config):
     hyper = HyperParams()
 
     def evaluate():
-        return combined_loss(*batch, params, hyper, dropout_rng=np.random.default_rng(3),
-                             update_running_stats=False)
+        return combined_loss(*batch, params, hyper, dropout_rng=np.random.default_rng(3))
 
-    _, _, trace, emb = evaluate()
+    _, trace, gradient, _ = evaluate()
     scale = 1.0 / (1.0 - base_config.dropout)
     assert set(np.unique(trace.fc1_gate)) == {0.0, scale}
     assert (trace.fc1_gate == 0).mean() > 0.5  # the ReLU and the mask both close gates
-    grads = param_views(base_config, backward(trace, emb, params, hyper))
+    grads = param_views(base_config, backward_batch(trace, gradient, params))
     rng = np.random.default_rng(0)
     epsilon = 1e-5
     for name in ("fc1.weight", "fc1.bias", "fc2.weight", "fc2.bias", "conv2.gamma"):
@@ -370,9 +395,9 @@ def test_gradients_under_a_fixed_dropout_mask(base_config):
             idx = np.unravel_index(flat, view.shape)
             original = view[idx]
             view[idx] = original + epsilon
-            plus = evaluate()[0]
+            plus = evaluate()[0].total
             view[idx] = original - epsilon
-            minus = evaluate()[0]
+            minus = evaluate()[0].total
             view[idx] = original
             numeric = (plus - minus) / (2.0 * epsilon)
             analytic = grads[name][idx]
@@ -398,6 +423,12 @@ def test_hyper_params_reject_non_finite(name, value):
         ("batch_size", 2.5, "batch_size must be an integer, got 2.5"),
         ("epochs", 2.5, "epochs must be an integer, got 2.5"),
         ("epochs", True, "epochs must be an integer, got True"),
+        ("alpha", True, "alpha must be a number, got True"),
+        ("margin", True, "margin must be a number, got True"),
+        ("dropout", "0.1", "dropout must be a number, got '0.1'"),
+        ("learning_rate", "0.1", "learning_rate must be a number, got '0.1'"),
+        ("beta", None, "beta must be a number, got None"),
+        ("dropout", False, "dropout must be a number, got False"),
     ],
 )
 def test_hyper_params_name_the_bad_optimizer_field(field, value, message):
@@ -408,6 +439,13 @@ def test_hyper_params_name_the_bad_optimizer_field(field, value, message):
 def test_hyper_params_take_numpy_integers():
     hyper = HyperParams(batch_size=np.int64(4), epochs=np.int32(2), seed=np.uint8(7))
     assert (hyper.batch_size, hyper.epochs, hyper.seed) == (4, 2, 7)
+
+
+def test_hyper_params_take_numpy_floats():
+    hyper = HyperParams(alpha=np.float64(0.25), beta=np.float32(2.0), margin=np.float64(1.5),
+                        learning_rate=np.float32(0.5), dropout=np.float64(0.2))
+    assert (hyper.alpha, hyper.beta, hyper.margin) == (0.25, 2.0, 1.5)
+    assert (hyper.learning_rate, hyper.dropout) == (0.5, 0.2)
 
 
 def test_adam_constant_gradient_step_size(base_config):
@@ -568,9 +606,9 @@ def test_history_csv_layout():
 def test_loss_mask_routing(rng):
     prev, mid, nxt, neg = (rng.normal(size=(2, 6)) for _ in range(4))
     hyper = HyperParams(alpha=0.5, beta=2.0)
-    both = batch_loss_from_embeddings(prev, mid, nxt, neg, hyper, (True, True))
-    only_l1 = batch_loss_from_embeddings(prev, mid, nxt, neg, hyper, (True, False))
-    only_l2 = batch_loss_from_embeddings(prev, mid, nxt, neg, hyper, (False, True))
+    both = quad_objective(prev, mid, nxt, neg, hyper, (True, True))[0]
+    only_l1 = quad_objective(prev, mid, nxt, neg, hyper, (True, False))[0]
+    only_l2 = quad_objective(prev, mid, nxt, neg, hyper, (False, True))[0]
     assert only_l1.total == pytest.approx(both.l1)
     assert only_l2.total == pytest.approx(hyper.beta * both.l2)
     assert both.total == pytest.approx(only_l1.total + only_l2.total)
