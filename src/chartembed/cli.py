@@ -15,7 +15,6 @@ import argparse
 import hashlib
 import json
 import logging
-import math
 import os
 import platform
 import sys
@@ -41,6 +40,7 @@ from .corpus import (
 )
 from .encoder import (
     EncoderConfig,
+    check_setting,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -60,6 +60,7 @@ from .evaluation import (
 )
 from .factgen import random_fact
 from .learning import (
+    HYPER_RULES,
     HyperParams,
     TrainingDivergedError,
     grad_check,
@@ -136,33 +137,6 @@ def _resolve_vectors(explicit: Optional[str]) -> Optional[str]:
     return explicit or os.environ.get(VECTORS_ENV)
 
 
-# Every key that a --config file or a flag may set: its JSON type and range.
-# An int key takes a JSON integer, a float key any JSON number; a bool is
-# neither, though Python counts it as an int.
-_CONFIG_TYPES = {
-    "alpha": (float, ">= 0", lambda v: v >= 0),
-    "beta": (float, ">= 0", lambda v: v >= 0),
-    "margin": (float, "> 0", lambda v: v > 0),
-    "lr": (float, "> 0", lambda v: v > 0),
-    "dropout": (float, "in [0, 1)", lambda v: 0 <= v < 1),
-    "test_fraction": (float, "in [0, 1)", lambda v: 0 <= v < 1),
-    "batch": (int, ">= 1", lambda v: v >= 1),
-    "epochs": (int, ">= 0", lambda v: v >= 0),
-    "seed": (int, ">= 0", lambda v: v >= 0),
-    "negatives": (int, ">= 1", lambda v: v >= 1),
-    "policy": (str, f"one of {list(NEGATIVE_POLICIES)}", lambda v: v in NEGATIVE_POLICIES),
-}
-_TYPE_NAMES = {float: "a number", int: "an integer", str: "a string"}
-
-# The options of nearest (k), eval (gap2, gap3) and gradcheck (epsilon, coords).
-_QUERY_TYPES = {
-    "k": (int, ">= 1", lambda v: v >= 1),
-    "gap2": (int, ">= 0", lambda v: v >= 0),
-    "gap3": (int, ">= 0", lambda v: v >= 0),
-    "epsilon": (float, "> 0", lambda v: v > 0),
-    "coords": (int, ">= 1", lambda v: v >= 1),
-}
-
 # The HyperParams field and help text of each flag that train and ablate share.
 _HYPER_FLAGS = {
     "alpha": ("alpha", "pair-distance weight"),
@@ -175,24 +149,31 @@ _HYPER_FLAGS = {
     "seed": ("seed", "master seed"),
 }
 
+# The rule of each key that a --config file or a flag may set (see check_setting).
+_CONFIG_TYPES = {
+    **{flag: HYPER_RULES[field] for flag, (field, _) in _HYPER_FLAGS.items()},
+    "test_fraction": HYPER_RULES["dropout"],  # a fraction in [0, 1), as dropout is
+    "negatives": (int, ">= 1", lambda v: v >= 1),
+    "policy": (str, f"one of {list(NEGATIVE_POLICIES)}", lambda v: v in NEGATIVE_POLICIES),
+}
+
+# The options of nearest (k), eval (gap2, gap3) and gradcheck (epsilon, coords).
+_QUERY_TYPES = {
+    "k": (int, ">= 1", lambda v: v >= 1),
+    "gap2": (int, ">= 0", lambda v: v >= 0),
+    "gap3": (int, ">= 0", lambda v: v >= 0),
+    "epsilon": (float, "> 0", lambda v: v > 0),
+    "coords": (int, ">= 1", lambda v: v >= 1),
+}
+
 
 class UsageError(Exception):
     """A bad flag, option value or config file: exit code 2."""
 
 
 def _checked(name: str, value, types: dict = _CONFIG_TYPES):
-    """The value of key `name` of `types`, as a float for a float key. Raises
-    UsageError, naming the key, for a wrong type, a non-finite number or a
-    value out of range."""
-    kind, allowed, in_range = types[name]
-    accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        raise UsageError(f"{name}: expected {_TYPE_NAMES[kind]}, got {json.dumps(value)}")
-    if kind is float and not math.isfinite(value):
-        raise UsageError(f"{name}: expected a finite number, got {value}")
-    if not in_range(value):
-        raise UsageError(f"{name}: must be {allowed}, got {json.dumps(value)}")
-    return float(value) if kind is float else value
+    """The value of key `name` of `types`, as a float for a float key."""
+    return check_setting(name, value, types[name], UsageError)
 
 
 def _load_config_file(path: Optional[str]) -> dict:

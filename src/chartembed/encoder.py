@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import stat
 import struct
-import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -54,17 +54,43 @@ BN_EPS = 1e-5
 CONV_FLAT_DIM = grammar.MAX_SEQUENCE_LENGTH * CONV_CHANNELS[-1]
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+# A rule is (type, range as text, range test). Python counts a bool as an int; here it is neither.
+_KINDS = {float: ("a number", numbers.Real), int: ("an integer", numbers.Integral),
+          str: ("a string", str), bool: ("true or false", bool)}
 
 
-# What a value of each field annotation (a string under `from __future__
-# import annotations`) must be, and the check.
-_FIELD_TYPES = {
-    "float": ("a finite number", lambda v: (_is_int(v) or isinstance(v, float))
-              and abs(v) <= sys.float_info.max),
-    "str": ("a string", lambda v: isinstance(v, str)),
-    "bool": ("true or false", lambda v: isinstance(v, bool)),
+def _shown(value) -> str:
+    try:  # JSON text, or the repr of a value that has none (a numpy integer)
+        return json.dumps(value)
+    except (TypeError, ValueError):
+        return repr(value)
+
+
+def check_setting(name: str, value, rule: tuple, error: type):
+    """`value` if it keeps `rule`, as a float for a float rule; else raises
+    `error`, naming the setting, the fault and the value."""
+    kind, allowed, in_range = rule
+    noun, accepted = _KINDS[kind]
+    if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+        raise error(f"{name}: expected {noun}, got {_shown(value)}")
+    try:
+        finite = kind is not float or math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        finite = False
+    if not finite:
+        raise error(f"{name}: expected a finite number, got {value}")
+    if not in_range(value):
+        raise error(f"{name}: must be {allowed}, got {_shown(value)}")
+    return float(value) if kind is float else value
+
+
+DROPOUT_RULE = (float, "in [0, 1)", lambda v: 0 <= v < 1)
+_CONFIG_RULES = {
+    "dropout": DROPOUT_RULE,
+    "semantic_mode": (str, f"one of {list(semantics.SEMANTIC_MODES)}",
+                      lambda v: v in semantics.SEMANTIC_MODES),
+    **dict.fromkeys(("use_locations", "zero_schema", "zero_semantics", "use_fc"),
+                    (bool, "true or false", lambda v: True)),
 }
 
 
@@ -80,15 +106,9 @@ class EncoderConfig:
     use_fc: bool = True
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            kind, check = _FIELD_TYPES[f.type]
-            if not check(value):
-                raise EncoderError(f"{f.name} must be {kind}, got {value!r}")
-        if self.semantic_mode not in semantics.SEMANTIC_MODES:
-            raise EncoderError(f"unknown semantic mode {self.semantic_mode!r}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise EncoderError("dropout must lie in [0, 1)")
+        for name, rule in _CONFIG_RULES.items():  # dropout becomes a Python float
+            value = check_setting(name, getattr(self, name), rule, EncoderError)
+            object.__setattr__(self, name, value)
 
     @property
     def semantic_shape(self) -> tuple[int, int]:

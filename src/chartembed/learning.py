@@ -14,21 +14,33 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 import time
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .corpus import SampleSet
-from .encoder import EncoderParams, backward_batch, forward_batch, param_views, trainable_items
+from .encoder import (DROPOUT_RULE, EncoderParams, backward_batch, check_setting, forward_batch,
+                      param_views, trainable_items)
 
 log = logging.getLogger(__name__)
 
 
 class TrainingDivergedError(RuntimeError):
     """Raised when the loss turns non-finite."""
+
+
+HYPER_RULES = {
+    "alpha": (float, ">= 0", lambda v: v >= 0),
+    "beta": (float, ">= 0", lambda v: v >= 0),
+    "margin": (float, "> 0", lambda v: v > 0),
+    "learning_rate": (float, "> 0", lambda v: v > 0),
+    "batch_size": (int, ">= 1", lambda v: v >= 1),
+    "epochs": (int, ">= 0", lambda v: v >= 0),
+    "dropout": DROPOUT_RULE,
+    "seed": (int, ">= 0", lambda v: v >= 0),
+}
 
 
 @dataclass(frozen=True)
@@ -47,30 +59,8 @@ class HyperParams:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "margin", "learning_rate", "dropout"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            if name != "dropout" and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be >= 0")
-        if self.margin <= 0:
-            raise ValueError("margin must be > 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        for name in ("batch_size", "epochs", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must lie in [0, 1)")
+        for name, rule in HYPER_RULES.items():
+            check_setting(name, getattr(self, name), rule, ValueError)
 
 
 @dataclass(frozen=True)
@@ -103,6 +93,8 @@ def objective(
     each sample's hinge is active. loss_mask selects the terms of the total
     and of the gradient.
     """
+    if len(embeddings) % 4:
+        raise ValueError(f"objective needs four equal blocks of rows, got {len(embeddings)} rows")
     prev, mid, nxt, neg = np.split(embeddings, 4)
     # u_a_b is d|a - b|/da, the unit vector from b towards a; d_ab is |a - b|
     # for a, b among p(rev), m(id), n(ext) and the negative q.
@@ -141,16 +133,16 @@ def combined_loss(
     sem_blocks: np.ndarray,
     params: EncoderParams,
     hyper: HyperParams,
-    dropout_rng: Optional[np.random.Generator] = None,
+    dropout_rng: np.random.Generator,
     loss_mask: tuple[bool, bool] = (True, True),
 ):
     """One shared-parameter train-mode forward over all four charts of
     every sample, and the objective on its output.
 
     The batch rows hold four equal blocks: every sample's prev chart, then
-    its mid, next and negative charts (see SampleSet.batch). Returns
-    (LossBreakdown, trace, gradient, active) as objective does, with the
-    forward's trace; backward_batch(trace, gradient, params) gives the
+    its mid, next and negative charts (see SampleSet.batch). dropout_rng
+    draws the dropout mask. Returns (LossBreakdown, trace, gradient, active)
+    as objective does; backward_batch(trace, gradient, params) gives the
     parameter gradient. Raises TrainingDivergedError on a non-finite loss.
     """
     if len(rule_ids) == 0:
@@ -244,32 +236,38 @@ def grad_check(
 
     `batch` is (rule ids, semantic blocks) in combined_loss's four-block
     layout; with several samples it covers the cross-sample batch-norm
-    terms. Runs on a copy of params (the caller's running statistics stay
-    put) with dropout disabled, over n_coords seeded parameter coordinates
-    spread evenly across the trainable arrays, so that the small conv
-    weight, gamma and beta arrays are checked as well as the large fc
-    weights. A conv coordinate moves every activation of the batch, so its
-    probes can straddle a ReLU or hinge kink; such a coordinate is probed
-    again with a smaller step, and skipped when the kink is at the point
-    itself. loss_mask selects the loss terms as in training. The corrupt
-    flag deliberately perturbs one conv gradient to prove the check can
-    fail.
+    terms. Runs on a copy of params, whose running statistics every probe
+    restores, with the config's dropout: every forward draws the one mask
+    from a fresh generator seeded with `seed`. Checks n_coords seeded
+    coordinates spread evenly across the trainable arrays, so that the
+    small conv weight, gamma and beta arrays are checked as well as the
+    large fc weights. A conv coordinate moves every activation of the batch,
+    so its probes can straddle a ReLU or hinge kink; such a coordinate is
+    probed again with a smaller step, and skipped when the kink is at the
+    point itself; a probe whose loss is not finite counts as an infinite
+    error. loss_mask selects the loss terms as in training. The corrupt flag
+    perturbs one conv gradient to prove the check can fail.
     """
     if n_coords < 1:
         raise ValueError("gradient check needs at least one coordinate")
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"gradient check needs a finite epsilon > 0, got {epsilon}")
-    work = EncoderParams(replace(params.config, dropout=0.0), params.values.copy())
+    work = EncoderParams(params.config, params.values.copy())
 
     def run():
-        return combined_loss(*batch, work, hyper, loss_mask=loss_mask)
+        return combined_loss(*batch, work, hyper, np.random.default_rng(seed), loss_mask)
 
     def probe(arr, idx, value):
         """The total at arr[idx] = value, and the side of every ReLU kink,
         and of the hinge kink unless the hinge is masked, that the batch
-        sits on."""
+        sits on; a diverged probe has a NaN total and no sides."""
         arr[idx] = value
-        breakdown, trace, _, active = run()
+        try:
+            breakdown, trace, _, active = run()
+        except TrainingDivergedError:
+            return math.nan, None
+        finally:  # an overflowing probe leaves the running statistics non-finite
+            work.values[work.trainable.size :] = params.values[work.trainable.size :]
         sides = list(trace.conv_relu_mask)
         if loss_mask[1]:
             sides.append(active)
@@ -307,7 +305,8 @@ def grad_check(
             for step in epsilon / 10.0 ** np.arange(4):
                 plus, plus_sides = probe(arr, idx, original + step)
                 minus, minus_sides = probe(arr, idx, original - step)
-                straddles = not np.array_equal(plus_sides, minus_sides)
+                straddles = not (plus_sides is None or minus_sides is None
+                                 or np.array_equal(plus_sides, minus_sides))
                 if not straddles:
                     break
             arr[idx] = original

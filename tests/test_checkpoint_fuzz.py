@@ -142,15 +142,20 @@ _TABLE = [
      "invalid config block: expected an object"),
     ("config a list", lambda d: with_header(d, lambda h: {**h, "config": list(h["config"])}),
      "invalid config block: expected an object"),
-    ("dropout a string", with_config("dropout", "0.1"), "dropout must be"),
-    ("dropout NaN", with_config("dropout", float("nan")), "dropout must be a finite number, got nan"),
-    ("dropout infinite", with_config("dropout", float("inf")), "dropout must be a finite number"),
-    ("dropout out of range", with_config("dropout", 1.5), "dropout must lie in [0, 1)"),
-    ("semantic mode a number", with_config("semantic_mode", 3), "semantic_mode must be"),
-    ("semantic mode a list", with_config("semantic_mode", ["none"]), "semantic_mode must be"),
-    ("switch a string", with_config("use_fc", "true"), "use_fc must be"),
-    ("switch a number", with_config("zero_schema", 0), "zero_schema must be"),
-    ("switch null", with_config("use_locations", None), "use_locations must be"),
+    ("dropout a string", with_config("dropout", "0.1"), 'dropout: expected a number, got "0.1"'),
+    ("dropout NaN", with_config("dropout", float("nan")), "dropout: expected a finite number, got nan"),
+    ("dropout infinite", with_config("dropout", float("inf")), "dropout: expected a finite number, got inf"),
+    ("dropout out of range", with_config("dropout", 1.5), "dropout: must be in [0, 1), got 1.5"),
+    ("dropout past the float range", with_config("dropout", 10**400),
+     "dropout: expected a finite number, got 1000"),
+    ("semantic mode a number", with_config("semantic_mode", 3),
+     "semantic_mode: expected a string, got 3"),
+    ("semantic mode a list", with_config("semantic_mode", ["none"]),
+     'semantic_mode: expected a string, got ["none"]'),
+    ("switch a string", with_config("use_fc", "true"), 'use_fc: expected true or false, got "true"'),
+    ("switch a number", with_config("zero_schema", 0), "zero_schema: expected true or false, got 0"),
+    ("switch null", with_config("use_locations", None),
+     "use_locations: expected true or false, got null"),
     ("kernel size a float", with_config("kernel_size", 3.0), "kernel_size must be 3, got 3.0"),
     ("output dim NaN", with_config("output_dim", float("nan")), "output_dim must be 540, got NaN"),
     ("value count one more", with_count(1), "checkpoint shape mismatch"),

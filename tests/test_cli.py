@@ -26,7 +26,7 @@ from chartembed.encoder import (
     load_checkpoint,
     save_checkpoint,
 )
-from chartembed.evaluation import EmbeddingIndex, load_index, save_index
+from chartembed.evaluation import ABLATION_VARIANTS, EmbeddingIndex, load_index, save_index
 
 
 def checkpoint_extras(path):
@@ -458,7 +458,7 @@ def _embed_error(checkpoint, corpus_path, vectors_path, out, capsys) -> str:
          "conv_channels must be [60, 30, 15, 8], got [60, 30, 15, 8.0]"),
         (lambda c: c.update(output_dim="540"), 'output_dim must be 540, got "540"'),
         (lambda c: c.update(bn_eps=-1.0), "bn_eps must be 1e-05, got -1.0"),
-        (lambda c: c.update(use_fc="yes"), "use_fc must be true or false, got 'yes'"),
+        (lambda c: c.update(use_fc="yes"), 'use_fc: expected true or false, got "yes"'),
         (lambda c: c.pop("dropout"), "missing keys ['dropout']"),
         (lambda c: c.update(extra=1), "unknown keys ['extra']"),
         # Each architecture value must equal the constant as JSON text.
@@ -731,6 +731,22 @@ def test_ablate_unknown_variant(fixture_corpus_path, fixture_vectors_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags, variants, warning", [
+    ([], list(ABLATION_VARIANTS), None),  # --variants all is the default
+    (["--variants", "full", "--test-fraction", "0.5"], ["full"], None),
+    (["--variants", "full,no-fc", "--lr", "1e300", "--epochs", "2"], ["full", "no-fc"],
+     "warning: failed variants: ['full', 'no-fc']"),
+], ids=["all-variants", "held-out-half", "diverging-variants"])
+def test_ablate_runs(fixture_corpus_path, fixture_vectors_path, capsys, flags, variants, warning):
+    argv = ["ablate", fixture_corpus_path, fixture_vectors_path, "--epochs", "1", "--seed", "0"]
+    assert main(argv + flags) == 0
+    captured = capsys.readouterr()
+    rows = [line.split() for line in captured.out.splitlines()[1:]]
+    assert [row[0] for row in rows] == variants
+    assert all(row[-1] == "ok" for row in rows) is (warning is None)
+    assert (warning in captured.err.splitlines()) if warning else captured.err == ""
+
+
 def test_gradcheck_ok(capsys):
     assert main(["gradcheck", "--seed", "0", "--coords", "60"]) == 0
     assert "gradients OK" in capsys.readouterr().out
@@ -766,6 +782,30 @@ def test_gradcheck_rejects_bad_epsilon(capsys, epsilon, message):
 def test_gradcheck_epsilon_warning(capsys):
     main(["gradcheck", "--seed", "0", "--coords", "10", "--epsilon", "1e-2"])
     assert "outside the reliable" in capsys.readouterr().err
+
+
+def test_an_integer_past_the_float_range_is_not_a_finite_number(
+    tmp_path, fixture_corpus_path, fixture_vectors_path, capsys
+):
+    huge = 10**400
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"alpha": huge}), encoding="utf-8")
+    args = ["train", fixture_corpus_path, fixture_vectors_path, str(tmp_path / "m.ckpt")]
+    assert main(args + ["--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: alpha: expected a finite number, got {huge}\n"
+    with pytest.raises(ValueError, match="^alpha: expected a finite number"):
+        chartembed.HyperParams(alpha=huge)
+
+
+def test_gradcheck_counts_an_overflowing_probe_as_infinite(capsys):
+    # Every probe's loss overflows: the check fails, where a probe's
+    # divergence once ended it with a training or parameter error.
+    assert main(["gradcheck", "--epsilon", "1e300", "--coords", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "max relative error: inf over 5 coordinates\n"
+    warning, error = captured.err.splitlines()
+    assert "outside the reliable" in warning
+    assert error == "error: gradient check failed (threshold 0.0001)"
 
 
 def test_embedding_dim_is_fixed(capsys):

@@ -108,6 +108,10 @@ _TABLE = [
      "visualizations: expected a list"),
     ("visualization a list", edited(lambda o: o["visualizations"].__setitem__(1, [])),
      "visualizations[1]: expected an object"),
+    ("visualization key unknown", edited(lambda o: o["visualizations"][0].__setitem__("title", "x")),
+     "visualizations[0]: unknown keys ['title']"),
+    ("visualization key missing", edited(lambda o: o["visualizations"][1].__delitem__("domain")),
+     "visualizations[1]: missing keys ['domain']"),
     ("id null", edited(lambda o: o["visualizations"][0].__setitem__("id", None)),
      "visualizations[0].id: expected a string"),
     ("dataset id a number", edited(lambda o: o["visualizations"][2].__setitem__("dataset_id", 7)),

@@ -557,3 +557,6 @@ def test_config_validation():
         with pytest.raises(EncoderError, match=next(iter(fields))):
             EncoderConfig(**fields)
     assert EncoderConfig(dropout=0).dropout == 0
+    # Any real number is a dropout, held as a Python float: a numpy float32
+    # has no JSON text for the checkpoint header.
+    assert type(EncoderConfig(dropout=np.float32(0.25)).dropout) is float

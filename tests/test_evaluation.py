@@ -231,6 +231,12 @@ def test_metrics_empty_index_rejected():
         compute_metrics(EmbeddingIndex((), (), (), (), np.zeros((0, 0))))
 
 
+def test_metrics_reject_an_index_of_one_chart_datasets():
+    index = EmbeddingIndex(("a", "b"), ("s", "s"), (0, 1), ("d1", "d2"), np.eye(2))
+    with pytest.raises(EvaluationError, match="no scorable anchors"):
+        compute_metrics(index)
+
+
 def test_index_io_roundtrip(tmp_path, fixture_corpus, store, base_config):
     params = init_params(4, base_config)
     index = build_index(fixture_corpus, params, store)

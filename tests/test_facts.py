@@ -243,6 +243,11 @@ _DIRECTIONS = "['increasing', 'decreasing', 'no-trend']"
     (("measure", "aggregation"), None,
      f"fact.measure.aggregation: unknown value None, expected one of {_AGGREGATIONS}"),
     (("meta", "direction"), [], f"fact.meta.direction: unknown value [], expected one of {_DIRECTIONS}"),
+    # Parts that are not objects.
+    (("breakdown",), "Month", "fact.breakdown: expected an object or null"),
+    (("measure",), ["Sales"], "fact.measure: expected an object or null"),
+    (("focus",), 3, "fact.focus: expected an object or null"),
+    (("meta",), "trend", "fact.meta: expected an object or null"),
 ])
 def test_parse_error_texts_are_frozen(path, value, message):
     obj = json.loads(json.dumps(_FULL_FACT))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -371,74 +372,87 @@ def test_grad_check_counts_a_non_finite_numeric_gradient_as_infinite(monkeypatch
 
 
 def test_gradients_under_a_fixed_dropout_mask(base_config):
-    # grad_check runs with dropout off, but training uses 0.1. A fresh
-    # generator per evaluation draws the same mask for every probe, so
-    # central differences see the gradient through the dropout gate.
+    # grad_check keeps the config's dropout (0.1, as in training) and gives
+    # every forward a fresh generator, so all probes see one mask.
     assert base_config.dropout == 0.1
     params = init_params(0, base_config)
     batch = _gradcheck_batch(0, base_config)
-    hyper = HyperParams()
-
-    def evaluate():
-        return combined_loss(*batch, params, hyper, dropout_rng=np.random.default_rng(3))
-
-    _, trace, gradient, _ = evaluate()
+    _, trace, _, _ = combined_loss(*batch, params, HyperParams(), np.random.default_rng(3))
     scale = 1.0 / (1.0 - base_config.dropout)
     assert set(np.unique(trace.fc1_gate)) == {0.0, scale}
     assert (trace.fc1_gate == 0).mean() > 0.5  # the ReLU and the mask both close gates
-    grads = param_views(base_config, backward_batch(trace, gradient, params))
-    rng = np.random.default_rng(0)
-    epsilon = 1e-5
-    for name in ("fc1.weight", "fc1.bias", "fc2.weight", "fc2.bias", "conv2.gamma"):
-        view = params.views[name]
-        for flat in rng.choice(view.size, size=4, replace=False):
-            idx = np.unravel_index(flat, view.shape)
-            original = view[idx]
-            view[idx] = original + epsilon
-            plus = evaluate()[0].total
-            view[idx] = original - epsilon
-            minus = evaluate()[0].total
-            view[idx] = original
-            numeric = (plus - minus) / (2.0 * epsilon)
-            analytic = grads[name][idx]
-            error = abs(numeric - analytic) / max(1.0, abs(numeric), abs(analytic))
-            assert error < 1e-4, (name, idx, numeric, analytic)
+
+
+def test_grad_check_detects_a_dropout_gate_without_its_scale(monkeypatch, base_config):
+    # A backward that applies the dropout mask but drops its 1/(1-p) scale.
+    def unscaled(trace, *args, **kwargs):
+        trace = dataclasses.replace(trace, fc1_gate=(trace.fc1_gate > 0).astype(float))
+        return backward_batch(trace, *args, **kwargs)
+
+    batch = _gradcheck_batch(0, base_config)
+    params = init_params(0, base_config)
+    assert grad_check(batch, params, HyperParams(), n_coords=200) < 1e-4
+    monkeypatch.setattr(learning, "backward_batch", unscaled)
+    assert grad_check(batch, params, HyperParams(), n_coords=200) > 1e-2
 
 
 @pytest.mark.parametrize("name", ["alpha", "beta", "margin", "learning_rate"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_hyper_params_reject_non_finite(name, value):
-    with pytest.raises(ValueError, match=f"{name} must be finite"):
+    with pytest.raises(ValueError, match=f"^{name}: expected a finite number, got {value}$"):
         HyperParams(**{name: value})
+
+
+# (field, value, message, the case that the test id names)
+_BAD_FIELDS = [
+    ("learning_rate", 0.0, "learning_rate: must be > 0, got 0.0",
+     "learning_rate must be > 0"),
+    ("batch_size", 0, "batch_size: must be >= 1, got 0", "batch_size must be >= 1"),
+    ("epochs", -1, "epochs: must be >= 0, got -1", "epochs must be >= 0"),
+    ("seed", -1, "seed: must be >= 0, got -1", "seed must be >= 0"),
+    ("seed", 1.5, "seed: expected an integer, got 1.5", "seed must be an integer, got 1.5"),
+    ("batch_size", 2.5, "batch_size: expected an integer, got 2.5",
+     "batch_size must be an integer, got 2.5"),
+    ("epochs", 2.5, "epochs: expected an integer, got 2.5", "epochs must be an integer, got 2.5"),
+    ("epochs", True, "epochs: expected an integer, got true",
+     "epochs must be an integer, got True"),
+    ("alpha", True, "alpha: expected a number, got true", "alpha must be a number, got True"),
+    ("margin", True, "margin: expected a number, got true", "margin must be a number, got True"),
+    ("dropout", "0.1", 'dropout: expected a number, got "0.1"',
+     "dropout must be a number, got '0.1'"),
+    ("learning_rate", "0.1", 'learning_rate: expected a number, got "0.1"',
+     "learning_rate must be a number, got '0.1'"),
+    ("beta", None, "beta: expected a number, got null", "beta must be a number, got None"),
+    ("dropout", False, "dropout: expected a number, got false",
+     "dropout must be a number, got False"),
+    ("alpha", -0.5, "alpha: must be >= 0, got -0.5", "alpha must be >= 0"),
+    ("beta", -1, "beta: must be >= 0, got -1", "beta must be >= 0"),
+    ("margin", 0, "margin: must be > 0, got 0", "margin must be > 0"),
+    ("margin", -1.0, "margin: must be > 0, got -1.0", "margin must be > 0"),
+    ("dropout", 1.0, "dropout: must be in [0, 1), got 1.0", "dropout must be in [0, 1)"),
+    ("dropout", -0.1, "dropout: must be in [0, 1), got -0.1", "dropout must be in [0, 1)"),
+]
 
 
 @pytest.mark.parametrize(
     "field, value, message",
-    [
-        ("learning_rate", 0.0, "learning_rate must be > 0"),
-        ("batch_size", 0, "batch_size must be >= 1"),
-        ("epochs", -1, "epochs must be >= 0"),
-        ("seed", -1, "seed must be >= 0"),
-        ("seed", 1.5, "seed must be an integer, got 1.5"),
-        ("batch_size", 2.5, "batch_size must be an integer, got 2.5"),
-        ("epochs", 2.5, "epochs must be an integer, got 2.5"),
-        ("epochs", True, "epochs must be an integer, got True"),
-        ("alpha", True, "alpha must be a number, got True"),
-        ("margin", True, "margin must be a number, got True"),
-        ("dropout", "0.1", "dropout must be a number, got '0.1'"),
-        ("learning_rate", "0.1", "learning_rate must be a number, got '0.1'"),
-        ("beta", None, "beta must be a number, got None"),
-        ("dropout", False, "dropout must be a number, got False"),
-    ],
+    [case[:3] for case in _BAD_FIELDS],
+    ids=[f"{field}-{value}-{name}" for field, value, _, name in _BAD_FIELDS],
 )
 def test_hyper_params_name_the_bad_optimizer_field(field, value, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         HyperParams(**{field: value})
 
 
 def test_hyper_params_take_numpy_integers():
     hyper = HyperParams(batch_size=np.int64(4), epochs=np.int32(2), seed=np.uint8(7))
     assert (hyper.batch_size, hyper.epochs, hyper.seed) == (4, 2, 7)
+
+
+def test_hyper_params_show_a_numpy_value_by_its_repr():
+    # np.int64 has no JSON text; its repr differs between numpy 1 and 2.
+    with pytest.raises(ValueError, match=r"^seed: must be >= 0, got (np\.int64\()?-1\)?$"):
+        HyperParams(seed=np.int64(-1))
 
 
 def test_hyper_params_take_numpy_floats():
@@ -543,7 +557,22 @@ def test_adam_deterministic(base_config):
 def test_combined_loss_empty_batch_rejected(base_config):
     with pytest.raises(ValueError, match="empty"):
         combined_loss(np.zeros((0, 16), dtype=int), np.zeros((0, 25, 17)),
-                      init_params(0, base_config), HyperParams())
+                      init_params(0, base_config), HyperParams(), np.random.default_rng(0))
+
+
+def test_combined_loss_needs_a_dropout_generator(base_config):
+    batch = _gradcheck_batch(0, base_config)
+    params = init_params(0, base_config)
+    with pytest.raises(TypeError, match="dropout_rng"):
+        combined_loss(*batch, params, HyperParams())
+    assert np.isfinite(combined_loss(*batch, params, HyperParams(), np.random.default_rng(0))[0].total)
+
+
+@pytest.mark.parametrize("rows", [1, 5, 7])
+def test_objective_names_the_four_block_layout(rows):
+    message = f"^objective needs four equal blocks of rows, got {rows} rows$"
+    with pytest.raises(ValueError, match=message):
+        objective(np.zeros((rows, 3)), HyperParams())
 
 
 def test_train_bitwise_reproducible(fixture_corpus, store, base_config):
