@@ -47,6 +47,7 @@ from .encoder import (
 )
 from .evaluation import (
     ABLATION_VARIANTS,
+    QUERY_RULES,
     ablation_csv,
     build_index,
     compute_metrics,
@@ -159,9 +160,7 @@ _CONFIG_TYPES = {
 
 # The options of nearest (k), eval (gap2, gap3) and gradcheck (epsilon, coords).
 _QUERY_TYPES = {
-    "k": (int, ">= 1", lambda v: v >= 1),
-    "gap2": (int, ">= 0", lambda v: v >= 0),
-    "gap3": (int, ">= 0", lambda v: v >= 0),
+    **QUERY_RULES,
     "epsilon": (float, "> 0", lambda v: v > 0),
     "coords": (int, ">= 1", lambda v: v >= 1),
 }

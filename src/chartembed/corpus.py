@@ -548,7 +548,7 @@ def import_calliope(obj: dict) -> dict:
             raw_breakdown = _calliope_part(item, "breakdown", cwhere)
             if raw_breakdown:
                 breakdown = {
-                    "field": str(raw_breakdown.get("field", raw_breakdown)),
+                    "field": str(raw_breakdown.get("field", "")),
                     "field_type": _calliope_field_type(
                         raw_breakdown.get("type", "categorical"), cwhere
                     ),

@@ -10,18 +10,17 @@ shared corpus.
 
 from __future__ import annotations
 
-import io
 import logging
 import math
 import time
 import tracemalloc
 from dataclasses import asdict, dataclass, replace
-from typing import BinaryIO, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .corpus import Corpus, EncodedCorpus, build_samples, encode_corpus
-from .encoder import EncoderConfig, EncoderParams, forward_batch, init_params
+from .encoder import EncoderConfig, EncoderParams, check_setting, forward_batch, init_params
 from .learning import HyperParams, train
 from .semantics import VectorStore
 
@@ -242,6 +241,12 @@ def _screened(index: EmbeddingIndex, row: int, pool: np.ndarray, k: int) -> np.n
     return pool[keep[0]]
 
 
+QUERY_RULES = {
+    "k": (int, ">= 1", lambda v: v >= 1),
+    **dict.fromkeys(("gap2", "gap3"), (int, ">= 0", lambda v: v >= 0)),
+}
+
+
 def nearest(
     index: EmbeddingIndex,
     anchor: str,
@@ -261,8 +266,7 @@ def nearest(
         raise EvaluationError(f"unknown scope {scope!r}")
     if anchor not in index.row:
         raise EvaluationError(f"unknown anchor {anchor!r}")
-    if k < 1:
-        raise EvaluationError("k must be >= 1")
+    k = check_setting("k", k, QUERY_RULES["k"], EvaluationError)
     row = index.row[anchor]
     pool = np.arange(len(index)) if scope == "all" else index.blocks[index.dataset_ids[row]]
     if len(pool) < 2:
@@ -313,12 +317,12 @@ def compute_metrics(index: EmbeddingIndex, gap2: int = 2, gap3: int = 3) -> Metr
     Gram product per chunk of anchors finds each anchor's near-ties, and
     only those are re-ranked. Anchors without a same-dataset candidate
     cannot be scored; they are excluded from the denominators and reported
-    in the detail rows. Raises EvaluationError for a negative gap or gap2 > gap3.
+    in the detail rows. Raises EvaluationError for a bad gap or gap2 > gap3.
     """
-    if gap2 < 0 or gap3 < 0:
-        raise EvaluationError(f"position gaps must be >= 0, got gap2={gap2} gap3={gap3}")
+    gap2 = check_setting("gap2", gap2, QUERY_RULES["gap2"], EvaluationError)
+    gap3 = check_setting("gap3", gap3, QUERY_RULES["gap3"], EvaluationError)
     if gap2 > gap3:
-        raise EvaluationError(f"gap2 must be <= gap3, got gap2={gap2} gap3={gap3}")
+        raise EvaluationError(f"gap2: must be <= gap3 ({gap3}), got {gap2}")
     if len(index) == 0:
         raise EvaluationError("empty index")
     vectors = index.vectors
@@ -1021,45 +1025,39 @@ def _read_cells(words: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tupl
     return value, proven
 
 
-def _load_index_rows(path: str, fh: BinaryIO) -> EmbeddingIndex:
-    """load_index one line at a time, each converted by numpy, from the
-    start of `fh`."""
-    rows = []
-    try:
-        text = io.TextIOWrapper(fh, encoding="utf-8")
-        header = text.readline().rstrip("\n").split("\t")
-        if header[:4] != ["chart_id", "story_id", "position", "dataset_id"]:
-            raise EvaluationError(f"{path}: not an embedding index file")
-        dim = len(header) - 4
-        for lineno, line in enumerate(text, start=2):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 4 + dim:
-                raise EvaluationError(f"{path}:{lineno}: expected {4 + dim} fields")
-            try:
-                position = np.int64(parts[2])  # int() syntax, int64 range
-            except (ValueError, OverflowError):
-                raise EvaluationError(
-                    f"{path}:{lineno}: position {parts[2]!r} is not an integer within int64"
-                ) from None
-            try:
-                vector = np.array(parts[4:], dtype=np.float64)
-            except ValueError:
-                raise EvaluationError(f"{path}:{lineno}: non-numeric vector cell") from None
-            if not np.isfinite(vector).all():
-                raise EvaluationError(f"{path}:{lineno}: non-finite vector cell")
-            rows.append((parts[0], parts[1], position, parts[3], vector))
-    except UnicodeDecodeError as exc:
-        raise EvaluationError(f"{path}: not a UTF-8 text file: {exc}") from None
-    chart_ids, story_ids, positions, dataset_ids, vectors = list(zip(*rows)) or [()] * 5
-    return EmbeddingIndex(
-        chart_ids, story_ids, positions, dataset_ids, np.array(vectors).reshape(len(rows), dim)
-    )
+def _read_lines(path: str, lines: bytes, first_lineno: int, dim: int) -> tuple:
+    """(ids, positions, vectors) of `lines`, which end at LF, CR or CRLF,
+    one line at a time, each converted by numpy. An error names the file and
+    the line, the first of `lines` being line `first_lineno`."""
+    ids, positions, vectors = [], [], []
+    for lineno, line in enumerate(lines.splitlines(), start=first_lineno):
+        try:
+            parts = line.decode("utf-8").split("\t")
+        except UnicodeDecodeError as exc:
+            raise EvaluationError(f"{path}:{lineno}: not a UTF-8 text file: {exc}") from None
+        if len(parts) != 4 + dim:
+            raise EvaluationError(f"{path}:{lineno}: expected {4 + dim} fields")
+        try:
+            positions.append(np.int64(parts[2]))  # int() syntax, int64 range
+        except (ValueError, OverflowError):
+            raise EvaluationError(
+                f"{path}:{lineno}: position {parts[2]!r} is not an integer within int64"
+            ) from None
+        try:
+            vector = np.array(parts[4:], dtype=np.float64)
+        except ValueError:
+            raise EvaluationError(f"{path}:{lineno}: non-numeric vector cell") from None
+        if not np.isfinite(vector).all():
+            raise EvaluationError(f"{path}:{lineno}: non-finite vector cell")
+        ids.append((parts[0], parts[1], parts[3]))
+        vectors.append(vector)
+    return ids, positions, np.array(vectors).reshape(len(ids), dim)
 
 
 def _read_chunk(chunk: bytes, size: int, dim: int) -> Optional[tuple]:
     """(ids, positions, vectors) of the whole lines in the first `size`
-    bytes of `chunk`, or None if _load_index_rows must read the file: a line
-    is irregular or holds a cell that _read_cells does not prove."""
+    bytes of `chunk`, or None if _read_lines must read them: a line is
+    irregular or holds a cell that _read_cells does not prove."""
     if chunk.find(b"\r", 0, size) >= 0:
         return None
     text = np.frombuffer(chunk, dtype=np.uint8, count=size)
@@ -1092,56 +1090,45 @@ def _read_chunk(chunk: bytes, size: int, dim: int) -> Optional[tuple]:
     return ids, positions, vectors
 
 
-def _load_index_chunks(fh: BinaryIO) -> Optional[EmbeddingIndex]:
-    """load_index through _read_chunk, in chunks of whole lines of about
-    _READ_BYTES, or None for a file that only _load_index_rows may judge:
-    a bad header, no final newline, or a chunk that _read_chunk declines."""
-    head = fh.readline()
-    if not head.endswith(b"\n") or b"\r" in head:
-        return None
-    try:
-        header = head[:-1].decode("utf-8").split("\t")
-    except UnicodeDecodeError:
-        return None
-    if header[:4] != ["chart_id", "story_id", "position", "dataset_id"] or len(header) == 4:
-        return None
-    dim = len(header) - 4
-    ids, positions, blocks = [], [], []
-    carry = b""
-    while True:
-        data = fh.read(_READ_BYTES)
-        if not data:
-            break
-        data = carry + data
-        cut = data.rfind(b"\n") + 1
-        carry = data[cut:]
-        if cut:
-            read = _read_chunk(data, cut, dim)
-            if read is None:
-                return None
-            ids += read[0]
-            positions += read[1]
-            blocks.append(read[2])
-    if carry:
-        return None
+def load_index(path: str) -> EmbeddingIndex:
+    """Read an index TSV, whose lines end at LF, CR or CRLF, in chunks of
+    whole lines of about _READ_BYTES from a file or a pipe alike: _read_chunk
+    reads a chunk whose every cell _read_cells proves, and _read_lines any
+    other chunk, and a last line without a newline, with the same result.
+    Raises EvaluationError naming the file, for a header that is not an
+    index's; and naming the file and the line, for a line that is not UTF-8,
+    a wrong field count, a position that is not an int64, a vector cell that
+    is not a finite number, or a repeated chart id."""
+    with open(path, "rb") as fh:
+        head, *rest = fh.readline().splitlines(keepends=True) or [b""]
+        try:
+            header = head.rstrip(b"\r\n").decode("utf-8").split("\t")
+        except UnicodeDecodeError as exc:
+            raise EvaluationError(f"{path}:1: not a UTF-8 text file: {exc}") from None
+        if header[:4] != ["chart_id", "story_id", "position", "dataset_id"]:
+            raise EvaluationError(f"{path}: not an embedding index file")
+        dim = len(header) - 4
+        ids, positions, blocks = [], [], []
+        carry = b"".join(rest)
+        while True:
+            data = fh.read(_READ_BYTES)
+            chunk = carry + data
+            size = chunk.rfind(b"\n") + 1 if data else len(chunk)
+            carry = chunk[size:]
+            if size:
+                read = _read_chunk(chunk, size, dim) if dim and data else None
+                if read is None:  # every line is one row, so the first is line len(positions) + 2
+                    read = _read_lines(path, chunk[:size], len(positions) + 2, dim)
+                ids += read[0]
+                positions += read[1]
+                blocks.append(read[2])
+            if not data:
+                break
     chart_ids, story_ids, dataset_ids = list(zip(*ids)) or [()] * 3
+    first_line = {}  # after every other fault of the file, the first repeated id
+    for lineno, chart_id in enumerate(chart_ids, start=2):
+        if first_line.setdefault(chart_id, lineno) != lineno:
+            raise EvaluationError(f"{path}:{lineno}: duplicate chart id {chart_id!r}")
     vectors = np.concatenate(blocks) if blocks else np.zeros((0, dim))
     blocks.clear()  # EmbeddingIndex copies the vectors: hold two copies at most
     return EmbeddingIndex(chart_ids, story_ids, positions, dataset_ids, vectors)
-
-
-def load_index(path: str) -> EmbeddingIndex:
-    """Read an index TSV. Raises EvaluationError, naming the line, for a
-    wrong field count, a position that is not an int64, or a vector cell that
-    is not a finite number; and for a duplicate chart id or a non-UTF-8 file.
-
-    A file whose every cell _read_cells proves is read by it. Any other
-    file, and a stream that cannot seek back to its start, such as a pipe,
-    is read one line at a time by _load_index_rows, with the same result."""
-    with open(path, "rb") as fh:
-        if fh.seekable():
-            index = _load_index_chunks(fh)
-            if index is not None:
-                return index
-            fh.seek(0)
-        return _load_index_rows(path, fh)

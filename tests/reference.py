@@ -28,8 +28,8 @@ one `%` of a template per row; its bytes must equal these.
 
 `load_index` reads the index TSV one line at a time, every cell converted
 by numpy. The package proves the cells that its own writer prints with a
-numpy kernel and reads only the other rows this way; both must raise the
-same error, or give the same ids, positions and vector bits.
+numpy kernel and reads only the other chunks of lines this way; both must
+raise the same error, or give the same ids, positions and vector bits.
 
 `SINGLE_SWITCH_VARIANTS` and the derivation-length bounds are facts about
 the package's tables that only the tests check.
@@ -220,33 +220,41 @@ def save_index(index: EmbeddingIndex, path: str) -> None:
 
 
 def load_index(path: str) -> EmbeddingIndex:
-    """The index TSV, every line split and converted with `np.array`."""
+    """The index TSV, every line of `bytes.splitlines` decoded, split and
+    converted with `np.array`."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines() or [b""]
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    for lineno, line in enumerate(lines, start=1):
         try:
-            header = fh.readline().rstrip("\n").split("\t")
-            if header[:4] != ["chart_id", "story_id", "position", "dataset_id"]:
-                raise EvaluationError(f"{path}: not an embedding index file")
-            dim = len(header) - 4
-            for lineno, line in enumerate(fh, start=2):
-                parts = line.rstrip("\n").split("\t")
-                if len(parts) != 4 + dim:
-                    raise EvaluationError(f"{path}:{lineno}: expected {4 + dim} fields")
-                try:
-                    position = np.int64(parts[2])  # int() syntax, int64 range
-                except (ValueError, OverflowError):
-                    raise EvaluationError(
-                        f"{path}:{lineno}: position {parts[2]!r} is not an integer within int64"
-                    ) from None
-                try:
-                    vector = np.array(parts[4:], dtype=np.float64)
-                except ValueError:
-                    raise EvaluationError(f"{path}:{lineno}: non-numeric vector cell") from None
-                if not np.isfinite(vector).all():
-                    raise EvaluationError(f"{path}:{lineno}: non-finite vector cell")
-                rows.append((parts[0], parts[1], position, parts[3], vector))
+            parts = line.decode("utf-8").split("\t")
         except UnicodeDecodeError as exc:
-            raise EvaluationError(f"{path}: not a UTF-8 text file: {exc}") from None
+            raise EvaluationError(f"{path}:{lineno}: not a UTF-8 text file: {exc}") from None
+        if lineno == 1:
+            if parts[:4] != ["chart_id", "story_id", "position", "dataset_id"]:
+                raise EvaluationError(f"{path}: not an embedding index file")
+            dim = len(parts) - 4
+            continue
+        if len(parts) != 4 + dim:
+            raise EvaluationError(f"{path}:{lineno}: expected {4 + dim} fields")
+        try:
+            position = np.int64(parts[2])  # int() syntax, int64 range
+        except (ValueError, OverflowError):
+            raise EvaluationError(
+                f"{path}:{lineno}: position {parts[2]!r} is not an integer within int64"
+            ) from None
+        try:
+            vector = np.array(parts[4:], dtype=np.float64)
+        except ValueError:
+            raise EvaluationError(f"{path}:{lineno}: non-numeric vector cell") from None
+        if not np.isfinite(vector).all():
+            raise EvaluationError(f"{path}:{lineno}: non-finite vector cell")
+        rows.append((parts[0], parts[1], position, parts[3], vector))
+    seen = set()  # a repeated id is reported after every other fault of the file
+    for lineno, (chart_id, *_) in enumerate(rows, start=2):
+        if chart_id in seen:
+            raise EvaluationError(f"{path}:{lineno}: duplicate chart id {chart_id!r}")
+        seen.add(chart_id)
     chart_ids, story_ids, positions, dataset_ids, vectors = list(zip(*rows)) or [()] * 5
     return EmbeddingIndex(
         chart_ids, story_ids, positions, dataset_ids, np.array(vectors).reshape(len(rows), dim)

@@ -17,6 +17,7 @@ import time
 import numpy as np
 import pytest
 
+from chartembed import cli
 from chartembed.cli import _gradcheck_batch, main
 from chartembed.corpus import (
     Corpus,
@@ -65,6 +66,20 @@ def test_criterion_1_gradient_fidelity():
         error < 1e-4 and elapsed < 60.0,
         f"max rel error {error:.3e} over 200 coords in {elapsed:.1f}s",
     )
+
+
+def test_criterion_1_gradient_fidelity_at_the_trained_batch_size(monkeypatch):
+    """The check at the default batch size, 128 quadruples (512 rows), and the
+    default config, dropout on: the batch-norm terms couple every row."""
+    monkeypatch.setattr(cli, "GRADCHECK_SAMPLES", HyperParams().batch_size)
+    config = EncoderConfig()
+    batch = _gradcheck_batch(0, config)
+    assert batch[0].shape[0] == 4 * HyperParams().batch_size
+    started = time.perf_counter()
+    error = grad_check(batch, init_params(0, config), HyperParams(), n_coords=60, seed=0)
+    elapsed = time.perf_counter() - started
+    report(1, "gradient fidelity at batch 128", error < 1e-4,
+           f"max rel error {error:.3e} over 60 coords in {elapsed:.1f}s")
 
 
 def test_criterion_2_loss_identities():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -143,6 +144,10 @@ def test_nearest_scope_and_errors():
         nearest(index, "lone", "same-dataset")
     with pytest.raises(EvaluationError, match="unknown scope"):
         nearest(index, "a0", "galaxy")
+    for k, message in [(0, "k: must be >= 1, got 0"), (2.5, "k: expected an integer, got 2.5"),
+                       (True, "k: expected an integer, got true")]:
+        with pytest.raises(EvaluationError, match=re.escape(message)):
+            nearest(index, "a0", k=k)
     ranked = nearest(index, "a0", "same-dataset", k=99)
     assert len(ranked) == 4  # k larger than the candidate pool returns all
     assert all(index.dataset_ids[index.row[cid]] == "ds" for cid, _ in ranked)
@@ -264,6 +269,8 @@ def test_load_index_rejects_garbage(tmp_path, capsys):
         (header + good + "b\ts\t1\tds\tnan\t2.0\n", ":3: non-finite"),
         (header + good + "b\ts\t1\tds\t1.0\t-inf\n", ":3: non-finite"),
         (header + good + "a\ts\t1\tds\t1.0\t2.0\n", "duplicate chart id 'a'"),
+        (header + good + "b\ts\t1\tds\t1.0\t2.0\n" + "a\ts\t2\tds\t1.0\t2.0\n",
+         "bad.tsv:4: duplicate chart id 'a'"),
     ]
     path = tmp_path / "bad.tsv"
     for text, message in cases:
@@ -276,6 +283,9 @@ def test_load_index_rejects_garbage(tmp_path, capsys):
             assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
     path.write_bytes(b"\xff\xfe\x00garbage")
     with pytest.raises(EvaluationError, match="not a UTF-8 text file"):
+        load_index(str(path))
+    path.write_bytes((header + good).encode() + b"b\ts\t1\tds\t1.0\t2.\xff\n")
+    with pytest.raises(EvaluationError, match="bad.tsv:3: not a UTF-8 text file: .* position 15"):
         load_index(str(path))
 
 

@@ -334,6 +334,9 @@ _BAD_GAPS = [
     ({"gap2": 5, "gap3": 2}, "gap2"),
     ({"gap2": -1}, "gap"),
     ({"gap3": -4}, "gap"),
+    ({"gap2": float("nan")}, "gap2: expected an integer, got NaN"),
+    ({"gap2": True}, "gap2: expected an integer, got true"),
+    ({"gap3": 3.0}, "gap3: expected an integer, got 3.0"),
 ]
 
 

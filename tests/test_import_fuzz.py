@@ -103,6 +103,8 @@ _TABLE = [
      "unknown aggregation"),
     ("field type a number", edited(lambda o: fact(o)["breakdown"][0].__setitem__("type", 3)), 1,
      "stories[0].facts[1]: unknown field type 3"),
+    ("breakdown without a field", edited(lambda o: fact(o)["breakdown"][0].__delitem__("field")), 1,
+     "stories[0].facts[1]: invalid fact (breakdown.name: breakdown field name is empty)"),
     ("story id a number", edited(lambda o: o["stories"][0].__setitem__("story_id", 5)), 0, ""),
     ("chart id a number", edited(lambda o: fact(o).__setitem__("chart_id", 5)), 1,
      "stories[0].facts[1]: chart_id must be a non-empty string"),

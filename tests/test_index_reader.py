@@ -1,11 +1,11 @@
 """The index TSV reader against the per-line reference reader.
 
-`load_index` proves the cells that `save_index` prints with a numpy kernel;
-a file with any other cell, an irregular file and a stream that cannot
-seek, such as a pipe, are read one line at a time from the start. On every
-input it must give what `reference.load_index` gives: the same ids, story
-ids, positions, dataset ids and vector bits, or an `EvaluationError` with
-the same text.
+`load_index` reads a file or a pipe in chunks of whole lines and proves
+the cells that `save_index` prints with a numpy kernel; a chunk with any
+other cell or an irregular line, and a last line without a newline, are
+read one line at a time. On every input it must give what
+`reference.load_index` gives: the same ids, story ids, positions, dataset
+ids and vector bits, or an `EvaluationError` with the same text.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ def test_writer_cells_are_proven(tmp_path, monkeypatch):
     def unproven(*args):
         raise AssertionError("a cell of the writer's was not proven")
 
-    monkeypatch.setattr(evaluation, "_load_index_rows", unproven)
+    monkeypatch.setattr(evaluation, "_read_lines", unproven)
     back = load_index(str(path))
     assert back.vectors.tobytes() == index.vectors.tobytes()
 
@@ -170,6 +170,10 @@ def test_writer_cells_are_proven(tmp_path, monkeypatch):
     ("header only", HEADER + b"\tv1\n"),
     ("header without vector columns", HEADER + b"\n" + b"a\ts\t0\td\n"),
     ("header without newline", HEADER + b"\tv1"),
+    ("lone cr ends the header", HEADER + b"\tv1\ra\ts\t0\td\t1\nb\ts\t0\td\t2\n"),
+    ("crlf header, lf rows", HEADER + b"\tv1\r\na\ts\t0\td\t1\n"),
+    ("lone cr line endings only", HEADER + b"\tv1\ra\ts\t0\td\t1\rb\ts\t0\td\t2"),
+    ("non-UTF-8 byte in the header", HEADER.replace(b"story", b"st\xffory") + b"\tv1\n"),
     ("bad header", index_text([[b"0.5"]]).replace(b"chart_id", b"chart")),
     ("empty file", b""),
 ])
@@ -184,6 +188,7 @@ def test_rows_split_across_chunks(tmp_path, monkeypatch, chunk):
     rows[5][2] = b"1e5"  # an unproven row between proven ones
     check_bytes(tmp_path, index_text(rows))
     check_bytes(tmp_path, index_text(rows)[:-1])
+    check_bytes(tmp_path, index_text(rows).replace(b"\n", b"\r\n"))
 
 
 def read_through_pipe(data: bytes, read):
@@ -212,8 +217,8 @@ _PIPE_CASES = [
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 @pytest.mark.parametrize("data", [data for _, data in _PIPE_CASES], ids=[name for name, _ in _PIPE_CASES])
 def test_pipe_reads_like_reference(tmp_path, data):
-    """A stream that cannot seek back is read one line at a time from its
-    first byte, with the result and error text of a regular file."""
+    """A stream that cannot seek back gives the result and error text of a
+    regular file."""
     path = tmp_path / "index.tsv"
     path.write_bytes(data)
     try:
@@ -226,6 +231,47 @@ def test_pipe_reads_like_reference(tmp_path, data):
     got = read_through_pipe(data, load_index)
     assert got.ids == expected.ids and got.positions.tobytes() == expected.positions.tobytes()
     assert got.vectors.tobytes() == expected.vectors.tobytes()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_writer_file_through_a_pipe_is_proven(tmp_path, monkeypatch):
+    """A pipe is read in chunks as a regular file is: a file that save_index
+    writes never reaches the line reader."""
+    monkeypatch.setattr(evaluation, "_READ_BYTES", 4096)
+    n = 40
+    values = np.random.default_rng(5).standard_normal((n, 16))
+    index = EmbeddingIndex([f"c{i}" for i in range(n)], ["s"] * n, list(range(n)), ["d"] * n, values)
+    path = tmp_path / "index.tsv"
+    save_index(index, str(path))
+
+    def unproven(*args):
+        raise AssertionError("a chunk of the writer's was read line by line")
+
+    monkeypatch.setattr(evaluation, "_read_lines", unproven)
+    back = read_through_pipe(path.read_bytes(), load_index)
+    assert back.ids == index.ids and back.vectors.tobytes() == index.vectors.tobytes()
+
+
+def test_only_the_declined_chunk_is_read_line_by_line(tmp_path, monkeypatch):
+    """One unproven cell in the last row of a file read in small chunks:
+    only the lines of that row's chunk reach the line reader, numbered as
+    in the file."""
+    monkeypatch.setattr(evaluation, "_READ_BYTES", 200)
+    rows = [[g17(x) for x in row] for row in np.random.default_rng(3).standard_normal((12, 4))]
+    rows[-1][2] = b"1e5"
+    data = index_text(rows)
+    calls = []
+    read_lines = evaluation._read_lines
+
+    def recorded(path, lines, first_lineno, dim):
+        calls.append((lines, first_lineno))
+        return read_lines(path, lines, first_lineno, dim)
+
+    monkeypatch.setattr(evaluation, "_read_lines", recorded)
+    check_bytes(tmp_path, data)
+    [(lines, first_lineno)] = calls
+    assert data.endswith(lines) and lines.count(b"\n") < len(rows) // 2
+    assert data.count(b"\n") - lines.count(b"\n") + 1 == first_lineno
 
 
 _FORMATS = [g17, lambda x: b"%.15g" % x, lambda x: b"%.3f" % x, lambda x: b"%e" % x,
