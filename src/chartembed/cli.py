@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .corpus import (
-    NEGATIVE_POLICIES,
+    SAMPLING_RULES,
     Corpus,
     CorpusError,
     MultiViewVis,
@@ -154,8 +154,8 @@ _HYPER_FLAGS = {
 _CONFIG_TYPES = {
     **{flag: HYPER_RULES[field] for flag, (field, _) in _HYPER_FLAGS.items()},
     "test_fraction": HYPER_RULES["dropout"],  # a fraction in [0, 1), as dropout is
-    "negatives": (int, ">= 1", lambda v: v >= 1),
-    "policy": (str, f"one of {list(NEGATIVE_POLICIES)}", lambda v: v in NEGATIVE_POLICIES),
+    "negatives": SAMPLING_RULES["negatives_per_window"],
+    "policy": SAMPLING_RULES["policy"],
 }
 
 # The options of nearest (k), eval (gap2, gap3) and gradcheck (epsilon, coords).

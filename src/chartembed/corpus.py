@@ -9,6 +9,8 @@ domain, then anywhere.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import logging
 from dataclasses import dataclass, field
@@ -17,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import grammar, semantics
-from .encoder import EncoderConfig
+from .encoder import EncoderConfig, check_setting
 from .facts import (
     META_VARIANTS, ChartFact, FactParseError, Where, fact_from_dict, fact_to_dict, location,
     validate_fact,
@@ -44,6 +46,14 @@ DOMAINS = (
 KINDS = ("data-story", "dashboard")
 
 NEGATIVE_POLICIES = ("same-dataset-first", "any")
+
+# The rules of build_samples' and split_corpus' settings (see check_setting).
+SAMPLING_RULES = {
+    "negatives_per_window": (int, ">= 1", lambda v: v >= 1),
+    "policy": (str, f"one of {list(NEGATIVE_POLICIES)}", lambda v: v in NEGATIVE_POLICIES),
+    "seed": (int, ">= 0", lambda v: v >= 0),
+    "test_fraction": (float, "in (0, 1)", lambda v: 0 < v < 1),
+}
 
 
 class CorpusError(ValueError):
@@ -277,8 +287,8 @@ def save_corpus(corpus: Corpus, path: str) -> None:
 def split_corpus(corpus: Corpus, test_fraction: float, seed: int) -> tuple[Corpus, Corpus]:
     """Split at the dataset level; all visualizations of one dataset land on
     the same side. Deterministic for a fixed seed."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must lie strictly between 0 and 1")
+    for name, value in (("test_fraction", test_fraction), ("seed", seed)):
+        check_setting(name, value, SAMPLING_RULES[name], ValueError)
     datasets = list(corpus.dataset_ids())
     if len(datasets) < 2:
         raise CorpusError("corpus too small to split: need at least two datasets")
@@ -369,6 +379,21 @@ class SampleSet:
         return self.encoded.rows(self.quads[samples].T.ravel())
 
 
+class _Tier:
+    """Negative candidates in chart-id order: the ranks `base` (sorted) but
+    those in `skip` (sorted, a subset of base), drawn from by position."""
+
+    def __init__(self, base: np.ndarray, skip: np.ndarray):
+        self.base = base
+        self.size = len(base) - len(skip)
+        # The i-th skipped rank has i skipped ranks and gaps[i] tier ranks
+        # before it, so position j of the tier lies past the skips with gaps <= j.
+        self.gaps = np.searchsorted(base, skip) - np.arange(len(skip))
+
+    def ranks(self, positions: np.ndarray) -> np.ndarray:
+        return self.base[positions + np.searchsorted(self.gaps, positions, side="right")]
+
+
 def build_samples(
     train: Corpus,
     store: VectorStore,
@@ -383,15 +408,16 @@ def build_samples(
     (c_{i-1}, c_i, c_{i+1}) for i = 2..n-1. Negatives come from other
     visualizations; under same-dataset-first they prefer the same dataset,
     then the same domain, then anywhere. Each tier lists its charts in
-    chart-id order, and a window draws from it without replacement. Chart
+    chart-id order, and a window draws from it without replacement, as
+    `rng.choice(len(tier), size, replace=False)` would; a run of one-chart
+    draws is one `rng.integers` call, which takes the same numbers. Chart
     ids are globally unique, so no quadruple repeats.
     """
+    for name, value in (("negatives_per_window", negatives_per_window), ("policy", policy),
+                        ("seed", seed)):
+        check_setting(name, value, SAMPLING_RULES[name], ValueError)
     if not train.visualizations:
         raise CorpusError("empty training corpus")
-    if policy not in NEGATIVE_POLICIES:
-        raise ValueError(f"unknown negative policy {policy!r}")
-    if negatives_per_window < 1:
-        raise ValueError("negatives_per_window must be >= 1")
     if len(train.visualizations) < 2:
         raise CorpusError(
             "no eligible negatives: need at least two visualizations"
@@ -401,37 +427,71 @@ def build_samples(
     by_id = np.array(
         sorted(range(len(encoded)), key=encoded.chart_ids.__getitem__), dtype=np.int64
     )
-    dataset_ids = np.array(encoded.dataset_ids)[by_id]
-    domains = np.array(encoded.domains)[by_id]
+    rank = np.empty_like(by_id)
+    rank[by_id] = np.arange(len(by_id))
+    bounds = np.cumsum([0] + [len(vis.charts) for vis in train.visualizations]).tolist()
+    own = [np.sort(rank[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    parts: dict[tuple[str, str], list[np.ndarray]] = {}
+    for vis, ranks in zip(train.visualizations, own):
+        parts.setdefault(("dataset", vis.dataset_id), []).append(ranks)
+        parts.setdefault(("domain", vis.domain), []).append(ranks)
+    group = {key: np.sort(np.concatenate(ranks)) for key, ranks in parts.items()}
+    everything = np.arange(len(by_id))
+
+    @functools.cache
+    def other_datasets(dataset_id: str, domain: str, same_domain: bool) -> _Tier:
+        dataset, charts = group["dataset", dataset_id], group["domain", domain]
+        if same_domain:
+            return _Tier(charts, np.intersect1d(dataset, charts, assume_unique=True))
+        return _Tier(everything, np.union1d(dataset, charts))
+
+    def tiers(vis: MultiViewVis, ranks: np.ndarray):
+        """The visualization's negative tiers, best first, each built when asked for."""
+        if policy == "any":
+            yield _Tier(everything, ranks)
+            return
+        yield _Tier(group["dataset", vis.dataset_id], ranks)
+        yield other_datasets(vis.dataset_id, vis.domain, True)
+        yield other_datasets(vis.dataset_id, vis.domain, False)
+
+    # Every draw in the order the windows make them: (tier size, charts taken).
+    plan, stream = [], []
+    for vis, ranks, lo in zip(train.visualizations, own, bounds):
+        draws, needed = [], negatives_per_window
+        for tier in tiers(vis, ranks):
+            want = min(needed, tier.size)
+            if want:
+                draws.append((tier, want))
+                needed -= want
+            if not needed:
+                break
+        windows = max(0, len(vis.charts) - 2)
+        stream += [(tier.size, want) for tier, want in draws] * windows
+        plan.append((lo, windows, draws))
 
     rng = np.random.default_rng(seed)
-    quads: list[tuple[int, int, int, int]] = []
-    lo = 0
-    for vis in train.visualizations:
-        hi = lo + len(vis.charts)
-        # Negative candidates of this visualization, best tier first.
-        other = (by_id < lo) | (by_id >= hi)
-        same_dataset = dataset_ids == vis.dataset_id
-        same_domain = domains == vis.domain
-        if policy == "any":
-            tiers = [by_id[other]]
+    picks = [np.zeros(0, dtype=np.int64)]
+    for several, run in itertools.groupby(stream, key=lambda draw: draw[1] > 1):
+        if several:
+            picks += [np.sort(rng.choice(size, size=want, replace=False)) for size, want in run]
         else:
-            tiers = [
-                by_id[same_dataset & other],
-                by_id[~same_dataset & same_domain],
-                by_id[~same_dataset & ~same_domain],
-            ]
-        for mid in range(lo + 1, hi - 1):
-            needed = negatives_per_window
-            for tier in tiers:
-                want = min(needed, len(tier))
-                if want == 0:
-                    continue
-                picks = np.sort(rng.choice(len(tier), size=want, replace=False))
-                quads.extend((mid - 1, mid, mid + 1, neg) for neg in tier[picks].tolist())
-                needed -= want
-        lo = hi
-    return SampleSet(encoded=encoded, quads=np.array(quads, dtype=np.int64).reshape(-1, 4))
+            picks.append(rng.integers(0, [size for size, _ in run]))
+    picks = np.concatenate(picks)
+
+    mids, negatives, at = [], [], 0
+    for lo, windows, draws in plan:
+        width = sum(want for _, want in draws)
+        block = picks[at : at + windows * width].reshape(windows, width)
+        at += windows * width
+        column = 0
+        for tier, want in draws:
+            block[:, column : column + want] = tier.ranks(block[:, column : column + want])
+            column += want
+        mids.append(np.repeat(np.arange(lo + 1, lo + 1 + windows), width))
+        negatives.append(by_id[block.ravel()])
+    mid = np.concatenate(mids)
+    quads = np.column_stack((mid - 1, mid, mid + 1, np.concatenate(negatives)))
+    return SampleSet(encoded=encoded, quads=quads)
 
 
 _CALLIOPE_AGGREGATIONS = {

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import SampleSet
+from .corpus import SAMPLING_RULES, SampleSet
 from .encoder import (DROPOUT_RULE, EncoderParams, backward_batch, check_setting, forward_batch,
                       param_views, trainable_items)
 
@@ -39,7 +39,7 @@ HYPER_RULES = {
     "batch_size": (int, ">= 1", lambda v: v >= 1),
     "epochs": (int, ">= 0", lambda v: v >= 0),
     "dropout": DROPOUT_RULE,
-    "seed": (int, ">= 0", lambda v: v >= 0),
+    "seed": SAMPLING_RULES["seed"],
 }
 
 

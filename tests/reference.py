@@ -31,6 +31,13 @@ by numpy. The package proves the cells that its own writer prints with a
 numpy kernel and reads only the other chunks of lines this way; both must
 raise the same error, or give the same ids, positions and vector bits.
 
+`reference_id_quadruples` draws each window's negatives as a plain loop
+over every chart, with one `rng.choice` per window and tier. The package
+builds each visualization's tiers from per-dataset and per-domain groups and
+draws a run of one-chart picks with one `rng.integers`; its quadruples must
+equal these. `random_corpus` is a corpus on which every tier can come up
+empty and chart-id order differs from corpus order.
+
 `SINGLE_SWITCH_VARIANTS` and the derivation-length bounds are facts about
 the package's tables that only the tests check.
 
@@ -48,6 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from chartembed.corpus import Corpus, MultiViewVis
 from chartembed.evaluation import ABLATION_VARIANTS, EmbeddingIndex, EvaluationError
 from chartembed.facts import (
     Aggregation,
@@ -64,6 +72,7 @@ from chartembed.facts import (
     MetaTrend,
     fact_to_dict,
 )
+from chartembed.factgen import random_fact
 from chartembed.grammar import RULES, GrammarError
 from chartembed.semantics import (
     LOC_BREAKDOWN_FIELD,
@@ -449,3 +458,67 @@ def triplet_loss(
 ) -> float:
     """Hinge on d(anchor, positive) - d(anchor, negative) + margin."""
     return max(0.0, euclidean(anchor, positive) - euclidean(anchor, negative) + margin)
+
+
+def reference_id_quadruples(corpus, negatives_per_window, policy, seed):
+    """Negative sampling as a plain per-window loop over every chart, one
+    `rng.choice` per window and tier: the reference that build_samples must
+    match."""
+    refs = sorted(
+        (chart_id, vis.id, vis.dataset_id, vis.domain)
+        for vis in corpus.visualizations
+        for chart_id, _ in vis.charts
+    )
+    rng = np.random.default_rng(seed)
+    quads, seen = [], set()
+    for vis in corpus.visualizations:
+        ids = [chart_id for chart_id, _ in vis.charts]
+        for i in range(1, len(ids) - 1):
+            others = [r for r in refs if r[1] != vis.id]
+            if policy == "same-dataset-first":
+                tiers = [
+                    [r for r in others if r[2] == vis.dataset_id],
+                    [r for r in others if r[2] != vis.dataset_id and r[3] == vis.domain],
+                    [r for r in others if r[2] != vis.dataset_id and r[3] != vis.domain],
+                ]
+            else:
+                tiers = [others]
+            chosen = []
+            for tier in tiers:
+                if len(chosen) >= negatives_per_window:
+                    break
+                want = min(negatives_per_window - len(chosen), len(tier))
+                if want == 0:
+                    continue
+                picks = rng.choice(len(tier), size=want, replace=False)
+                chosen.extend(tier[int(j)][0] for j in sorted(picks))
+            for negative in chosen:
+                quad = (ids[i - 1], ids[i], ids[i + 1], negative)
+                if quad not in seen:
+                    seen.add(quad)
+                    quads.append(quad)
+    return tuple(quads)
+
+
+def random_corpus(seed):
+    """Several datasets per domain, single-visualization datasets and a
+    single-dataset domain, so every negative tier can come up empty; chart ids
+    are shuffled, so chart-id order differs from corpus order."""
+    rng = np.random.default_rng(seed)
+    layout = [  # (dataset, domain, visualizations)
+        ("d0", "economy", 2), ("d1", "economy", 1), ("d2", "economy", 3),
+        ("d3", "sports", 1), ("d4", "sports", 2), ("d5", "health", 1),
+    ]
+    sizes = [int(rng.integers(3, 7)) for _, _, n in layout for _ in range(n)]
+    names = iter(rng.permutation(sum(sizes)).tolist())
+    sizes = iter(sizes)
+    visualizations = []
+    for dataset, domain, n in layout:
+        for v in range(n):
+            charts = tuple(
+                (f"c{next(names):03d}", random_fact(rng)) for _ in range(next(sizes))
+            )
+            visualizations.append(
+                MultiViewVis(f"{dataset}-v{v}", dataset, domain, "data-story", charts)
+            )
+    return Corpus(tuple(visualizations))

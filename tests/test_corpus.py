@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chartembed import corpus as corpus_mod
 from chartembed import facts, grammar
@@ -21,7 +23,8 @@ from chartembed.corpus import (
     save_corpus,
     split_corpus,
 )
-from chartembed.factgen import random_fact
+from chartembed.semantics import VectorStore
+from reference import random_corpus, reference_id_quadruples
 
 
 def minimal_fact_obj(**overrides):
@@ -231,69 +234,6 @@ def test_sampling_deterministic_per_seed(fixture_corpus, store, base_config):
     assert np.array_equal(a.quads, b.quads)
 
 
-def reference_id_quadruples(corpus, negatives_per_window, policy, seed):
-    """Negative sampling as a plain per-window loop over every chart: the
-    reference that build_samples' per-visualization tier arrays must match."""
-    refs = sorted(
-        (chart_id, vis.id, vis.dataset_id, vis.domain)
-        for vis in corpus.visualizations
-        for chart_id, _ in vis.charts
-    )
-    rng = np.random.default_rng(seed)
-    quads, seen = [], set()
-    for vis in corpus.visualizations:
-        ids = [chart_id for chart_id, _ in vis.charts]
-        for i in range(1, len(ids) - 1):
-            others = [r for r in refs if r[1] != vis.id]
-            if policy == "same-dataset-first":
-                tiers = [
-                    [r for r in others if r[2] == vis.dataset_id],
-                    [r for r in others if r[2] != vis.dataset_id and r[3] == vis.domain],
-                    [r for r in others if r[2] != vis.dataset_id and r[3] != vis.domain],
-                ]
-            else:
-                tiers = [others]
-            chosen = []
-            for tier in tiers:
-                if len(chosen) >= negatives_per_window:
-                    break
-                want = min(negatives_per_window - len(chosen), len(tier))
-                if want == 0:
-                    continue
-                picks = rng.choice(len(tier), size=want, replace=False)
-                chosen.extend(tier[int(j)][0] for j in sorted(picks))
-            for negative in chosen:
-                quad = (ids[i - 1], ids[i], ids[i + 1], negative)
-                if quad not in seen:
-                    seen.add(quad)
-                    quads.append(quad)
-    return tuple(quads)
-
-
-def random_corpus(seed):
-    """Several datasets per domain, single-visualization datasets and a
-    single-dataset domain, so every negative tier can come up empty; chart ids
-    are shuffled, so chart-id order differs from corpus order."""
-    rng = np.random.default_rng(seed)
-    layout = [  # (dataset, domain, visualizations)
-        ("d0", "economy", 2), ("d1", "economy", 1), ("d2", "economy", 3),
-        ("d3", "sports", 1), ("d4", "sports", 2), ("d5", "health", 1),
-    ]
-    sizes = [int(rng.integers(3, 7)) for _, _, n in layout for _ in range(n)]
-    names = iter(rng.permutation(sum(sizes)).tolist())
-    sizes = iter(sizes)
-    visualizations = []
-    for dataset, domain, n in layout:
-        for v in range(n):
-            charts = tuple(
-                (f"c{next(names):03d}", random_fact(rng)) for _ in range(next(sizes))
-            )
-            visualizations.append(
-                MultiViewVis(f"{dataset}-v{v}", dataset, domain, "data-story", charts)
-            )
-    return Corpus(tuple(visualizations))
-
-
 def test_tier_arrays_match_per_window_reference(fixture_corpus, empty_store, base_config):
     for corpus in (fixture_corpus, random_corpus(0)):
         for negatives in (1, 3, 5):
@@ -306,6 +246,107 @@ def test_tier_arrays_match_per_window_reference(fixture_corpus, empty_store, bas
                     ids = samples.encoded.chart_ids
                     got = tuple(tuple(ids[row] for row in quad) for quad in samples.quads.tolist())
                     assert got == expected, (negatives, policy, seed)
+
+
+def _layout_corpus(layout, names):
+    """A corpus of one visualization per (dataset, domain, charts) of layout,
+    every chart a plain table, named by the numbers of `names` in turn."""
+    names = iter(names)
+    fact = facts.ChartFact(type_c=facts.ChartType.TABLE, type_f=facts.FactType.VALUE)
+    return Corpus(tuple(
+        MultiViewVis(
+            f"v{i}", f"d{dataset}", domain, "data-story",
+            tuple((f"c{next(names):02d}", fact) for _ in range(charts)),
+        )
+        for i, (dataset, domain, charts) in enumerate(layout)
+    ))
+
+
+@st.composite
+def sampling_corpora(draw):
+    """Two to eight visualizations in up to three datasets and three domains.
+    A dataset may sit in two domains, a visualization holds one to five
+    charts (so a tier may hold one chart or none), and chart ids are shuffled
+    against corpus order."""
+    layout = draw(st.lists(
+        st.tuples(st.integers(0, 2), st.sampled_from(("economy", "sports", "health")),
+                  st.integers(1, 5)),
+        min_size=2, max_size=8,
+    ))
+    return _layout_corpus(layout, draw(st.permutations(range(sum(n for *_, n in layout)))))
+
+
+# Dataset d0 sits in two domains; v3's first tier and v1's second are empty,
+# and the second tiers of v0 and v3 are one chart each (v2's and v4's).
+_EVERY_TIER_SHAPE = _layout_corpus(
+    [(0, "economy", 4), (0, "sports", 3), (1, "economy", 1), (2, "health", 3), (1, "health", 1)],
+    range(11, -1, -1),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sampling_corpora(), st.integers(1, 5), st.sampled_from(NEGATIVE_POLICIES),
+       st.integers(0, 2**32))
+@example(_EVERY_TIER_SHAPE, 1, "same-dataset-first", 0)
+@example(_EVERY_TIER_SHAPE, 5, "same-dataset-first", 0)
+def test_sampler_matches_per_window_reference(corpus, negatives, policy, seed):
+    samples = build_samples(corpus, VectorStore({}), negatives, policy, seed)
+    ids = samples.encoded.chart_ids
+    got = tuple(tuple(ids[row] for row in quad) for quad in samples.quads.tolist())
+    assert got == reference_id_quadruples(corpus, negatives, policy, seed)
+
+
+def test_integers_takes_the_numbers_of_one_draw_choices():
+    # build_samples draws a run of one-chart picks with one integers call; its
+    # quadruples equal those of one choice per pick only while this holds.
+    sizes = [1, 2, 3, 7, 1, 1000, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**40, 1, 5]
+    for seed in (0, 1, 501):
+        looped, batched = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = [looped.choice(n, size=1, replace=False).item() for n in sizes]
+        assert batched.integers(0, np.array(sizes, dtype=np.int64)).tolist() == expected
+        assert batched.bit_generator.state == looped.bit_generator.state
+        assert batched.random() == looped.random()
+
+
+# (keyword, value, message) for build_samples, whose other settings stay valid.
+_BAD_SAMPLING = [
+    ("negatives_per_window", 1.5, "negatives_per_window: expected an integer, got 1.5"),
+    ("negatives_per_window", 2.0, "negatives_per_window: expected an integer, got 2.0"),
+    ("negatives_per_window", True, "negatives_per_window: expected an integer, got true"),
+    ("negatives_per_window", "1", 'negatives_per_window: expected an integer, got "1"'),
+    ("negatives_per_window", 0, "negatives_per_window: must be >= 1, got 0"),
+    ("policy", "nearest",
+     "policy: must be one of ['same-dataset-first', 'any'], got \"nearest\""),
+    ("policy", None, "policy: expected a string, got null"),
+    ("seed", -1, "seed: must be >= 0, got -1"),
+    ("seed", 1.5, "seed: expected an integer, got 1.5"),
+    ("seed", False, "seed: expected an integer, got false"),
+]
+
+
+@pytest.mark.parametrize("keyword, value, message", _BAD_SAMPLING)
+def test_bad_sampling_setting_is_named(fixture_corpus, empty_store, keyword, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_samples(fixture_corpus, empty_store, **{keyword: value})
+
+
+# (keyword, value, message) for split_corpus, whose other setting stays valid.
+_BAD_SPLIT = [
+    ("test_fraction", 0.0, "test_fraction: must be in (0, 1), got 0.0"),
+    ("test_fraction", 1, "test_fraction: must be in (0, 1), got 1"),
+    ("test_fraction", float("nan"), "test_fraction: expected a finite number, got nan"),
+    ("test_fraction", "0.5", 'test_fraction: expected a number, got "0.5"'),
+    ("test_fraction", True, "test_fraction: expected a number, got true"),
+    ("seed", -1, "seed: must be >= 0, got -1"),
+    ("seed", 1.5, "seed: expected an integer, got 1.5"),
+]
+
+
+@pytest.mark.parametrize("keyword, value, message", _BAD_SPLIT)
+def test_bad_split_setting_is_named(fixture_corpus, keyword, value, message):
+    kwargs = {"test_fraction": 0.2, "seed": 0, keyword: value}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        split_corpus(fixture_corpus, **kwargs)
 
 
 def test_single_visualization_corpus_rejected(store, base_config):
