@@ -9,10 +9,13 @@ domain, then anywhere.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import gc
 import itertools
 import json
 import logging
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -201,6 +204,24 @@ def _vis_from_dict(
     )
 
 
+@contextlib.contextmanager
+def _cyclic_gc_paused():
+    """Pause Python's cyclic collector, then restore the caller's state, also
+    on an exception. The readers and the encoder it guards build only acyclic
+    objects (decoded dicts and lists, frozen facts, token tuples), which
+    reference counting frees; the collector would only rescan the growing
+    corpus at every threshold. The state is process-wide: another thread's
+    cyclic garbage waits until the call ends."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_cyclic_gc_paused()
 def corpus_from_dict(obj: dict, strict: bool = True, names: _Locations = _Locations()) -> Corpus:
     if not isinstance(obj, dict) or set(obj) != {"visualizations"}:
         raise CorpusError("corpus must be an object with a 'visualizations' list")
@@ -233,6 +254,7 @@ def corpus_from_calliope(obj: dict, strict: bool = True) -> Corpus:
     return corpus_from_dict(import_calliope(obj), strict, _CALLIOPE_LOCATIONS)
 
 
+@_cyclic_gc_paused()
 def load_corpus(path: str, strict: bool = True) -> Corpus:
     """Load and validate a corpus JSON file.
 
@@ -243,13 +265,44 @@ def load_corpus(path: str, strict: bool = True) -> Corpus:
     return corpus_from_dict(read_json(path), strict=strict)
 
 
+# A string decoded from strict UTF-8 holds a surrogate only through a JSON
+# escape \uD800..\uDFFF that no other escape pairs with, so a text without
+# `\ud` or `\uD` needs no search. UTF-8 cannot encode a lone surrogate, so
+# every writer of the corpus would fail on it.
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
+
+
+def _lone_surrogate(obj) -> Optional[str]:
+    """The JSON path and code point of the first string, value or key, that
+    holds a lone surrogate, in document order. A loop, not recursion: the
+    document may nest as deep as the decoder goes."""
+    stack = [("", obj)]
+    while stack:
+        where, value = stack.pop()
+        if isinstance(value, str):
+            found = _SURROGATE.search(value)
+            if found:
+                code = ord(found.group())
+                return f"{where or 'the top-level value'}: lone surrogate U+{code:04X}"
+        elif isinstance(value, dict):
+            for key, item in reversed(value.items()):
+                path = f"{where}.{key}" if where else key
+                stack += [(path, item), (f"a key of {where or 'the top-level object'}", key)]
+        elif isinstance(value, list):
+            stack += [(f"{where}[{i}]", item) for i, item in reversed(list(enumerate(value)))]
+    return None
+
+
+@_cyclic_gc_paused()
 def read_json(path: str, error: type[Exception] = CorpusError):
     """The decoded JSON of a UTF-8 file. Raises `error`, naming the file, for
     text that is not UTF-8 or not JSON, an integer longer than Python
-    converts, or nesting deeper than the decoder goes."""
+    converts, nesting deeper than the decoder goes, or a string that holds a
+    lone surrogate (named by its JSON path)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            text = fh.read()
+            obj = json.loads(text)
         except UnicodeDecodeError as exc:
             raise error(f"{path}: not a UTF-8 text file: {exc}") from None
         except json.JSONDecodeError as exc:
@@ -258,6 +311,11 @@ def read_json(path: str, error: type[Exception] = CorpusError):
             raise error(f"{path}: invalid JSON: {exc}") from None
         except RecursionError:
             raise error(f"{path}: invalid JSON: nested too deeply") from None
+    if "\\ud" in text or "\\uD" in text:
+        found = _lone_surrogate(obj)
+        if found is not None:
+            raise error(f"{path}: {found}, which UTF-8 cannot encode")
+    return obj
 
 
 def corpus_to_dict(corpus: Corpus) -> dict:
@@ -340,6 +398,7 @@ class EncodedCorpus:
         return self.rule_ids[selected], self.semantics[selected]
 
 
+@_cyclic_gc_paused()
 def encode_corpus(corpus: Corpus, store: VectorStore, config: EncoderConfig) -> EncodedCorpus:
     """Encode every chart of the corpus exactly once, in corpus order.
     Raises GrammarError for an invalid fact, unless corpus.facts_checked

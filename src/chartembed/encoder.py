@@ -567,18 +567,19 @@ def load_checkpoint(path: str) -> tuple[EncoderParams, EncoderConfig]:
         header = _read_header(fh)
         config = _config_from_dict(header.get("config"))
         (count,) = struct.unpack("<Q", _read_exact(fh, 8, "value count"))
-        payload = fh.read()
-
-    expected = param_count(config)
-    if count != expected:
-        raise CheckpointError(
-            f"checkpoint shape mismatch: holds {count} values, config implies {expected}"
-        )
-    if len(payload) < 8 * expected:
-        raise CheckpointError("truncated checkpoint: the file ends inside the payload")
-    if len(payload) > 8 * expected:
-        raise CheckpointError("checkpoint shape mismatch: bytes follow the payload")
-    params = EncoderParams(config, np.frombuffer(payload, dtype="<f8").astype(np.float64))
+        expected = param_count(config)
+        if count != expected:
+            raise CheckpointError(
+                f"checkpoint shape mismatch: holds {count} values, config implies {expected}"
+            )
+        # Read in place; readinto fills the array unless the stream ends first.
+        payload = np.empty(count, dtype="<f8")
+        if fh.readinto(payload) < payload.nbytes:
+            raise CheckpointError("truncated checkpoint: the file ends inside the payload")
+        if fh.read(1):
+            raise CheckpointError("checkpoint shape mismatch: bytes follow the payload")
+    # A no-op on a little-endian host; a big-endian host converts.
+    params = EncoderParams(config, payload.astype(np.float64, copy=False))
     bad = _non_finite_array(params)
     if bad is not None:
         raise CheckpointError(f"corrupt checkpoint: non-finite value in {bad}")

@@ -166,9 +166,12 @@ class VectorStore:
 
 # A store line that is a word and WORD_DIM plain decimals, each of which
 # float() reads as a finite value below 1e120 (at most 20 + 20 digits and a
-# two-digit exponent), so the line needs no conversion to be checked.
+# two-digit exponent), so the line needs no conversion to be checked. The
+# optional fraction and exponent are spelled `(?:X|)`, not `(?:X)?`: the
+# same language, but `re` runs a branch where `?` on a group runs a repeat
+# that saves its marks at every cell.
 _PLAIN_LINE = re.compile(
-    r"[^ ]+(?: -?[0-9]{1,20}(?:\.[0-9]{1,20})?(?:[eE][-+]?[0-9]{1,2})?){%d}" % WORD_DIM
+    r"[^ ]+(?: -?[0-9]{1,20}(?:\.[0-9]{1,20}|)(?:[eE][-+]?[0-9]{1,2}|)){%d}" % WORD_DIM
 )
 
 

@@ -20,7 +20,10 @@ lists must equal these.
 `load_vector_store` converts every line of a word-vector file as it reads
 it. The package checks a line of plain decimals by its form and converts it
 on its word's first lookup; both must raise the same error, or hold the
-same words with bit-identical vectors.
+same words with bit-identical vectors. `PLAIN_LINE` is the plain-decimal
+line form as the package first spelled it, with `?` on its optional groups;
+the package's `_PLAIN_LINE` spells them as empty alternatives and must
+accept exactly the same lines.
 
 `save_index` writes the index TSV one `format(x, ".17g")` cell at a time.
 The package formats blocks of rows with a numpy kernel, and the rest with
@@ -51,6 +54,7 @@ gradients must match sample by sample.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,6 +218,11 @@ def load_vector_store(path: str) -> VectorStore:
         except UnicodeDecodeError as exc:
             raise VectorStoreError(f"{path}: not a UTF-8 text file: {exc}") from None
     return VectorStore(vectors)
+
+
+PLAIN_LINE = re.compile(
+    r"[^ ]+(?: -?[0-9]{1,20}(?:\.[0-9]{1,20})?(?:[eE][-+]?[0-9]{1,2})?){%d}" % WORD_DIM
+)
 
 
 def save_index(index: EmbeddingIndex, path: str) -> None:

@@ -16,6 +16,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 
 from chartembed.cli import main
 from chartembed.corpus import Corpus, load_corpus, save_corpus
-from chartembed.encoder import CHECKPOINT_MAGIC
+from chartembed.encoder import CHECKPOINT_MAGIC, CheckpointError, load_checkpoint
 
 MAGIC = len(CHECKPOINT_MAGIC)
 
@@ -207,6 +208,54 @@ def test_a_huge_header_length_reads_no_more_than_the_file(setup, fixture_vectors
     )
     assert done.returncode == 1
     assert done.stderr.splitlines() == [ends_inside("header")]
+
+
+def load_outcome(path: str):
+    """The parameter bytes and config that load_checkpoint reads, or its error."""
+    try:
+        params, config = load_checkpoint(path)
+    except CheckpointError as exc:
+        return str(exc)
+    return params.values.dtype, params.values.tobytes(), config
+
+
+# (name, mutation, a phrase of the error or None)
+_PIPE_CASES = [
+    ("valid", lambda d: d, None),
+    ("cut inside the payload", lambda d: d[: len(d) // 2], "ends inside the payload"),
+    ("cut one byte short", lambda d: d[:-1], "ends inside the payload"),
+    ("one trailing byte", lambda d: d + b"\0", "bytes follow the payload"),
+    ("NaN payload value", with_value(0, float("nan")), "non-finite value in conv1.weight"),
+]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("name, mutate, phrase", _PIPE_CASES, ids=[case[0] for case in _PIPE_CASES])
+def test_a_pipe_loads_like_a_file(setup, tmp_path, name, mutate, phrase):
+    """The payload arrives from a pipe in pieces; load_checkpoint reads the
+    same values, or raises the same error, as from a file."""
+    data = mutate(setup[1])
+    (tmp_path / "model.ckpt").write_bytes(data)
+    expected = load_outcome(str(tmp_path / "model.ckpt"))
+    if phrase is None:
+        assert not isinstance(expected, str), expected
+    else:
+        assert phrase in expected
+    fifo = tmp_path / "pipe.ckpt"
+    os.mkfifo(fifo)
+
+    def write():
+        with contextlib.suppress(BrokenPipeError), open(fifo, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        got = load_outcome(str(fifo))
+    finally:
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert got == expected
 
 
 _BYTES = st.sampled_from(b'{}[]",:\\ \x00\x7f\xf0\xff-e9') | st.integers(0, 255)

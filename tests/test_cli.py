@@ -923,6 +923,48 @@ def test_import_of_an_unknown_fact_type_is_one_error_line(tmp_path, capsys):
     assert not err[0].endswith("more)")
 
 
+def _with_lone_surrogate(source: pathlib.Path, command: str) -> tuple[dict, str]:
+    """The command's input with one string holding a lone surrogate (a valid
+    JSON escape), and that string's JSON path."""
+    doc = json.loads(source.read_text(encoding="utf-8"))
+    if command == "import":
+        doc["stories"][0]["facts"][0]["subspace"][0]["value"] = "caf\ud800e"
+        return doc, "stories[0].facts[0].subspace[0].value"
+    if command == "embed":
+        doc["visualizations"][0]["charts"][0]["chart_id"] = "x\ud800"
+        return doc, "visualizations[0].charts[0].chart_id"
+    doc["visualizations"][0]["charts"][0]["fact"]["subspace"][0]["value"] = "caf\ud800e"
+    return doc, "visualizations[0].charts[0].fact.subspace[0].value"
+
+
+@pytest.mark.parametrize("command", ["validate", "train", "embed", "import"])
+def test_a_lone_surrogate_is_rejected_at_load(
+    tmp_path, capsys, data_dir, trained, fixture_corpus_path, fixture_vectors_path, command
+):
+    # UTF-8 cannot encode the string, so a writer would fail after the work
+    # and leave a partial file; the reader names it instead.
+    source = data_dir / "calliope_sample.json" if command == "import" else pathlib.Path(
+        fixture_corpus_path)
+    doc, where = _with_lone_surrogate(source, command)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc), encoding="ascii")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = str(out_dir / "result")
+    argv = {
+        "validate": ["validate", str(path)],
+        "train": ["train", str(path), fixture_vectors_path, out, "--epochs", "0"],
+        "embed": ["embed", trained, str(path), out, "--vectors", fixture_vectors_path],
+        "import": ["import", str(path), out],
+    }[command]
+    assert main(argv) == 1
+    prefix = "violation" if command == "validate" else "error"
+    assert capsys.readouterr().err.splitlines() == [
+        f"{prefix}: {path}: {where}: lone surrogate U+D800, which UTF-8 cannot encode"
+    ]
+    assert list(out_dir.iterdir()) == []
+
+
 def test_grammar_dump_command(capsys, data_dir):
     assert main(["grammar"]) == 0
     out = capsys.readouterr().out

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import re
 
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chartembed import corpus as corpus_mod
-from chartembed import facts, grammar
+from chartembed import facts, grammar, semantics
 from chartembed.corpus import (
     NEGATIVE_POLICIES,
     Corpus,
@@ -18,11 +19,13 @@ from chartembed.corpus import (
     build_samples,
     corpus_from_dict,
     corpus_to_dict,
+    encode_corpus,
     import_calliope,
     load_corpus,
     save_corpus,
     split_corpus,
 )
+from chartembed.encoder import EncoderConfig
 from chartembed.semantics import VectorStore
 from reference import random_corpus, reference_id_quadruples
 
@@ -77,6 +80,115 @@ def test_load_corpus_rejects_a_file_that_is_not_utf8(tmp_path, fixture_corpus_pa
     path.write_bytes(text.replace('"economy"', '"\u00e9conomie"', 1).encode("latin-1"))
     with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: not a UTF-8 text file: "):
         load_corpus(str(path))
+
+
+_SURROGATE_TEXTS = [
+    # (JSON text, the location and code point its message names, or None)
+    ('{"a": [{"b": "caf\\ud800e"}]}', "a[0].b: lone surrogate U+D800"),
+    ('{"a": "\\uDFFF"}', "a: lone surrogate U+DFFF"),
+    ('{"a": "\\udc00\\ud800"}', "a: lone surrogate U+DC00"),
+    ('{"a": "ok", "b": ["x", "\\ud801"], "c": "\\ud802"}', "b[1]: lone surrogate U+D801"),
+    ('{"k\\ud800": 1}', "a key of the top-level object: lone surrogate U+D800"),
+    ('{"a": {"ok": 1, "k\\udbff": 2}}', "a key of a: lone surrogate U+DBFF"),
+    ('"\\ud800"', "the top-level value: lone surrogate U+D800"),
+    ('{"a": "\\ud83d\\ude00"}', None),  # a pair is one character
+    ('{"a": "\\\\ud800"}', None),  # an escaped backslash, then the text ud800
+    ('{"a": "\\ud55c"}', None),  # U+D55C is a Hangul syllable
+]
+
+
+@pytest.mark.parametrize("text, message", _SURROGATE_TEXTS)
+def test_read_json_names_a_lone_surrogate(tmp_path, text, message):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="ascii")
+    if message is None:
+        assert corpus_mod.read_json(str(path)) == json.loads(text)
+        return
+    expected = f"{path}: {message}, which UTF-8 cannot encode"
+    with pytest.raises(CorpusError, match=f"^{re.escape(expected)}$"):
+        corpus_mod.read_json(str(path))
+
+
+def test_a_surrogate_in_utf8_bytes_is_not_utf8(tmp_path):
+    # Strict UTF-8 decoding rejects an encoded surrogate, so only an escape
+    # can put one in a decoded string.
+    path = tmp_path / "doc.json"
+    path.write_bytes(b'{"a": "\xed\xa0\x80"}')
+    with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: not a UTF-8 text file: "):
+        corpus_mod.read_json(str(path))
+
+
+def _invalid_fact_corpus() -> Corpus:
+    # Built directly, so encode_corpus checks its facts and raises.
+    fact = facts.ChartFact(type_c=facts.ChartType.LINE, type_f=facts.FactType.TREND,
+                           meta=facts.MetaExtreme(facts.ExtremeKind.MAX))
+    charts = tuple((f"c{i}", fact) for i in range(3))
+    return Corpus((MultiViewVis("v", "d", "economy", "data-story", charts),))
+
+
+def _strict_invalid_chart() -> dict:
+    vis = make_vis("v0", n_charts=4)
+    vis["charts"][0]["fact"]["type_c"] = "3d chart"
+    return {"visualizations": [vis]}
+
+
+# name -> (call on the paths of a valid corpus, invalid JSON and an invalid
+# chart; the exception it raises, or None)
+_GC_CALLS = {
+    "read_json": (lambda p: corpus_mod.read_json(p["valid"]), None),
+    "read_json, invalid JSON": (lambda p: corpus_mod.read_json(p["not JSON"]), CorpusError),
+    "corpus_from_dict": (lambda p: corpus_from_dict({"visualizations": [make_vis("v0")]}), None),
+    "corpus_from_dict, invalid chart": (lambda p: corpus_from_dict(_strict_invalid_chart()),
+                                        CorpusError),
+    "load_corpus": (lambda p: load_corpus(p["valid"]), None),
+    "load_corpus, invalid chart": (lambda p: load_corpus(p["invalid chart"]), CorpusError),
+    "load_corpus, invalid JSON": (lambda p: load_corpus(p["not JSON"]), CorpusError),
+    "encode_corpus": (lambda p: encode_corpus(
+        load_corpus(p["valid"]), VectorStore({}), EncoderConfig()), None),
+    "encode_corpus, invalid fact": (lambda p: encode_corpus(
+        _invalid_fact_corpus(), VectorStore({}), EncoderConfig()), grammar.GrammarError),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc on", "gc off"])
+@pytest.mark.parametrize("name", list(_GC_CALLS))
+def test_cyclic_gc_state_is_restored(tmp_path, fixture_corpus_path, name, enabled):
+    """Reading and encoding a corpus pause the cyclic collector and leave it
+    as the caller had it, on success and on error."""
+    paths = {"valid": fixture_corpus_path, "not JSON": str(tmp_path / "bad.json"),
+             "invalid chart": str(tmp_path / "invalid.json")}
+    (tmp_path / "bad.json").write_text('{"visualizations": [', encoding="utf-8")
+    (tmp_path / "invalid.json").write_text(json.dumps(_strict_invalid_chart()), encoding="utf-8")
+    call, raises = _GC_CALLS[name]
+    before = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        if raises is None:
+            call(paths)
+        else:
+            with pytest.raises(raises):
+                call(paths)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if before else gc.disable)()
+
+
+def test_cyclic_gc_is_paused_while_a_corpus_is_built(monkeypatch, fixture_corpus_path):
+    seen = []
+
+    def probe(fn):
+        def wrapper(*args, **kwargs):
+            seen.append((fn.__name__, gc.isenabled()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(corpus_mod, "fact_from_dict", probe(corpus_mod.fact_from_dict))
+    monkeypatch.setattr(semantics, "extract_tokens", probe(semantics.extract_tokens))
+    assert gc.isenabled()
+    encode_corpus(load_corpus(fixture_corpus_path), VectorStore({}), EncoderConfig())
+    assert gc.isenabled()
+    assert {name for name, _ in seen} == {"fact_from_dict", "extract_tokens"}
+    assert not any(enabled for _, enabled in seen)
 
 
 def test_two_chart_story_rejected():

@@ -163,6 +163,12 @@ def stores(draw):
         cells[draw(st.integers(1, WORD_DIM))] = draw(_CELLS)
         lines[at] = " ".join(cells)
     text = "\n".join(lines) + draw(st.sampled_from(["\n", "", "\r\n", "\n\n"]))
+    return draw(edited(text))
+
+
+@st.composite
+def edited(draw, text: str):
+    """The text with up to two characters inserted, deleted or replaced."""
     for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
         offset = draw(st.integers(0, len(text)))
         kind = draw(st.sampled_from(["insert", "delete", "replace"]))
@@ -185,3 +191,48 @@ def folder(tmp_path_factory):
 def test_random_stores_agree(folder, text):
     assert_agree(folder / "vectors.txt", text.encode("utf-8"))
 
+
+
+def _digits(most: int):
+    return st.text("0123456789", max_size=most)
+
+
+# Decimals on both sides of each bound of the form: digits before and after
+# the point (20), exponent digits (2), signs.
+_DECIMAL_CELLS = st.tuples(
+    st.sampled_from(["", "", "-", "+"]),
+    _digits(21),
+    st.one_of(st.just(""), _digits(21).map(lambda d: "." + d)),
+    st.one_of(st.just(""), st.tuples(st.sampled_from("eE"), st.sampled_from(["", "-", "+"]),
+                                     _digits(3)).map("".join)),
+).map("".join)
+
+
+@st.composite
+def plain_line_candidates(draw):
+    """A line of a `stores()` file, or a word and 99 to 101 cells of which up
+    to four are boundary cells or decimals near the bounds; then characters
+    edited."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(re.split(r"\r\n|\r|\n", draw(stores()))))
+    count = draw(st.sampled_from([WORD_DIM - 1, WORD_DIM, WORD_DIM, WORD_DIM + 1]))
+    cells = ["0.5"] * count
+    for _ in range(draw(st.integers(0, 4))):
+        cells[draw(st.integers(0, count - 1))] = draw(st.one_of(_CELLS, _DECIMAL_CELLS))
+    word = draw(st.sampled_from(["w", "W0rd", "-1", "café", ""]))
+    return draw(edited(word + " " + " ".join(cells)))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(plain_line_candidates())
+def test_plain_line_accepts_the_reference_language(text):
+    """`_PLAIN_LINE`'s empty alternatives accept exactly the lines that the
+    reference spelling with `?` accepts."""
+    assert bool(_PLAIN_LINE.fullmatch(text)) == bool(reference.PLAIN_LINE.fullmatch(text))
+
+
+@pytest.mark.parametrize("at", [0, 50, WORD_DIM - 1])
+def test_plain_line_agrees_on_the_boundary_cells(at):
+    for cell in _BOUNDARY_CELLS:
+        text = cell_line(cell, at).rstrip("\n")
+        assert bool(_PLAIN_LINE.fullmatch(text)) == bool(reference.PLAIN_LINE.fullmatch(text)), cell
