@@ -93,16 +93,28 @@ def index_encoded(encoded: EncodedCorpus, params: EncoderParams) -> EmbeddingInd
 
 
 _BLOCK_FLOATS = 1 << 20  # bounds one Gram slab and one block of anchor-candidate differences
+_U, _TINY = np.finfo(np.float64).eps / 2, np.finfo(np.float64).tiny  # for _near_ties
 
 
-def _difference_distances(vectors: np.ndarray, points: np.ndarray, columns: np.ndarray) -> np.ndarray:
+def _rows(block: np.ndarray) -> slice | np.ndarray:
+    """A block's ascending rows: a slice, read in place, if they are consecutive."""
+    first = int(block[0])
+    return slice(first, first + len(block)) if block[-1] - first + 1 == len(block) else block
+
+
+def _difference_distances(vectors: np.ndarray, points: np.ndarray, columns) -> np.ndarray:
     """Euclidean distances sqrt(sum((b - a)^2)) over the last axis from
     `points`, broadcast, to the charts at `columns`, in the exact difference
-    form: one gather, the anchors subtracted in place. The expansion
-    |a|^2 + |b|^2 - 2ab can flip near-ties: compute_metrics ranks by it only
-    to find each anchor's near-ties (_near_ties), and re-ranks those here."""
-    diff = vectors[columns]
-    diff -= points
+    form: an index array is gathered once and the anchors subtracted in
+    place; a range of consecutive rows is read in place and subtracted into
+    a new array. The expansion |a|^2 + |b|^2 - 2ab can flip near-ties:
+    compute_metrics ranks by it only to find each anchor's near-ties
+    (_near_ties), and re-ranks those here."""
+    if isinstance(columns, np.ndarray):
+        diff = vectors[columns]
+        diff -= points
+    else:
+        diff = vectors[columns.start : columns.stop] - points
     return np.sqrt(np.einsum("...d,...d->...", diff, diff))
 
 
@@ -178,15 +190,15 @@ def _near_ties(
     or after b have one, so the argument above holds. The anchor's own cell
     is inf, which can only raise the k-th smallest.
     """
-    u = np.finfo(np.float64).eps / 2
-    gamma = (dim + 4) * u / (1 - (dim + 4) * u)
-    own = (np.arange(len(gram)), lo + np.arange(len(gram)))
-    g = sq[lo : lo + len(gram), None] + sq[None, :]
+    gamma = (dim + 4) * _U / (1 - (dim + 4) * _U)
+    n = len(gram)
+    own = (0, lo) if n == 1 else (np.arange(n), lo + np.arange(n))
+    g = sq[lo : lo + n, None] + sq
     g -= 2.0 * gram
-    tau = twice_norm[lo : lo + len(gram), None] + twice_norm[None, :]
+    tau = twice_norm[lo : lo + n, None] + twice_norm
     np.square(tau, out=tau)
     tau *= gamma
-    tau += dim * np.finfo(np.float64).tiny
+    tau += dim * _TINY
     upper = g + tau
     upper[own] = np.inf
     g -= tau
@@ -200,45 +212,46 @@ def _near_ties(
 # vector product and its dozen numpy calls cost more than the scan they
 # save. Measured per query at k = 5 on 540-dim vectors, one BLAS thread, as
 # a multiple of the scan's time (median of 15 alternating repeats, random
-# and trained vectors). A block of consecutive rows, multiplied in place:
-# 1.5x at 23, 0.86-1.05x at 47, 0.73-0.88x at 63, 0.62-0.63x at 79, 0.5x
-# at 119. A gathered block: 1.7-1.8x at 23, 1.1-1.2x at 47-63, 0.92-1.01x
-# at 71, 0.88-0.97x at 79, 0.77-0.78x at 119, 0.67x at 999. The constant
-# sits at the gathered crossover, so both layouts gain above it. On a
-# collapsed model, where every candidate is a near-tie, 1.6x at 23.
-_SCREEN_MIN_CANDIDATES = 80
+# and trained vectors). A block of consecutive rows, read in place on both
+# paths: 1.2-1.3x at 23, 0.76-0.84x at 47, 0.64-0.65x at 63 and 79, 0.46-
+# 0.48x at 119. A gathered block: 1.26-1.28x at 23, 0.98-1.00x at 47,
+# 0.88-0.91x at 63, 0.83-0.89x at 79, 0.73-0.75x at 119. The constant sits
+# at the gathered crossover, so both layouts gain above it. On a collapsed
+# model, where every candidate is a near-tie, 1.3-1.6x at every size.
+_SCREEN_MIN_CANDIDATES = 48
 
 
-def _scan(vectors: np.ndarray, point: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """_difference_distances from point to the candidates, in chunks that
-    keep the gathered differences within _BLOCK_FLOATS."""
-    dist = np.empty(len(candidates))
+def _scan(vectors: np.ndarray, point: np.ndarray, columns) -> np.ndarray:
+    """_difference_distances from point to the charts at `columns`, an index
+    array or a slice of consecutive rows, one call per chunk that keeps the
+    differences within _BLOCK_FLOATS."""
     step = max(1, _BLOCK_FLOATS // max(1, vectors.shape[1]))
-    for lo in range(0, len(candidates), step):
-        dist[lo : lo + step] = _difference_distances(vectors, point, candidates[lo : lo + step])
+    span = range(len(vectors))[columns] if isinstance(columns, slice) else columns
+    if len(span) <= step:
+        return _difference_distances(vectors, point, span)
+    dist = np.empty(len(span))
+    for lo in range(0, len(span), step):
+        dist[lo : lo + step] = _difference_distances(vectors, point, span[lo : lo + step])
     return dist
 
 
-def _screened(index: EmbeddingIndex, row: int, pool: np.ndarray, k: int) -> np.ndarray:
-    """The charts of `pool` (ascending, holding row) that _near_ties keeps
-    for the anchor row and its k nearest. A pool of consecutive rows, as
-    scope "all" always is, is multiplied in place; any other is gathered in
-    chunks of _BLOCK_FLOATS values."""
-    vectors, first = index.vectors, int(pool[0])
-    if pool[-1] - first + 1 == len(pool):
-        rows = slice(first, first + len(pool))
+def _screened(index: EmbeddingIndex, row: int, rows, own: int, k: int) -> np.ndarray:
+    """The index rows of `rows` that _near_ties keeps for the anchor row, at
+    position own of `rows`, and its k nearest. A slice of consecutive rows
+    is multiplied in place; an index array is gathered in chunks of
+    _BLOCK_FLOATS values."""
+    vectors = index.vectors
+    if isinstance(rows, slice):
         products = vectors[rows] @ vectors[row]
     else:
-        rows = pool
-        products = np.empty(len(pool))
+        products = np.empty(len(rows))
         step = max(1, _BLOCK_FLOATS // max(1, vectors.shape[1]))
-        for lo in range(0, len(pool), step):
-            products[lo : lo + step] = vectors[pool[lo : lo + step]] @ vectors[row]
-    lo = int(np.searchsorted(pool, row))
+        for lo in range(0, len(rows), step):
+            products[lo : lo + step] = vectors[rows[lo : lo + step]] @ vectors[row]
     keep = _near_ties(
-        products[None, :], lo, index.sq[rows], index.twice_norm[rows], vectors.shape[1], k
+        products[None, :], own, index.sq[rows], index.twice_norm[rows], vectors.shape[1], k
     )
-    return pool[keep[0]]
+    return np.flatnonzero(keep[0]) + rows.start if isinstance(rows, slice) else rows[keep[0]]
 
 
 QUERY_RULES = {
@@ -260,7 +273,8 @@ def nearest(
     The ids and distances are those of a scan in the exact difference form
     (_difference_distances). A scope of at least _SCREEN_MIN_CANDIDATES
     candidates is screened by its Gram form first, and only the candidates
-    that may rank among the first k are scanned.
+    that may rank among the first k are scanned. A scope of consecutive rows,
+    as "all" always is, is read in place.
     """
     if scope not in ("same-dataset", "all"):
         raise EvaluationError(f"unknown scope {scope!r}")
@@ -268,20 +282,29 @@ def nearest(
         raise EvaluationError(f"unknown anchor {anchor!r}")
     k = check_setting("k", k, QUERY_RULES["k"], EvaluationError)
     row = index.row[anchor]
-    pool = np.arange(len(index)) if scope == "all" else index.blocks[index.dataset_ids[row]]
-    if len(pool) < 2:
+    rows = slice(0, len(index)) if scope == "all" else _rows(index.blocks[index.dataset_ids[row]])
+    if isinstance(rows, slice):
+        n, own = rows.stop - rows.start, row - rows.start
+    else:
+        n, own = len(rows), int(np.searchsorted(rows, row))
+    if n < 2:
         raise EvaluationError(f"no candidates for anchor {anchor!r} in scope {scope}")
     # A difference beyond the float64 range is an infinite distance; Gram
-    # terms that overflow make the screen keep every candidate.
+    # terms that overflow make the screen keep every candidate. Candidates
+    # are in chart-id order, so a stable sort breaks ties on id.
     with np.errstate(over="ignore", invalid="ignore"):
-        if len(pool) - 1 < _SCREEN_MIN_CANDIDATES:
-            candidates = pool[pool != row]
+        if n - 1 < _SCREEN_MIN_CANDIDATES:
+            dist = _scan(index.vectors, index.vectors[row], rows)
+            order = np.argsort(dist, kind="stable")
+            # Dropped after the stable sort, the anchor moves no tie.
+            order = order[order != own][:k]
+            hits = order + rows.start if isinstance(rows, slice) else rows[order]
         else:
-            candidates = _screened(index, row, pool, min(k, len(pool) - 1))
-        dist = _scan(index.vectors, index.vectors[row], candidates)
-    # Candidates are in chart-id order, so a stable sort breaks ties on id.
-    ranked = np.argsort(dist, kind="stable")[:k]
-    return [(index.ids[candidates[j]], float(dist[j])) for j in ranked]
+            candidates = _screened(index, row, rows, own, min(k, n - 1))
+            dist = _scan(index.vectors, index.vectors[row], candidates)
+            order = np.argsort(dist, kind="stable")[:k]
+            hits = candidates[order]
+    return [(index.ids[h], d) for h, d in zip(hits.tolist(), dist[order].tolist())]
 
 
 @dataclass(frozen=True)
@@ -335,11 +358,13 @@ def compute_metrics(index: EmbeddingIndex, gap2: int = 2, gap3: int = 3) -> Metr
         for block in index.blocks.values():
             if len(block) < 2:
                 continue
-            charts = vectors[block]
+            # A block of consecutive rows is read in place, as in nearest().
+            rows = _rows(block)
+            charts, block_sq, block_twice_norm = vectors[rows], sq[rows], twice_norm[rows]
             step = max(1, _BLOCK_FLOATS // len(block))
             for lo in range(0, len(block), step):
                 gram = charts[lo : lo + step] @ charts.T
-                keep = _near_ties(gram, lo, sq[block], twice_norm[block], vectors.shape[1], 1)
+                keep = _near_ties(gram, lo, block_sq, block_twice_norm, vectors.shape[1], 1)
                 # The anchor is never kept. So when every distance overflows
                 # to inf, the nearest is the block's first row, or its second
                 # for the first row itself, as in nearest().

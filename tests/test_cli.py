@@ -650,9 +650,10 @@ def test_eval_json_writes_an_infinite_distance_as_null(tmp_path, capsys):
 def test_train_and_eval_bytes_are_pinned(
     tmp_path, fixture_corpus, fixture_corpus_path, fixture_vectors_path, capsys
 ):
-    """The sha256 of `train`'s checkpoint and of `eval`'s text and JSON
-    output on the fixture. The model is untrained and the index holds small
-    integers, so no BLAS rounding enters and the bytes hold on any machine."""
+    """The sha256 of `train`'s checkpoint, of `eval`'s text and JSON output,
+    and of `nearest --k 3` for every chart under each scope, on the fixture.
+    The model is untrained and the index holds small integers, so no BLAS
+    rounding enters and the bytes hold on any machine."""
     model = tmp_path / "model.ckpt"
     assert main(["train", fixture_corpus_path, fixture_vectors_path, str(model),
                  "--epochs", "0", "--seed", "5", "--test-fraction", "0"]) == 0
@@ -666,10 +667,16 @@ def test_train_and_eval_bytes_are_pinned(
     for flags in ([], ["--json"]):
         assert main(["eval", str(index), *flags]) == 0
         digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    for scope in ("same-dataset", "all"):
+        for chart_id, *_ in charts:
+            assert main(["nearest", str(index), chart_id, "--k", "3", "--scope", scope]) == 0
+        digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
     assert digests == [
         "1223c0c121ea62b84ed0fc6a28f86b728ed13b6d4f2cbdb0d7b5692e8db84f04",
         "602b6d87d1f4346f45afa5267f72f9a175b97ab324ee349ff631935eea40bd99",
         "49bcaec3c17103be978ee41da18936edf0f81d573890bad53612d946066af7e4",
+        "82c7614e40930f2ba62fdc336fbdb27e25f7ae95b419c974365354a363bbaf58",
+        "6c9e8f82bea19a135ccf9b2e641775808d8215d858f899cc4a18001b25ec0990",
     ]
 
 

@@ -320,11 +320,15 @@ def test_random_indexes_with_planted_duplicates(data, dim, scale, offset):
     # Rows drawn from a small pool of points tie exactly; an offset makes the
     # Gram form cancel, and the extreme scales overflow or underflow it. At
     # the real threshold these small scopes are scanned; at 0, screened.
+    # Random labels interleave the datasets, whose rows are then gathered;
+    # sorted labels make every block a run of consecutive rows, read in place.
     coords = st.lists(st.integers(-30, 30), min_size=dim, max_size=dim)
     pool = np.array(data.draw(st.lists(coords, min_size=2, max_size=8))) * scale + offset
     picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=3, max_size=24))
     datasets = data.draw(st.lists(st.sampled_from("abc"), min_size=len(picks), max_size=len(picks)))
     datasets[1] = datasets[0]  # some anchor can be scored
+    if data.draw(st.booleans(), label="consecutive blocks"):
+        datasets.sort()
     index = index_of(pool[picks], datasets)
     assert_matches_difference_scan(index)
     assert_nearest_matches_ranking(index)
