@@ -392,9 +392,9 @@ class EncodedCorpus:
     def __len__(self) -> int:
         return len(self.chart_ids)
 
-    def rows(self, selected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def rows(self, selected: np.ndarray | slice) -> tuple[np.ndarray, np.ndarray]:
         """Model inputs of the selected rows: rule ids (B, 16) with -1 as
-        padding, and semantic blocks (B, rows, cols)."""
+        padding, and semantic blocks (B, rows, cols); views for a slice."""
         return self.rule_ids[selected], self.semantics[selected]
 
 

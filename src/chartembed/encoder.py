@@ -13,9 +13,12 @@ array is a named view of it, and gradients cover the trainable prefix. The
 conv layers have no bias: each feeds batch norm, which cancels it, so it
 would get no gradient.
 
-Inference is a pure function of (inputs, params); training-mode forwards use
-batch statistics, record a trace for the backward pass, and update the
-running batch-norm statistics, which they never read.
+Inference is a function of (inputs, params) up to the last bits: BLAS blocks
+a GEMM by its rows, so which rows share one forward call can move an
+embedding by up to about 1e-15 of its norm. Training-mode forwards
+use batch statistics, record a trace for the backward pass, and update the
+running batch-norm statistics, which they never read; a forward given the
+previous step's trace writes the new one into its arrays.
 """
 
 from __future__ import annotations
@@ -163,7 +166,9 @@ class EncoderParams:
 class ForwardTrace:
     """Per-layer activations and batch statistics cached for backprop.
 
-    Conv activations are channels-last: one row per (chart, position).
+    Conv activations are channels-last: one row per (chart, position). A
+    train-mode forward given a trace writes the new one into the leading
+    elements of its arrays' memory, so the arrays are views of it.
     """
 
     conv1_taps: np.ndarray  # (kernel, B*L) rows of conv1's lookup table
@@ -257,8 +262,9 @@ def _conv_matrix(weight: np.ndarray) -> np.ndarray:
     return weight.transpose(2, 1, 0).reshape(k * cin, cout)
 
 
-def _conv1_taps(rule_ids: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
-    """conv1's lookup-table rows: (kernel, B*L), one row per kernel tap.
+def _conv1_taps(rule_ids: np.ndarray, cfg: EncoderConfig, out: np.ndarray) -> np.ndarray:
+    """conv1's lookup-table rows, written into `out`: (kernel, B*L), one row
+    per kernel tap.
 
     conv1 convolves the one-hot rule matrix, so tap j at position l selects
     column rule[l + j - pad] of the weight's tap-j slice. The table stacks
@@ -271,7 +277,9 @@ def _conv1_taps(rule_ids: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
     ids = np.full((batch, length + 2 * pad), n_rules, dtype=np.intp)
     if not cfg.zero_schema:
         ids[:, pad : pad + length] = np.where(rule_ids < 0, n_rules, rule_ids)
-    return np.stack([ids[:, j : j + length].ravel() + j * (n_rules + 1) for j in range(k)])
+    for j in range(k):
+        np.add(ids[:, j : j + length], j * (n_rules + 1), out=out[j].reshape(batch, length))
+    return out
 
 
 def _conv1_table(weight: np.ndarray) -> np.ndarray:
@@ -293,13 +301,29 @@ def _tap_rows(length: int, k: int) -> list[tuple[slice, slice]]:
     ]
 
 
-def _im2col(x: np.ndarray, batch: int, k: int) -> np.ndarray:
-    """Channels-last (B*L, C) rows to same-padded (B*L, k*C) windows."""
+def _im2col(x: np.ndarray, batch: int, k: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Channels-last (B*L, C) rows to same-padded (B*L, k*C) windows, written
+    into `out` if given. Only the windows' interior is written, so the pads
+    of `out` must be zero already."""
     seq = x.reshape(batch, -1, x.shape[1])
-    cols = np.zeros((batch, seq.shape[1], k, x.shape[1]))
+    shape = (batch, seq.shape[1], k, x.shape[1])
+    cols = np.zeros(shape) if out is None else out.reshape(shape)
     for j, (out_rows, in_rows) in enumerate(_tap_rows(seq.shape[1], k)):
         cols[:, out_rows, j] = seq[:, in_rows]
     return cols.reshape(x.shape[0], -1)
+
+
+def _storage(previous: Optional[np.ndarray], shape: tuple[int, ...], dtype=np.float64,
+             zeroed: bool = False) -> np.ndarray:
+    """A C-contiguous `shape` array over the leading elements of the memory
+    of `previous`, an array of an earlier trace, when that memory is of
+    `dtype` and large enough; else over new memory, zero-filled if asked."""
+    size = math.prod(shape)
+    owner = previous if previous is None or previous.base is None else previous.base
+    if not (isinstance(owner, np.ndarray) and owner.dtype == dtype and owner.size >= size
+            and owner.flags.c_contiguous):
+        owner = np.zeros(size, dtype) if zeroed else np.empty(size, dtype)
+    return owner.reshape(-1)[:size].reshape(shape)
 
 
 def forward_batch(
@@ -308,6 +332,7 @@ def forward_batch(
     params: EncoderParams,
     train: bool = False,
     dropout_rng: Optional[np.random.Generator] = None,
+    trace: Optional[ForwardTrace] = None,
 ) -> tuple[np.ndarray, Optional[ForwardTrace]]:
     """Embed a batch: rule_ids (B, 16) integer rule ids with -1 as padding,
     sem_blocks (B, rows, cols).
@@ -316,8 +341,13 @@ def forward_batch(
     convolves; conv1 is computed as a gather of its weight columns.
     Train mode normalizes with batch statistics, applies dropout (when a
     generator is supplied), and returns a ForwardTrace; it mutates only the
-    running statistics, which it updates but never reads. Inference uses
-    running statistics, no dropout, and returns no trace.
+    running statistics, which it updates but never reads. Given `trace`, an
+    earlier train-mode trace, it writes the new trace into that trace's
+    memory, growing an array only for a longer batch; the earlier trace is
+    then spent, and so is its output without fc layers, which is its
+    `fused` array. The bits are those of a forward without `trace`.
+    Inference uses running statistics, no dropout, ignores `trace` and
+    returns none.
     """
     cfg = params.config
     rule_ids = np.asarray(rule_ids)
@@ -341,8 +371,10 @@ def forward_batch(
         raise EncoderError(f"non-finite parameter detected in {bad}")
 
     batch = rule_ids.shape[0]
-    sem = np.zeros_like(sem_blocks) if cfg.zero_semantics else sem_blocks
-    taps = _conv1_taps(rule_ids, cfg)
+    rows = batch * length
+    earlier = trace if train else None  # each new trace array goes into its earlier one
+    taps = _conv1_taps(rule_ids, cfg, _storage(earlier and earlier.conv1_taps,
+                                               (KERNEL_SIZE, rows), np.intp))
     conv_cols: list[np.ndarray] = []
     conv_xhat: list[np.ndarray] = []
     conv_invstd: list[np.ndarray] = []
@@ -354,14 +386,19 @@ def forward_batch(
             params.views[f"conv{i}.{part}"]
             for part in ("weight", "gamma", "beta", "running_mean", "running_var")
         )
+        z = _storage(earlier and earlier.conv_xhat[i - 1], (rows, CONV_CHANNELS[i]))
         if i == 1:
             table = _conv1_table(weight)
-            z = table.take(taps[0], axis=0)
+            # Every tap indexes the table, so "clip" changes no row; "raise"
+            # would fill a temporary first.
+            table.take(taps[0], axis=0, out=z, mode="clip")
             for row in taps[1:]:
                 z += table.take(row, axis=0)
         else:
-            cols = _im2col(x, batch, KERNEL_SIZE)
-            z = cols @ _conv_matrix(weight)
+            cols = _storage(earlier and earlier.conv_cols[i - 2],
+                            (rows, KERNEL_SIZE * x.shape[1]), zeroed=True)
+            _im2col(x, batch, KERNEL_SIZE, out=cols)
+            np.matmul(cols, _conv_matrix(weight), out=z)
             if train:
                 conv_cols.append(cols)
         if train:
@@ -382,28 +419,36 @@ def forward_batch(
         xhat *= invstd
         x = xhat * gamma
         x += beta
-        mask = x > 0
-        np.maximum(x, 0.0, out=x)
         if train:
             conv_xhat.append(xhat)
             conv_invstd.append(invstd)
-            conv_relu_mask.append(mask)
+            mask = _storage(earlier and earlier.conv_relu_mask[i - 1], x.shape, bool)
+            conv_relu_mask.append(np.greater(x, 0, out=mask))
+        np.maximum(x, 0.0, out=x)
 
     # fc1 reads the conv output channel-major, as (B, C, L) flattened.
     conv_out = x.reshape(batch, length, -1).transpose(0, 2, 1)
-    fused = np.concatenate([conv_out.reshape(batch, -1), sem.reshape(batch, -1)], axis=1)
+    fused = _storage(earlier and earlier.fused, (batch, cfg.fc1_in))
+    fused[:, :CONV_FLAT_DIM] = conv_out.reshape(batch, -1)
+    fused[:, CONV_FLAT_DIM:] = 0.0 if cfg.zero_semantics else sem_blocks.reshape(batch, -1)
 
     out, gate, a1 = fused, None, None
     if cfg.use_fc:
-        z1 = fused @ params.views["fc1.weight"].T + params.views["fc1.bias"]
-        gate = z1 > 0
-        if train and cfg.dropout > 0.0:
-            if dropout_rng is None:
-                raise EncoderError("train-mode forward with dropout needs a generator")
-            keep = dropout_rng.random(z1.shape) >= cfg.dropout
-            gate = gate * (keep / (1.0 - cfg.dropout))
-        a1 = z1 * gate
-        out = a1 @ params.views["fc2.weight"].T + params.views["fc2.bias"]
+        dropping = train and cfg.dropout > 0.0
+        if dropping and dropout_rng is None:
+            raise EncoderError("train-mode forward with dropout needs a generator")
+        # fc1's pre-activation z1 is built in a1's memory: gated in place, it becomes a1.
+        a1 = _storage(earlier and earlier.fc2_input, (batch, OUTPUT_DIM))
+        np.matmul(fused, params.views["fc1.weight"].T, out=a1)
+        a1 += params.views["fc1.bias"]
+        gate = _storage(earlier and earlier.fc1_gate, a1.shape, np.float64 if dropping else bool)
+        np.greater(a1, 0, out=gate)
+        if dropping:
+            # The ReLU mask times the dropout mask's scaled keep, as 1.0 * scale or 0.0.
+            gate *= (dropout_rng.random(a1.shape) >= cfg.dropout) / (1.0 - cfg.dropout)
+        a1 *= gate
+        out = a1 @ params.views["fc2.weight"].T
+        out += params.views["fc2.bias"]
 
     if not train:
         return out, None

@@ -76,17 +76,31 @@ def build_index(corpus: Corpus, params: EncoderParams, store: VectorStore) -> Em
     return index_encoded(encode_corpus(corpus, store, params.config), params)
 
 
+# index_encoded embeds this many rows per forward, so that its transient
+# memory is one chunk's, not the corpus's: on 16,000 charts RSS grows by
+# 150 MB at 1,024 rows and 191 MB at 2,048, in the same time. BLAS blocks a
+# GEMM by its row count, so the chunk size can move an embedding's last
+# bits; at least 600, the benchmark's largest index, keeps its index bytes
+# those of one forward.
+_EMBED_ROWS = 1024
+
+
 def index_encoded(encoded: EncodedCorpus, params: EncoderParams) -> EmbeddingIndex:
-    """build_index for a corpus already encoded under params.config."""
+    """build_index for a corpus already encoded under params.config: one
+    inference forward per _EMBED_ROWS consecutive rows."""
     if not len(encoded):
         return EmbeddingIndex((), (), (), (), np.zeros((0, 0)))
-    # An overflow shows up as the non-finite embedding reported below.
-    with np.errstate(all="ignore"):
-        vectors, _ = forward_batch(*encoded.rows(np.arange(len(encoded))), params, train=False)
-    finite = np.isfinite(vectors).all(axis=1)
-    if not finite.all():
-        first = encoded.chart_ids[int(finite.argmin())]
-        raise EvaluationError(f"non-finite embedding for chart {first!r} (values overflow)")
+    vectors = np.empty((len(encoded), params.config.embedding_dim))
+    for lo in range(0, len(encoded), _EMBED_ROWS):
+        rows = slice(lo, lo + _EMBED_ROWS)
+        # An overflow shows up as the non-finite embedding reported below.
+        with np.errstate(all="ignore"):
+            chunk, _ = forward_batch(*encoded.rows(rows), params, train=False)
+        vectors[rows] = chunk
+        finite = np.isfinite(chunk).all(axis=1)
+        if not finite.all():
+            first = encoded.chart_ids[lo + int(finite.argmin())]
+            raise EvaluationError(f"non-finite embedding for chart {first!r} (values overflow)")
     return EmbeddingIndex(
         encoded.chart_ids, encoded.vis_ids, encoded.positions, encoded.dataset_ids, vectors
     )

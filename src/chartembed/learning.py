@@ -16,13 +16,13 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .corpus import SAMPLING_RULES, SampleSet
-from .encoder import (DROPOUT_RULE, EncoderParams, backward_batch, check_setting, forward_batch,
-                      param_views, trainable_items)
+from .encoder import (DROPOUT_RULE, EncoderParams, ForwardTrace, backward_batch, check_setting,
+                      forward_batch, param_views, trainable_items)
 
 log = logging.getLogger(__name__)
 
@@ -135,6 +135,7 @@ def combined_loss(
     hyper: HyperParams,
     dropout_rng: np.random.Generator,
     loss_mask: tuple[bool, bool] = (True, True),
+    trace: Optional[ForwardTrace] = None,
 ):
     """One shared-parameter train-mode forward over all four charts of
     every sample, and the objective on its output.
@@ -143,14 +144,17 @@ def combined_loss(
     its mid, next and negative charts (see SampleSet.batch). dropout_rng
     draws the dropout mask. Returns (LossBreakdown, trace, gradient, active)
     as objective does; backward_batch(trace, gradient, params) gives the
-    parameter gradient. Raises TrainingDivergedError on a non-finite loss.
+    parameter gradient. A given `trace`, the previous step's, is overwritten
+    with this one (see forward_batch). Raises TrainingDivergedError on a
+    non-finite loss.
     """
     if len(rule_ids) == 0:
         raise ValueError("empty batch")
     # An overflow shows up as the non-finite loss reported below.
     with np.errstate(all="ignore"):
         # train by keyword: perfbench names the forward's span from it
-        out, trace = forward_batch(rule_ids, sem_blocks, params, train=True, dropout_rng=dropout_rng)
+        out, trace = forward_batch(rule_ids, sem_blocks, params, train=True,
+                                   dropout_rng=dropout_rng, trace=trace)
         breakdown, gradient, active = objective(out, hyper, loss_mask)
     if not np.isfinite(breakdown.total):
         raise TrainingDivergedError(f"non-finite loss (l1={breakdown.l1}, l2={breakdown.l2})")
@@ -360,7 +364,10 @@ def train(
     shuffle_rng = np.random.default_rng(shuffle_seq)
     dropout_rng = np.random.default_rng(dropout_seq)
     adam = init_adam(params)
-    grad = np.zeros_like(params.trainable)  # one gradient vector, rewritten every step
+    # One gradient vector, every slot rewritten by each backward, and one
+    # trace, each forward writing over the last one's arrays.
+    grad = np.empty_like(params.trainable)
+    trace = None
 
     history: list[EpochStats] = []
     for epoch in range(hyper.epochs):
@@ -372,6 +379,7 @@ def train(
             rule_ids, sems = samples.batch(order[lo : lo + hyper.batch_size])
             breakdown, trace, gradient, _ = combined_loss(
                 rule_ids, sems, params, hyper, dropout_rng=dropout_rng, loss_mask=loss_mask,
+                trace=trace,
             )
             backward_batch(trace, gradient, params, out=grad)
             adam_step(params, grad, adam, hyper.learning_rate)
