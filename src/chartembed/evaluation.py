@@ -36,7 +36,9 @@ class EmbeddingIndex:
 
     `row` maps a chart id to its row; `blocks` maps a dataset id to its rows,
     ascending, so every block is in chart-id order too. `sq` and `twice_norm`
-    hold each row's squared norm and twice its norm.
+    hold each row's squared norm and twice its norm. The index keeps the
+    array it is given, not a copy, when its rows are already in chart-id
+    order and it is C-contiguous float64; otherwise it keeps a sorted copy.
     """
 
     def __init__(
@@ -56,7 +58,9 @@ class EmbeddingIndex:
         self.story_ids = tuple(story_ids[i] for i in order)
         self.positions = np.asarray(positions, dtype=np.int64)[order]
         self.dataset_ids = tuple(dataset_ids[i] for i in order)
-        self.vectors = np.asarray(vectors, dtype=np.float64)[order]
+        vectors = np.asarray(vectors, dtype=np.float64)
+        in_order = order == list(range(len(order)))
+        self.vectors = np.ascontiguousarray(vectors if in_order else vectors[order])
         # The Gram screen's norms (_near_ties), for nearest and compute_metrics.
         # Large vectors overflow them to inf, which makes the screen keep all.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -87,23 +91,26 @@ _EMBED_ROWS = 1024
 
 def index_encoded(encoded: EncodedCorpus, params: EncoderParams) -> EmbeddingIndex:
     """build_index for a corpus already encoded under params.config: one
-    inference forward per _EMBED_ROWS consecutive rows."""
+    inference forward per _EMBED_ROWS consecutive rows, written straight to
+    the rows of their chart ids, so that the index keeps the output."""
     if not len(encoded):
         return EmbeddingIndex((), (), (), (), np.zeros((0, 0)))
+    order = sorted(range(len(encoded)), key=encoded.chart_ids.__getitem__)
+    row = np.empty(len(order), dtype=np.intp)
+    row[order] = np.arange(len(order))
     vectors = np.empty((len(encoded), params.config.embedding_dim))
     for lo in range(0, len(encoded), _EMBED_ROWS):
         rows = slice(lo, lo + _EMBED_ROWS)
         # An overflow shows up as the non-finite embedding reported below.
         with np.errstate(all="ignore"):
             chunk, _ = forward_batch(*encoded.rows(rows), params, train=False)
-        vectors[rows] = chunk
+        vectors[row[rows]] = chunk
         finite = np.isfinite(chunk).all(axis=1)
         if not finite.all():
             first = encoded.chart_ids[lo + int(finite.argmin())]
             raise EvaluationError(f"non-finite embedding for chart {first!r} (values overflow)")
-    return EmbeddingIndex(
-        encoded.chart_ids, encoded.vis_ids, encoded.positions, encoded.dataset_ids, vectors
-    )
+    columns = (encoded.chart_ids, encoded.vis_ids, encoded.positions, encoded.dataset_ids)
+    return EmbeddingIndex(*([column[i] for i in order] for column in columns), vectors)
 
 
 _BLOCK_FLOATS = 1 << 20  # bounds one Gram slab and one block of anchor-candidate differences
@@ -667,13 +674,15 @@ def _cell_tables() -> tuple[np.ndarray, ...]:
         # Templates that share a key are one template, so they read alike.
         assert reads.setdefault(key, (prefix, region, exponent)) == (prefix, region, exponent), text
         code_of[key] = code
-    constants, digits, shifted, every = np.frombuffer(bytes(tables), dtype="<u8").reshape(4, len(cells), 4)
-    return (constants, digits, shifted, lengths, code_of, shift, scale,
-            np.ascontiguousarray(digits[:, 1:].T), np.ascontiguousarray(every[:, 1:].T))
+    constants, digits, shifted, every = np.frombuffer(bytes(tables), dtype="<u8").reshape(
+        4, len(cells), 4).transpose(0, 2, 1).copy()
+    return constants, digits[1:], shifted[1:], lengths, code_of, shift, scale, every[1:]
 
 
+# By code: _CELL_CONSTANTS[j] is C of word j; _CELL_DIGITS, _CELL_SHIFTED and
+# _READ_DIGITS [j - 1] are A, B and S of word j (all zero in word 0).
 (_CELL_CONSTANTS, _CELL_DIGITS, _CELL_SHIFTED, _CELL_LENGTHS,
- _CODE_OF_KEY, _READ_SHIFT, _READ_SCALE, _READ_IN_PLACE, _READ_DIGITS) = _cell_tables()
+ _CODE_OF_KEY, _READ_SHIFT, _READ_SCALE, _READ_DIGITS) = _cell_tables()
 # Four ASCII digits of 0-9999 as the low bytes of a little-endian word, and
 # their trailing zeros (4 for 0000).
 _GROUP_WORDS = np.array(
@@ -694,7 +703,7 @@ _TWO_POW = 2.0 ** np.arange(_MAX_SCALE + 1)
 # off by a few 1e-15: a rounding within _TIE_MARGIN of a half is not decided.
 _EXACT_SCALE = 22
 _TIE_MARGIN = 2.0**-30
-_FORMAT_CELLS = 8192  # cells per block of _format_rows: about 1 MB of temporaries
+_FORMAT_CELLS = 8192  # cells per block of _format_rows: a traced peak of 0.98 MB
 
 
 def _two_product(a: np.ndarray, s: np.ndarray, five: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -710,7 +719,7 @@ def _two_product(a: np.ndarray, s: np.ndarray, five: np.ndarray) -> tuple[np.nda
     err -= p
     five_part *= a_lo
     err += five_part
-    np.take(_FIVE_HL, s, out=five_part)
+    np.take(_FIVE_HL, s, out=five_part, mode="clip")  # s is in range: _FIVE_HH took it
     a_hi *= five_part
     err += a_hi
     a_lo *= five_part
@@ -746,7 +755,8 @@ def _decimal_digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     k = np.log10(a)
     np.floor(k, out=k)
     k = k.astype(np.intp)
-    np.clip(k, _MIN_EXPONENT, _MAX_EXPONENT, out=k)
+    np.maximum(k, _MIN_EXPONENT, out=k)
+    np.minimum(k, _MAX_EXPONENT, out=k)
     s = 16 - k
     p, err = _scaled(a, s)
     # log10 can miss a power of ten by an ulp: move k where the floor of the
@@ -802,44 +812,60 @@ def _format_rows(vectors: np.ndarray) -> list[Optional[memoryview]]:
     proven = covered.reshape(rows, dim).all(axis=1)
     del covered, decided
 
-    lead, rest = np.divmod(digits, 10**16)
-    del digits
-    upper, lower = np.divmod(rest, 10**8)
-    del rest
-    groups = (*np.divmod(upper, 10**4), *np.divmod(lower, 10**4))
-    del upper, lower
-    zeros = _GROUP_ZEROS[groups[0]]
+    # The lead digit and four groups of four, by floor division and a
+    # multiply-subtract in place (np.divmod takes about three times as long).
+    lead = digits // 10**16
+    digits -= lead * 10**16
+    upper = digits // 10**8
+    digits -= upper * 10**8
+    groups = []
+    for part in (upper, digits):
+        high = part // 10**4
+        part -= high * 10**4
+        groups += [high, part]
+    del upper, digits, high, part
+    zeros = np.take(_GROUP_ZEROS, groups[0])
     for group in groups[1:]:
-        zeros = _GROUP_ZEROS[group] + (group == 0) * zeros
-    k -= _MIN_EXPONENT
-    k[zero] = _ZERO_SLOT
-    code = (np.signbit(x) * (_EXPONENTS + 1) + k) * 17 + 16 - zeros
+        zeros *= group == 0
+        zeros += np.take(_GROUP_ZEROS, group)
+    code = k
+    code -= _MIN_EXPONENT
+    code[zero] = _ZERO_SLOT
+    code *= 17
+    code += 16
+    code -= zeros
+    code += np.signbit(x) * ((_EXPONENTS + 1) * 17)
     del k, zeros
 
-    # Words 1-3 of each cell: its 17 digits at region bytes 0-16.
-    g1, g2, g3, g4 = (_GROUP_WORDS[group] for group in groups)
+    # Words 1-3 of each cell, one contiguous column each: its 17 digits at
+    # region bytes 0-16, and the same digits shifted one byte up.
+    g1, g2, g3, g4 = (np.take(_GROUP_WORDS, group) for group in groups)
     del groups
-    digit_words = np.zeros((len(x), 4), dtype=np.uint64)
-    digit_words[:, 1] = (lead + ord("0")).astype(np.uint64) | g1 << 8 | g2 << 40
-    digit_words[:, 2] = g2 >> 24 | g3 << 8 | g4 << 40
-    digit_words[:, 3] = g4 >> 24
+    w1 = g1 << 8
+    w1 |= (lead + ord("0")).astype(np.uint64)
+    w1 |= g2 << 40
+    w2 = g2 >> 24
+    w2 |= g3 << 8
+    w2 |= g4 << 40
+    w3 = g4 >> 24
     del lead, g1, g2, g3, g4
-    words = _CELL_CONSTANTS[code]
-    mask = _CELL_DIGITS[code]
-    mask &= digit_words
-    words |= mask
-    del mask
-    # The same digits shifted one byte up, in place.
-    carry = digit_words[:, 1:3] >> np.uint64(56)
-    digit_words <<= np.uint64(8)
-    digit_words[:, 2:] |= carry
-    del carry
-    mask = _CELL_SHIFTED[code]
-    mask &= digit_words
-    words |= mask
-    del mask, digit_words
+    s1, s2, s3 = w1 << 8, w2 << 8, w3 << 8
+    s2 |= w1 >> 56
+    s3 |= w2 >> 56
+    # Codes are in range, so mode="clip" takes into `table` without a buffer.
+    # Each word's last OR writes its column of the interleaved cells.
+    table = np.empty_like(w1)
+    words = np.empty((len(x), 4), dtype=np.uint64)
+    words[:, 0] = np.take(_CELL_CONSTANTS[0], code, out=table, mode="clip")
+    for j, (word, shifted) in enumerate(((w1, s1), (w2, s2), (w3, s3))):
+        word &= np.take(_CELL_DIGITS[j], code, out=table, mode="clip")
+        shifted &= np.take(_CELL_SHIFTED[j], code, out=table, mode="clip")
+        word |= shifted
+        np.bitwise_or(word, np.take(_CELL_CONSTANTS[j + 1], code, out=table, mode="clip"),
+                      out=words[:, j + 1])
+    del table, w1, w2, w3, s1, s2, s3, shifted
     text = memoryview(words.astype("<u8", copy=False).tobytes().translate(None, b"\0"))
-    ends = np.cumsum(_CELL_LENGTHS[code].reshape(rows, dim).sum(axis=1)).tolist()
+    ends = np.cumsum(np.take(_CELL_LENGTHS, code).reshape(rows, dim).sum(axis=1)).tolist()
     return [
         text[start:end] if ok else None
         for start, end, ok in zip([0] + ends, ends, proven.tolist())
@@ -996,7 +1022,7 @@ def _read_cells(words: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tupl
         if j < 2:
             up |= region[j + 1] << np.uint64(56)
         word ^= up
-        word &= np.take(_READ_IN_PLACE[j], code)
+        word &= np.take(_CELL_DIGITS[j], code)
         word ^= up
         del up
         word ^= zeros
@@ -1106,7 +1132,8 @@ def _read_chunk(chunk: bytes, size: int, dim: int) -> Optional[tuple]:
     if len(separators) != rows * (4 + dim):
         return None
     grid = separators.reshape(rows, 4 + dim)
-    if not ((text[grid[:, :-1]] == ord("\t")).all() and (text[grid[:, -1]] == ord("\n")).all()):
+    marks = text[separators].reshape(grid.shape)
+    if not ((marks[:, :-1] == ord("\t")).all() and (marks[:, -1] == ord("\n")).all()):
         return None  # the chunk ends in a newline, so these are all of its lines
     ids, positions = [], []
     try:
@@ -1169,5 +1196,5 @@ def load_index(path: str) -> EmbeddingIndex:
         if first_line.setdefault(chart_id, lineno) != lineno:
             raise EvaluationError(f"{path}:{lineno}: duplicate chart id {chart_id!r}")
     vectors = np.concatenate(blocks) if blocks else np.zeros((0, dim))
-    blocks.clear()  # EmbeddingIndex copies the vectors: hold two copies at most
+    blocks.clear()  # the index keeps `vectors` if its rows are in chart-id order, as save_index writes them
     return EmbeddingIndex(chart_ids, story_ids, positions, dataset_ids, vectors)

@@ -18,6 +18,7 @@ from chartembed.corpus import EncodedCorpus, SampleSet, encode_corpus
 from chartembed.encoder import EncoderConfig, backward_batch, forward_batch, init_params
 from chartembed.evaluation import (
     ABLATION_VARIANTS,
+    EmbeddingIndex,
     EvaluationError,
     build_index,
     index_encoded,
@@ -182,8 +183,8 @@ def test_training_holds_one_trace(base_config):
 
 
 def test_embedding_holds_one_chunk(monkeypatch, base_config):
-    # The peak is the output (held twice while the index sorts it by chart
-    # id) plus one chunk's forward, so it does not grow with the corpus.
+    # The peak is the output plus one chunk's forward, so it does not grow
+    # with the corpus.
     chunk = 256
     monkeypatch.setattr(evaluation, "_EMBED_ROWS", chunk)
     encoded = random_encoded(np.random.default_rng(9), 3 * chunk, base_config)
@@ -193,3 +194,37 @@ def test_embedding_holds_one_chunk(monkeypatch, base_config):
     output = len(encoded) * base_config.embedding_dim * 8
     peak = traced_peak(lambda: index_encoded(encoded, params))
     assert peak < output + 2 * one, (peak, output, one)
+
+
+def test_index_encoded_keeps_its_output(monkeypatch, base_config):
+    # Each chunk goes straight to its chart-id rows and the index keeps that
+    # array: the peak is one output plus about one chunk's forward (and the
+    # previous chunk), not two outputs. Chart ids out of corpus order too.
+    chunk = 64
+    monkeypatch.setattr(evaluation, "_EMBED_ROWS", chunk)
+    encoded = random_encoded(np.random.default_rng(10), 12 * chunk, base_config)
+    encoded = dataclasses.replace(encoded, chart_ids=encoded.chart_ids[::-1])
+    params = init_params(0, base_config)
+    one = traced_peak(lambda: forward_batch(encoded.rule_ids[:chunk], encoded.semantics[:chunk],
+                                            params, train=False))
+    output = len(encoded) * base_config.embedding_dim * 8
+    assert output > 2 * one
+    peak = traced_peak(lambda: index_encoded(encoded, params))
+    assert peak < output + 1.5 * one, (peak, output, one)
+    index = index_encoded(encoded, params)
+    assert index.vectors.flags.c_contiguous and index.vectors.flags.owndata
+    expected = chunked_reference(encoded, params, chunk)[::-1]
+    assert index.vectors.tobytes() == expected.tobytes()
+
+
+def test_the_index_keeps_an_array_in_chart_id_order():
+    vectors = np.arange(12.0).reshape(4, 3)
+    columns = (("a", "b", "c", "d"), ("s",) * 4, (0, 1, 2, 3), ("d",) * 4)
+    assert EmbeddingIndex(*columns, vectors).vectors is vectors
+    # Out of order, or not C-contiguous float64: a sorted copy.
+    for ids, given in [(("b", "a", "d", "c"), vectors), (columns[0], vectors.T.copy().T),
+                       (columns[0], vectors.astype(np.float32))]:
+        index = EmbeddingIndex(ids, *columns[1:], given)
+        assert index.vectors is not given and index.vectors.flags.c_contiguous
+        assert index.vectors.dtype == np.float64
+        assert index.vectors.tolist() == [given[ids.index(i)].tolist() for i in index.ids]

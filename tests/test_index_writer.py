@@ -17,6 +17,7 @@ import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chartembed import evaluation
 from chartembed.encoder import init_params
 from chartembed.evaluation import EmbeddingIndex, build_index, load_index, save_index
 
@@ -195,3 +196,62 @@ _ROW_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
 ))
 def test_arbitrary_float_rows(tmp_path_factory, rows):
     assert_writes_reference_bytes(index_of(rows), tmp_path_factory.mktemp("rows"))
+
+
+def percent_g_shape(x):
+    """(sign, decimal exponent, significant digits once trailing zeros are
+    stripped) of "%.17g" % x, or (sign, None, 1) for a zero."""
+    text = "%.17g" % x
+    if x == 0.0:
+        return text.startswith("-"), None, 1
+    digits = text.lstrip("-").split("e")[0].replace(".", "").strip("0")
+    return text.startswith("-"), Decimal(text).adjusted(), len(digits)
+
+
+def one_cell_per_shape():
+    """A positive double for each (exponent, kept digits) of the writer's
+    range that some double prints as: the first nearest double to
+    m * 10**(exponent - kept + 1), m of `kept` digits not ending in 0, that
+    does. Also the exponents that no double prints with one digit: there
+    the nine m are every candidate, since a double that prints as m * 10**e
+    is no nearer to it than the nearest double, which then prints so too."""
+    cells, one_digit_missing = {}, set()
+    for exponent in range(-22, 17):
+        for kept in range(1, 18):
+            first = 10 ** (kept - 1)
+            candidates = (float(f"{m}e{exponent - kept + 1}")
+                          for m in range(first, 10 * first) if kept == 1 or m % 10)
+            x = next((x for x in candidates if percent_g_shape(x) == (False, exponent, kept)), None)
+            if x is None:
+                one_digit_missing.add(exponent)
+            else:
+                cells[exponent, kept] = x
+    return cells, one_digit_missing
+
+
+def test_every_writer_template_writes_percent_g():
+    # One cell of every shape that has a template: 2 signs x 39 exponents x
+    # 17 kept-digit counts, and +-0. Each goes through the kernel, not the
+    # row fallback, and prints as "%.17g" byte for byte.
+    cells, missing = one_cell_per_shape()
+    assert missing == {-21, -20, -18, -17, -7, -6, -5}  # e.g. 1e-5 prints 1.0000000000000001e-05
+    values = [0.0, -0.0] + [sign * x for x in cells.values() for sign in (1.0, -1.0)]
+    shapes = {percent_g_shape(x) for x in values}
+    assert len(shapes) == len(values) == 2 + 2 * (39 * 17 - len(missing))
+    texts = evaluation._format_rows(np.array(values).reshape(-1, 1))
+    assert [bytes(text) for text in texts] == [b"\t" + (b"%.17g" % x) for x in values]
+
+
+@pytest.mark.parametrize("shape", [(40, 30), (200, 3)])
+@pytest.mark.parametrize("cells", [1, 7, 541])
+def test_block_size_does_not_change_the_bytes(tmp_path, monkeypatch, shape, cells):
+    # Rows the kernel does not prove (NaN, 1e-23, 1e17) fall mid-block.
+    vectors = np.random.default_rng(31).standard_normal(shape)
+    vectors[[5, 17, 33], [1, 2, 0]] = [np.nan, 1e-23, 1e17]
+    index = index_of(vectors)
+    default = tmp_path / "default.tsv"
+    save_index(index, str(default))
+    monkeypatch.setattr(evaluation, "_FORMAT_CELLS", cells)
+    assert_writes_reference_bytes(index, tmp_path)
+    save_index(index, str(tmp_path / "patched.tsv"))
+    assert (tmp_path / "patched.tsv").read_bytes() == default.read_bytes()
