@@ -384,7 +384,6 @@ class EncodedCorpus:
     chart_ids: tuple[str, ...]
     vis_ids: tuple[str, ...]
     dataset_ids: tuple[str, ...]
-    domains: tuple[str, ...]
     positions: np.ndarray  # (N,) position of each chart in its visualization
     rule_ids: np.ndarray  # (N, 16) derivation rule ids, -1 as padding
     semantics: np.ndarray  # (N, rows, cols) semantic blocks
@@ -413,12 +412,11 @@ def encode_corpus(corpus: Corpus, store: VectorStore, config: EncoderConfig) -> 
             ids = derive(fact)
             rule_ids[len(columns), : len(ids)] = ids
             tokens.append(semantics.extract_tokens(fact, memo))
-            columns.append((chart_id, vis.id, vis.dataset_id, vis.domain, position))
+            columns.append((chart_id, vis.id, vis.dataset_id, position))
     blocks = semantics.encode_semantics(tokens, store, config.semantic_mode, config.use_locations)
-    chart_ids, vis_ids, dataset_ids, domains, positions = list(zip(*columns)) or [()] * 5
+    chart_ids, vis_ids, dataset_ids, positions = list(zip(*columns)) or [()] * 4
     return EncodedCorpus(
-        chart_ids, vis_ids, dataset_ids, domains, np.array(positions, dtype=np.int64),
-        rule_ids, blocks,
+        chart_ids, vis_ids, dataset_ids, np.array(positions, dtype=np.int64), rule_ids, blocks
     )
 
 

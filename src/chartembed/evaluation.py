@@ -39,6 +39,8 @@ class EmbeddingIndex:
     hold each row's squared norm and twice its norm. The index keeps the
     array it is given, not a copy, when its rows are already in chart-id
     order and it is C-contiguous float64; otherwise it keeps a sorted copy.
+    Raises EvaluationError naming the lengths when the four columns and the
+    matrix's rows differ, or when the matrix is not 2-D.
     """
 
     def __init__(
@@ -49,6 +51,15 @@ class EmbeddingIndex:
         dataset_ids: Sequence[str],
         vectors: np.ndarray,
     ):
+        vectors = np.asarray(vectors, dtype=np.float64)
+        if vectors.ndim != 2:
+            raise EvaluationError(f"vectors: expected a 2-D matrix, got {vectors.ndim}-D")
+        lengths = (len(chart_ids), len(story_ids), len(positions), len(dataset_ids), len(vectors))
+        if len(set(lengths)) > 1:
+            raise EvaluationError(
+                "index columns differ in length: {} chart ids, {} story ids, {} positions, "
+                "{} dataset ids and {} vector rows".format(*lengths)
+            )
         order = sorted(range(len(chart_ids)), key=chart_ids.__getitem__)
         self.ids = tuple(chart_ids[i] for i in order)
         self.row = {chart_id: row for row, chart_id in enumerate(self.ids)}
@@ -58,7 +69,6 @@ class EmbeddingIndex:
         self.story_ids = tuple(story_ids[i] for i in order)
         self.positions = np.asarray(positions, dtype=np.int64)[order]
         self.dataset_ids = tuple(dataset_ids[i] for i in order)
-        vectors = np.asarray(vectors, dtype=np.float64)
         in_order = order == list(range(len(order)))
         self.vectors = np.ascontiguousarray(vectors if in_order else vectors[order])
         # The Gram screen's norms (_near_ties), for nearest and compute_metrics.
@@ -123,59 +133,60 @@ def _rows(block: np.ndarray) -> slice | np.ndarray:
     return slice(first, first + len(block)) if block[-1] - first + 1 == len(block) else block
 
 
-def _difference_distances(vectors: np.ndarray, points: np.ndarray, columns) -> np.ndarray:
+def _difference_distances(charts: np.ndarray, points: np.ndarray, columns) -> np.ndarray:
     """Euclidean distances sqrt(sum((b - a)^2)) over the last axis from
-    `points`, broadcast, to the charts at `columns`, in the exact difference
-    form: an index array is gathered once and the anchors subtracted in
-    place; a range of consecutive rows is read in place and subtracted into
-    a new array. The expansion |a|^2 + |b|^2 - 2ab can flip near-ties:
-    compute_metrics ranks by it only to find each anchor's near-ties
-    (_near_ties), and re-ranks those here."""
+    `points`, broadcast, to the rows at `columns` of `charts`, one block or
+    the index matrix, in the exact difference form: an index array is
+    gathered once and the anchors subtracted in place; a range of
+    consecutive rows is read in place and subtracted into a new array. The
+    expansion |a|^2 + |b|^2 - 2ab can flip near-ties: compute_metrics and
+    nearest rank by it only to find each anchor's near-ties (_near_ties),
+    and re-rank those here."""
     if isinstance(columns, np.ndarray):
-        diff = vectors[columns]
+        diff = charts[columns]
         diff -= points
     else:
-        diff = vectors[columns.start : columns.stop] - points
+        diff = charts[columns.start : columns.stop] - points
     return np.sqrt(np.einsum("...d,...d->...", diff, diff))
 
 
-def _nearest_kept(
-    vectors: np.ndarray, anchors: np.ndarray, block: np.ndarray, keep: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(row, distance) of each anchor's nearest chart among the block columns
-    that its row of `keep` marks, to the bits of _difference_distances; ties
-    go to the first column. Rows are padded to the longest row, and tiles
-    keep the differences within _BLOCK_FLOATS."""
+def _nearest_kept(charts: np.ndarray, lo: int, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(column, distance) of the nearest chart of each anchor lo, lo + 1, ...
+    of the block `charts` among the columns that its row of `keep` marks, to
+    the bits of _difference_distances; ties go to the first column. Rows are
+    padded to the longest row, and tiles keep the differences within
+    _BLOCK_FLOATS."""
     rows, cols = np.nonzero(keep)
     counts = np.bincount(rows, minlength=len(keep))
     starts = np.cumsum(counts) - counts
     # Each row's kept columns, ascending, then copies of its first.
-    columns = np.repeat(block[cols[starts]][:, None], counts.max(), axis=1)
-    columns[rows, np.arange(len(rows)) - starts[rows]] = block[cols]
-    width, dim = columns.shape[1], vectors.shape[1]
+    columns = np.repeat(cols[starts][:, None], counts.max(), axis=1)
+    columns[rows, np.arange(len(rows)) - starts[rows]] = cols
+    width, dim = columns.shape[1], charts.shape[1]
+    anchors = charts[lo : lo + len(keep), None, :]
     dist = np.empty(columns.shape)
     rows_step = max(1, _BLOCK_FLOATS // max(1, width * dim))
     cols_step = max(1, _BLOCK_FLOATS // max(1, rows_step * dim))
-    for r in range(0, len(anchors), rows_step):
-        points = vectors[anchors[r : r + rows_step]][:, None, :]
+    for r in range(0, len(keep), rows_step):
+        points = anchors[r : r + rows_step]
         for c in range(0, width, cols_step):
             tile = columns[r : r + rows_step, c : c + cols_step]
-            dist[r : r + rows_step, c : c + cols_step] = _difference_distances(vectors, points, tile)
+            dist[r : r + rows_step, c : c + cols_step] = _difference_distances(charts, points, tile)
     dist[np.arange(width) >= counts[:, None]] = np.inf
     # argmin takes the first minimum, which has the smallest chart id.
     best = np.argmin(dist, axis=1)
-    own = np.arange(len(anchors))
+    own = np.arange(len(keep))
     return columns[own, best], dist[own, best]
 
 
 def _near_ties(
-    gram: np.ndarray, lo: int, sq: np.ndarray, twice_norm: np.ndarray, dim: int, k: int
+    charts: np.ndarray, lo: int, hi: int, sq: np.ndarray, twice_norm: np.ndarray, k: int
 ) -> np.ndarray:
-    """Keep mask over the Gram slab of a block's anchors lo, lo + 1, ... (rows)
-    and all of its charts (columns), given the block's squared norms, doubled
-    norms and the vector length: every candidate whose _difference_distances
-    value may tie with or beat the anchor's k-th nearest chart, but not the
-    anchor. k is at most the number of candidates, len(sq) - 1.
+    """Keep mask over the block `charts`' anchors lo .. hi - 1 (rows) and all
+    of its charts (columns), from their Gram slab and the block's squared and
+    doubled norms: every candidate whose _difference_distances value may tie
+    with or beat the anchor's k-th nearest chart, but not the anchor. k is at
+    most the number of candidates, len(charts) - 1.
 
     Write u = 2^-53, gamma_k = k u / (1 - k u), R = (|a| + |b|)^2 for anchor
     a and candidate b, s = |a - b|^2 exactly, g the Gram value below and e
@@ -211,8 +222,9 @@ def _near_ties(
     or after b have one, so the argument above holds. The anchor's own cell
     is inf, which can only raise the k-th smallest.
     """
+    gram = charts[lo:hi] @ charts.T
+    dim, n = charts.shape[1], len(gram)
     gamma = (dim + 4) * _U / (1 - (dim + 4) * _U)
-    n = len(gram)
     own = (0, lo) if n == 1 else (np.arange(n), lo + np.arange(n))
     g = sq[lo : lo + n, None] + sq
     g -= 2.0 * gram
@@ -229,16 +241,18 @@ def _near_ties(
     return keep
 
 
-# Scopes with fewer candidates are scanned whole: there the screen's matrix-
-# vector product and its dozen numpy calls cost more than the scan they
-# save. Measured per query at k = 5 on 540-dim vectors, one BLAS thread, as
-# a multiple of the scan's time (median of 15 alternating repeats, random
-# and trained vectors). A block of consecutive rows, read in place on both
-# paths: 1.2-1.3x at 23, 0.76-0.84x at 47, 0.64-0.65x at 63 and 79, 0.46-
-# 0.48x at 119. A gathered block: 1.26-1.28x at 23, 0.98-1.00x at 47,
-# 0.88-0.91x at 63, 0.83-0.89x at 79, 0.73-0.75x at 119. The constant sits
-# at the gathered crossover, so both layouts gain above it. On a collapsed
-# model, where every candidate is a near-tie, 1.3-1.6x at every size.
+# Scopes with fewer candidates are scanned whole: there the screen's one-row
+# Gram product and its dozen numpy calls cost more than the scan they save.
+# Measured per query at k = 5 on 540-dim vectors, one BLAS thread, as a
+# multiple of the scan's time (median of 15 alternating repeats, random and
+# trained vectors, two runs each). A block of consecutive rows, read in place
+# on both paths: 1.1-1.3x at 23, 0.81-0.93x at 47, 0.60-0.80x at 63, 0.55-
+# 0.65x at 79, 0.40-0.47x at 119. A gathered block, copied whole for the
+# screen: 1.2-1.4x at 23, 0.98-1.08x at 47, 0.84-1.00x at 63, 0.77-0.82x at
+# 79, 0.71-0.75x at 119. The constant sits at the gathered crossover, so both
+# layouts gain above it. On a collapsed model, where every candidate is a
+# near-tie, 1.2-1.5x on consecutive and 1.5-1.8x on gathered blocks at every
+# size.
 _SCREEN_MIN_CANDIDATES = 48
 
 
@@ -254,25 +268,6 @@ def _scan(vectors: np.ndarray, point: np.ndarray, columns) -> np.ndarray:
     for lo in range(0, len(span), step):
         dist[lo : lo + step] = _difference_distances(vectors, point, span[lo : lo + step])
     return dist
-
-
-def _screened(index: EmbeddingIndex, row: int, rows, own: int, k: int) -> np.ndarray:
-    """The index rows of `rows` that _near_ties keeps for the anchor row, at
-    position own of `rows`, and its k nearest. A slice of consecutive rows
-    is multiplied in place; an index array is gathered in chunks of
-    _BLOCK_FLOATS values."""
-    vectors = index.vectors
-    if isinstance(rows, slice):
-        products = vectors[rows] @ vectors[row]
-    else:
-        products = np.empty(len(rows))
-        step = max(1, _BLOCK_FLOATS // max(1, vectors.shape[1]))
-        for lo in range(0, len(rows), step):
-            products[lo : lo + step] = vectors[rows[lo : lo + step]] @ vectors[row]
-    keep = _near_ties(
-        products[None, :], own, index.sq[rows], index.twice_norm[rows], vectors.shape[1], k
-    )
-    return np.flatnonzero(keep[0]) + rows.start if isinstance(rows, slice) else rows[keep[0]]
 
 
 QUERY_RULES = {
@@ -310,6 +305,7 @@ def nearest(
         n, own = len(rows), int(np.searchsorted(rows, row))
     if n < 2:
         raise EvaluationError(f"no candidates for anchor {anchor!r} in scope {scope}")
+    k = min(k, n - 1)
     # A difference beyond the float64 range is an infinite distance; Gram
     # terms that overflow make the screen keep every candidate. Candidates
     # are in chart-id order, so a stable sort breaks ties on id.
@@ -321,10 +317,15 @@ def nearest(
             order = order[order != own][:k]
             hits = order + rows.start if isinstance(rows, slice) else rows[order]
         else:
-            candidates = _screened(index, row, rows, own, min(k, n - 1))
-            dist = _scan(index.vectors, index.vectors[row], candidates)
+            # The screen's copy of a gathered scope is freed before the scan
+            # gathers the kept charts: holding both cost 3-4x when all are kept.
+            keep = _near_ties(
+                index.vectors[rows], own, own + 1, index.sq[rows], index.twice_norm[rows], k
+            )[0]
+            kept = np.flatnonzero(keep) + rows.start if isinstance(rows, slice) else rows[keep]
+            dist = _scan(index.vectors, index.vectors[row], kept)
             order = np.argsort(dist, kind="stable")[:k]
-            hits = candidates[order]
+            hits = kept[order]
     return [(index.ids[h], d) for h, d in zip(hits.tolist(), dist[order].tolist())]
 
 
@@ -384,13 +385,13 @@ def compute_metrics(index: EmbeddingIndex, gap2: int = 2, gap3: int = 3) -> Metr
             charts, block_sq, block_twice_norm = vectors[rows], sq[rows], twice_norm[rows]
             step = max(1, _BLOCK_FLOATS // len(block))
             for lo in range(0, len(block), step):
-                gram = charts[lo : lo + step] @ charts.T
-                keep = _near_ties(gram, lo, block_sq, block_twice_norm, vectors.shape[1], 1)
+                keep = _near_ties(charts, lo, lo + step, block_sq, block_twice_norm, 1)
                 # The anchor is never kept. So when every distance overflows
                 # to inf, the nearest is the block's first row, or its second
                 # for the first row itself, as in nearest().
                 anchors = block[lo : lo + step]
-                retrieved[anchors], distance[anchors] = _nearest_kept(vectors, anchors, block, keep)
+                best, distance[anchors] = _nearest_kept(charts, lo, keep)
+                retrieved[anchors] = block[best]
 
     details: list[AnchorDetail] = []
     hits2 = hits3 = hits_co = 0

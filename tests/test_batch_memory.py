@@ -41,8 +41,8 @@ def random_encoded(rng, count, config):
     """An encoded corpus of `count` random charts whose ids sort in row order."""
     rule_ids, sems = random_inputs(rng, count, config)
     names = tuple(f"c{i:05d}" for i in range(count))
-    return EncodedCorpus(names, names, ("ds",) * count, ("economy",) * count,
-                         np.zeros(count, dtype=np.int64), rule_ids, sems)
+    positions = np.zeros(count, dtype=np.int64)
+    return EncodedCorpus(names, names, ("ds",) * count, positions, rule_ids, sems)
 
 
 def named_arrays(trace):

@@ -242,6 +242,26 @@ def test_metrics_reject_an_index_of_one_chart_datasets():
         compute_metrics(index)
 
 
+_FIVE = [f"c{i}" for i in range(5)]
+_BAD_COLUMNS = {
+    # case: (chart ids, positions, vectors, message)
+    "3 ids, 5 rows": (_FIVE[:3], [0] * 3, np.zeros((5, 2)),
+                      "3 chart ids, 3 story ids, 3 positions, 3 dataset ids and 5 vector rows"),
+    "5 ids, 3 rows": (_FIVE, [0] * 5, np.zeros((3, 2)),
+                      "5 chart ids, 5 story ids, 5 positions, 5 dataset ids and 3 vector rows"),
+    "1-D vector": (_FIVE, [0] * 5, np.zeros(5), "vectors: expected a 2-D matrix, got 1-D"),
+    "2 positions": (_FIVE, [0] * 2, np.zeros((5, 2)),
+                    "5 chart ids, 5 story ids, 2 positions, 5 dataset ids and 5 vector rows"),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_COLUMNS)
+def test_index_rejects_columns_that_disagree(case):
+    ids, positions, vectors, message = _BAD_COLUMNS[case]
+    with pytest.raises(EvaluationError, match=re.escape(message)):
+        EmbeddingIndex(ids, ["s"] * len(ids), positions, ["d"] * len(ids), vectors)
+
+
 def test_index_io_roundtrip(tmp_path, fixture_corpus, store, base_config):
     params = init_params(4, base_config)
     index = build_index(fixture_corpus, params, store)

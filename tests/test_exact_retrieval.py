@@ -234,11 +234,12 @@ def test_scope_all_and_gathered_blocks_equal_difference_scan(rng):
 
 def test_screen_is_chosen_by_candidate_count(monkeypatch, rng):
     # Scopes of _SCREEN_MIN_CANDIDATES - 1 candidates are scanned whole,
-    # scopes of _SCREEN_MIN_CANDIDATES screened.
+    # scopes of _SCREEN_MIN_CANDIDATES screened: each call records its anchor
+    # range and the length of the block it screens.
     calls = []
     near_ties = evaluation._near_ties
     monkeypatch.setattr(
-        evaluation, "_near_ties", lambda *a: calls.append(a[0].shape) or near_ties(*a)
+        evaluation, "_near_ties", lambda *a: calls.append((a[1], a[2], len(a[0]))) or near_ties(*a)
     )
     threshold = evaluation._SCREEN_MIN_CANDIDATES
     datasets = ["a"] * threshold + ["b"] * (threshold + 1)
@@ -247,7 +248,7 @@ def test_screen_is_chosen_by_candidate_count(monkeypatch, rng):
     assert calls == []
     nearest(index, index.ids[-1], "same-dataset", k=3)
     nearest(index, index.ids[0], "all", k=3)
-    assert calls == [(1, threshold + 1), (1, 2 * threshold + 1)]
+    assert calls == [(threshold, threshold + 1, threshold + 1), (0, 1, 2 * threshold + 1)]
 
 
 def test_small_blocks_chunk_and_tile_the_same(monkeypatch, rng):
@@ -289,24 +290,37 @@ def test_nearest_holds_one_chunk_of_differences(rng):
     assert peak <= chunk_bytes + 10 * 8 * n
 
 
+def traced_peak(call):
+    """(result, peak bytes of the allocations traced while call() runs)."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("interleaved", [False, True])
 @pytest.mark.parametrize("collapsed", [False, True])
-def test_memory_stays_within_the_block_budget(monkeypatch, rng, collapsed):
+def test_memory_stays_within_the_block_budget(monkeypatch, rng, collapsed, interleaved):
     # One 3,000-chart dataset: an (n x n) distance matrix would take 72 MB.
     # Each Gram slab, keep mask and re-rank tile holds at most _BLOCK_FLOATS
     # values; a collapsed block, where every candidate is a near-tie, is the
-    # re-rank's widest case.
+    # re-rank's widest case. Interleaved with a 30-chart dataset, its rows are
+    # not consecutive, and compute_metrics and nearest copy them once, whole.
     monkeypatch.setattr(evaluation, "_BLOCK_FLOATS", 1 << 14)
-    vectors = np.ones((3000, 8)) if collapsed else rng.normal(size=(3000, 8))
-    index = index_of(vectors)
-    tracemalloc.start()
-    try:
-        report = compute_metrics(index)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 8 * (1 << 14) + 4 * vectors.nbytes
-    if collapsed:
-        assert {d.retrieved for d in report.details} == {"c000", "c001"}
+    n = 3030 if interleaved else 3000
+    vectors = np.ones((n, 8)) if collapsed else rng.normal(size=(n, 8))
+    index = index_of(vectors, ["b" if i % 100 == 50 and interleaved else "a" for i in range(n)])
+    assert len(index.blocks["a"]) == 3000
+    bound = 16 * 8 * (1 << 14) + 4 * vectors.nbytes
+    report, peak = traced_peak(lambda: compute_metrics(index))
+    assert peak < bound
+    if collapsed:  # each dataset's first chart, and its second for the first
+        firsts = {index.ids[r] for rows in index.blocks.values() for r in rows[:2]}
+        assert {d.retrieved for d in report.details} == firsts
+    ranked, peak = traced_peak(lambda: nearest(index, index.ids[5], k=3))
+    assert peak < bound
+    assert len(ranked) == 3
 
 
 @settings(max_examples=300, deadline=None)
